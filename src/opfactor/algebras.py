@@ -28,11 +28,12 @@ from .quaternion import Quaternion
 from .ratfunc import RationalFunction
 
 
-class DifferentialRationalAlgebra(Algebra):
-    """Q(x) with differentiation."""
+class RationalFunctionAlgebra(Algebra):
+    """Shared base of the algebras whose elements are rational functions
+    in one variable; subclasses name the variable and the endomorphism.
+    Equality stays by type, so qx and diff never mix."""
 
-    name = "qx"
-    variable = "x"
+    variable = "?"
 
     def check(self, e):
         if not isinstance(e, RationalFunction) or e.var != self.variable:
@@ -47,6 +48,16 @@ class DifferentialRationalAlgebra(Algebra):
     def from_fraction(self, q):
         return RationalFunction.constant(q, self.variable)
 
+    def symbols(self):
+        return {self.variable: RationalFunction.variable(self.variable)}
+
+
+class DifferentialRationalAlgebra(RationalFunctionAlgebra):
+    """Q(x) with differentiation."""
+
+    name = "qx"
+    variable = "x"
+
     def endo(self, f):
         self.check(f)
         return f.derivative()
@@ -54,13 +65,6 @@ class DifferentialRationalAlgebra(Algebra):
     def twist(self, f):
         self.check(f)
         return TwistPair(f, f.derivative())
-
-    def try_invert(self, f):
-        self.check(f)
-        return f.inverse()
-
-    def symbols(self):
-        return {self.variable: RationalFunction.variable(self.variable)}
 
 
 class QuaternionDifferentialAlgebra(Algebra):
@@ -91,10 +95,6 @@ class QuaternionDifferentialAlgebra(Algebra):
         self.check(f)
         return TwistPair(f, f.derivative())
 
-    def try_invert(self, f):
-        self.check(f)
-        return f.inverse()
-
     def symbols(self):
         return {
             self.variable: Quaternion.scalar(
@@ -106,7 +106,7 @@ class QuaternionDifferentialAlgebra(Algebra):
         }
 
 
-class DifferenceAlgebra(Algebra):
+class DifferenceAlgebra(RationalFunctionAlgebra):
     """Q(n) with the shifted difference map g -> g(n+1) + c*g(n).
 
     c is a fixed rational constant chosen at construction (default 1).
@@ -126,19 +126,6 @@ class DifferenceAlgebra(Algebra):
     def describe(self):
         return "%s(c=%s)" % (self.name, self.c)
 
-    def check(self, e):
-        if not isinstance(e, RationalFunction) or e.var != self.variable:
-            self._reject(e)
-
-    def zero(self):
-        return RationalFunction.zero(self.variable)
-
-    def one(self):
-        return RationalFunction.one(self.variable)
-
-    def from_fraction(self, q):
-        return RationalFunction.constant(q, self.variable)
-
     def endo(self, f):
         self.check(f)
         return f.shifted() + f * self.c
@@ -147,13 +134,6 @@ class DifferenceAlgebra(Algebra):
         self.check(f)
         p = f.shifted()
         return TwistPair(p, (f - p) * self.c)
-
-    def try_invert(self, f):
-        self.check(f)
-        return f.inverse()
-
-    def symbols(self):
-        return {self.variable: RationalFunction.variable(self.variable)}
 
 
 class GroupRingC5Algebra(Algebra):
@@ -187,10 +167,6 @@ class GroupRingC5Algebra(Algebra):
     def twist(self, f):
         self.check(f)
         return TwistPair(self.endo(f), self.zero())
-
-    def try_invert(self, f):
-        self.check(f)
-        return f.inverse()
 
     def symbols(self):
         return {"r": GroupRingC5Element.generator()}

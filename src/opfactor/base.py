@@ -136,9 +136,11 @@ class Algebra(ABC):
     @abstractmethod
     def twist(self, f) -> TwistPair: ...
 
-    @abstractmethod
     def try_invert(self, f):
-        """Return the two-sided inverse of f, or raise NotAUnit."""
+        """Return the two-sided inverse of f, or raise NotAUnit.  The
+        default defers to the element's own inverse()."""
+        self.check(f)
+        return f.inverse()
 
     # parsing and printing hooks
 

@@ -131,7 +131,17 @@ def build_parser() -> _ArgumentParser:
 
 
 def _split_elements(text: str, algebra: Algebra):
-    return tuple(parse_element(part, algebra) for part in text.split(","))
+    """Parse a comma separated list; error positions count from the
+    start of the whole list, not of the element."""
+    out = []
+    offset = 0
+    for part in text.split(","):
+        try:
+            out.append(parse_element(part, algebra))
+        except ParseError as exc:
+            raise ParseError(exc.message, exc.position + offset) from None
+        offset += len(part) + 1
+    return tuple(out)
 
 
 def _op_json(op: Operator) -> dict:
@@ -149,63 +159,60 @@ def _base_payload(session: Session, kernel=None) -> dict:
     return payload
 
 
-def _cmd_kernel_op(session: Session, args) -> int:
+def _kernel_context(session: Session, args) -> KernelContext:
+    """Parse --kernel, build its context and start the payload with K."""
     kernel = _split_elements(args.kernel, session.algebra)
     ctx = KernelContext(session.algebra, kernel)
+    session.payload = _base_payload(session, kernel)
+    session.payload["K"] = _op_json(ctx.K)
+    return ctx
+
+
+def _finish_verified(
+    session: Session, quotient: Optional[Operator] = None
+) -> int:
+    if quotient is not None:
+        session.payload["Q"] = _op_json(quotient)
+    session.payload["verified"] = True
+    return session.finish()
+
+
+def _cmd_kernel_op(session: Session, args) -> int:
+    ctx = _kernel_context(session, args)
     session.say("K = %s" % ctx.K)
     for i, p_op in enumerate(ctx.P):
         session.say("P_%d = %s" % (i + 1, p_op))
-    session.payload = _base_payload(session, kernel)
-    session.payload["K"] = _op_json(ctx.K)
-    session.payload["verified"] = True
-    return session.finish()
+    return _finish_verified(session)
 
 
 def _cmd_factor(session: Session, args) -> int:
-    kernel = _split_elements(args.kernel, session.algebra)
-    ctx = KernelContext(session.algebra, kernel)
-    op = parse_operator(args.operator, session.algebra)
-    quotient = ctx.factorize(op)
+    ctx = _kernel_context(session, args)
+    quotient = ctx.factorize(parse_operator(args.operator, session.algebra))
     session.say("K = %s" % ctx.K)
     session.say("Q = %s" % quotient)
     session.say("verified: L = Q * K")
-    session.payload = _base_payload(session, kernel)
-    session.payload["K"] = _op_json(ctx.K)
-    session.payload["Q"] = _op_json(quotient)
-    session.payload["verified"] = True
-    return session.finish()
+    return _finish_verified(session, quotient)
 
 
 def _cmd_dual(session: Session, args) -> int:
-    kernel = _split_elements(args.kernel, session.algebra)
-    ctx = KernelContext(session.algebra, kernel)
+    ctx = _kernel_context(session, args)
     targets = _split_elements(args.targets, session.algebra)
-    if len(targets) != len(kernel):
+    if len(targets) != ctx.k:
         raise ParseError(
-            "expected %d targets, got %d" % (len(kernel), len(targets)), 1
+            "expected %d targets, got %d" % (ctx.k, len(targets)), 1
         )
     dual = ctx.interpolate(targets)
     session.say("Phat = %s" % dual)
-    session.payload = _base_payload(session, kernel)
-    session.payload["K"] = _op_json(ctx.K)
-    session.payload["Q"] = _op_json(dual)
-    session.payload["verified"] = True
-    return session.finish()
+    return _finish_verified(session, dual)
 
 
 def _cmd_intertwine(session: Session, args) -> int:
-    kernel = _split_elements(args.kernel, session.algebra)
-    ctx = KernelContext(session.algebra, kernel)
-    r_op = parse_operator(args.r, session.algebra)
-    quotient = ctx.intertwiner(r_op)
+    ctx = _kernel_context(session, args)
+    quotient = ctx.intertwiner(parse_operator(args.r, session.algebra))
     session.say("K = %s" % ctx.K)
     session.say("Q = %s" % quotient)
     session.say("verified: K * R = Q * K")
-    session.payload = _base_payload(session, kernel)
-    session.payload["K"] = _op_json(ctx.K)
-    session.payload["Q"] = _op_json(quotient)
-    session.payload["verified"] = True
-    return session.finish()
+    return _finish_verified(session, quotient)
 
 
 def _cmd_verify(session: Session, args) -> int:

@@ -75,5 +75,6 @@ class ParseError(AlgebraError):
     """Bad expression text.  Reports a 1-based character position."""
 
     def __init__(self, message, position):
+        self.message = message
         self.position = position
         super().__init__("at position %d: %s" % (position, message))

@@ -22,10 +22,12 @@ unique "hat" coefficients h_0 .. h_m with L = sum(h_i . Dhat_i) where
     Dhat_i = P_(i+1)         for i < k,
     Dhat_i = endo^(i-k) . K  for i >= k.
 
-The low hat coefficients are exactly the values h_(i-1) = L(f_i), which is
-what makes the family useful: an operator annihilates all the f_i exactly
-when its first k hat coefficients vanish, and then the remaining ones
-assemble the right factor Q with L = Q . K.
+Because K is monic this expansion is right division by K: with
+L = Q . K + R and deg R < k, the high hat coefficients are the
+coefficients of Q and the low ones are the values h_(i-1) = R(f_i) =
+L(f_i).  So an operator annihilates all the f_i exactly when the
+remainder vanishes, and then L = Q . K.  One division routine,
+right_divide_monic, computes all of this.
 
 Everything here is verified as it is computed; a failed exact identity
 raises VerificationFailed rather than returning a wrong answer.
@@ -58,9 +60,9 @@ class KernelContext:
     K(f_i) = 0.  NotInvertible propagates from the matrix inverse when
     the elements are not independent enough.
 
-    Dhat operators above index k-1 are built on demand and cached; the
-    cache only ever gains entries and every entry is determined by its
-    index, so repeated or concurrent fills agree.
+    Everything above the construction (hat expansion, factorize,
+    intertwiner) is right division by the monic K, certified once per
+    division.
     """
 
     def __init__(self, algebra: Algebra, elements: Sequence):
@@ -91,7 +93,6 @@ class KernelContext:
             dual = dual + p_op.scale_left(img)
         self.K = Operator.d(algebra, k) - dual
 
-        self._dhat = {}
         self._self_check()
 
     def _self_check(self):
@@ -122,11 +123,7 @@ class KernelContext:
             raise ValueError("negative index")
         if i < self.k:
             return self.P[i]
-        op = self._dhat.get(i)
-        if op is None:
-            op = Operator.d(self.algebra, i - self.k).compose(self.K)
-            self._dhat[i] = op
-        return op
+        return Operator.d(self.algebra, i - self.k).compose(self.K)
 
     def interpolate(self, targets: Sequence) -> Operator:
         """The degree < k operator with f_i -> targets[i] for every i."""
@@ -143,42 +140,15 @@ class KernelContext:
     def hat_coefficients(self, op: Operator) -> List:
         """Expand an operator over the Dhat family.
 
-        Peels from the top: the hat coefficient at the highest power is
-        the plain coefficient there, because Dhat_i is monic of degree i;
-        subtracting h_i . Dhat_i drops the degree, and once everything
-        above degree k is gone the rest is handled in closed form, with
-        row-times-column products against Phi.  The expansion is verified
-        by exact reconstruction before it is returned.
+        Divides op = Q . K + R: the first k hat coefficients are the
+        values R(f_i), the rest are the coefficients of Q, padded with
+        zeros up to index max(deg op, k - 1).
         """
         self._check_op(op)
-        alg = self.algebra
-        k = self.k
-        m = max(len(op.coeffs) - 1, k - 1)
-        hats = [alg.zero()] * (m + 1)
-        rest = op
-        for i in range(m, k - 1, -1):
-            a = rest.coeff(i)
-            if not alg.is_zero(a):
-                hats[i] = a
-                rest = rest - self.dhat(i).scale_left(a)
-            if rest.degree >= i:
-                raise VerificationFailed(
-                    "degree did not drop while peeling at power %d" % i
-                )
-        for col in range(k):
-            acc = alg.zero()
-            for l in range(k):
-                a = rest.coeff(l)
-                if not alg.is_zero(a):
-                    acc = alg.add(acc, alg.mul(a, self.phi.entry(l, col)))
-            hats[col] = acc
-        recon = Operator.zero(alg)
-        for i, h in enumerate(hats):
-            if not alg.is_zero(h):
-                recon = recon + self.dhat(i).scale_left(h)
-        if recon != op:
-            raise VerificationFailed("hat expansion does not reconstruct")
-        return hats
+        quotient, rest = right_divide_monic(op, self.K)
+        hats = [rest.apply(f) for f in self.f] + list(quotient.coeffs)
+        size = max(len(op.coeffs), self.k)
+        return hats + [self.algebra.zero()] * (size - len(hats))
 
     def leading_coefficients_by_apply(self, op: Operator) -> Tuple:
         """The first k hat coefficients, computed independently: the hat
@@ -188,8 +158,8 @@ class KernelContext:
 
     def factorize(self, op: Operator) -> Operator:
         """Write op = Q . K, which is possible exactly when op kills
-        every kernel element.  Returns Q; the identity is re-verified
-        under operator equality before returning."""
+        every kernel element.  Returns Q; the division behind it is
+        certified exactly and must leave no remainder."""
         alg = self.algebra
         values = self.leading_coefficients_by_apply(op)
         offenders = [
@@ -197,24 +167,22 @@ class KernelContext:
         ]
         if offenders:
             raise NotInKernel(offenders, alg)
-        hats = self.hat_coefficients(op)
-        quotient = Operator(alg, tuple(hats[self.k:]))
-        if quotient.compose(self.K) != op:
-            raise VerificationFailed("factor does not recompose")
+        quotient, rest = right_divide_monic(op, self.K)
+        if not rest.is_zero():
+            raise VerificationFailed(
+                "division by K leaves a remainder on an annihilating operator"
+            )
         return quotient
 
     def intertwiner(self, r_op: Operator) -> Operator:
         """Find Q with Q . K = K . R, which exists exactly when R maps
-        each kernel element back into the kernel of K."""
+        each kernel element back into the kernel of K: that is factoring
+        K . R, whose values (K . R)(f_i) = K(R(f_i)) are the offenders."""
         self._check_op(r_op)
-        offenders = []
-        for i, f in enumerate(self.f):
-            image = self.K.apply(r_op.apply(f))
-            if not self.algebra.is_zero(image):
-                offenders.append((i + 1, image))
-        if offenders:
-            raise NotIntertwinable(offenders, self.algebra)
-        return self.factorize(self.K.compose(r_op))
+        try:
+            return self.factorize(self.K.compose(r_op))
+        except NotInKernel as exc:
+            raise NotIntertwinable(exc.offenders, self.algebra) from None
 
     def zero_on_low_filtration(self, op: Operator) -> bool:
         """For operators of degree below k: does op annihilate the whole
@@ -242,42 +210,41 @@ def right_divide_monic(op: Operator, divisor: Operator) -> Tuple[Operator, Opera
     """Long division from the right: op = Q . divisor + R with the
     representation degree of R below that of the divisor.
 
-    The divisor's top coefficient must stay invertible while being pushed
-    through powers of the endomorphism (for a monic divisor it is the
-    constant 1 and this is automatic).  Used as an independent check of
-    factorize: dividing by K must reproduce Q with zero remainder.
+    The divisor's top coefficient must be a unit.  It is inverted once,
+    and the inverse is pushed through the twist's p, which is
+    multiplicative on every built-in algebra, to invert the top
+    coefficient of each shifted divisor endo^j . divisor.  The result is
+    certified by recomposing Q . divisor + R == op exactly.
     """
     alg = op._same_algebra(divisor)
     if divisor.is_zero():
         raise NotMonicizable("cannot divide by the zero operator")
     d = len(divisor.coeffs) - 1
     lead = divisor.coeffs[-1]
+    monic = alg.equal(lead, alg.one())
     try:
-        alg.try_invert(lead)
+        inv = lead if monic else alg.try_invert(lead)
     except NotAUnit as exc:
         raise NotMonicizable(
             "leading coefficient %s is not a unit" % alg.format_element(lead)
         ) from exc
-    quotient = Operator.zero(alg)
+    # pushed[j] inverts the top coefficient of endo^j . divisor
+    pushed = [inv]
+    while not monic and len(pushed) < len(op.coeffs) - d:
+        pushed.append(alg.twist(pushed[-1]).p)
+    quotient = [alg.zero()] * max(len(op.coeffs) - d, 0)
     rest = op
     while rest.degree >= d:
         m = len(rest.coeffs) - 1
-        pushed = lead
-        for _ in range(m - d):
-            pushed = alg.twist(pushed).p
-        try:
-            inv = alg.try_invert(pushed)
-        except NotAUnit as exc:
-            raise NotMonicizable(
-                "twisted leading coefficient %s is not a unit"
-                % alg.format_element(pushed)
-            ) from exc
-        term = Operator(
-            alg,
-            (alg.zero(),) * (m - d) + (alg.mul(rest.coeffs[-1], inv),),
-        )
-        quotient = quotient + term
+        top = rest.coeffs[-1]
+        if not monic:
+            top = alg.mul(top, pushed[m - d])
+        quotient[m - d] = top
+        term = Operator(alg, (alg.zero(),) * (m - d) + (top,))
         rest = rest - term.compose(divisor)
         if rest.degree >= m:
             raise VerificationFailed("division step did not reduce the degree")
-    return quotient, rest
+    q_op = Operator(alg, tuple(quotient))
+    if q_op.compose(divisor) + rest != op:
+        raise VerificationFailed("right division does not recompose")
+    return q_op, rest

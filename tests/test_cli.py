@@ -293,3 +293,26 @@ def test_misprinted_showcase_operator_is_reported(capsys):
     )
     assert code == 3
     assert "L(f_2) = (18*x^4 - 18*x^3)*k" in err
+
+
+def test_kernel_list_error_position_counts_from_list_start(capsys):
+    code, out, err = run(
+        capsys, "kernel-op", "--algebra", "qx", "--kernel", "x,x^"
+    )
+    assert code == 1
+    assert "at position 5:" in err
+
+
+def test_targets_list_error_position_counts_from_list_start(capsys):
+    code, out, err = run(
+        capsys,
+        "dual",
+        "--algebra",
+        "qx",
+        "--kernel",
+        "x,x^2",
+        "--targets",
+        "1,2^",
+    )
+    assert code == 1
+    assert "at position 5:" in err

@@ -18,6 +18,7 @@ from opfactor import (
     NotMonicizable,
     Operator,
     RationalFunction,
+    VerificationFailed,
     get_algebra,
     parse_element,
     parse_operator,
@@ -323,6 +324,32 @@ def test_right_division_generic():
         q, r = right_divide_monic(op, divisor)
         assert q.compose(divisor) + r == op
         assert r.is_zero() or len(r.coeffs) < len(divisor.coeffs)
+
+
+@pytest.mark.parametrize(
+    "algebra, lead",
+    [(QX, "x"), (QUAT, "2*x*i"), (DIFF1, "n + 1"), (C5, "-r^2")],
+)
+def test_right_division_by_non_monic_unit_lead(algebra, lead):
+    rng = random.Random(61)
+    top = Operator.d(algebra, 2).scale_left(parse_element(lead, algebra))
+    for _ in range(10):
+        divisor = top + rand_operator(rng, algebra, 1)
+        op = rand_operator(rng, algebra, 4)
+        q, r = right_divide_monic(op, divisor)
+        assert q.compose(divisor) + r == op
+        assert len(r.coeffs) < len(divisor.coeffs)
+
+
+def test_right_division_catches_a_wrong_inverse():
+    class WrongInverse(type(QX)):
+        def try_invert(self, f):
+            return f.inverse() * 2
+
+    algebra = WrongInverse()
+    divisor = parse_operator("x*D - 1", algebra)
+    with pytest.raises(VerificationFailed):
+        right_divide_monic(parse_operator("D^2", algebra), divisor)
 
 
 def test_right_division_rejects_bad_divisors():
