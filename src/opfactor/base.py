@@ -128,11 +128,6 @@ class Algebra(ABC):
     @abstractmethod
     def endo(self, f): ...
 
-    def endo_pow(self, f, k: int):
-        for _ in range(k):
-            f = self.endo(f)
-        return f
-
     @abstractmethod
     def twist(self, f) -> TwistPair: ...
 

@@ -8,7 +8,6 @@ text into a larger expression use the flags to decide on parentheses.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -17,11 +16,6 @@ class Fmt(NamedTuple):
     is_sum: bool = False
     is_quotient: bool = False
     is_negative: bool = False
-
-
-def format_fraction(q: Fraction) -> Fmt:
-    text = str(q)
-    return Fmt(text, False, q.denominator != 1, q < 0)
 
 
 def join_terms(terms) -> str:

@@ -108,14 +108,15 @@ class NCMatrix:
             raise ShapeMismatch("only square matrices can be inverted")
         alg = self.algebra
         n = self.rows
-        work = [list(self.row(i)) for i in range(n)]
-        aug = [list(NCMatrix.identity(alg, n).row(i)) for i in range(n)]
+        ident = NCMatrix.identity(alg, n)
+        # one elimination on the augmented rows [self | I]
+        rows = [list(self.row(i)) + list(ident.row(i)) for i in range(n)]
         for col in range(n):
             pivot_row = None
             pivot_inv = None
             for r in range(col, n):
                 try:
-                    pivot_inv = alg.try_invert(work[r][col])
+                    pivot_inv = alg.try_invert(rows[r][col])
                 except NotAUnit:
                     continue
                 pivot_row = r
@@ -124,26 +125,19 @@ class NCMatrix:
                 raise NotInvertible(
                     "no unit pivot available in column %d" % (col + 1)
                 )
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            work[col] = [alg.mul(pivot_inv, e) for e in work[col]]
-            aug[col] = [alg.mul(pivot_inv, e) for e in aug[col]]
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            rows[col] = [alg.mul(pivot_inv, e) for e in rows[col]]
             for r in range(n):
                 if r == col:
                     continue
-                factor = work[r][col]
+                factor = rows[r][col]
                 if alg.is_zero(factor):
                     continue
-                work[r] = [
+                rows[r] = [
                     alg.sub(e, alg.mul(factor, p))
-                    for e, p in zip(work[r], work[col])
+                    for e, p in zip(rows[r], rows[col])
                 ]
-                aug[r] = [
-                    alg.sub(e, alg.mul(factor, p))
-                    for e, p in zip(aug[r], aug[col])
-                ]
-        candidate = NCMatrix.from_rows(alg, aug)
-        ident = NCMatrix.identity(alg, n)
+        candidate = NCMatrix.from_rows(alg, [row[n:] for row in rows])
         if self * candidate != ident or candidate * self != ident:
             raise NotInvertible("candidate inverse failed certification")
         return candidate

@@ -2,14 +2,15 @@
 
     expr    :=  term (('+' | '-') term)*
     term    :=  factor (('*' | '/') factor)*
-    factor  :=  '-' factor | power
+    factor  :=  '-'* power
     power   :=  atom ('^' INTEGER)?
     atom    :=  INTEGER | SYMBOL | 'D' | '(' expr ')'
 
 Whitespace is insignificant.  Juxtaposition is not multiplication: `2x`
 is a syntax error, write `2*x`.  `^` binds tighter than unary minus,
 which binds tighter than `*` and `/`, which bind tighter than binary
-`+` and `-`.  Exponents are nonnegative integer literals.
+`+` and `-`.  Exponents are nonnegative integer literals.  Parentheses
+nest at most MAX_NESTING deep.
 
 SYMBOL is a single letter owned by the algebra: `x` (and `i j k` for the
 quaternions), `n` for the difference algebra, `r` for the group ring.
@@ -39,6 +40,10 @@ from .errors import NotAUnit, ParseError
 from .operators import Operator
 
 _TOKEN = re.compile(r"\d+|[A-Za-z]|[\^*/+()-]|\S")
+
+# each nesting level costs the recursive descent a few stack frames, so
+# parentheses nested deeper than this are a ParseError, not a RecursionError
+MAX_NESTING = 100
 
 
 class Token(NamedTuple):
@@ -71,6 +76,7 @@ class _Parser:
         self.allow_d = allow_d
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses around the current position
         self.symbols = algebra.symbols()
 
     # token plumbing
@@ -143,11 +149,13 @@ class _Parser:
         return value.compose(Operator.scalar(self.algebra, inv))
 
     def _factor(self) -> Operator:
-        tok = self._peek()
-        if tok is not None and tok.text == "-":
+        # a loop, since recursing once per sign overflows on long runs
+        signs = 0
+        while self._peek() is not None and self._peek().text == "-":
             self._next()
-            return -self._factor()
-        return self._power()
+            signs += 1
+        value = self._power()
+        return -value if signs % 2 else value
 
     def _power(self) -> Operator:
         value = self._atom()
@@ -164,7 +172,9 @@ class _Parser:
         n = int(etok.text)
         out = Operator.identity(self.algebra)
         for _ in range(n):
-            out = out.compose(value)
+            # powers of one operator commute; with value on the left each
+            # step pushes only value's own D's, not the i of the power so far
+            out = value.compose(out)
         return out
 
     def _atom(self) -> Operator:
@@ -175,7 +185,13 @@ class _Parser:
                 self.algebra, self.algebra.from_fraction(Fraction(int(text)))
             )
         if text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    "parentheses nested deeper than %d" % MAX_NESTING, tok.pos
+                )
+            self.depth += 1
             value = self._expr()
+            self.depth -= 1
             closing = self._peek()
             if closing is None or closing.text != ")":
                 raise ParseError("expected ')'", self._end_pos())

@@ -50,10 +50,6 @@ class Poly:
     def variable(cls) -> "Poly":
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, coeff: Scalar, degree: int) -> "Poly":
-        return cls((0,) * degree + (coeff,))
-
     # structure
 
     @property

@@ -6,7 +6,8 @@ and the reversed products negated.  Components live in one shared variable;
 the constructor refuses mixed variables.  Every nonzero value is a unit:
 the squared norm a^2 + b^2 + c^2 + d^2 is a rational function that only
 vanishes when all four components do, so conj(q) / norm inverts q from both
-sides.
+sides.  The inverse computes that norm directly from the four components,
+which is the scalar part of q * conj(q) without the rest of the product.
 """
 
 from __future__ import annotations
@@ -109,13 +110,11 @@ class Quaternion:
         return Quaternion(self.a, -self.b, -self.c, -self.d)
 
     def inverse(self) -> "Quaternion":
-        """Two-sided inverse conj(q) * (q * conj(q))^-1."""
-        norm = self * self.conjugate()
-        if not (norm.b.is_zero() and norm.c.is_zero() and norm.d.is_zero()):
-            raise NotAUnit("norm is not scalar")  # cannot happen
-        if norm.a.is_zero():
+        """Two-sided inverse conj(q) / (a^2 + b^2 + c^2 + d^2)."""
+        norm = self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
+        if norm.is_zero():
             raise NotAUnit("zero quaternion has no inverse")
-        s = norm.a.inverse()
+        s = norm.inverse()
         conj = self.conjugate()
         return Quaternion(conj.a * s, conj.b * s, conj.c * s, conj.d * s)
 

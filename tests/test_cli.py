@@ -316,3 +316,35 @@ def test_targets_list_error_position_counts_from_list_start(capsys):
     )
     assert code == 1
     assert "at position 5:" in err
+
+
+def test_deep_nesting_is_a_syntax_error(capsys):
+    code, out, err = run(
+        capsys,
+        "verify",
+        "--algebra",
+        "qx",
+        "--operator",
+        "(" * 3000 + "x" + ")" * 3000,
+        "--on",
+        "x",
+    )
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: at position 101: ")
+
+
+def test_long_minus_chain_parses(capsys):
+    code, out, _ = run(
+        capsys,
+        "verify",
+        "--algebra",
+        "qx",
+        "--operator=" + "-" * 1000 + "x",
+        "--on",
+        "x",
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "L(f) = x^2"

@@ -15,6 +15,7 @@ from opfactor import (
     MixedAlgebras,
     NotInKernel,
     NotIntertwinable,
+    NotInvertible,
     NotMonicizable,
     Operator,
     RationalFunction,
@@ -350,6 +351,21 @@ def test_right_division_catches_a_wrong_inverse():
     divisor = parse_operator("x*D - 1", algebra)
     with pytest.raises(VerificationFailed):
         right_divide_monic(parse_operator("D^2", algebra), divisor)
+
+
+def test_kernel_context_catches_a_wrong_inverse():
+    # P_i(f_j) = delta_ij is certified only as Phi^-1 * Phi = I inside
+    # NCMatrix.inverse, so a wrong pivot inverse must fail there
+    class WrongInverse(type(QX)):
+        def try_invert(self, f):
+            return f.inverse() * 2
+
+    algebra = WrongInverse()
+    elements = [parse_element(t, algebra) for t in ("1", "x")]
+    with pytest.raises(
+        NotInvertible, match="candidate inverse failed certification"
+    ):
+        KernelContext(algebra, elements)
 
 
 def test_right_division_rejects_bad_divisors():

@@ -71,6 +71,32 @@ def test_parse_errors_carry_positions():
     assert info.value.position == 6
 
 
+def test_deep_nesting_is_a_parse_error():
+    from opfactor.parsing import MAX_NESTING
+
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_operator(deepest, QX) == parse_operator("x", QX)
+    with pytest.raises(ParseError) as info:
+        parse_operator("(" * 3000 + "x" + ")" * 3000, QX)
+    assert info.value.position == MAX_NESTING + 1
+
+
+def test_long_minus_chains_parse():
+    assert parse_operator("-" * 3000 + "x", QX) == parse_operator("x", QX)
+    assert parse_operator("-" * 3001 + "x", QX) == parse_operator("-x", QX)
+    assert parse_operator("x - --x", QX).is_zero()
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
+def test_power_of_d(algebra):
+    assert parse_operator("D^300", algebra) == Operator.d(algebra, 300)
+
+
+def test_power_of_an_operator_is_repeated_composition():
+    xd = parse_operator("x*D", QX)
+    assert parse_operator("(x*D)^3", QX) == xd.compose(xd).compose(xd)
+
+
 def test_juxtaposition_rejected():
     with pytest.raises(ParseError):
         parse_operator("2x", QX)
