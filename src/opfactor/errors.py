@@ -27,32 +27,31 @@ class NotInvertible(AlgebraError):
     """A matrix inverse does not exist or could not be certified."""
 
 
-class NotInKernel(AlgebraError):
-    """An operator expected to annihilate the kernel elements does not.
-
-    Carries the offending 1-based indices together with the nonzero values,
-    so error messages can show exactly which element survives.
-    """
+class _Offenders(AlgebraError):
+    """Names each surviving kernel element by its 1-based index and its
+    nonzero value; subclasses set the headline and the per-value label."""
 
     def __init__(self, offenders, algebra):
         self.offenders = tuple(offenders)
         self.algebra = algebra
         parts = ", ".join(
-            "L(f_%d) = %s" % (i, algebra.format_element(v)) for i, v in self.offenders
+            self.label % (i, algebra.format_element(v)) for i, v in self.offenders
         )
-        super().__init__("operator does not annihilate the kernel: " + parts)
+        super().__init__(self.headline + parts)
 
 
-class NotIntertwinable(AlgebraError):
+class NotInKernel(_Offenders):
+    """An operator expected to annihilate the kernel elements does not."""
+
+    headline = "operator does not annihilate the kernel: "
+    label = "L(f_%d) = %s"
+
+
+class NotIntertwinable(_Offenders):
     """The candidate map does not send the kernel back into the kernel."""
 
-    def __init__(self, offenders, algebra):
-        self.offenders = tuple(offenders)
-        self.algebra = algebra
-        parts = ", ".join(
-            "K(R(f_%d)) = %s" % (i, algebra.format_element(v)) for i, v in self.offenders
-        )
-        super().__init__("map does not preserve the kernel: " + parts)
+    headline = "map does not preserve the kernel: "
+    label = "K(R(f_%d)) = %s"
 
 
 class NotMonicizable(AlgebraError):

@@ -29,8 +29,9 @@ L(f_i).  So an operator annihilates all the f_i exactly when the
 remainder vanishes, and then L = Q . K.  One division routine,
 right_divide_monic, computes all of this.
 
-Everything here is verified as it is computed; a failed exact identity
-raises VerificationFailed rather than returning a wrong answer.
+Each result carries one exact certificate: Phi^-1 . Phi = I for the
+duals and for K, and Q . K + R == L for each division.  A failed
+identity raises rather than returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -56,15 +57,17 @@ class KernelContext:
 
     Construction computes Phi, its certified two-sided inverse, the dual
     operators P, the images endo^k(f_i), and the kernel operator K as
-    endo^k minus the interpolation of the images, and then checks
-    K(f_i) = 0.  The duals need no check of their own: P_i(f_j) is
-    entry (i, j) of Phi^-1 . Phi, so P_i(f_j) = delta_ij is the
-    certificate of the inverse.  NotInvertible propagates from the
-    matrix inverse when the elements are not independent enough.
+    endo^k minus the interpolation of the images.  Neither needs a check
+    of its own: P_i(f_j) is entry (i, j) of Phi^-1 . Phi, and
+    K(f_j) = endo^k(f_j) - sum_i endo^k(f_i) . (Phi^-1 . Phi)_ij = 0,
+    so both are the certificate of the inverse.  NotInvertible
+    propagates from the matrix inverse when the elements are not
+    independent enough.
 
     Everything above the construction (hat expansion, factorize,
     intertwiner) is right division by the monic K, certified once per
-    division.
+    division; whether an operator kills the kernel is read off the
+    remainder.
     """
 
     def __init__(self, algebra: Algebra, elements: Sequence):
@@ -91,14 +94,6 @@ class KernelContext:
             for i in range(k)
         )
         self.K = Operator.d(algebra, k) - self.interpolate(self.f_image)
-
-        self._self_check()
-
-    def _self_check(self):
-        # the duals were certified with phi_inv (see the class docstring)
-        for j, f in enumerate(self.f):
-            if not self.algebra.is_zero(self.K.apply(f)):
-                raise VerificationFailed("kernel operator fails on f_%d" % (j + 1))
 
     def _check_op(self, op: Operator) -> None:
         if op.algebra != self.algebra:
@@ -149,21 +144,14 @@ class KernelContext:
 
     def factorize(self, op: Operator) -> Operator:
         """Write op = Q . K, which is possible exactly when op kills
-        every kernel element.  Returns Q; the division behind it is
-        certified exactly and must leave no remainder."""
-        alg = self.algebra
-        values = self.leading_coefficients_by_apply(op)
-        offenders = [
-            (i + 1, v) for i, v in enumerate(values) if not alg.is_zero(v)
-        ]
-        if offenders:
-            raise NotInKernel(offenders, alg)
+        every kernel element, that is when the certified division by K
+        leaves no remainder R.  Returns Q; otherwise the nonzero values
+        R(f_i) = op(f_i) are the offenders."""
+        self._check_op(op)
         quotient, rest = right_divide_monic(op, self.K)
-        if not rest.is_zero():
-            raise VerificationFailed(
-                "division by K leaves a remainder on an annihilating operator"
-            )
-        return quotient
+        if rest.is_zero():
+            return quotient
+        raise NotInKernel(self._offenders(rest), self.algebra)
 
     def intertwiner(self, r_op: Operator) -> Operator:
         """Find Q with Q . K = K . R, which exists exactly when R maps
@@ -178,23 +166,29 @@ class KernelContext:
     def zero_on_low_filtration(self, op: Operator) -> bool:
         """For operators of degree below k: does op annihilate the whole
         kernel tuple?  True is only possible for the zero operator; a
-        nonzero witness raises CorollaryViolated since it would
-        contradict invertibility of Phi."""
+        nonzero witness raises CorollaryViolated."""
         self._check_op(op)
         if not op.is_zero() and len(op.coeffs) > self.k:
             raise ValueError(
                 "operator of degree %d is outside filtration level %d"
                 % (len(op.coeffs) - 1, self.k - 1)
             )
+        return not self._offenders(op)
+
+    def _offenders(self, op: Operator) -> List:
+        """The nonzero values op(f_i) with 1-based indices, for op of
+        degree below k.  A nonzero op with none would contradict the
+        invertibility of Phi, so it raises CorollaryViolated."""
         values = self.leading_coefficients_by_apply(op)
-        if any(not self.algebra.is_zero(v) for v in values):
-            return False
-        if op.is_zero():
-            return True
-        raise CorollaryViolated(
-            "nonzero operator %s of degree < %d annihilates the kernel"
-            % (op, self.k)
-        )
+        offenders = [
+            (i + 1, v) for i, v in enumerate(values) if not self.algebra.is_zero(v)
+        ]
+        if not offenders and not op.is_zero():
+            raise CorollaryViolated(
+                "nonzero operator %s of degree < %d annihilates the kernel"
+                % (op, self.k)
+            )
+        return offenders
 
 
 def right_divide_monic(op: Operator, divisor: Operator) -> Tuple[Operator, Operator]:

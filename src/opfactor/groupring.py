@@ -6,16 +6,20 @@ group elements, not a quotient polynomial ring, so it has zero divisors
 and very few units.  Multiplication is cyclic convolution of exponents
 mod 5.
 
-Inversion solves the 5x5 linear system (multiplication-by-x) * y = e_1
-exactly over the rationals and then demands an integral solution; anything
-else raises NotAUnit.  The ring is commutative, so a one-sided inverse is
-automatically two-sided.
+Inversion takes the norm over the automorphisms r -> r^m: with
+y = s2(x)*s3(x)*s4(x), where sm is r -> r^m, the product x*y is fixed by
+all of them, so x*y = a + b*s with s = r + r^2 + r^3 + r^4.  Its values
+at the nontrivial and the trivial characters are a - b, the norm of x at
+a primitive fifth root of unity, and a + 4b, the fourth power of the
+augmentation of x; both are nonnegative integers.  So x is a unit exactly
+when both are 1, that is when x*y = 1 and y is the inverse; when their
+product is 0, x is a zero divisor.  The ring is commutative, so a
+one-sided inverse is automatically two-sided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 from .errors import NotAUnit
@@ -95,33 +99,14 @@ class GroupRingC5Element:
         return GroupRingC5Element(tuple(out))
 
     def inverse(self) -> "GroupRingC5Element":
-        # column j of the system matrix holds the coordinates of self * r^j
-        m = [
-            [Fraction(self.coeffs[(i - j) % 5]) for j in range(5)]
-            for i in range(5)
-        ]
-        rhs = [Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)]
-        # exact gaussian elimination with partial (first nonzero) pivoting
-        for col in range(5):
-            piv = next((r for r in range(col, 5) if m[r][col] != 0), None)
-            if piv is None:
-                raise NotAUnit("%s is not a unit (singular system)" % (self,))
-            m[col], m[piv] = m[piv], m[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            inv = 1 / m[col][col]
-            m[col] = [e * inv for e in m[col]]
-            rhs[col] *= inv
-            for r in range(5):
-                if r != col and m[r][col] != 0:
-                    factor = m[r][col]
-                    m[r] = [e - factor * p for e, p in zip(m[r], m[col])]
-                    rhs[r] -= factor * rhs[col]
-        if any(v.denominator != 1 for v in rhs):
-            raise NotAUnit("%s is not a unit in the integral group ring" % (self,))
-        candidate = GroupRingC5Element(tuple(int(v) for v in rhs))
-        if self * candidate != GroupRingC5Element.one():
-            raise NotAUnit("%s is not a unit" % (self,))
-        return candidate
+        y = self.scale_exponents(2) * self.scale_exponents(3) * self.scale_exponents(4)
+        norm = self * y
+        if norm == GroupRingC5Element.one():
+            return y
+        a, b = norm.coeffs[:2]
+        if (a - b) * (a + 4 * b) == 0:
+            raise NotAUnit("%s is not a unit (singular system)" % (self,))
+        raise NotAUnit("%s is not a unit in the integral group ring" % (self,))
 
     # display
 

@@ -12,6 +12,13 @@ which binds tighter than `*` and `/`, which bind tighter than binary
 `+` and `-`.  Exponents are nonnegative integer literals.  Parentheses
 nest at most MAX_NESTING deep.
 
+The parser bounds the degree of what it builds before building it.  A
+number counts 0, a symbol or `D` counts 1, `+` and `-` take the larger
+bound, `*` and `/` add the bounds, and `a^n` counts n times the bound of
+`a`, and at least n, so that powers of constants cannot grow without
+limit either.  A bound above MAX_DEGREE is a ParseError at the exponent,
+or at the `*` or `/` that crosses it.
+
 SYMBOL is a single letter owned by the algebra: `x` (and `i j k` for the
 quaternions), `n` for the difference algebra, `r` for the group ring.
 `D` denotes the endomorphism and is only legal when parsing operators.
@@ -32,7 +39,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 from .algebras import get_algebra
 from .base import Algebra
@@ -44,6 +51,10 @@ _TOKEN = re.compile(r"\d+|[A-Za-z]|[\^*/+()-]|\S")
 # each nesting level costs the recursive descent a few stack frames, so
 # parentheses nested deeper than this are a ParseError, not a RecursionError
 MAX_NESTING = 100
+
+# the largest degree bound an expression may reach (see above); the
+# bound is syntactic, so exponents and products past it cost nothing
+MAX_DEGREE = 300
 
 
 class Token(NamedTuple):
@@ -97,12 +108,12 @@ class _Parser:
         tok = self._peek()
         return tok.pos if tok else len(self.text) + 1
 
-    # grammar
+    # grammar: each rule returns its value and the degree bound of its text
 
     def parse(self) -> Operator:
         if not self.tokens:
             raise ParseError("empty expression", 1)
-        value = self._expr()
+        value, _ = self._expr()
         tok = self._peek()
         if tok is not None:
             raise ParseError(
@@ -111,24 +122,26 @@ class _Parser:
             )
         return value
 
-    def _expr(self) -> Operator:
-        value = self._term()
+    def _expr(self) -> Tuple[Operator, int]:
+        value, bound = self._term()
         while True:
             tok = self._peek()
             if tok is None or tok.text not in "+-":
-                return value
+                return value, bound
             self._next()
-            rhs = self._term()
+            rhs, rhs_bound = self._term()
             value = value + rhs if tok.text == "+" else value - rhs
+            bound = max(bound, rhs_bound)
 
-    def _term(self) -> Operator:
-        value = self._factor()
+    def _term(self) -> Tuple[Operator, int]:
+        value, bound = self._factor()
         while True:
             tok = self._peek()
             if tok is None or tok.text not in "*/":
-                return value
+                return value, bound
             self._next()
-            rhs = self._factor()
+            rhs, rhs_bound = self._factor()
+            bound = self._capped(bound + rhs_bound, tok.pos)
             if tok.text == "*":
                 value = value.compose(rhs)
             else:
@@ -148,20 +161,27 @@ class _Parser:
             ) from None
         return value.compose(Operator.scalar(self.algebra, inv))
 
-    def _factor(self) -> Operator:
+    def _capped(self, bound: int, pos: int) -> int:
+        if bound > MAX_DEGREE:
+            raise ParseError(
+                "degree bound %d exceeds %d" % (bound, MAX_DEGREE), pos
+            )
+        return bound
+
+    def _factor(self) -> Tuple[Operator, int]:
         # a loop, since recursing once per sign overflows on long runs
         signs = 0
         while self._peek() is not None and self._peek().text == "-":
             self._next()
             signs += 1
-        value = self._power()
-        return -value if signs % 2 else value
+        value, bound = self._power()
+        return (-value if signs % 2 else value), bound
 
-    def _power(self) -> Operator:
-        value = self._atom()
+    def _power(self) -> Tuple[Operator, int]:
+        value, bound = self._atom()
         tok = self._peek()
         if tok is None or tok.text != "^":
-            return value
+            return value, bound
         self._next()
         etok = self._peek()
         if etok is None or not etok.text.isdigit():
@@ -170,33 +190,34 @@ class _Parser:
             )
         self._next()
         n = int(etok.text)
+        bound = self._capped(max(bound, 1) * n, etok.pos)
         out = Operator.identity(self.algebra)
         for _ in range(n):
             # powers of one operator commute; with value on the left each
             # step pushes only value's own D's, not the i of the power so far
             out = value.compose(out)
-        return out
+        return out, bound
 
-    def _atom(self) -> Operator:
+    def _atom(self) -> Tuple[Operator, int]:
         tok = self._next()
         text = tok.text
         if text.isdigit():
             return Operator.scalar(
                 self.algebra, self.algebra.from_fraction(Fraction(int(text)))
-            )
+            ), 0
         if text == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(
                     "parentheses nested deeper than %d" % MAX_NESTING, tok.pos
                 )
             self.depth += 1
-            value = self._expr()
+            inner = self._expr()
             self.depth -= 1
             closing = self._peek()
             if closing is None or closing.text != ")":
                 raise ParseError("expected ')'", self._end_pos())
             self._next()
-            return value
+            return inner
         if text == ")":
             raise ParseError("unmatched ')'", tok.pos)
         if text == "D":
@@ -204,7 +225,7 @@ class _Parser:
                 raise ParseError(
                     "D is an operator, not an element of the algebra", tok.pos
                 )
-            return Operator.d(self.algebra)
+            return Operator.d(self.algebra), 1
         if text.isalpha():
             elem = self.symbols.get(text)
             if elem is None:
@@ -213,7 +234,7 @@ class _Parser:
                     % (text, self.algebra.describe()),
                     tok.pos,
                 )
-            return Operator.scalar(self.algebra, elem)
+            return Operator.scalar(self.algebra, elem), 1
         raise ParseError("unexpected token %r" % text, tok.pos)
 
 

@@ -348,3 +348,12 @@ def test_long_minus_chain_parses(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "L(f) = x^2"
+
+
+def test_degree_cap_is_a_syntax_error(capsys):
+    code, out, err = run(
+        capsys, "verify", "--algebra", "qx", "--operator", "x^100000", "--on", "x"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: at position 3: degree bound 100000 exceeds 300\n"

@@ -262,6 +262,48 @@ def test_interpolation(make):
         ctx.interpolate([alg.zero()] * (ctx.k + 1))
 
 
+def _expected_offenders(ctx, op):
+    values = ctx.leading_coefficients_by_apply(op)
+    return [(i + 1, v) for i, v in enumerate(values) if not ctx.algebra.is_zero(v)]
+
+
+def _assert_same_offenders(ctx, got, expected):
+    assert [i for i, _ in got] == [i for i, _ in expected]
+    for (_, a), (_, b) in zip(got, expected):
+        assert ctx.algebra.equal(a, b)
+
+
+@pytest.mark.parametrize("make", [ctx_qx, ctx_quat, ctx_diff, ctx_c5])
+def test_rejection_offenders_are_the_values_on_the_kernel(make):
+    # the offenders come from the division remainder; they must be the
+    # values of the operator itself on the kernel elements
+    ctx = make()
+    alg = ctx.algebra
+    rng = random.Random(60)
+    rejected = 0
+    for _ in range(8):
+        op = rand_operator(rng, alg, 3)
+        expected = _expected_offenders(ctx, op)
+        if not expected:
+            continue
+        rejected += 1
+        with pytest.raises(NotInKernel) as info:
+            ctx.factorize(op)
+        _assert_same_offenders(ctx, info.value.offenders, expected)
+        assert str(info.value) == str(NotInKernel(expected, alg))
+
+        r_op = rand_operator(rng, alg, 2)
+        expected = _expected_offenders(ctx, ctx.K.compose(r_op))
+        if not expected:
+            assert ctx.intertwiner(r_op).compose(ctx.K) == ctx.K.compose(r_op)
+            continue
+        with pytest.raises(NotIntertwinable) as info:
+            ctx.intertwiner(r_op)
+        _assert_same_offenders(ctx, info.value.offenders, expected)
+        assert str(info.value) == str(NotIntertwinable(expected, alg))
+    assert rejected >= 6
+
+
 def test_intertwiner_identity_and_k():
     ctx = ctx_quat()
     ident = Operator.identity(QUAT)

@@ -1,6 +1,7 @@
 """Integer group ring of the cyclic group of order five."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -78,18 +79,49 @@ def test_known_nonunits():
         elem(1, 1, 1, 1, 1).inverse()
 
 
+def _inverse_by_elimination(g):
+    """Reference inverse: solve (multiplication by g) * y = 1 exactly over
+    the rationals; None when the system is singular or y is not integral."""
+    # column j of the system matrix holds the coordinates of g * r^j
+    m = [[Fraction(g.coeffs[(i - j) % 5]) for j in range(5)] for i in range(5)]
+    rhs = [Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)]
+    for col in range(5):
+        piv = next((r for r in range(col, 5) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        inv = 1 / m[col][col]
+        m[col] = [e * inv for e in m[col]]
+        rhs[col] *= inv
+        for r in range(5):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [e - factor * p for e, p in zip(m[r], m[col])]
+                rhs[r] -= factor * rhs[col]
+    if any(v.denominator != 1 for v in rhs):
+        return None
+    return GroupRingC5Element(tuple(int(v) for v in rhs))
+
+
 def test_inverse_against_exhaustive_search():
-    # small box oracle: search all multiplier candidates with coefficients
-    # in {-2..2} and confirm inverse() agrees on who is invertible there
+    # every element with coefficients in {-2..2}: inverse() must agree
+    # with the elimination reference on who is invertible and on the inverse
     box = range(-2, 3)
+    units = 0
     for coeffs in itertools.product(box, repeat=5):
         g = GroupRingC5Element(coeffs)
+        expected = _inverse_by_elimination(g)
         try:
             inv = g.inverse()
         except NotAUnit:
+            assert expected is None, coeffs
             continue
         assert g * inv == ONE
         assert inv * g == ONE
+        assert inv == expected, coeffs
+        units += 1
+    assert units > 10  # the trivial units +-r^e alone are ten
 
 
 @given(c5_elements(), c5_elements())

@@ -92,6 +92,32 @@ def test_power_of_d(algebra):
     assert parse_operator("D^300", algebra) == Operator.d(algebra, 300)
 
 
+@pytest.mark.parametrize(
+    "text, algebra, position",
+    [("x^100000", QX, 3), ("r^100000", C5, 3), ("(x^1000)^1000", QX, 4)],
+)
+def test_degree_cap_is_a_parse_error(text, algebra, position):
+    from opfactor.parsing import MAX_DEGREE
+
+    assert MAX_DEGREE >= 300
+    with pytest.raises(ParseError) as info:
+        parse_operator(text, algebra)
+    assert info.value.position == position
+
+
+def test_degree_bound_adds_over_products():
+    from opfactor.parsing import MAX_DEGREE
+
+    half = MAX_DEGREE // 2
+    assert parse_operator("3*x^%d*D^%d" % (half, half), QX).degree == half
+    with pytest.raises(ParseError) as info:
+        parse_operator("x^%d*D^%d" % (half, MAX_DEGREE - half + 1), QX)
+    assert info.value.position == len("x^%d*" % half)
+    # a power of a constant counts at least its exponent
+    with pytest.raises(ParseError):
+        parse_operator("(9^%d)^2" % MAX_DEGREE, QX)
+
+
 def test_power_of_an_operator_is_repeated_composition():
     xd = parse_operator("x*D", QX)
     assert parse_operator("(x*D)^3", QX) == xd.compose(xd).compose(xd)
