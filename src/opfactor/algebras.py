@@ -34,6 +34,7 @@ class RationalFunctionAlgebra(Algebra):
     Equality stays by type, so qx and diff never mix."""
 
     variable = "?"
+    commutative = True
 
     def check(self, e):
         if not isinstance(e, RationalFunction) or e.var != self.variable:
@@ -141,6 +142,7 @@ class GroupRingC5Algebra(Algebra):
 
     name = "c5"
     endo_order = 4
+    commutative = True
 
     def check(self, e):
         if not isinstance(e, GroupRingC5Element):

@@ -28,6 +28,10 @@ An algebra may declare `endo_order = n` when endo^n is the identity map
 AND the corresponding operator identity holds, in which case operator
 equality folds exponents above n - 1 (see the operator module).  The
 built-in group ring declares order 4; the others declare nothing.
+
+An algebra declares `commutative = True` when its products commute; matrix
+inversion then has a determinant-based fallback (see the ncmatrix module).
+The rational function algebras and the group ring declare it.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ class Algebra(ABC):
 
     name: str = "?"
     endo_order: Optional[int] = None
+    commutative: bool = False
 
     # identity and membership
 

@@ -8,10 +8,14 @@ are left multiplications by elementary matrices.  A pivot must be a unit
 of the algebra: each column is scanned top to bottom among the remaining
 rows, and the first entry whose try_invert succeeds is used.  Over a
 division ring this finds an inverse whenever one exists.  Over the group
-ring it can miss (a matrix can be invertible with no unit entry to pivot
-on), so the computed candidate is always certified by checking both
-products against the identity; anything short of that raises
-NotInvertible.
+ring it can miss: [[2, 3], [3, 5]] is invertible with no unit entry to
+pivot on.  So when the search fails over a commutative algebra, the
+inverse is read off the characteristic polynomial instead (Cayley-
+Hamilton, with Berkowitz's division-free recursion for the polynomial),
+which succeeds exactly when the determinant is a unit; otherwise the
+pivot search's NotInvertible stands.  Either candidate is certified by
+checking both products against the identity; anything short of that
+raises NotInvertible.
 """
 
 from __future__ import annotations
@@ -106,10 +110,25 @@ class NCMatrix:
         """Certified two-sided inverse, or NotInvertible."""
         if self.rows != self.cols:
             raise ShapeMismatch("only square matrices can be inverted")
+        try:
+            candidate = self._gauss_jordan()
+        except NotInvertible:
+            if not self.algebra.commutative:
+                raise
+            candidate = self._cayley_hamilton()
+            if candidate is None:
+                raise
+        ident = NCMatrix.identity(self.algebra, self.rows)
+        if self * candidate != ident or candidate * self != ident:
+            raise NotInvertible("candidate inverse failed certification")
+        return candidate
+
+    def _gauss_jordan(self) -> "NCMatrix":
+        """The uncertified inverse by one elimination on the augmented
+        rows [self | I]; NotInvertible when a column has no unit pivot."""
         alg = self.algebra
         n = self.rows
         ident = NCMatrix.identity(alg, n)
-        # one elimination on the augmented rows [self | I]
         rows = [list(self.row(i)) + list(ident.row(i)) for i in range(n)]
         for col in range(n):
             pivot_row = None
@@ -137,10 +156,57 @@ class NCMatrix:
                     alg.sub(e, alg.mul(factor, p))
                     for e, p in zip(rows[r], rows[col])
                 ]
-        candidate = NCMatrix.from_rows(alg, [row[n:] for row in rows])
-        if self * candidate != ident or candidate * self != ident:
-            raise NotInvertible("candidate inverse failed certification")
-        return candidate
+        return NCMatrix.from_rows(alg, [row[n:] for row in rows])
+
+    def _cayley_hamilton(self):
+        """The uncertified inverse over a commutative algebra, or None when
+        the determinant is not a unit.  With det(tI - A) = t^n + c_1
+        t^(n-1) + ... + c_n, Cayley-Hamilton gives
+        A^-1 = -c_n^-1 (A^(n-1) + c_1 A^(n-2) + ... + c_(n-1) I)."""
+        alg = self.algebra
+        n = self.rows
+        coeffs = self._charpoly()
+        try:
+            scale = alg.neg(alg.try_invert(coeffs[n]))
+        except NotAUnit:
+            return None
+        acc = NCMatrix.identity(alg, n)
+        for c in coeffs[1:n]:  # Horner, adding c_i on the diagonal
+            acc = NCMatrix(alg, n, n, tuple(
+                alg.add(e, c) if idx % (n + 1) == 0 else e
+                for idx, e in enumerate((acc * self).entries)
+            ))
+        return NCMatrix(alg, n, n, tuple(alg.mul(scale, e) for e in acc.entries))
+
+    def _charpoly(self) -> list:
+        """[1, c_1, ..., c_n], the coefficients of det(tI - A) from the top,
+        by Berkowitz's recursion: for a block [[a, R], [C, B]] the
+        polynomial of the block is the lower triangular Toeplitz matrix
+        with first column 1, -a, -R C, -R B C, -R B^2 C, ... times the
+        polynomial of B.  It needs no division; entries must commute."""
+        alg = self.algebra
+        n = self.rows
+        entry = self.entry
+
+        def dot(xs, ys):
+            acc = alg.zero()
+            for x, y in zip(xs, ys):
+                acc = alg.add(acc, alg.mul(x, y))
+            return acc
+
+        poly = [alg.one(), alg.neg(entry(n - 1, n - 1))]
+        for m in range(n - 2, -1, -1):
+            rest = range(m + 1, n)
+            row_r = [entry(m, j) for j in rest]
+            block = [[entry(i, j) for j in rest] for i in rest]
+            col = [alg.one(), alg.neg(entry(m, m))]
+            vec = [entry(i, m) for i in rest]
+            for _ in rest:
+                col.append(alg.neg(dot(row_r, vec)))
+                vec = [dot(b_row, vec) for b_row in block]
+            # entry i is sum_j col[i - j] * poly[j]; zip stops at poly's end
+            poly = [dot(col[i::-1], poly) for i in range(len(poly) + 1)]
+        return poly
 
     def __repr__(self) -> str:
         rows = [

@@ -4,6 +4,11 @@ Coefficients are fractions.Fraction values stored low degree first with
 trailing zeros stripped, so the representation is canonical and equality is
 plain tuple equality.  The zero polynomial is the empty tuple and has
 degree -1.
+
+Values are immutable.  The public constructor coerces every coefficient to
+a Fraction; arithmetic between polynomials already holds Fractions, so it
+builds its results through `_from_fractions`, which only strips trailing
+zeros.  `Poly.zero()` and `Poly.one()` are shared instances.
 """
 
 from __future__ import annotations
@@ -36,11 +41,11 @@ class Poly:
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls()
+        return _ZERO
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return _ONE
 
     @classmethod
     def constant(cls, c: Scalar) -> "Poly":
@@ -86,21 +91,37 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            (self.coeff(i) + other.coeff(i) for i in range(n))
-        )
+        a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _from_fractions(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _from_fractions([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) >= len(b):
+            out = list(a)
+            for i, c in enumerate(b):
+                out[i] -= c
+        else:
+            out = [-c for c in b]
+            for i, c in enumerate(a):
+                out[i] += c
+        return _from_fractions(out)
 
     def __rsub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -112,18 +133,28 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Poly(out)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _ZERO
+        if len(b) == 1:
+            return self._scaled(b[0])
+        if len(a) == 1:
+            return other._scaled(a[0])
+        out = [_FRACTION_ZERO] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    if y:
+                        out[j] += x * y
+        return _from_fractions(out)
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: Fraction) -> "Poly":
+        """self * c for a nonzero Fraction c."""
+        if c == 1:
+            return self
+        return _from_fractions([x * c for x in self.coeffs])
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -153,21 +184,25 @@ class Poly:
                 return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
         dq = other.degree
-        lead = other.leading
         if self.degree < dq:
-            return Poly(), Poly(rem)
-        quot = [Fraction(0)] * (self.degree - dq + 1)
-        for i in range(self.degree, dq - 1, -1):
+            return _ZERO, self
+        rem = list(self.coeffs)
+        lead = other.coeffs[-1]
+        below = other.coeffs[:-1]
+        quot = [_FRACTION_ZERO] * (len(rem) - dq)
+        for i in range(len(rem) - 1, dq - 1, -1):
             c = rem[i]
-            if c == 0:
+            if not c:
                 continue
-            q = c / lead
+            q = c if lead == 1 else c / lead
             quot[i - dq] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i - dq + j] -= q * b
-        return Poly(quot), Poly(rem)
+            # rem[i] itself cancels exactly and is cut off below
+            for j, b in enumerate(below, i - dq):
+                if b:
+                    rem[j] -= q * b
+        del rem[dq:]
+        return _from_fractions(quot), _from_fractions(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -180,18 +215,25 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        lead = self.leading
-        return Poly(tuple(c / lead for c in self.coeffs))
+        lead = self.coeffs[-1]
+        if lead == 1:
+            return self
+        return _from_fractions([c / lead for c in self.coeffs])
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
-        """Monic greatest common divisor; gcd(0, 0) is 0."""
-        while not b.is_zero():
+        """Monic greatest common divisor; gcd(0, 0) is 0.  A nonzero
+        constant, given or met as a remainder, ends the search at once."""
+        if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+            return _ONE
+        while b.coeffs:
             a, b = b, a % b
+            if len(b.coeffs) == 1:
+                return _ONE
         return a.monic()
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
+        return _from_fractions([c * i for i, c in enumerate(self.coeffs) if i])
 
     def compose(self, other: "Poly") -> "Poly":
         """Substitute `other` for the variable (Horner evaluation)."""
@@ -201,8 +243,15 @@ class Poly:
         return out
 
     def shifted(self) -> "Poly":
-        """The polynomial with its variable replaced by (variable + 1)."""
-        return self.compose(Poly((1, 1)))
+        """The polynomial with its variable replaced by (variable + 1),
+        by the Taylor shift: repeated synthetic division by (x - 1), which
+        needs additions only."""
+        out = list(self.coeffs)
+        top = len(out) - 1
+        for i in range(top):
+            for j in range(top - 1, i - 1, -1):
+                out[j] += out[j + 1]
+        return _from_fractions(out)
 
     def evaluate(self, x: Scalar) -> Fraction:
         acc = Fraction(0)
@@ -237,6 +286,23 @@ class Poly:
             is_quotient=(only is not None and only.denominator != 1),
             is_negative=terms[0][0] < 0,
         )
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _from_fractions(cs: list) -> Poly:
+    """The trusted constructor: `cs` holds Fractions only and is consumed;
+    nothing is coerced, trailing zeros are stripped."""
+    while cs and not cs[-1]:
+        cs.pop()
+    p = object.__new__(Poly)
+    p.coeffs = tuple(cs)
+    return p
+
+
+_ZERO = Poly()
+_ONE = Poly((1,))
 
 
 def integer_cleared(num: Poly, den: Poly):

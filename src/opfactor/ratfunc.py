@@ -1,11 +1,34 @@
 """Exact rational functions in one variable over the rationals.
 
-Canonical form invariants, enforced by the constructor:
+Canonical form invariants:
   * the denominator is nonzero and monic,
   * numerator and denominator share no polynomial factor (monic gcd is 1),
   * zero is stored as 0/1.
 With those three, the representation of a value is unique, so equality is
 componentwise and needs no cross multiplication.
+
+The public constructor reaches that form from any numerator and
+denominator with one gcd.  Arithmetic reaches it without recomputing it,
+the way Fraction does for integers (Henrici; Knuth, TAOCP vol. 2, 4.5.1):
+
+  * a zero operand is returned as it is by a sum or a product.
+  * a/b + c/d: with both denominators constant (so both 1) the sum is
+    (a + c)/1.  Otherwise g = gcd(b, d); when g = 1 the sum
+    (a*d + c*b)/(b*d) is already canonical, since a prime factor of b
+    divides neither a nor d.  Otherwise t = a*(d/g) + c*(b/g) can share
+    a factor only with g, so with h = gcd(t, g) the sum is
+    (t/h)/((b/g)*(d/h)).
+  * a/b * c/d: cross-cancel gcd(a, d) and gcd(c, b); the remaining
+    factors are pairwise coprime.  Each gcd is skipped when its
+    denominator is constant, so a product of polynomials needs none.
+  * negation, powers, the shift x -> x + 1 (a ring automorphism of Q[x]
+    that keeps leading coefficients) and the inverse (which only has to
+    make the new denominator monic) keep the form as it is.
+
+All of these, and the zero, one, constant and variable constructors,
+build their result through `_canonical`, which trusts its input.  The
+derivative goes through the public constructor, since b^2 can share a
+factor with a'*b - a*b'.
 
 Each value carries its variable name.  Mixing two variables in one
 operation raises MixedAlgebras; this is what keeps elements of the x-world
@@ -44,29 +67,39 @@ class RationalFunction:
                 num, den = num // g, den // g
             lead = den.leading
             if lead != 1:
-                num = Poly(tuple(c / lead for c in num.coeffs))
+                num = num._scaled(1 / lead)
                 den = den.monic()
         self.num = num
         self.den = den
         self.var = var
 
+    @classmethod
+    def _canonical(cls, num: Poly, den: Poly, var: str) -> "RationalFunction":
+        """The trusted constructor: num/den already meets the three
+        invariants, so nothing is checked or reduced."""
+        r = object.__new__(cls)
+        r.num = num
+        r.den = den
+        r.var = var
+        return r
+
     # constructors
 
     @classmethod
     def zero(cls, var: str) -> "RationalFunction":
-        return cls(Poly.zero(), None, var)
+        return cls._canonical(Poly.zero(), Poly.one(), var)
 
     @classmethod
     def one(cls, var: str) -> "RationalFunction":
-        return cls(Poly.one(), None, var)
+        return cls._canonical(Poly.one(), Poly.one(), var)
 
     @classmethod
     def constant(cls, c: Scalar, var: str) -> "RationalFunction":
-        return cls(Poly.constant(c), None, var)
+        return cls._canonical(Poly.constant(c), Poly.one(), var)
 
     @classmethod
     def variable(cls, var: str) -> "RationalFunction":
-        return cls(Poly.variable(), None, var)
+        return cls._canonical(Poly.variable(), Poly.one(), var)
 
     # structure
 
@@ -95,31 +128,46 @@ class RationalFunction:
         return "RationalFunction(%r, %r, %r)" % (self.num, self.den, self.var)
 
     def _same_world(self, other) -> "RationalFunction":
+        if isinstance(other, RationalFunction):
+            if other.var != self.var:
+                raise MixedAlgebras(
+                    "cannot combine rational functions in %r and %r"
+                    % (self.var, other.var)
+                )
+            return other
         if isinstance(other, (int, Fraction)):
             return RationalFunction.constant(other, self.var)
-        if not isinstance(other, RationalFunction):
-            raise TypeError("expected a rational function, got %r" % (other,))
-        if other.var != self.var:
-            raise MixedAlgebras(
-                "cannot combine rational functions in %r and %r"
-                % (self.var, other.var)
-            )
-        return other
+        raise TypeError("expected a rational function, got %r" % (other,))
 
     # arithmetic
 
     def __add__(self, other) -> "RationalFunction":
         other = self._same_world(other)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-            self.var,
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a.coeffs:
+            return other
+        if not c.coeffs:
+            return self
+        if len(b.coeffs) == 1 and len(d.coeffs) == 1:  # both are 1
+            return RationalFunction._canonical(a + c, b, self.var)
+        g = Poly.gcd(b, d)
+        if g.degree == 0:
+            num, den = a * d + c * b, b * d
+        else:
+            b_g, d_g = b // g, d // g
+            num = a * d_g + c * b_g
+            g = Poly.gcd(num, g)
+            if g.degree > 0:
+                num, d = num // g, d // g
+            den = b_g * d
+        if not num.coeffs:
+            return RationalFunction.zero(self.var)
+        return RationalFunction._canonical(num, den, self.var)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den, self.var)
+        return RationalFunction._canonical(-self.num, self.den, self.var)
 
     def __sub__(self, other) -> "RationalFunction":
         return self + (-self._same_world(other))
@@ -129,16 +177,30 @@ class RationalFunction:
 
     def __mul__(self, other) -> "RationalFunction":
         other = self._same_world(other)
-        return RationalFunction(
-            self.num * other.num, self.den * other.den, self.var
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a.coeffs:
+            return self
+        if not c.coeffs:
+            return other
+        if d.degree > 0:
+            g = Poly.gcd(a, d)
+            if g.degree > 0:
+                a, d = a // g, d // g
+        if b.degree > 0:
+            g = Poly.gcd(c, b)
+            if g.degree > 0:
+                c, b = c // g, b // g
+        return RationalFunction._canonical(a * c, b * d, self.var)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
             raise NotAUnit("zero has no inverse")
-        return RationalFunction(self.den, self.num, self.var)
+        lead = self.num.leading
+        return RationalFunction._canonical(
+            self.den._scaled(1 / lead), self.num.monic(), self.var
+        )
 
     def __truediv__(self, other) -> "RationalFunction":
         return self * self._same_world(other).inverse()
@@ -149,7 +211,7 @@ class RationalFunction:
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
             return self.inverse() ** (-n)
-        return RationalFunction(self.num ** n, self.den ** n, self.var)
+        return RationalFunction._canonical(self.num ** n, self.den ** n, self.var)
 
     # the two endomorphism building blocks used by the built-in algebras
 
@@ -162,7 +224,9 @@ class RationalFunction:
 
     def shifted(self) -> "RationalFunction":
         """Substitute (variable + 1) for the variable."""
-        return RationalFunction(self.num.shifted(), self.den.shifted(), self.var)
+        return RationalFunction._canonical(
+            self.num.shifted(), self.den.shifted(), self.var
+        )
 
     # display
 

@@ -106,6 +106,39 @@ def ratfuncs(var, max_deg=2):
     )
 
 
+_FACTORS = tuple(
+    Poly(f) for f in ((0, 1), (1, 1), (-1, 1), (1, 0, 1), (1, 2))
+)  # x, x + 1, x - 1, x^2 + 1, 2x + 1
+
+
+def _product(scale, factors):
+    out = Poly([scale])
+    for f in factors:
+        out = out * f
+    return out
+
+
+def factored_polys(allow_zero=False):
+    """A rational scalar times up to three of a few small factors, so
+    that two samples often share a factor."""
+    scales = small_fractions if allow_zero else small_fractions.filter(bool)
+    return st.builds(
+        _product, scales, st.lists(st.sampled_from(_FACTORS), max_size=3)
+    )
+
+
+def factored_ratfuncs(var):
+    """Rational functions whose numerator (a factored polynomial times a
+    random one) and denominator share factors with other samples, so that
+    sums and products often cancel."""
+    return st.builds(
+        lambda f, p, d: RationalFunction(f * p, d, var),
+        factored_polys(allow_zero=True),
+        polys(1).filter(bool),
+        factored_polys(),
+    )
+
+
 def quaternions(max_deg=1):
     comp = ratfuncs("x", max_deg)
     return st.builds(Quaternion, comp, comp, comp, comp)

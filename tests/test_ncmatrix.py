@@ -153,3 +153,43 @@ def test_inverse_matches_adjugate_oracle(size):
                 assert inv.entry(r, c) == expected[r * size + c]
         _certify(mat, inv)
         done += 1
+
+
+def _c5_integers(rows):
+    return NCMatrix.from_rows(C5, [[C5.from_fraction(v) for v in row] for row in rows])
+
+
+def test_c5_unimodular_matrix_without_a_unit_entry():
+    # no entry of [[2, 3], [3, 5]] is a unit, so the pivot search fails,
+    # but the determinant is 1 and the adjugate is the inverse
+    m = _c5_integers([[2, 3], [3, 5]])
+    inv = m.inverse()
+    assert inv == _c5_integers([[5, -3], [-3, 2]])
+    _certify(m, inv)
+
+
+def test_c5_nonunit_determinant_keeps_the_pivot_message():
+    # [[2, 3], [4, 5]] has determinant -2, which is not a unit
+    m = _c5_integers([[2, 3], [4, 5]])
+    with pytest.raises(NotInvertible, match="^no unit pivot available in column 1$"):
+        m.inverse()
+    g = C5.symbols()["r"]
+    one = C5.one()
+    rank_one = NCMatrix.from_rows(C5, [[one, g], [one, g]])
+    with pytest.raises(NotInvertible, match="^no unit pivot available in column 2$"):
+        rank_one.inverse()
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_c5_products_of_elementary_matrices_invert(size):
+    # a product of elementary matrices with group-ring entries has
+    # determinant 1, so it must invert, whether or not a unit pivot exists
+    rng = random.Random(900 + size)
+    for _ in range(6):
+        m = NCMatrix.identity(C5, size)
+        for _ in range(2 * size):
+            i, j = rng.sample(range(size), 2)
+            entries = list(NCMatrix.identity(C5, size).entries)
+            entries[i * size + j] = rand_c5(rng)
+            m = m * NCMatrix(C5, size, size, tuple(entries))
+        _certify(m, m.inverse())

@@ -1,0 +1,183 @@
+"""Differential tests of the qx and diff layers against sympy.
+
+Every expected value is computed by sympy alone (cancel, diff, subs, and
+an operator action written here), so a fault shared by opfactor's own
+arithmetic and its own checks cannot hide.  Each opfactor result must
+also be in canonical form: it must equal sympy's cancelled quotient
+rescaled to a monic denominator, coefficient for coefficient.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+
+from opfactor import KernelContext, NCMatrix, NotInvertible, Operator
+
+from helpers import C5, DIFF1, QX, factored_ratfuncs, rand_ratfunc
+
+sympy = pytest.importorskip("sympy")
+
+DIFF_HALF = type(DIFF1)(Fraction(-1, 2))
+
+
+def to_sympy(r):
+    v = sympy.Symbol(r.var)
+
+    def poly(p):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * v**i for i, c in enumerate(p.coeffs)),
+            sympy.Integer(0),
+        )
+
+    return poly(r.num) / poly(r.den)
+
+
+def _fractions(expr, v):
+    cs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, v).all_coeffs())]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def assert_matches(r, expr):
+    """r is the canonical form of the sympy expression expr."""
+    v = sympy.Symbol(r.var)
+    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    lead = sympy.Poly(den, v).LC()
+    num, den = sympy.expand(num / lead), sympy.expand(den / lead)
+    if num == 0:
+        den = sympy.Integer(1)
+    assert r.num.coeffs == _fractions(num, v)
+    assert r.den.coeffs == _fractions(den, v)
+
+
+# rational function arithmetic
+
+
+@settings(max_examples=40)
+@given(factored_ratfuncs("x"), factored_ratfuncs("x"))
+def test_field_operations_match_sympy(p, q):
+    a, b = to_sympy(p), to_sympy(q)
+    assert_matches(p + q, a + b)
+    assert_matches(p - q, a - b)
+    assert_matches(p * q, a * b)
+    assert_matches(-p, -a)
+    if not q.is_zero():
+        assert_matches(p / q, a / b)
+        assert_matches(q.inverse(), 1 / b)
+        assert_matches(q**-2, b**-2)
+    assert_matches(p**3, a**3)
+
+
+@settings(max_examples=40)
+@given(factored_ratfuncs("x"), factored_ratfuncs("n"))
+def test_derivative_and_shift_match_sympy(p, q):
+    x, n = sympy.symbols("x n")
+    assert_matches(p.derivative(), sympy.diff(to_sympy(p), x))
+    assert_matches(q.shifted(), to_sympy(q).subs(n, n + 1))
+
+
+# operators
+
+
+def endo_sympy(algebra, expr):
+    v = sympy.Symbol(algebra.variable)
+    if algebra.name == "qx":
+        return sympy.diff(expr, v)
+    c = sympy.Rational(algebra.c.numerator, algebra.c.denominator)
+    return expr.subs(v, v + 1) + c * expr
+
+
+def apply_sympy(op, expr):
+    """sum_i a_i * endo^i(expr), every step in sympy."""
+    total, cur = sympy.Integer(0), expr
+    for i, a in enumerate(op.coeffs):
+        if i:
+            cur = endo_sympy(op.algebra, cur)
+        total += to_sympy(a) * cur
+    return sympy.cancel(total)
+
+
+def rand_op(rng, algebra, deg):
+    cs = [rand_ratfunc(rng, algebra.variable) for _ in range(deg + 1)]
+    return Operator(algebra, tuple(cs))
+
+
+ALGEBRAS = [QX, DIFF1, DIFF_HALF]
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS, ids=lambda a: a.describe())
+def test_apply_matches_sympy(algebra):
+    rng = random.Random(11)
+    for _ in range(8):
+        op = rand_op(rng, algebra, rng.randint(0, 3))
+        f = rand_ratfunc(rng, algebra.variable, max_deg=3)
+        assert_matches(op.apply(f), apply_sympy(op, to_sympy(f)))
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS, ids=lambda a: a.describe())
+def test_compose_acts_as_composition_in_sympy(algebra):
+    rng = random.Random(12)
+    for _ in range(6):
+        left = rand_op(rng, algebra, rng.randint(0, 2))
+        right = rand_op(rng, algebra, rng.randint(0, 2))
+        product = left.compose(right)
+        for _ in range(2):
+            f = to_sympy(rand_ratfunc(rng, algebra.variable, max_deg=3))
+            expected = apply_sympy(left, apply_sympy(right, f))
+            assert sympy.cancel(apply_sympy(product, f) - expected) == 0
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS, ids=lambda a: a.describe())
+def test_factorize_matches_sympy(algebra):
+    rng = random.Random(13)
+    done = 0
+    while done < 4:
+        kernel = [rand_ratfunc(rng, algebra.variable, nonzero=True) for _ in range(rng.randint(1, 2))]
+        try:
+            ctx = KernelContext(algebra, kernel)
+        except NotInvertible:  # dependent kernel elements; drawn again
+            continue
+        # K is monic of order k and kills each kernel element, in sympy
+        assert len(ctx.K.coeffs) == len(kernel) + 1 and ctx.K.coeffs[-1].is_one()
+        for f in kernel:
+            assert apply_sympy(ctx.K, to_sympy(f)) == 0
+        op = rand_op(rng, algebra, rng.randint(0, 2)).compose(ctx.K)
+        quotient = ctx.factorize(op)
+        # op = Q . K as actions on a few functions, in sympy
+        for _ in range(2):
+            g = to_sympy(rand_ratfunc(rng, algebra.variable, max_deg=3))
+            expected = apply_sympy(quotient, apply_sympy(ctx.K, g))
+            assert sympy.cancel(apply_sympy(op, g) - expected) == 0
+        done += 1
+
+
+# matrices over Z[C5] with integer entries: invertible exactly when the
+# integer determinant is +-1, and then the inverse is sympy's
+
+
+def test_integer_c5_matrices_invert_exactly_when_unimodular():
+    # no entry is a unit of Z[C5], so every inverse found here comes from
+    # the determinant, not from the pivot search
+    rng = random.Random(14)
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 8:
+        size = rng.randint(2, 3)
+        rows = [[rng.choice((-3, -2, 0, 2, 3, 5)) for _ in range(size)] for _ in range(size)]
+        det = sympy.Matrix(rows).det()
+        unimodular = abs(det) == 1
+        if seen[unimodular] >= 8:
+            continue
+        seen[unimodular] += 1
+        m = NCMatrix.from_rows(C5, [[C5.from_fraction(v) for v in row] for row in rows])
+        if not unimodular:
+            with pytest.raises(NotInvertible):
+                m.inverse()
+            continue
+        expected = sympy.Matrix(rows).inv()
+        inv = m.inverse()
+        for i in range(size):
+            for j in range(size):
+                assert inv.entry(i, j) == C5.from_fraction(int(expected[i, j]))

@@ -88,3 +88,43 @@ def test_format():
     assert Poly().fmt("x").text == "0"
     f = Poly([0, 0, 2]).fmt("x")
     assert f.text == "2*x^2" and not f.is_sum
+
+
+def assert_stored_canonically(p):
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+
+
+@given(polys(3), polys(2))
+def test_arithmetic_results_are_stored_canonically(a, b):
+    for result in (a + b, a - b, b - a, a * b, -a, a.monic(), a.derivative(), a.shifted()):
+        assert_stored_canonically(result)
+    if not b.is_zero():
+        q, r = divmod(a, b)
+        assert_stored_canonically(q)
+        assert_stored_canonically(r)
+        assert_stored_canonically(Poly.gcd(a, b))
+
+
+@given(polys(2))
+def test_arithmetic_leaves_the_shared_zero_and_one_alone(a):
+    zero, one = Poly.zero(), Poly.one()
+    assert zero is Poly.zero() and one is Poly.one()
+    results = [a + zero, zero + a, a - zero, zero - a, a * one, one * a, a * zero]
+    results += [*divmod(a, one), one.monic(), a ** 0, a + one, one - a, -zero]
+    for r in results:
+        assert_stored_canonically(r)
+    assert zero.coeffs == () and one.coeffs == (1,)
+    assert a + zero == a and a * one == a and a * zero == zero
+
+
+def test_cancelling_sum_strips_to_zero():
+    p = Poly([Fraction(1, 2), 3, Fraction(-2, 3)])
+    assert_stored_canonically(p - p)
+    assert (p - p).coeffs == () and (p + (-p)).degree == -1
+    assert (Poly([1, 2, 3]) + Poly([0, 0, -3])).coeffs == (1, 2)
+
+
+@given(polys(4))
+def test_shift_matches_substitution(p):
+    assert p.shifted() == p.compose(Poly([1, 1]))

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import assume, given
 
 from opfactor import MixedAlgebras, NotAUnit, Poly, RationalFunction
 
-from helpers import polys, ratfuncs
+from helpers import factored_ratfuncs, polys, ratfuncs
 
 
 def rf(num, den=None, var="x"):
@@ -93,3 +94,93 @@ def test_display():
     assert str(rf([Fraction(3, 2)])) == "3/2"
     assert str(rf([0])) == "0"
     assert str(rf([1], [1, 1])) == "1/(x + 1)"
+
+
+# the arithmetic reaches the canonical form without the full constructor;
+# each result must equal what the full constructor makes of the raw
+# numerator and denominator, and meet the three invariants
+
+
+def assert_canonical(r):
+    assert r.den.leading == 1
+    assert Poly.gcd(r.num, r.den) == Poly.one()
+    if r.num.is_zero():
+        assert r.den == Poly.one()
+
+
+def assert_normalises(result, raw_num, raw_den, var="x"):
+    full = RationalFunction(raw_num, raw_den, var)
+    assert (result.num, result.den, result.var) == (full.num, full.den, full.var)
+    assert_canonical(result)
+
+
+@given(factored_ratfuncs("x"), factored_ratfuncs("x"))
+def test_sum_difference_product_match_full_normalisation(p, q):
+    a, b, c, d = p.num, p.den, q.num, q.den
+    assert_normalises(p + q, a * d + c * b, b * d)
+    assert_normalises(p - q, a * d - c * b, b * d)
+    assert_normalises(p * q, a * c, b * d)
+
+
+@given(factored_ratfuncs("n"), st.integers(-3, 3))
+def test_unary_operations_match_full_normalisation(p, n):
+    a, b = p.num, p.den
+    assert_normalises(-p, -a, b, "n")
+    assert_normalises(p.shifted(), a.compose(Poly([1, 1])), b.compose(Poly([1, 1])), "n")
+    if p.is_zero():
+        return
+    assert_normalises(p.inverse(), b, a, "n")
+    raw = (a ** n, b ** n) if n >= 0 else (b ** -n, a ** -n)
+    assert_normalises(p ** n, *raw, "n")
+
+
+@given(ratfuncs("x"), ratfuncs("x"))
+def test_mixed_scalar_operands_match_full_normalisation(p, q):
+    assert_normalises(p + 3, p.num + p.den * 3, p.den)
+    assert_normalises(Fraction(1, 2) * q, q.num, q.den * 2)
+    assert_normalises(1 - q, q.den - q.num, q.den)
+
+
+def test_sum_with_constant_denominators():
+    s = rf([1, 1]) + rf([0, 0, Fraction(1, 2)])
+    assert (s.num, s.den) == (Poly([1, 1, Fraction(1, 2)]), Poly.one())
+    assert_canonical(s)
+
+
+def test_sum_with_coprime_denominators():
+    s = rf([1], [0, 1]) + rf([1], [1, 1])  # 1/x + 1/(x + 1)
+    assert (s.num, s.den) == (Poly([1, 2]), Poly([0, 1, 1]))
+    assert_canonical(s)
+
+
+def test_sum_with_a_shared_denominator_factor():
+    # 1/(x(x+1)) + 1/(x(x-1)) = 2x / (x(x^2-1)): the shared x cancels
+    s = rf([1], [0, 1, 1]) + rf([1], [0, -1, 1])
+    assert (s.num, s.den) == (Poly([2]), Poly([-1, 0, 1]))
+    assert_canonical(s)
+    # 1/x + 1/x: a shared denominator, nothing left to cancel
+    t = rf([1], [0, 1]) + rf([1], [0, 1])
+    assert (t.num, t.den) == (Poly([2]), Poly([0, 1]))
+
+
+def test_sum_that_cancels_to_zero():
+    s = rf([1], [1, 1]) + rf([-1], [1, 1])
+    assert (s.num, s.den) == (Poly(), Poly.one())
+    # x/((x+1)(x+2)) = -1/(x+1) + 2/(x+2)
+    t = rf([0, 1], [2, 3, 1]) + rf([1], [1, 1]) - rf([2], [2, 1])
+    assert (t.num, t.den) == (Poly(), Poly.one())
+
+
+def test_product_that_cross_cancels_on_both_sides():
+    left = rf([0, -1, 1], [1, 1])  # x(x - 1) / (x + 1)
+    right = rf([2, 3, 1], [0, 1])  # (x + 1)(x + 2) / x
+    p = left * right
+    assert (p.num, p.den) == (Poly([-2, 1, 1]), Poly.one())  # (x - 1)(x + 2)
+    assert_canonical(p)
+
+
+def test_inverse_makes_the_new_denominator_monic():
+    r = rf([1, 1], [0, 1]) * Fraction(-2, 3)
+    inv = r.inverse()
+    assert (inv.num, inv.den) == (Poly([0, Fraction(-3, 2)]), Poly([1, 1]))
+    assert_canonical(inv)
