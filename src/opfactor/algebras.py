@@ -64,8 +64,7 @@ class DifferentialRationalAlgebra(RationalFunctionAlgebra):
         return f.derivative()
 
     def twist(self, f):
-        self.check(f)
-        return TwistPair(f, f.derivative())
+        return TwistPair(f, self.endo(f))
 
 
 class QuaternionDifferentialAlgebra(Algebra):
@@ -93,8 +92,7 @@ class QuaternionDifferentialAlgebra(Algebra):
         return f.derivative()
 
     def twist(self, f):
-        self.check(f)
-        return TwistPair(f, f.derivative())
+        return TwistPair(f, self.endo(f))
 
     def symbols(self):
         return {
@@ -167,7 +165,6 @@ class GroupRingC5Algebra(Algebra):
         return f.scale_exponents(2)
 
     def twist(self, f):
-        self.check(f)
         return TwistPair(self.endo(f), self.zero())
 
     def symbols(self):

@@ -20,9 +20,12 @@ this interface:
     and honestly partial on the group ring.
 
 Every element knows which algebra owns it; `check` enforces that and
-raises MixedAlgebras otherwise, so cross-algebra arithmetic cannot happen
-silently.  Elements are immutable values and all operations return new
-values.
+raises MixedAlgebras otherwise.  Values are checked where they enter:
+the public constructors, the parser, KernelContext, the arguments of
+scale_left, apply and interpolate, and the methods below, whose ring
+operations are validated wrappers for callers outside the engine.  Inside,
+the engine trusts its values and uses the elements' own arithmetic.
+Elements are immutable values and all operations return new values.
 
 An algebra may declare `endo_order = n` when endo^n is the identity map
 AND the corresponding operator identity holds, in which case operator
@@ -39,10 +42,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from .errors import MixedAlgebras
-from .formatting import Fmt
 
 
 @dataclass(frozen=True)
@@ -148,13 +150,6 @@ class Algebra(ABC):
     def symbols(self) -> Dict[str, Any]:
         """Named atoms the expression grammar may use in this algebra."""
 
-    def element_fmt(self, f) -> Fmt:
-        self.check(f)
-        return f.fmt()
-
     def format_element(self, f) -> str:
-        return self.element_fmt(f).text
-
-    def split_sign(self, f) -> Tuple[int, Any]:
         self.check(f)
-        return f.split_sign()
+        return f.fmt().text

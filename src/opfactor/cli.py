@@ -56,7 +56,6 @@ class Session:
 
     algebra: Algebra
     json_output: bool = False
-    c: Optional[Fraction] = None
     lines: List[str] = field(default_factory=list)
     payload: dict = field(default_factory=dict)
 
@@ -151,7 +150,7 @@ def _op_json(op: Operator) -> dict:
 def _base_payload(session: Session, kernel=None) -> dict:
     payload = {"algebra": session.algebra.name}
     if session.algebra.name == "diff":
-        payload["c"] = str(session.c)
+        payload["c"] = str(session.algebra.c)
     if kernel is not None:
         payload["kernel"] = [
             session.algebra.format_element(f) for f in kernel
@@ -242,7 +241,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("%s: error: a subcommand is required" % parser.prog, file=sys.stderr)
         return EX_USAGE
     algebra = get_algebra(args.algebra, args.c)
-    session = Session(algebra, args.json, args.c)
+    session = Session(algebra, args.json)
     try:
         return _COMMANDS[args.command](session, args)
     except ParseError as exc:

@@ -41,7 +41,6 @@ from typing import List, Sequence, Tuple
 from .base import Algebra
 from .errors import (
     CorollaryViolated,
-    MixedAlgebras,
     NotAUnit,
     NotInKernel,
     NotIntertwinable,
@@ -74,14 +73,12 @@ class KernelContext:
         elements = tuple(elements)
         if not elements:
             raise ValueError("at least one kernel element is required")
-        for f in elements:
-            algebra.check(f)
         self.algebra = algebra
         self.f = elements
         k = len(elements)
         self.k = k
 
-        # iterated images: rows[l][i] = endo^l(f_i), l = 0 .. k
+        # iterated images rows[l][i] = endo^l(f_i), l = 0 .. k; endo checks f_i
         rows = [list(elements)]
         for _ in range(k):
             rows.append([algebra.endo(v) for v in rows[-1]])
@@ -90,17 +87,9 @@ class KernelContext:
         self.f_image = tuple(rows[k])
 
         self.P = tuple(
-            Operator(algebra, tuple(self.phi_inv.entry(i, l) for l in range(k)))
-            for i in range(k)
+            Operator._trusted(algebra, self.phi_inv.row(i)) for i in range(k)
         )
         self.K = Operator.d(algebra, k) - self.interpolate(self.f_image)
-
-    def _check_op(self, op: Operator) -> None:
-        if op.algebra != self.algebra:
-            raise MixedAlgebras(
-                "operator over %r used with a context over %r"
-                % (op.algebra.describe(), self.algebra.describe())
-            )
 
     # the second spanning family
 
@@ -119,7 +108,6 @@ class KernelContext:
             )
         out = Operator.zero(self.algebra)
         for t, p_op in zip(targets, self.P):
-            self.algebra.check(t)
             out = out + p_op.scale_left(t)
         return out
 
@@ -130,7 +118,6 @@ class KernelContext:
         values R(f_i), the rest are the coefficients of Q, padded with
         zeros up to index max(deg op, k - 1).
         """
-        self._check_op(op)
         quotient, rest = right_divide_monic(op, self.K)
         hats = [rest.apply(f) for f in self.f] + list(quotient.coeffs)
         size = max(len(op.coeffs), self.k)
@@ -139,7 +126,7 @@ class KernelContext:
     def leading_coefficients_by_apply(self, op: Operator) -> Tuple:
         """The first k hat coefficients, computed independently: the hat
         coefficient at index i-1 equals op applied to f_i."""
-        self._check_op(op)
+        self.K._same_algebra(op)
         return tuple(op.apply(f) for f in self.f)
 
     def factorize(self, op: Operator) -> Operator:
@@ -147,7 +134,6 @@ class KernelContext:
         every kernel element, that is when the certified division by K
         leaves no remainder R.  Returns Q; otherwise the nonzero values
         R(f_i) = op(f_i) are the offenders."""
-        self._check_op(op)
         quotient, rest = right_divide_monic(op, self.K)
         if rest.is_zero():
             return quotient
@@ -157,7 +143,6 @@ class KernelContext:
         """Find Q with Q . K = K . R, which exists exactly when R maps
         each kernel element back into the kernel of K: that is factoring
         K . R, whose values (K . R)(f_i) = K(R(f_i)) are the offenders."""
-        self._check_op(r_op)
         try:
             return self.factorize(self.K.compose(r_op))
         except NotInKernel as exc:
@@ -167,7 +152,7 @@ class KernelContext:
         """For operators of degree below k: does op annihilate the whole
         kernel tuple?  True is only possible for the zero operator; a
         nonzero witness raises CorollaryViolated."""
-        self._check_op(op)
+        self.K._same_algebra(op)
         if not op.is_zero() and len(op.coeffs) > self.k:
             raise ValueError(
                 "operator of degree %d is outside filtration level %d"
@@ -181,7 +166,7 @@ class KernelContext:
         invertibility of Phi, so it raises CorollaryViolated."""
         values = self.leading_coefficients_by_apply(op)
         offenders = [
-            (i + 1, v) for i, v in enumerate(values) if not self.algebra.is_zero(v)
+            (i + 1, v) for i, v in enumerate(values) if not v.is_zero()
         ]
         if not offenders and not op.is_zero():
             raise CorollaryViolated(
@@ -206,7 +191,7 @@ def right_divide_monic(op: Operator, divisor: Operator) -> Tuple[Operator, Opera
         raise NotMonicizable("cannot divide by the zero operator")
     d = len(divisor.coeffs) - 1
     lead = divisor.coeffs[-1]
-    monic = alg.equal(lead, alg.one())
+    monic = lead == alg.one()
     try:
         inv = lead if monic else alg.try_invert(lead)
     except NotAUnit as exc:
@@ -223,13 +208,13 @@ def right_divide_monic(op: Operator, divisor: Operator) -> Tuple[Operator, Opera
         m = len(rest.coeffs) - 1
         top = rest.coeffs[-1]
         if not monic:
-            top = alg.mul(top, pushed[m - d])
+            top = top * pushed[m - d]
         quotient[m - d] = top
-        term = Operator(alg, (alg.zero(),) * (m - d) + (top,))
+        term = Operator._trusted(alg, (alg.zero(),) * (m - d) + (top,))
         rest = rest - term.compose(divisor)
         if rest.degree >= m:
             raise VerificationFailed("division step did not reduce the degree")
-    q_op = Operator(alg, tuple(quotient))
+    q_op = Operator._trusted(alg, tuple(quotient))
     if q_op.compose(divisor) + rest != op:
         raise VerificationFailed("right division does not recompose")
     return q_op, rest

@@ -15,10 +15,15 @@ augmentation of x; both are nonnegative integers.  So x is a unit exactly
 when both are 1, that is when x*y = 1 and y is the inverse; when their
 product is 0, x is a zero divisor.  The ring is commutative, so a
 one-sided inverse is automatically two-sided.
+
+The public constructor takes five integers and raises TypeError on a
+Fraction, float or string rather than truncate it; arithmetic builds its
+results through `_trusted`, which checks nothing.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -31,20 +36,27 @@ class GroupRingC5Element:
     coeffs: Tuple[int, int, int, int, int]
 
     def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
+        cs = tuple(operator.index(c) for c in self.coeffs)
         if len(cs) != 5:
             raise ValueError("exactly five coefficients required")
         object.__setattr__(self, "coeffs", cs)
+
+    @classmethod
+    def _trusted(cls, cs: Tuple[int, ...]) -> "GroupRingC5Element":
+        """The trusted constructor: cs is already a tuple of five ints."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "coeffs", cs)
+        return e
 
     # constructors
 
     @classmethod
     def zero(cls) -> "GroupRingC5Element":
-        return cls((0, 0, 0, 0, 0))
+        return cls._trusted((0, 0, 0, 0, 0))
 
     @classmethod
     def one(cls) -> "GroupRingC5Element":
-        return cls((1, 0, 0, 0, 0))
+        return cls._trusted((1, 0, 0, 0, 0))
 
     @classmethod
     def from_int(cls, n: int) -> "GroupRingC5Element":
@@ -61,27 +73,22 @@ class GroupRingC5Element:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def _check(self, other) -> "GroupRingC5Element":
-        if not isinstance(other, GroupRingC5Element):
-            raise TypeError("expected a group ring element, got %r" % (other,))
-        return other
-
     # arithmetic
 
     def __add__(self, other) -> "GroupRingC5Element":
-        other = self._check(other)
-        return GroupRingC5Element(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        if not isinstance(other, GroupRingC5Element):
+            return NotImplemented
+        return self._trusted(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "GroupRingC5Element":
-        return GroupRingC5Element(tuple(-c for c in self.coeffs))
+        return self._trusted(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other) -> "GroupRingC5Element":
-        return self + (-self._check(other))
+        return self + (-other)
 
     def __mul__(self, other) -> "GroupRingC5Element":
-        other = self._check(other)
+        if not isinstance(other, GroupRingC5Element):
+            return NotImplemented
         out = [0] * 5
         for p, a in enumerate(self.coeffs):
             if a == 0:
@@ -89,14 +96,14 @@ class GroupRingC5Element:
             for q, b in enumerate(other.coeffs):
                 if b:
                     out[(p + q) % 5] += a * b
-        return GroupRingC5Element(tuple(out))
+        return self._trusted(tuple(out))
 
     def scale_exponents(self, m: int) -> "GroupRingC5Element":
         """Apply the group automorphism r -> r^m (for m prime to 5)."""
         out = [0] * 5
         for e, c in enumerate(self.coeffs):
             out[(e * m) % 5] += c
-        return GroupRingC5Element(tuple(out))
+        return self._trusted(tuple(out))
 
     def inverse(self) -> "GroupRingC5Element":
         y = self.scale_exponents(2) * self.scale_exponents(3) * self.scale_exponents(4)

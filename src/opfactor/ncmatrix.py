@@ -102,7 +102,7 @@ class NCMatrix:
             for j in range(other.cols):
                 acc = alg.zero()
                 for l in range(self.cols):
-                    acc = alg.add(acc, alg.mul(self.entry(i, l), other.entry(l, j)))
+                    acc = acc + self.entry(i, l) * other.entry(l, j)
                 out.append(acc)
         return NCMatrix(alg, self.rows, other.cols, tuple(out))
 
@@ -145,17 +145,14 @@ class NCMatrix:
                     "no unit pivot available in column %d" % (col + 1)
                 )
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            rows[col] = [alg.mul(pivot_inv, e) for e in rows[col]]
+            rows[col] = [pivot_inv * e for e in rows[col]]
             for r in range(n):
                 if r == col:
                     continue
                 factor = rows[r][col]
-                if alg.is_zero(factor):
+                if factor.is_zero():
                     continue
-                rows[r] = [
-                    alg.sub(e, alg.mul(factor, p))
-                    for e, p in zip(rows[r], rows[col])
-                ]
+                rows[r] = [e - factor * p for e, p in zip(rows[r], rows[col])]
         return NCMatrix.from_rows(alg, [row[n:] for row in rows])
 
     def _cayley_hamilton(self):
@@ -167,16 +164,16 @@ class NCMatrix:
         n = self.rows
         coeffs = self._charpoly()
         try:
-            scale = alg.neg(alg.try_invert(coeffs[n]))
+            scale = -alg.try_invert(coeffs[n])
         except NotAUnit:
             return None
         acc = NCMatrix.identity(alg, n)
         for c in coeffs[1:n]:  # Horner, adding c_i on the diagonal
             acc = NCMatrix(alg, n, n, tuple(
-                alg.add(e, c) if idx % (n + 1) == 0 else e
+                e + c if idx % (n + 1) == 0 else e
                 for idx, e in enumerate((acc * self).entries)
             ))
-        return NCMatrix(alg, n, n, tuple(alg.mul(scale, e) for e in acc.entries))
+        return NCMatrix(alg, n, n, tuple(scale * e for e in acc.entries))
 
     def _charpoly(self) -> list:
         """[1, c_1, ..., c_n], the coefficients of det(tI - A) from the top,
@@ -191,18 +188,18 @@ class NCMatrix:
         def dot(xs, ys):
             acc = alg.zero()
             for x, y in zip(xs, ys):
-                acc = alg.add(acc, alg.mul(x, y))
+                acc = acc + x * y
             return acc
 
-        poly = [alg.one(), alg.neg(entry(n - 1, n - 1))]
+        poly = [alg.one(), -entry(n - 1, n - 1)]
         for m in range(n - 2, -1, -1):
             rest = range(m + 1, n)
             row_r = [entry(m, j) for j in rest]
             block = [[entry(i, j) for j in rest] for i in rest]
-            col = [alg.one(), alg.neg(entry(m, m))]
+            col = [alg.one(), -entry(m, m)]
             vec = [entry(i, m) for i in rest]
             for _ in rest:
-                col.append(alg.neg(dot(row_r, vec)))
+                col.append(-dot(row_r, vec))
                 vec = [dot(b_row, vec) for b_row in block]
             # entry i is sum_j col[i - j] * poly[j]; zip stops at poly's end
             poly = [dot(col[i::-1], poly) for i in range(len(poly) + 1)]

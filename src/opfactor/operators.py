@@ -38,13 +38,22 @@ class Operator:
     coeffs: Tuple = ()
 
     def __post_init__(self):
-        alg = self.algebra
-        cs = list(self.coeffs)
-        for c in cs:
-            alg.check(c)
-        while cs and alg.is_zero(cs[-1]):
+        for c in self.coeffs:
+            self.algebra.check(c)
+        trusted = self._trusted(self.algebra, self.coeffs)
+        object.__setattr__(self, "coeffs", trusted.coeffs)
+
+    @classmethod
+    def _trusted(cls, algebra: Algebra, coeffs) -> "Operator":
+        """The trusted constructor: every coefficient is already an
+        element of algebra, so only trailing zeros are stripped."""
+        cs = list(coeffs)
+        while cs and cs[-1].is_zero():
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        op = object.__new__(cls)
+        object.__setattr__(op, "algebra", algebra)
+        object.__setattr__(op, "coeffs", tuple(cs))
+        return op
 
     # constructors
 
@@ -95,14 +104,11 @@ class Operator:
         n = self.algebra.endo_order
         if n is None or len(self.coeffs) <= n:
             return self.coeffs
-        alg = self.algebra
-        acc = [alg.zero()] * n
+        acc = [self.algebra.zero()] * n
         for e, c in enumerate(self.coeffs):
             t = e if e < n else e % n
-            acc[t] = alg.add(acc[t], c)
-        while acc and alg.is_zero(acc[-1]):
-            acc.pop()
-        return tuple(acc)
+            acc[t] = acc[t] + c
+        return Operator._trusted(self.algebra, acc).coeffs
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Operator):
@@ -118,21 +124,20 @@ class Operator:
     def __add__(self, other: "Operator") -> "Operator":
         alg = self._same_algebra(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return Operator(
-            alg, tuple(alg.add(self.coeff(i), other.coeff(i)) for i in range(n))
+        return Operator._trusted(
+            alg, tuple(self.coeff(i) + other.coeff(i) for i in range(n))
         )
 
     def __neg__(self) -> "Operator":
-        return Operator(self.algebra, tuple(self.algebra.neg(c) for c in self.coeffs))
+        return Operator._trusted(self.algebra, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "Operator") -> "Operator":
         return self + (-other)
 
     def scale_left(self, a) -> "Operator":
         """Left multiplication by a ring element: a . L."""
-        alg = self.algebra
-        alg.check(a)
-        return Operator(alg, tuple(alg.mul(a, c) for c in self.coeffs))
+        self.algebra.check(a)
+        return Operator._trusted(self.algebra, tuple(a * c for c in self.coeffs))
 
     def compose(self, other: "Operator") -> "Operator":
         """Normal form of self . other (apply other first)."""
@@ -142,24 +147,24 @@ class Operator:
         top = len(self.coeffs) - 1
         acc = [alg.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
         for j, b in enumerate(other.coeffs):
-            if alg.is_zero(b):
+            if b.is_zero():
                 continue
             vec = [b]  # coefficients of endo^i . b, starting at i = 0
             for i, a in enumerate(self.coeffs):
-                if not alg.is_zero(a):
+                if not a.is_zero():
                     for t, c in enumerate(vec):
-                        if not alg.is_zero(c):
-                            acc[t + j] = alg.add(acc[t + j], alg.mul(a, c))
+                        if not c.is_zero():
+                            acc[t + j] = acc[t + j] + a * c
                 if i < top:
                     nxt = [alg.zero()] * (len(vec) + 1)
                     for t, c in enumerate(vec):
-                        if alg.is_zero(c):
+                        if c.is_zero():
                             continue
                         tw = alg.twist(c)
-                        nxt[t + 1] = alg.add(nxt[t + 1], tw.p)
-                        nxt[t] = alg.add(nxt[t], tw.q)
+                        nxt[t + 1] = nxt[t + 1] + tw.p
+                        nxt[t] = nxt[t] + tw.q
                     vec = nxt
-        return Operator(alg, tuple(acc))
+        return Operator._trusted(alg, tuple(acc))
 
     def __mul__(self, other) -> "Operator":
         if not isinstance(other, Operator):
@@ -175,8 +180,8 @@ class Operator:
         for i, a in enumerate(self.coeffs):
             if i:
                 cur = alg.endo(cur)
-            if not alg.is_zero(a):
-                acc = alg.add(acc, alg.mul(a, cur))
+            if not a.is_zero():
+                acc = acc + a * cur
         return acc
 
     # display
@@ -188,16 +193,16 @@ class Operator:
         terms = []
         for d in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[d]
-            if alg.is_zero(c):
+            if c.is_zero():
                 continue
-            sign, mag = alg.split_sign(c)
-            mf = alg.element_fmt(mag)
+            sign, mag = c.split_sign()
+            mf = mag.fmt()
             if d == 0:
                 wrap = (sign < 0 and mf.is_sum) or (mf.is_negative and terms)
                 body = "(%s)" % mf.text if wrap else mf.text
             else:
                 dpart = "D" if d == 1 else "D^%d" % d
-                if alg.equal(mag, alg.one()):
+                if mag == alg.one():
                     body = dpart
                 else:
                     wrap = mf.is_sum or mf.is_quotient or mf.is_negative

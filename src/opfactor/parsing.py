@@ -32,7 +32,8 @@ evaluator with `D` disabled and unwraps the constant coefficient.
 
 Printing lives with the value types; this module adds the JSON form of
 operators: {"algebra": <selector>, "coeffs": [<element text>, ...]},
-coefficients listed from power zero upward.
+coefficients listed from power zero upward, with "c": <rational text>
+after the selector for the difference algebra.
 """
 
 from __future__ import annotations
@@ -251,19 +252,21 @@ def parse_element(text: str, algebra: Algebra):
 # JSON form
 
 def operator_to_json(op: Operator) -> dict:
-    return {
-        "algebra": op.algebra.name,
-        "coeffs": [op.algebra.format_element(c) for c in op.coeffs],
-    }
+    data = {"algebra": op.algebra.name}
+    if op.algebra.name == "diff":
+        data["c"] = str(op.algebra.c)
+    data["coeffs"] = [op.algebra.format_element(c) for c in op.coeffs]
+    return data
 
 
 def operator_from_json(data: dict, algebra: Optional[Algebra] = None) -> Operator:
-    name = data["algebra"]
+    tagged = get_algebra(data["algebra"], Fraction(data.get("c", 1)))
     if algebra is None:
-        algebra = get_algebra(name)
-    elif algebra.name != name:
+        algebra = tagged
+    elif algebra != tagged:
         raise ValueError(
-            "operator tagged %r cannot load into algebra %r" % (name, algebra.name)
+            "operator tagged %r cannot load into algebra %r"
+            % (tagged.describe(), algebra.describe())
         )
     coeffs = [parse_element(t, algebra) for t in data["coeffs"]]
     return Operator(algebra, tuple(coeffs))

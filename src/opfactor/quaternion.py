@@ -3,7 +3,8 @@
 A value is a + b*i + c*j + d*k with the Hamilton table
     i*i = j*j = k*k = -1,  i*j = k,  j*k = i,  k*i = j,
 and the reversed products negated.  Components live in one shared variable;
-the constructor refuses mixed variables.  Every nonzero value is a unit:
+the constructor refuses mixed variables, and so do the rational functions
+in any arithmetic between two quaternions.  Every nonzero value is a unit:
 the squared norm a^2 + b^2 + c^2 + d^2 is a rational function that only
 vanishes when all four components do, so conj(q) / norm inverts q from both
 sides.  The inverse computes that norm directly from the four components,
@@ -74,17 +75,11 @@ class Quaternion:
     def is_zero(self) -> bool:
         return all(comp.is_zero() for comp in self.components)
 
-    def _check(self, other) -> "Quaternion":
-        if not isinstance(other, Quaternion):
-            raise TypeError("expected a quaternion, got %r" % (other,))
-        if other.var != self.var:
-            raise MixedAlgebras("quaternions over different variables")
-        return other
-
     # arithmetic
 
     def __add__(self, other) -> "Quaternion":
-        other = self._check(other)
+        if not isinstance(other, Quaternion):
+            return NotImplemented
         return Quaternion(
             self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
         )
@@ -93,10 +88,11 @@ class Quaternion:
         return Quaternion(-self.a, -self.b, -self.c, -self.d)
 
     def __sub__(self, other) -> "Quaternion":
-        return self + (-self._check(other))
+        return self + (-other)
 
     def __mul__(self, other) -> "Quaternion":
-        other = self._check(other)
+        if not isinstance(other, Quaternion):
+            return NotImplemented
         a1, b1, c1, d1 = self.components
         a2, b2, c2, d2 = other.components
         return Quaternion(

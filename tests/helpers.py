@@ -164,7 +164,33 @@ def elements(algebra):
     raise ValueError(name)
 
 
+def units(algebra):
+    """Invertible elements: the trivial units of the group ring, anything
+    nonzero in the division rings."""
+    if algebra.name == "c5":
+        gens = [GroupRingC5Element.generator(p) for p in range(5)]
+        return st.sampled_from(gens + [-g for g in gens])
+    return elements(algebra).filter(lambda e: not e.is_zero())
+
+
 def operators(algebra, max_deg=2):
     return st.lists(elements(algebra), min_size=0, max_size=max_deg + 1).map(
         lambda cs: Operator(algebra, tuple(cs))
     )
+
+
+# invariants of values built on the engine's trusted paths
+
+def assert_members(algebra, values):
+    """Every value passes algebra.check, and group ring coefficients are
+    plain ints."""
+    for v in values:
+        algebra.check(v)
+        if algebra.name == "c5":
+            assert all(type(c) is int for c in v.coeffs), v.coeffs
+
+
+def assert_normal_form(op):
+    """Member coefficients and no trailing zero coefficient."""
+    assert_members(op.algebra, op.coeffs)
+    assert not op.coeffs or not op.coeffs[-1].is_zero()

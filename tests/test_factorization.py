@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opfactor import (
     KernelContext,
@@ -26,7 +28,18 @@ from opfactor import (
     right_divide_monic,
 )
 
-from helpers import C5, DIFF1, QUAT, QX, rand_element, rand_operator
+from helpers import (
+    ALL_ALGEBRAS,
+    C5,
+    DIFF1,
+    QUAT,
+    QX,
+    assert_normal_form,
+    operators,
+    rand_element,
+    rand_operator,
+    units,
+)
 
 
 def ctx_qx():
@@ -346,6 +359,10 @@ def test_context_rejects_foreign_operators():
         ctx.factorize(Operator.d(other))
     with pytest.raises(MixedAlgebras):
         ctx.intertwiner(Operator.d(other))
+    with pytest.raises(MixedAlgebras):
+        ctx.leading_coefficients_by_apply(Operator.d(other))
+    with pytest.raises(MixedAlgebras):
+        ctx.zero_on_low_filtration(Operator.d(other))
 
 
 def test_dependent_kernel_elements_rejected():
@@ -425,3 +442,15 @@ def test_right_division_exactness_detects_nonmultiples():
     q, r = right_divide_monic(off, ctx.K)
     assert q == Operator.identity(QUAT)
     assert r == Operator.identity(QUAT)
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_division_results_keep_the_normal_form(algebra, data):
+    op = data.draw(operators(algebra, 3))
+    lead = data.draw(units(algebra))
+    divisor = data.draw(operators(algebra, 1)) + Operator.d(algebra, 2).scale_left(lead)
+    quotient, rest = right_divide_monic(op, divisor)
+    assert_normal_form(quotient)
+    assert_normal_form(rest)

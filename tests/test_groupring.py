@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from opfactor import GroupRingC5Element, NotAUnit
+from opfactor import GroupRingC5Element, NotAUnit, get_algebra
 
 from helpers import c5_elements
 
@@ -139,3 +139,28 @@ def test_display():
     assert str(elem(0, 0, -1)) == "-r^2"
     assert str(elem(0)) == "0"
     assert str(elem(-1, 0, 0, 0, 2)) == "-1 + 2*r^4"
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 2.9, "3"], ids=repr)
+def test_constructor_refuses_non_integers(bad):
+    with pytest.raises(TypeError):
+        GroupRingC5Element((bad, 0, 0, 0, 0))
+
+
+def test_constructor_accepts_ints_and_bools():
+    g = GroupRingC5Element((True, 2, False, -1, 0))
+    assert g == elem(1, 2, 0, -1)
+    assert all(type(c) is int for c in g.coeffs)
+    with pytest.raises(ValueError):
+        GroupRingC5Element((1, 2, 3, 4))
+    with pytest.raises(ValueError, match="not integral"):
+        get_algebra("c5").from_fraction(Fraction(1, 2))
+
+
+def test_foreign_operands_raise_type_error():
+    with pytest.raises(TypeError):
+        GroupRingC5Element.one() * 2
+    with pytest.raises(TypeError):
+        ONE + 1
+    with pytest.raises(TypeError):
+        ONE - Fraction(1)

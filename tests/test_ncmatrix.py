@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opfactor import (
     MixedAlgebras,
@@ -12,7 +14,17 @@ from opfactor import (
     ShapeMismatch,
 )
 
-from helpers import C5, DIFF1, QUAT, QX, rand_c5, rand_ratfunc
+from helpers import (
+    ALL_ALGEBRAS,
+    C5,
+    DIFF1,
+    QUAT,
+    QX,
+    assert_members,
+    elements,
+    rand_c5,
+    rand_ratfunc,
+)
 
 
 def quat_unit(name):
@@ -193,3 +205,20 @@ def test_c5_products_of_elementary_matrices_invert(size):
             entries[i * size + j] = rand_c5(rng)
             m = m * NCMatrix(C5, size, size, tuple(entries))
         _certify(m, m.inverse())
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_inverse_entries_are_members(algebra, data):
+    """A product of elementary matrices is invertible over any ring; over
+    the group ring its top left entry 1 + a*b is often not a unit, so the
+    determinant fallback runs too."""
+    a, b, c = (data.draw(elements(algebra)) for _ in range(3))
+    one, zero = algebra.one(), algebra.zero()
+    m = (
+        NCMatrix.from_rows(algebra, [[one, a], [zero, one]])
+        * NCMatrix.from_rows(algebra, [[one, zero], [b, one]])
+        * NCMatrix.from_rows(algebra, [[one, c], [zero, one]])
+    )
+    assert_members(algebra, m.inverse().entries)

@@ -3,7 +3,8 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opfactor import MixedAlgebras, Operator
 
@@ -13,6 +14,8 @@ from helpers import (
     DIFF1,
     QUAT,
     QX,
+    assert_normal_form,
+    elements,
     operators,
     rand_element,
     rand_operator,
@@ -144,3 +147,14 @@ def test_format_round_examples():
     x = QX.symbols()["x"]
     op = Operator.d(QX, 2) - Operator.d(QX).scale_left(x)
     assert op.format() == "D^2 - x*D"
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_arithmetic_results_keep_the_normal_form(algebra, data):
+    a = data.draw(operators(algebra, 2))
+    b = data.draw(operators(algebra, 2))
+    e = data.draw(elements(algebra))
+    for result in (a + b, a - b, -a, a.compose(b), a.scale_left(e)):
+        assert_normal_form(result)

@@ -1,12 +1,14 @@
 """Expression parsing, printing round trips, and JSON serialization."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from opfactor import (
     Operator,
     ParseError,
+    get_algebra,
     operator_from_json,
     operator_to_json,
     parse_element,
@@ -211,3 +213,26 @@ def test_json_algebra_mismatch():
 def test_json_without_explicit_algebra():
     data = operator_to_json(Operator.d(QUAT) + Operator.identity(QUAT))
     assert operator_from_json(data) == Operator.d(QUAT) + Operator.identity(QUAT)
+
+
+DIFF_HALF = get_algebra("diff", Fraction(-1, 2))
+
+
+def test_json_round_trip_keeps_the_difference_constant():
+    op = parse_operator("n*D^2 - 1/2*D + n", DIFF_HALF)
+    data = operator_to_json(op)
+    assert data["c"] == "-1/2"
+    assert operator_from_json(data).algebra == DIFF_HALF
+    assert operator_from_json(data) == op
+    assert operator_from_json(data, DIFF_HALF) == op
+
+
+def test_json_difference_constant_mismatch():
+    with pytest.raises(ValueError):
+        operator_from_json(operator_to_json(Operator.d(DIFF_HALF)), DIFF1)
+    with pytest.raises(ValueError):
+        operator_from_json(operator_to_json(Operator.d(DIFF1)), DIFF_HALF)
+    untagged = {"algebra": "diff", "coeffs": ["0", "1"]}
+    assert operator_from_json(untagged) == Operator.d(DIFF1)
+    with pytest.raises(ValueError):
+        operator_from_json(untagged, get_algebra("diff", Fraction(3)))

@@ -1,9 +1,11 @@
 """Quaternion arithmetic over the rational function scalars."""
 
+import operator
+
 import pytest
 from hypothesis import given
 
-from opfactor import NotAUnit, Quaternion, RationalFunction
+from opfactor import MixedAlgebras, NotAUnit, Quaternion, RationalFunction
 
 from helpers import quaternions
 
@@ -94,3 +96,18 @@ def test_display():
     assert str(Quaternion(zero, zero, zero, zero)) == "0"
     assert str(unit("j")) == "j"
     assert str(scalar(-2)) == "-2"
+
+
+def test_foreign_operands_raise_type_error():
+    with pytest.raises(TypeError):
+        Quaternion.one() + 1
+    with pytest.raises(TypeError):
+        Quaternion.one() - RationalFunction.one("x")
+    with pytest.raises(TypeError):
+        Quaternion.one() * 2
+
+
+@pytest.mark.parametrize("combine", [operator.add, operator.sub, operator.mul])
+def test_mixed_variables_raise(combine):
+    with pytest.raises(MixedAlgebras):
+        combine(Quaternion.unit("i", "x"), Quaternion.unit("j", "n"))
