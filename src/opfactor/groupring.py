@@ -71,7 +71,7 @@ class GroupRingC5Element:
     # structure
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     # arithmetic
 

@@ -1,20 +1,50 @@
-"""Dense univariate polynomials with exact rational coefficients.
+"""Dense univariate polynomials with exact rational coefficients, stored
+as a rational content times a primitive integer polynomial.
 
-Coefficients are fractions.Fraction values stored low degree first with
-trailing zeros stripped, so the representation is canonical and equality is
-plain tuple equality.  The zero polynomial is the empty tuple and has
-degree -1.
+A Poly has three fields:
+  * `prim`, a tuple of ints, low degree first: a primitive polynomial of
+    Z[x] (its coefficients have gcd 1) with a positive leading
+    coefficient;
+  * `cnum` and `cden`, ints: the content cnum/cden in lowest terms, with
+    cden > 0.
+The value is (cnum/cden) * prim.  Zero is the empty tuple with content
+0/1 and has degree -1.  A nonzero rational polynomial has exactly one
+such form: the primitive part is fixed up to sign, and the sign goes to
+the content.  So the representation is canonical and equality is field
+equality.  `coeffs`, `leading`, `coeff`, `evaluate` and `fmt` give the
+rational coefficients as Fractions; `coeffs` is derived on demand.
 
-Values are immutable.  The public constructor coerces every coefficient to
-a Fraction; arithmetic between polynomials already holds Fractions, so it
-builds its results through `_from_fractions`, which only strips trailing
-zeros.  `Poly.zero()` and `Poly.one()` are shared instances.
+Arithmetic runs on the integer tuples (Knuth, TAOCP vol. 2, 4.6.1):
+  * Gauss's lemma: a product of primitive polynomials is primitive, and
+    a product of positive leads is positive.  A product therefore
+    multiplies the tuples over Z with no coefficient gcd and reduces the
+    content with one integer gcd.  Negation, scaling and `monic` change
+    the content alone.
+  * A sum puts both contents over one denominator, adds the integer
+    tuples and takes the content of the result out with one gcd.
+  * Division is pseudo-division over Z, done lazily.  A step's quotient
+    c/lc(b) is kept as an int; only when it is not integral are the
+    running remainder and quotient multiplied by lc(b)/gcd(c, lc(b)),
+    and that factor goes to the contents of the results.  When b divides
+    a, Gauss's lemma makes the quotient of their primitive parts
+    integral, so an exact division never rescales.
+  * The gcd is the primitive PRS: Euclid on pseudo-remainders, each cut
+    to its primitive part.  The result is returned monic.
+  * The Taylor shift x -> x + 1 is an automorphism of Z[x], so it keeps
+    the tuple primitive and the content as it is.  A derivative scales
+    the tuple and takes the content out again.
+
+Values are immutable.  The public constructor takes any rationals.
+Arithmetic builds its results through `_reduced`, which takes the
+content out of an integer list, or `_new`, which trusts its fields.
+`Poly.zero()` and `Poly.one()` are shared instances.  Arithmetic builds
+no zero of its own: a zero result is the shared zero or a zero operand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .formatting import Fmt, join_terms
@@ -22,20 +52,16 @@ from .formatting import Fmt, join_terms
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(c: Scalar) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
-
-
 class Poly:
     """A univariate polynomial over the rationals."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("prim", "cnum", "cden")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        p = _reduced([c.numerator * (den // c.denominator) for c in cs], 1, den)
+        self.prim, self.cnum, self.cden = p.prim, p.cnum, p.cden
 
     # constructors
 
@@ -49,112 +75,124 @@ class Poly:
 
     @classmethod
     def constant(cls, c: Scalar) -> "Poly":
-        return cls((c,))
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return _new((1,), c.numerator, c.denominator) if c else _ZERO
 
     @classmethod
     def variable(cls) -> "Poly":
-        return cls((0, 1))
+        return _new((0, 1), 1, 1)
 
     # structure
 
     @property
+    def coeffs(self) -> tuple:
+        n, d = self.cnum, self.cden
+        return tuple(Fraction(n * c, d) for c in self.prim)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.prim) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.prim
 
     @property
     def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coeff(len(self.prim) - 1)
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        if 0 <= i < len(self.prim):
+            return Fraction(self.cnum * self.prim[i], self.cden)
+        return Fraction(0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (
+            self.cnum == other.cnum
+            and self.cden == other.cden
+            and self.prim == other.prim
+        )
 
     def __hash__(self) -> int:
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.prim, self.cnum, self.cden))
 
     def __repr__(self) -> str:
         return "Poly(%r)" % (self.coeffs,)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.prim)
 
     # arithmetic
 
     def __add__(self, other) -> "Poly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not b:
+        if not isinstance(other, Poly):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other.prim:
             return self
-        if not a:
+        if not self.prim:
             return other
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _from_fractions(out)
+        return _combine(self, other.cnum, other)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _from_fractions([-c for c in self.coeffs])
+        if not self.prim:
+            return self
+        return _new(self.prim, -self.cnum, self.cden)
 
     def __sub__(self, other) -> "Poly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) >= len(b):
-            out = list(a)
-            for i, c in enumerate(b):
-                out[i] -= c
-        else:
-            out = [-c for c in b]
-            for i, c in enumerate(a):
-                out[i] += c
-        return _from_fractions(out)
+        if not isinstance(other, Poly):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other.prim:
+            return self
+        if not self.prim:
+            return -other
+        return _combine(self, -other.cnum, other)
 
     def __rsub__(self, other) -> "Poly":
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other - self
 
     def __mul__(self, other) -> "Poly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if not isinstance(other, Poly):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.prim, other.prim
         if not a or not b:
             return _ZERO
+        n, d = self.cnum * other.cnum, self.cden * other.cden
+        if d != 1:
+            g = gcd(n, d)
+            if g != 1:
+                n, d = n // g, d // g
         if len(b) == 1:
-            return self._scaled(b[0])
+            return _new(a, n, d)
         if len(a) == 1:
-            return other._scaled(a[0])
-        out = [_FRACTION_ZERO] * (len(a) + len(b) - 1)
+            return _new(b, n, d)
+        # primitive times primitive is primitive (Gauss's lemma)
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
-                    if y:
-                        out[j] += x * y
-        return _from_fractions(out)
+                    out[j] += x * y
+        return _new(tuple(out), n, d)
 
     __rmul__ = __mul__
 
-    def _scaled(self, c: Fraction) -> "Poly":
-        """self * c for a nonzero Fraction c."""
-        if c == 1:
+    def _scaled(self, c: Scalar) -> "Poly":
+        """self * c for a nonzero int or Fraction c."""
+        if not self.prim or c == 1:
             return self
-        return _from_fractions([x * c for x in self.coeffs])
+        return _reduced(list(self.prim), self.cnum * c.numerator, self.cden * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -168,41 +206,29 @@ class Poly:
             n >>= 1
         return out
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly((other,))
-        return NotImplemented
-
     def __divmod__(self, other: "Poly"):
         """Exact euclidean division; the divisor must be nonzero."""
         if not isinstance(other, Poly):
-            other = self._coerce(other)
+            other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if other.is_zero():
+        a, b = self.prim, other.prim
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        dq = other.degree
-        if self.degree < dq:
+        if len(a) < len(b):
             return _ZERO, self
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        below = other.coeffs[:-1]
-        quot = [_FRACTION_ZERO] * (len(rem) - dq)
-        for i in range(len(rem) - 1, dq - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            q = c if lead == 1 else c / lead
-            quot[i - dq] = q
-            # rem[i] itself cancels exactly and is cut off below
-            for j, b in enumerate(below, i - dq):
-                if b:
-                    rem[j] -= q * b
-        del rem[dq:]
-        return _from_fractions(quot), _from_fractions(rem)
+        n, d = self.cnum * other.cden, self.cden * other.cnum
+        if d < 0:
+            n, d = -n, -d
+        if len(b) == 1:
+            return _reduced(list(a), n, d), _ZERO
+        # scale * a == quot * b + rem over Z, so
+        # self == (n / (d * scale)) * quot * other + (cnum / (cden * scale)) * rem
+        quot, rem, scale = _pseudo_divide(a, b)
+        return (
+            _reduced(quot, n, d * scale),
+            _reduced(rem, self.cnum, self.cden * scale),
+        )
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -213,112 +239,189 @@ class Poly:
     # algebraic helpers
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        a = self.prim
+        if not a or (self.cnum == self.cden == a[-1] == 1):
             return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return _from_fractions([c / lead for c in self.coeffs])
+        return _new(a, 1, a[-1])
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
         """Monic greatest common divisor; gcd(0, 0) is 0.  A nonzero
         constant, given or met as a remainder, ends the search at once."""
-        if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+        a, b = a.prim, b.prim
+        if len(a) == 1 or len(b) == 1:
             return _ONE
-        while b.coeffs:
-            a, b = b, a % b
-            if len(b.coeffs) == 1:
-                return _ONE
-        return a.monic()
+        if len(a) < len(b):
+            a, b = b, a
+        if not b or a == b:
+            return _new(a, 1, a[-1]) if a else _ZERO
+        while True:
+            rem = _reduced(_pseudo_divide(a, b)[1], 1, 1).prim
+            if len(rem) < 2:
+                return _ONE if rem else _new(b, 1, b[-1])
+            a, b = b, rem
 
     def derivative(self) -> "Poly":
-        return _from_fractions([c * i for i, c in enumerate(self.coeffs) if i])
+        a = self.prim
+        if len(a) < 2:
+            return _ZERO
+        return _reduced([i * c for i, c in enumerate(a) if i], self.cnum, self.cden)
 
     def compose(self, other: "Poly") -> "Poly":
         """Substitute `other` for the variable (Horner evaluation)."""
-        out = Poly()
+        out = _ZERO
         for c in reversed(self.coeffs):
-            out = out * other + Poly((c,))
+            out = out * other + Poly.constant(c)
         return out
 
     def shifted(self) -> "Poly":
         """The polynomial with its variable replaced by (variable + 1),
         by the Taylor shift: repeated synthetic division by (x - 1), which
         needs additions only."""
-        out = list(self.coeffs)
+        out = list(self.prim)
         top = len(out) - 1
+        if top < 1:
+            return self
         for i in range(top):
             for j in range(top - 1, i - 1, -1):
                 out[j] += out[j + 1]
-        return _from_fractions(out)
+        return _new(tuple(out), self.cnum, self.cden)
 
     def evaluate(self, x: Scalar) -> Fraction:
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.prim):
             acc = acc * x + c
-        return acc
+        return acc * Fraction(self.cnum, self.cden)
 
     # display
 
     def fmt(self, var: str) -> Fmt:
         if self.is_zero():
             return Fmt("0")
+        n, d = self.cnum, self.cden
         terms = []
-        for d in range(self.degree, -1, -1):
-            c = self.coeff(d)
-            if c == 0:
+        den = 1
+        for e in range(len(self.prim) - 1, -1, -1):
+            c = n * self.prim[e]
+            if not c:
                 continue
-            sign = -1 if c < 0 else 1
-            mag = -c if c < 0 else c
-            frac = str(mag)
-            if d == 0:
-                body = frac
+            g = gcd(c, d)
+            num, den = abs(c) // g, d // g
+            mag = str(num) if den == 1 else "%d/%d" % (num, den)
+            if e == 0:
+                body = mag
             else:
-                vpart = var if d == 1 else "%s^%d" % (var, d)
-                body = vpart if mag == 1 else "%s*%s" % (frac, vpart)
-            terms.append((sign, body))
-        text = join_terms(terms)
-        only = self.coeffs[-1] if len(terms) == 1 else None
+                vpart = var if e == 1 else "%s^%d" % (var, e)
+                body = vpart if num == den == 1 else "%s*%s" % (mag, vpart)
+            terms.append((-1 if c < 0 else 1, body))
         return Fmt(
-            text,
+            join_terms(terms),
             is_sum=len(terms) > 1,
-            is_quotient=(only is not None and only.denominator != 1),
+            is_quotient=(len(terms) == 1 and den != 1),
             is_negative=terms[0][0] < 0,
         )
 
 
-_FRACTION_ZERO = Fraction(0)
-
-
-def _from_fractions(cs: list) -> Poly:
-    """The trusted constructor: `cs` holds Fractions only and is consumed;
-    nothing is coerced, trailing zeros are stripped."""
-    while cs and not cs[-1]:
-        cs.pop()
+def _new(prim: tuple, n: int, d: int) -> Poly:
+    """The trusted constructor: the fields already meet the invariants."""
     p = object.__new__(Poly)
-    p.coeffs = tuple(cs)
+    p.prim = prim
+    p.cnum = n
+    p.cden = d
     return p
 
 
-_ZERO = Poly()
-_ONE = Poly((1,))
+def _reduced(cs: list, n: int, d: int) -> Poly:
+    """(n/d) * cs for an integer list `cs`, which is consumed, and d > 0:
+    trailing zeros are stripped and the content is taken out."""
+    while cs and not cs[-1]:
+        cs.pop()
+    if not cs or not n:
+        return _ZERO
+    g = gcd(*cs)
+    if cs[-1] < 0:
+        g = -g
+    if g != 1:
+        cs = [c // g for c in cs]
+        n *= g
+    if d != 1:
+        h = gcd(n, d)
+        if h != 1:
+            n, d = n // h, d // h
+    return _new(tuple(cs), n, d)
+
+
+def _combine(p: Poly, qn: int, q: Poly) -> Poly:
+    """p + (qn/q.cden) * q.prim for nonzero p and q: both contents over
+    one denominator, one integer tuple sum, one content gcd."""
+    a, an, ad = p.prim, p.cnum, p.cden
+    b, bd = q.prim, q.cden
+    if ad != bd:
+        g = gcd(ad, bd)
+        an *= bd // g
+        qn *= ad // g
+        ad = ad // g * bd
+    h = gcd(an, qn)
+    if h != 1:
+        an, qn = an // h, qn // h
+    if len(a) < len(b):
+        a, an, b, qn = b, qn, a, an
+    out = [an * x for x in a] if an != 1 else list(a)
+    for i, y in enumerate(b):
+        out[i] += qn * y
+    return _reduced(out, h, ad)
+
+
+def _pseudo_divide(a: tuple, b: tuple):
+    """Lazy pseudo-division of integer tuples with len(a) >= len(b) >= 2
+    and b[-1] > 0: (quot, rem, scale) with scale * a == quot * b + rem
+    and len(rem) == len(b) - 1.  `scale` grows only at the steps whose
+    quotient is not integral, by lc(b) / gcd(c, lc(b))."""
+    rem = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    below = b[:-1]
+    quot = [0] * (len(a) - db)
+    scale = 1
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        q, r = (c, 0) if lead == 1 else divmod(c, lead)
+        if r:
+            g = gcd(c, lead)
+            m = lead // g
+            q = c // g
+            scale *= m
+            # rem[i] itself cancels exactly and is cut off below
+            for j in range(i):
+                rem[j] *= m
+            for j in range(i - db + 1, len(quot)):
+                quot[j] *= m
+        quot[i - db] = q
+        for j, y in enumerate(below, i - db):
+            if y:
+                rem[j] -= q * y
+    del rem[db:]
+    return quot, rem, scale
+
+
+def _coerce(other):
+    if isinstance(other, (int, Fraction)):
+        return Poly.constant(other)
+    return NotImplemented
+
+
+_ZERO = _new((), 0, 1)
+_ONE = _new((1,), 1, 1)
 
 
 def integer_cleared(num: Poly, den: Poly):
     """Rescale num/den by one positive rational so both have integer
     coefficients with no common integer content.  The value of the quotient
-    is unchanged; this exists purely for display."""
-    dens = [c.denominator for c in num.coeffs + den.coeffs]
-    m = 1
-    for d in dens:
-        m = m * d // _int_gcd(m, d)
-    ni = [c * m for c in num.coeffs]
-    di = [c * m for c in den.coeffs]
-    g = 0
-    for c in ni + di:
-        g = _int_gcd(g, int(c))
-    if g > 1:
-        ni = [c / g for c in ni]
-        di = [c / g for c in di]
-    return Poly(ni), Poly(di)
+    is unchanged; this exists purely for display.  With both primitive
+    parts fixed, the contents become the integers u, v with
+    u/v == content(num)/content(den) and gcd(u, v) == 1."""
+    u, v = num.cnum * den.cden, den.cnum * num.cden
+    g = gcd(u, v)
+    return _new(num.prim, u // g, 1), _new(den.prim, v // g, 1)

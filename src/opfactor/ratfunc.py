@@ -30,9 +30,15 @@ build their result through `_canonical`, which trusts its input.  The
 derivative goes through the public constructor, since b^2 can share a
 factor with a'*b - a*b'.
 
+Numerator and denominator are `Poly` values, a rational content times a
+primitive integer polynomial, so every product, gcd and exact division
+above runs on ints.  Emptiness and degree are read off `Poly.prim`.
+
 Each value carries its variable name.  Mixing two variables in one
 operation raises MixedAlgebras; this is what keeps elements of the x-world
-and the n-world apart at the lowest level.
+and the n-world apart at the lowest level.  Sums, differences and
+products test a rational-function operand's variable inline and leave
+ints, Fractions and foreign operands to `_same_world`.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ class RationalFunction:
             num, den = Poly.zero(), Poly.one()
         else:
             g = Poly.gcd(num, den)
-            if g.degree > 0:
+            if len(g.prim) > 1:
                 num, den = num // g, den // g
             lead = den.leading
             if lead != 1:
@@ -142,25 +148,26 @@ class RationalFunction:
     # arithmetic
 
     def __add__(self, other) -> "RationalFunction":
-        other = self._same_world(other)
+        if not (isinstance(other, RationalFunction) and other.var == self.var):
+            other = self._same_world(other)
         a, b, c, d = self.num, self.den, other.num, other.den
-        if not a.coeffs:
+        if not a.prim:
             return other
-        if not c.coeffs:
+        if not c.prim:
             return self
-        if len(b.coeffs) == 1 and len(d.coeffs) == 1:  # both are 1
+        if len(b.prim) == 1 and len(d.prim) == 1:  # both are 1
             return RationalFunction._canonical(a + c, b, self.var)
         g = Poly.gcd(b, d)
-        if g.degree == 0:
+        if len(g.prim) == 1:
             num, den = a * d + c * b, b * d
         else:
             b_g, d_g = b // g, d // g
             num = a * d_g + c * b_g
             g = Poly.gcd(num, g)
-            if g.degree > 0:
+            if len(g.prim) > 1:
                 num, d = num // g, d // g
             den = b_g * d
-        if not num.coeffs:
+        if not num.prim:
             return RationalFunction.zero(self.var)
         return RationalFunction._canonical(num, den, self.var)
 
@@ -170,25 +177,28 @@ class RationalFunction:
         return RationalFunction._canonical(-self.num, self.den, self.var)
 
     def __sub__(self, other) -> "RationalFunction":
-        return self + (-self._same_world(other))
+        if not isinstance(other, RationalFunction):
+            other = self._same_world(other)
+        return self + (-other)
 
     def __rsub__(self, other) -> "RationalFunction":
         return self._same_world(other) - self
 
     def __mul__(self, other) -> "RationalFunction":
-        other = self._same_world(other)
+        if not (isinstance(other, RationalFunction) and other.var == self.var):
+            other = self._same_world(other)
         a, b, c, d = self.num, self.den, other.num, other.den
-        if not a.coeffs:
+        if not a.prim:
             return self
-        if not c.coeffs:
+        if not c.prim:
             return other
-        if d.degree > 0:
+        if len(d.prim) > 1:
             g = Poly.gcd(a, d)
-            if g.degree > 0:
+            if len(g.prim) > 1:
                 a, d = a // g, d // g
-        if b.degree > 0:
+        if len(b.prim) > 1:
             g = Poly.gcd(c, b)
-            if g.degree > 0:
+            if len(g.prim) > 1:
                 c, b = c // g, b // g
         return RationalFunction._canonical(a * c, b * d, self.var)
 
@@ -246,7 +256,7 @@ class RationalFunction:
         ntext = "(%s)" % nf.text if nf.is_sum else nf.text
         df = d.fmt(self.var)
         bare_den = (not df.is_sum) and (
-            d.degree == 0 or (d.leading == 1 and len([c for c in d.coeffs if c]) == 1)
+            d.degree == 0 or (d.leading == 1 and sum(1 for c in d.prim if c) == 1)
         )
         dtext = df.text if bare_den else "(%s)" % df.text
         return Fmt(

@@ -194,3 +194,89 @@ def assert_normal_form(op):
     """Member coefficients and no trailing zero coefficient."""
     assert_members(op.algebra, op.coeffs)
     assert not op.coeffs or not op.coeffs[-1].is_zero()
+
+
+# an independent reference for Poly
+
+class RefPoly:
+    """Schoolbook polynomial arithmetic on Fraction tuples, low degree
+    first with no trailing zero, and Euclid's algorithm over Q.  This is
+    how Poly computed before it stored a content times a primitive
+    integer polynomial; tests compare Poly against it."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return "RefPoly(%r)" % (self.coeffs,)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return RefPoly(out)
+
+    def __neg__(self):
+        return RefPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return RefPoly()
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+        return RefPoly(out)
+
+    def __divmod__(self, other):
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        dq = len(other.coeffs) - 1
+        if len(self.coeffs) - 1 < dq:
+            return RefPoly(), self
+        rem = list(self.coeffs)
+        lead = other.coeffs[-1]
+        quot = [Fraction(0)] * (len(rem) - dq)
+        for i in range(len(rem) - 1, dq - 1, -1):
+            q = rem[i] / lead
+            quot[i - dq] = q
+            for j, b in enumerate(other.coeffs, i - dq):
+                rem[j] -= q * b
+        return RefPoly(quot), RefPoly(rem[:dq])
+
+    def monic(self):
+        if not self.coeffs:
+            return self
+        return RefPoly([c / self.coeffs[-1] for c in self.coeffs])
+
+    @staticmethod
+    def gcd(a, b):
+        while b.coeffs:
+            a, b = b, divmod(a, b)[1]
+        return a.monic()
+
+    def derivative(self):
+        return RefPoly([c * i for i, c in enumerate(self.coeffs) if i])
+
+    def shifted(self):
+        out = list(self.coeffs)
+        top = len(out) - 1
+        for i in range(top):
+            for j in range(top - 1, i - 1, -1):
+                out[j] += out[j + 1]
+        return RefPoly(out)

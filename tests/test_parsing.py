@@ -1,5 +1,7 @@
 """Expression parsing, printing round trips, and JSON serialization."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -105,6 +107,22 @@ def test_degree_cap_is_a_parse_error(text, algebra, position):
     with pytest.raises(ParseError) as info:
         parse_operator(text, algebra)
     assert info.value.position == position
+
+
+# sha1 of json.dumps(operator_to_json(op), sort_keys=True) for large
+# powers below the degree cap; recorded while Poly still stored Fraction
+# coefficients, so they pin the integer form to the same exact results
+NEAR_CAP_DIGESTS = [
+    ("(n*D)^50", DIFF1, "e0098dc7f5cda195744271b6788973e5272b2124"),
+    ("(x*i+D)^50", QUAT, "e57edd69383d03368ab4a1c0bb7765d230dc0847"),
+    ("(x+D)^120", QX, "1b0011ce58780e3ab57b25ddcaa160132c2c924b"),
+]
+
+
+@pytest.mark.parametrize("text, algebra, digest", NEAR_CAP_DIGESTS)
+def test_near_cap_powers_match_recorded_digests(text, algebra, digest):
+    data = json.dumps(operator_to_json(parse_operator(text, algebra)), sort_keys=True)
+    assert hashlib.sha1(data.encode()).hexdigest() == digest
 
 
 def test_degree_bound_adds_over_products():

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 
 from opfactor import Poly
+from opfactor.poly import _pseudo_divide
 
-from helpers import polys, small_fractions
+from helpers import RefPoly, factored_polys, polys, small_fractions
 
 
 def test_normal_form_strips_trailing_zeros():
@@ -128,3 +131,122 @@ def test_cancelling_sum_strips_to_zero():
 @given(polys(4))
 def test_shift_matches_substitution(p):
     assert p.shifted() == p.compose(Poly([1, 1]))
+
+
+# the integer form: content cnum/cden times a primitive integer tuple
+
+
+def assert_primitive_form(p):
+    """The stored fields are the unique integer form of p's value."""
+    assert type(p.cnum) is int and type(p.cden) is int
+    assert all(type(c) is int for c in p.prim)
+    if not p.prim:
+        assert (p.cnum, p.cden) == (0, 1)
+        return
+    assert gcd(*p.prim) == 1 and p.prim[-1] > 0
+    assert p.cnum != 0 and p.cden > 0 and gcd(p.cnum, p.cden) == 1
+    assert p.coeffs == tuple(Fraction(p.cnum * c, p.cden) for c in p.prim)
+
+
+def _results(a, b):
+    out = [a + b, a - b, b - a, a * b, -a, a.monic(), a.derivative(), a.shifted()]
+    if not b.is_zero():
+        out += [*divmod(a, b), Poly.gcd(a, b)]
+    return out
+
+
+@given(polys(3), polys(2))
+def test_arithmetic_results_keep_the_integer_form(a, b):
+    for p in _results(a, b):
+        assert_primitive_form(p)
+        # arithmetic builds no zero of its own
+        if p.is_zero():
+            assert p is Poly.zero() or p is a or p is b
+
+
+@given(polys(3))
+def test_constructor_takes_the_content_out(a):
+    assert_primitive_form(a)
+    assert Poly(a.coeffs) == a
+    assert Poly([c * 6 for c in a.coeffs]).prim == a.prim
+
+
+def test_shared_zero_and_one_hold_the_integer_form():
+    zero, one = Poly.zero(), Poly.one()
+    assert (zero.prim, zero.cnum, zero.cden) == ((), 0, 1)
+    assert (one.prim, one.cnum, one.cden) == ((1,), 1, 1)
+    assert Poly([Fraction(-3, 4), Fraction(3, 2)]).prim == (-1, 2)
+    assert Poly([Fraction(-3, 4), Fraction(3, 2)]).cnum == 3
+    assert Poly([Fraction(-3, 4), Fraction(3, 2)]).cden == 4
+    assert Poly([2, -4]).prim == (-1, 2) and Poly([2, -4]).cnum == -2
+    x = Poly.variable()
+    assert Poly.gcd(x + 1, x - 1) is one and Poly.gcd(x, Poly([3])) is one
+    assert x - x is zero and divmod(x, x)[1] is zero and x * 0 is zero
+
+
+@given(polys(3), polys(2))
+def test_arithmetic_matches_the_fraction_reference(a, b):
+    ra, rb = RefPoly(a.coeffs), RefPoly(b.coeffs)
+    assert (a + b).coeffs == (ra + rb).coeffs
+    assert (a - b).coeffs == (ra - rb).coeffs
+    assert (a * b).coeffs == (ra * rb).coeffs
+    assert a.monic().coeffs == ra.monic().coeffs
+    assert a.shifted().coeffs == ra.shifted().coeffs
+    assert a.derivative().coeffs == ra.derivative().coeffs
+    if not b.is_zero():
+        q, r = divmod(a, b)
+        rq, rr = divmod(ra, rb)
+        assert (q.coeffs, r.coeffs) == (rq.coeffs, rr.coeffs)
+        assert Poly.gcd(a, b).coeffs == RefPoly.gcd(ra, rb).coeffs
+
+
+@given(factored_polys(allow_zero=True), factored_polys(allow_zero=True), polys(1))
+def test_gcd_matches_the_fraction_reference(a, b, c):
+    a, b = a * c, b * (c + 1)
+    expected = RefPoly.gcd(RefPoly(a.coeffs), RefPoly(b.coeffs))
+    assert Poly.gcd(a, b).coeffs == expected.coeffs
+    assert Poly.gcd(b, a).coeffs == expected.coeffs
+
+
+def test_gcd_of_degree_8_with_200_bit_coefficients():
+    rng = random.Random(8)
+
+    def big(degree):
+        top = 2 ** 100
+        return Poly([rng.randrange(-top, top) for _ in range(degree)] + [top - rng.randrange(100)])
+
+    g, u, v = big(3), big(5), big(5)
+    a, b = g * u, g * v
+    assert a.degree == b.degree == 8
+    assert 195 < max(abs(c) for c in a.prim).bit_length() <= 205
+    expected = RefPoly.gcd(RefPoly(a.coeffs), RefPoly(b.coeffs))
+    d = Poly.gcd(a, b)
+    assert d.coeffs == expected.coeffs
+    assert d == g.monic()  # u and v are coprime for this seed
+    assert (a % d).is_zero() and (b % d).is_zero()
+
+
+def test_pseudo_division_rescales_when_the_lead_does_not_divide():
+    a = Poly([1, 1, 0, 1])  # x^3 + x + 1
+    b = Poly([3, 0, 2])  # 2x^2 + 3
+    quot, rem, scale = _pseudo_divide(a.prim, b.prim)
+    assert scale == 2 and quot == [0, 1] and rem == [2, -1]  # 2a = x*b + (2 - x)
+    q, r = divmod(a, b)
+    assert q == Poly([0, Fraction(1, 2)]) and r == Poly([1, Fraction(-1, 2)])
+    # several rescaled steps, and a lead that shares a factor with them
+    a = Poly([7, -5, 3, 0, 11, 4])
+    b = Poly([5, 2, 6])
+    quot, rem, scale = _pseudo_divide(a.prim, b.prim)
+    assert scale > 1 and Poly(quot) * Poly(b.prim) + Poly(rem) == Poly(a.prim) * scale
+    q, r = divmod(a, b)
+    rq, rr = divmod(RefPoly(a.coeffs), RefPoly(b.coeffs))
+    assert (q.coeffs, r.coeffs) == (rq.coeffs, rr.coeffs)
+    assert q * b + r == a and r.degree < b.degree
+
+
+def test_exact_division_never_rescales():
+    x = Poly.variable()
+    g, u = 3 * x * x + 2 * x + 7, 5 * x ** 3 - x + 2
+    quot, rem, scale = _pseudo_divide((g * u).prim, g.prim)
+    assert scale == 1 and not any(rem)
+    assert (g * u) // g == u
