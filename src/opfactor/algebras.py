@@ -53,11 +53,8 @@ class RationalFunctionAlgebra(Algebra):
         return {self.variable: RationalFunction.variable(self.variable)}
 
 
-class DifferentialRationalAlgebra(RationalFunctionAlgebra):
-    """Q(x) with differentiation."""
-
-    name = "qx"
-    variable = "x"
+class _Derivation:
+    """endo is the element's derivative, so the twist pair is (f, f')."""
 
     def endo(self, f):
         self.check(f)
@@ -67,7 +64,14 @@ class DifferentialRationalAlgebra(RationalFunctionAlgebra):
         return TwistPair(f, self.endo(f))
 
 
-class QuaternionDifferentialAlgebra(Algebra):
+class DifferentialRationalAlgebra(_Derivation, RationalFunctionAlgebra):
+    """Q(x) with differentiation."""
+
+    name = "qx"
+    variable = "x"
+
+
+class QuaternionDifferentialAlgebra(_Derivation, Algebra):
     """Quaternions with rational function components, differentiated
     componentwise.  A noncommutative division ring."""
 
@@ -86,13 +90,6 @@ class QuaternionDifferentialAlgebra(Algebra):
 
     def from_fraction(self, q):
         return Quaternion.from_fraction(q, self.variable)
-
-    def endo(self, f):
-        self.check(f)
-        return f.derivative()
-
-    def twist(self, f):
-        return TwistPair(f, self.endo(f))
 
     def symbols(self):
         return {

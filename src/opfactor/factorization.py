@@ -180,11 +180,11 @@ def right_divide_monic(op: Operator, divisor: Operator) -> Tuple[Operator, Opera
     """Long division from the right: op = Q . divisor + R with the
     representation degree of R below that of the divisor.
 
-    The divisor's top coefficient must be a unit.  It is inverted once,
-    and the inverse is pushed through the twist's p, which is
-    multiplicative on every built-in algebra, to invert the top
-    coefficient of each shifted divisor endo^j . divisor.  The result is
-    certified by recomposing Q . divisor + R == op exactly.
+    The shifted divisors endo^j . divisor are built once, one twist advance
+    each, so a step costs no twist.  Their top coefficients must be units:
+    the divisor's is inverted once and pushed through the twist's p, which
+    is multiplicative on every built-in algebra.  The result is certified
+    by recomposing Q . divisor + R == op exactly.
     """
     alg = op._same_algebra(divisor)
     if divisor.is_zero():
@@ -198,10 +198,10 @@ def right_divide_monic(op: Operator, divisor: Operator) -> Tuple[Operator, Opera
         raise NotMonicizable(
             "leading coefficient %s is not a unit" % alg.format_element(lead)
         ) from exc
-    # pushed[j] inverts the top coefficient of endo^j . divisor
-    pushed = [inv]
-    while not monic and len(pushed) < len(op.coeffs) - d:
-        pushed.append(alg.twist(pushed[-1]).p)
+    shifted, pushed = [divisor], [inv]
+    while len(shifted) < len(op.coeffs) - d:
+        shifted.append(shifted[-1]._advanced())
+        pushed.append(inv if monic else alg.twist(pushed[-1]).p)
     quotient = [alg.zero()] * max(len(op.coeffs) - d, 0)
     rest = op
     while rest.degree >= d:
@@ -210,8 +210,7 @@ def right_divide_monic(op: Operator, divisor: Operator) -> Tuple[Operator, Opera
         if not monic:
             top = top * pushed[m - d]
         quotient[m - d] = top
-        term = Operator._trusted(alg, (alg.zero(),) * (m - d) + (top,))
-        rest = rest - term.compose(divisor)
+        rest = rest + shifted[m - d].scale_left(-top)
         if rest.degree >= m:
             raise VerificationFailed("division step did not reduce the degree")
     q_op = Operator._trusted(alg, tuple(quotient))

@@ -7,14 +7,14 @@ tuple; its degree is minus infinity so that degree arithmetic stays
 truthful under composition.
 
 Composition is where the twist earns its keep.  To normalize L1 . L2 the
-right factor's coefficients must be pushed through powers of the
-endomorphism one power at a time:
+right factor is pushed through the endomorphism one power at a time:
 
     endo . b  =  p_b . endo + q_b
 
-so a coefficient vector v representing endo^i . b advances to the vector
-for endo^(i+1) . b by sending v[t] into p at t+1 and q at t.  One advance
-per power keeps the cost quadratic, not exponential.
+so endo^i . L2 advances to endo^(i+1) . L2 by sending each c . endo^t to
+p_c . endo^(t+1) + q_c . endo^t, and L1 . L2 = sum a_i . (endo^i . L2).
+With n and m coefficients that is (n-1)m + (n-1)(n-2)/2 twists; a degree
+zero left factor needs none.
 
 Equality is equality of normal forms, except that an algebra declaring
 endo_order = n first folds every exponent e >= n down to e mod n.  That is
@@ -139,32 +139,31 @@ class Operator:
         self.algebra.check(a)
         return Operator._trusted(self.algebra, tuple(a * c for c in self.coeffs))
 
+    def _advanced(self) -> "Operator":
+        """endo . self: each c . endo^t becomes p_c . endo^(t+1) + q_c . endo^t."""
+        alg = self.algebra
+        out = [alg.zero()] * (len(self.coeffs) + 1)
+        for t, c in enumerate(self.coeffs):
+            if not c.is_zero():
+                tw = alg.twist(c)
+                out[t + 1] = out[t + 1] + tw.p
+                out[t] = out[t] + tw.q
+        return Operator._trusted(alg, out)
+
     def compose(self, other: "Operator") -> "Operator":
-        """Normal form of self . other (apply other first)."""
+        """Normal form of self . other (apply other first): the sum of
+        a_i . (endo^i . other), advancing other once per power of self."""
         alg = self._same_algebra(other)
-        if self.is_zero() or other.is_zero():
-            return Operator.zero(alg)
-        top = len(self.coeffs) - 1
         acc = [alg.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for j, b in enumerate(other.coeffs):
-            if b.is_zero():
-                continue
-            vec = [b]  # coefficients of endo^i . b, starting at i = 0
-            for i, a in enumerate(self.coeffs):
-                if not a.is_zero():
-                    for t, c in enumerate(vec):
-                        if not c.is_zero():
-                            acc[t + j] = acc[t + j] + a * c
-                if i < top:
-                    nxt = [alg.zero()] * (len(vec) + 1)
-                    for t, c in enumerate(vec):
-                        if c.is_zero():
-                            continue
-                        tw = alg.twist(c)
-                        nxt[t + 1] = nxt[t + 1] + tw.p
-                        nxt[t] = nxt[t] + tw.q
-                    vec = nxt
-        return Operator._trusted(alg, tuple(acc))
+        shifted = other
+        for i, a in enumerate(self.coeffs):
+            if i:
+                shifted = shifted._advanced()
+            if not a.is_zero():
+                for t, c in enumerate(shifted.coeffs):
+                    if not c.is_zero():
+                        acc[t] = acc[t] + a * c
+        return Operator._trusted(alg, acc)
 
     def __mul__(self, other) -> "Operator":
         if not isinstance(other, Operator):

@@ -189,23 +189,28 @@ class _Parser:
             raise ParseError(
                 "expected a nonnegative integer exponent", self._end_pos()
             )
-        self._next()
-        n = int(etok.text)
+        n = self._integer(self._next())
         bound = self._capped(max(bound, 1) * n, etok.pos)
         out = Operator.identity(self.algebra)
         for _ in range(n):
             # powers of one operator commute; with value on the left each
-            # step pushes only value's own D's, not the i of the power so far
+            # step advances the power so far only deg(value) times
             out = value.compose(out)
         return out, bound
+
+    @staticmethod
+    def _integer(tok: Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than the interpreter converts
+            raise ParseError("integer literal too long", tok.pos) from None
 
     def _atom(self) -> Tuple[Operator, int]:
         tok = self._next()
         text = tok.text
         if text.isdigit():
-            return Operator.scalar(
-                self.algebra, self.algebra.from_fraction(Fraction(int(text)))
-            ), 0
+            value = self.algebra.from_fraction(Fraction(self._integer(tok)))
+            return Operator.scalar(self.algebra, value), 0
         if text == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(

@@ -16,6 +16,7 @@ from opfactor import (
     Quaternion,
     RationalFunction,
     get_algebra,
+    parse_operator,
 )
 
 QX = get_algebra("qx")
@@ -194,6 +195,56 @@ def assert_normal_form(op):
     """Member coefficients and no trailing zero coefficient."""
     assert_members(op.algebra, op.coeffs)
     assert not op.coeffs or not op.coeffs[-1].is_zero()
+
+
+# an independent reference for Operator.compose
+
+def ref_compose(left, right):
+    """left . right with each coefficient b of right pushed through the
+    powers of endo on its own (endo^i . b as a coefficient vector), the
+    way Operator.compose computed before it advanced right as a whole."""
+    alg = left.algebra
+    if left.is_zero() or right.is_zero():
+        return Operator.zero(alg)
+    top = len(left.coeffs) - 1
+    acc = [alg.zero()] * (len(left.coeffs) + len(right.coeffs) - 1)
+    for j, b in enumerate(right.coeffs):
+        if b.is_zero():
+            continue
+        vec = [b]  # coefficients of endo^i . b, starting at i = 0
+        for i, a in enumerate(left.coeffs):
+            if not a.is_zero():
+                for t, c in enumerate(vec):
+                    if not c.is_zero():
+                        acc[t + j] = acc[t + j] + a * c
+            if i < top:
+                nxt = [alg.zero()] * (len(vec) + 1)
+                for t, c in enumerate(vec):
+                    if c.is_zero():
+                        continue
+                    tw = alg.twist(c)
+                    nxt[t + 1] = nxt[t + 1] + tw.p
+                    nxt[t] = nxt[t] + tw.q
+                vec = nxt
+    return Operator(alg, tuple(acc))
+
+
+class CountingQX(type(QX)):
+    """Q(x) with d/dx that counts its calls of twist."""
+
+    def __init__(self):
+        self.twists = 0
+
+    def twist(self, f):
+        self.twists += 1
+        return super().twist(f)
+
+
+def dense_qx_operator(algebra, degree, sign="+"):
+    """sum_i 1/(x + i + 1) . D^i, or with x - i - 1, for i = 0 .. degree:
+    every coefficient and every twist of one is nonzero."""
+    terms = ("1/(x%s%d)*D^%d" % (sign, i + 1, i) for i in range(degree + 1))
+    return parse_operator(" + ".join(terms), algebra)
 
 
 # an independent reference for Poly

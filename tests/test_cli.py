@@ -1,6 +1,14 @@
 """End-to-end tests for the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import opfactor
 
 from opfactor import Operator, VerificationFailed, get_algebra, parse_operator
 from opfactor.cli import main
@@ -357,3 +365,30 @@ def test_degree_cap_is_a_syntax_error(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: at position 3: degree bound 100000 exceeds 300\n"
+
+
+@pytest.mark.parametrize(
+    "operator, on, position", [("D", "N", 1), ("x^N", "x", 3)],
+    ids=["number", "exponent"],
+)
+def test_too_long_integer_literal_is_a_syntax_error(operator, on, position):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("the interpreter converts integer strings of any length")
+    literal = "9" * (limit + 1)
+    argv = ["verify", "--algebra", "qx", "--operator", operator, "--on", on]
+    argv = [a.replace("N", literal) for a in argv]
+    # a fresh process, so that an escaping exception shows as a traceback
+    src = str(Path(opfactor.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "opfactor"] + argv,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr == (
+        "error: at position %d: integer literal too long\n" % position
+    )

@@ -34,7 +34,9 @@ from helpers import (
     DIFF1,
     QUAT,
     QX,
+    CountingQX,
     assert_normal_form,
+    dense_qx_operator,
     operators,
     rand_element,
     rand_operator,
@@ -410,6 +412,19 @@ def test_right_division_catches_a_wrong_inverse():
     divisor = parse_operator("x*D - 1", algebra)
     with pytest.raises(VerificationFailed):
         right_divide_monic(parse_operator("D^2", algebra), divisor)
+
+
+def test_right_division_twists_each_shifted_divisor_once():
+    algebra = CountingQX()
+    op = dense_qx_operator(algebra, 9)
+    divisor = parse_operator("x*D^3 + 1/(x-1)*D^2 + 1/(x-2)*D + 1/(x-3)", algebra)
+    algebra.twists = 0
+    quotient, rest = right_divide_monic(op, divisor)
+    # endo^j . divisor for j = 1 .. 6 (4 + 5 + ... + 9 = 39 twists), the
+    # six pushed inverses of its top coefficient (6) and the 7-by-4
+    # certificate compose (39); composing a monomial per step took 284
+    assert algebra.twists <= 84
+    assert (quotient.degree, rest.degree) == (6, 2)
 
 
 def test_kernel_context_catches_a_wrong_inverse():

@@ -14,11 +14,14 @@ from helpers import (
     DIFF1,
     QUAT,
     QX,
+    CountingQX,
     assert_normal_form,
+    dense_qx_operator,
     elements,
     operators,
     rand_element,
     rand_operator,
+    ref_compose,
 )
 
 
@@ -158,3 +161,42 @@ def test_arithmetic_results_keep_the_normal_form(algebra, data):
     e = data.draw(elements(algebra))
     for result in (a + b, a - b, -a, a.compose(b), a.scale_left(e)):
         assert_normal_form(result)
+
+
+# c5 goes past endo_order = 4, where == folds exponents but coeffs do not
+_REF_DEGREES = {"qx": 3, "quat": 2, "diff": 3, "c5": 6}
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_compose_matches_the_per_coefficient_reference(algebra, data):
+    a = data.draw(operators(algebra, _REF_DEGREES[algebra.name]))
+    b = data.draw(operators(algebra, _REF_DEGREES[algebra.name]))
+    zero = Operator.zero(algebra)
+    for left, right in ((a, b), (b, a), (zero, b), (a, zero), (zero, zero)):
+        assert left.compose(right).coeffs == ref_compose(left, right).coeffs
+
+
+def test_compose_matches_the_reference_past_the_endo_order():
+    r = C5.symbols()["r"]
+    a = Operator(C5, (r, C5.zero(), r * r, C5.one(), -r, r, r * r * r))
+    b = Operator(C5, (C5.one(), r) * 3)
+    assert len(a.compose(b).coeffs) > C5.endo_order
+    assert a.compose(b).coeffs == ref_compose(a, b).coeffs
+    assert b.compose(a).coeffs == ref_compose(b, a).coeffs
+
+
+def test_compose_advances_the_right_factor_once_per_power():
+    algebra = CountingQX()
+    a = dense_qx_operator(algebra, 4, "+")
+    b = dense_qx_operator(algebra, 4, "-")
+    n, m = len(a.coeffs), len(b.coeffs)
+    algebra.twists = 0
+    product = a.compose(b)
+    # endo^i . b has m + i - 1 coefficients to twist for i = 1 .. n - 1:
+    # 26 here, where pushing each coefficient of b on its own takes 50
+    bound = (n - 1) * m + (n - 1) * (n - 2) // 2
+    assert bound == 26
+    assert algebra.twists <= bound
+    assert product.coeffs == ref_compose(a, b).coeffs

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,9 @@ NEAR_CAP_DIGESTS = [
     ("(n*D)^50", DIFF1, "e0098dc7f5cda195744271b6788973e5272b2124"),
     ("(x*i+D)^50", QUAT, "e57edd69383d03368ab4a1c0bb7765d230dc0847"),
     ("(x+D)^120", QX, "1b0011ce58780e3ab57b25ddcaa160132c2c924b"),
+    # dense by dense at every step; recorded while compose still pushed
+    # each coefficient of the right factor through the twist on its own
+    ("((x+1)*i + x*j*D + D^2)^12", QUAT, "052eeb6803a8c5a1814d5969147bcd61036230fa"),
 ]
 
 
@@ -123,6 +127,24 @@ NEAR_CAP_DIGESTS = [
 def test_near_cap_powers_match_recorded_digests(text, algebra, digest):
     data = json.dumps(operator_to_json(parse_operator(text, algebra)), sort_keys=True)
     assert hashlib.sha1(data.encode()).hexdigest() == digest
+
+
+def _too_long_literal():
+    """A decimal literal one digit past the interpreter's int-string limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("the interpreter converts integer strings of any length")
+    return "9" * (limit + 1)
+
+
+@pytest.mark.parametrize(
+    "template, position", [("%s*D", 1), ("x + %s", 5), ("x^%s", 3), ("(D^%s)", 4)]
+)
+def test_too_long_integer_literal_is_a_parse_error(template, position):
+    with pytest.raises(ParseError) as info:
+        parse_operator(template % _too_long_literal(), QX)
+    assert info.value.position == position
+    assert "integer literal too long" in str(info.value)
 
 
 def test_degree_bound_adds_over_products():
