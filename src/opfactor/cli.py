@@ -8,6 +8,10 @@ Subcommands:
   intertwine  find Q with Q . K = K . R for a given operator R
   verify      apply an operator to an element and print the value
 
+Each subcommand is a function of the algebra and the parsed arguments
+that returns its report twice: as text lines and as a JSON payload.
+`main` prints one of the two.
+
 Common flags: --algebra {qx,quat,diff,c5} picks the coefficient algebra,
 --c sets the rational constant of the difference algebra (default 1, the
 others ignore it), --json switches the report to one JSON object on
@@ -24,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
 
@@ -39,7 +42,7 @@ from .errors import (
 )
 from .factorization import KernelContext
 from .operators import Operator
-from .parsing import parse_element, parse_operator
+from .parsing import algebra_tag, parse_element, parse_operator
 
 EX_OK = 0
 EX_SYNTAX = 1
@@ -48,27 +51,6 @@ EX_NOT_IN_KERNEL = 3
 EX_NOT_INTERTWINABLE = 4
 EX_USAGE = 64
 EX_INTERNAL = 70
-
-
-@dataclass
-class Session:
-    """One CLI invocation: the chosen algebra and how to report."""
-
-    algebra: Algebra
-    json_output: bool = False
-    lines: List[str] = field(default_factory=list)
-    payload: dict = field(default_factory=dict)
-
-    def say(self, line: str) -> None:
-        self.lines.append(line)
-
-    def finish(self) -> int:
-        if self.json_output:
-            print(json.dumps(self.payload))
-        else:
-            for line in self.lines:
-                print(line)
-        return EX_OK
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -86,14 +68,29 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("%r is not a rational number" % text)
 
 
+_KERNEL = ("--kernel", "comma separated kernel elements")
+
+# each subcommand's own required flags, in order, with their help
+_FLAGS = {
+    "kernel-op": [_KERNEL],
+    "factor": [_KERNEL, ("--operator", None)],
+    "dual": [
+        _KERNEL,
+        ("--targets", "comma separated target elements, one per kernel element"),
+    ],
+    "intertwine": [_KERNEL, ("--r", "the operator R")],
+    "verify": [("--operator", None), ("--on", "element to apply to")],
+}
+
+
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="opfactor",
         description="Exact kernel-driven factorization in twisted operator algebras.",
     )
     sub = parser.add_subparsers(dest="command", parser_class=_ArgumentParser)
-
-    def common(p, kernel=False, operator=False, targets=False, rmap=False, on=False):
+    for command, flags in _FLAGS.items():
+        p = sub.add_parser(command)
         p.add_argument("--algebra", required=True, choices=SELECTORS)
         p.add_argument(
             "--c",
@@ -102,30 +99,8 @@ def build_parser() -> _ArgumentParser:
             help="difference algebra constant (default 1)",
         )
         p.add_argument("--json", action="store_true")
-        if kernel:
-            p.add_argument(
-                "--kernel",
-                required=True,
-                help="comma separated kernel elements",
-            )
-        if operator:
-            p.add_argument("--operator", required=True)
-        if targets:
-            p.add_argument(
-                "--targets",
-                required=True,
-                help="comma separated target elements, one per kernel element",
-            )
-        if rmap:
-            p.add_argument("--r", required=True, help="the operator R")
-        if on:
-            p.add_argument("--on", required=True, help="element to apply to")
-
-    common(sub.add_parser("kernel-op"), kernel=True)
-    common(sub.add_parser("factor"), kernel=True, operator=True)
-    common(sub.add_parser("dual"), kernel=True, targets=True)
-    common(sub.add_parser("intertwine"), kernel=True, rmap=True)
-    common(sub.add_parser("verify"), operator=True, on=True)
+        for flag, text in flags:
+            p.add_argument(flag, required=True, help=text)
     return parser
 
 
@@ -147,81 +122,56 @@ def _op_json(op: Operator) -> dict:
     return {"coeffs": [op.algebra.format_element(c) for c in op.coeffs]}
 
 
-def _base_payload(session: Session, kernel=None) -> dict:
-    payload = {"algebra": session.algebra.name}
-    if session.algebra.name == "diff":
-        payload["c"] = str(session.algebra.c)
-    if kernel is not None:
-        payload["kernel"] = [
-            session.algebra.format_element(f) for f in kernel
-        ]
-    return payload
+def _kernel_context(algebra: Algebra, args):
+    """Parse --kernel and build its context and the payload up to K."""
+    kernel = _split_elements(args.kernel, algebra)
+    ctx = KernelContext(algebra, kernel)
+    payload = algebra_tag(algebra)
+    payload["kernel"] = [algebra.format_element(f) for f in kernel]
+    payload["K"] = _op_json(ctx.K)
+    return ctx, payload
 
 
-def _kernel_context(session: Session, args) -> KernelContext:
-    """Parse --kernel, build its context and start the payload with K."""
-    kernel = _split_elements(args.kernel, session.algebra)
-    ctx = KernelContext(session.algebra, kernel)
-    session.payload = _base_payload(session, kernel)
-    session.payload["K"] = _op_json(ctx.K)
-    return ctx
+def _cmd_kernel_op(algebra: Algebra, args):
+    ctx, payload = _kernel_context(algebra, args)
+    lines = ["K = %s" % ctx.K]
+    lines += ["P_%d = %s" % (i + 1, p_op) for i, p_op in enumerate(ctx.P)]
+    payload["verified"] = True
+    return lines, payload
 
 
-def _finish_verified(
-    session: Session, quotient: Optional[Operator] = None
-) -> int:
-    if quotient is not None:
-        session.payload["Q"] = _op_json(quotient)
-    session.payload["verified"] = True
-    return session.finish()
+def _cmd_factor(algebra: Algebra, args):
+    ctx, payload = _kernel_context(algebra, args)
+    quotient = ctx.factorize(parse_operator(args.operator, algebra))
+    payload.update(Q=_op_json(quotient), verified=True)
+    return ["K = %s" % ctx.K, "Q = %s" % quotient, "verified: L = Q * K"], payload
 
 
-def _cmd_kernel_op(session: Session, args) -> int:
-    ctx = _kernel_context(session, args)
-    session.say("K = %s" % ctx.K)
-    for i, p_op in enumerate(ctx.P):
-        session.say("P_%d = %s" % (i + 1, p_op))
-    return _finish_verified(session)
-
-
-def _cmd_factor(session: Session, args) -> int:
-    ctx = _kernel_context(session, args)
-    quotient = ctx.factorize(parse_operator(args.operator, session.algebra))
-    session.say("K = %s" % ctx.K)
-    session.say("Q = %s" % quotient)
-    session.say("verified: L = Q * K")
-    return _finish_verified(session, quotient)
-
-
-def _cmd_dual(session: Session, args) -> int:
-    ctx = _kernel_context(session, args)
-    targets = _split_elements(args.targets, session.algebra)
+def _cmd_dual(algebra: Algebra, args):
+    ctx, payload = _kernel_context(algebra, args)
+    targets = _split_elements(args.targets, algebra)
     if len(targets) != ctx.k:
         raise ParseError(
             "expected %d targets, got %d" % (ctx.k, len(targets)), 1
         )
     dual = ctx.interpolate(targets)
-    session.say("Phat = %s" % dual)
-    return _finish_verified(session, dual)
+    payload.update(Q=_op_json(dual), verified=True)
+    return ["Phat = %s" % dual], payload
 
 
-def _cmd_intertwine(session: Session, args) -> int:
-    ctx = _kernel_context(session, args)
-    quotient = ctx.intertwiner(parse_operator(args.r, session.algebra))
-    session.say("K = %s" % ctx.K)
-    session.say("Q = %s" % quotient)
-    session.say("verified: K * R = Q * K")
-    return _finish_verified(session, quotient)
+def _cmd_intertwine(algebra: Algebra, args):
+    ctx, payload = _kernel_context(algebra, args)
+    quotient = ctx.intertwiner(parse_operator(args.r, algebra))
+    payload.update(Q=_op_json(quotient), verified=True)
+    return ["K = %s" % ctx.K, "Q = %s" % quotient, "verified: K * R = Q * K"], payload
 
 
-def _cmd_verify(session: Session, args) -> int:
-    op = parse_operator(args.operator, session.algebra)
-    elem = parse_element(args.on, session.algebra)
-    value = op.apply(elem)
-    session.say("L(f) = %s" % session.algebra.format_element(value))
-    session.payload = _base_payload(session)
-    session.payload["result"] = session.algebra.format_element(value)
-    return session.finish()
+def _cmd_verify(algebra: Algebra, args):
+    op = parse_operator(args.operator, algebra)
+    value = algebra.format_element(op.apply(parse_element(args.on, algebra)))
+    payload = algebra_tag(algebra)
+    payload["result"] = value
+    return ["L(f) = %s" % value], payload
 
 
 _COMMANDS = {
@@ -241,9 +191,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("%s: error: a subcommand is required" % parser.prog, file=sys.stderr)
         return EX_USAGE
     algebra = get_algebra(args.algebra, args.c)
-    session = Session(algebra, args.json)
     try:
-        return _COMMANDS[args.command](session, args)
+        lines, payload = _COMMANDS[args.command](algebra, args)
     except ParseError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EX_SYNTAX
@@ -259,6 +208,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except AlgebraError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EX_INTERNAL
+    print(json.dumps(payload) if args.json else "\n".join(lines))
+    return EX_OK
 
 
 def console_main() -> None:

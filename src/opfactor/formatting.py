@@ -18,6 +18,19 @@ class Fmt(NamedTuple):
     is_negative: bool = False
 
 
+def int_text(n: int) -> str:
+    """str(n), also past the interpreter's limit on int-string digits."""
+    try:
+        return str(n)
+    except ValueError:  # more digits than one conversion may produce
+        pass
+    if n < 0:
+        return "-" + int_text(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits; log10(2) > 0.3
+    high, low = divmod(n, 10**k)
+    return int_text(high) + int_text(low).zfill(k)
+
+
 def join_terms(terms) -> str:
     """Join (sign, body) pairs into `a + b - c` style text.
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import NotAUnit
-from .formatting import Fmt, join_terms
+from .formatting import Fmt, int_text, join_terms
 
 
 @dataclass(frozen=True)
@@ -133,10 +133,10 @@ class GroupRingC5Element:
             sign = -1 if c < 0 else 1
             mag = abs(c)
             if e == 0:
-                body = str(mag)
+                body = int_text(mag)
             else:
                 rpart = "r" if e == 1 else "r^%d" % e
-                body = rpart if mag == 1 else "%d*%s" % (mag, rpart)
+                body = rpart if mag == 1 else "%s*%s" % (int_text(mag), rpart)
             terms.append((sign, body))
         return Fmt(
             join_terms(terms),

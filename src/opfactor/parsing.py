@@ -256,10 +256,16 @@ def parse_element(text: str, algebra: Algebra):
 
 # JSON form
 
+def algebra_tag(algebra: Algebra) -> dict:
+    """The JSON tag of an algebra: its selector, then "c" for `diff`."""
+    tag = {"algebra": algebra.name}
+    if algebra.name == "diff":
+        tag["c"] = str(algebra.c)
+    return tag
+
+
 def operator_to_json(op: Operator) -> dict:
-    data = {"algebra": op.algebra.name}
-    if op.algebra.name == "diff":
-        data["c"] = str(op.algebra.c)
+    data = algebra_tag(op.algebra)
     data["coeffs"] = [op.algebra.format_element(c) for c in op.coeffs]
     return data
 

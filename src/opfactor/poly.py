@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
-from .formatting import Fmt, join_terms
+from .formatting import Fmt, int_text, join_terms
 
 Scalar = Union[int, Fraction]
 
@@ -307,7 +307,7 @@ class Poly:
                 continue
             g = gcd(c, d)
             num, den = abs(c) // g, d // g
-            mag = str(num) if den == 1 else "%d/%d" % (num, den)
+            mag = int_text(num) + ("" if den == 1 else "/" + int_text(den))
             if e == 0:
                 body = mag
             else:

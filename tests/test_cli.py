@@ -1,9 +1,12 @@
 """End-to-end tests for the command line front end."""
 
+import argparse
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,7 @@ import pytest
 import opfactor
 
 from opfactor import Operator, VerificationFailed, get_algebra, parse_operator
-from opfactor.cli import main
+from opfactor.cli import build_parser, main
 
 from helpers import QUAT
 
@@ -23,6 +26,22 @@ def run(capsys, *argv):
         code = stop.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(argv):
+    """Run `python -m opfactor` in a fresh process, so that an escaping
+    exception shows as a traceback."""
+    src = str(Path(opfactor.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "opfactor"] + argv,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+def int_str_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def test_contract_kernel_op_c5(capsys):
@@ -372,23 +391,128 @@ def test_degree_cap_is_a_syntax_error(capsys):
     ids=["number", "exponent"],
 )
 def test_too_long_integer_literal_is_a_syntax_error(operator, on, position):
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = int_str_limit()
     if not limit:
         pytest.skip("the interpreter converts integer strings of any length")
     literal = "9" * (limit + 1)
     argv = ["verify", "--algebra", "qx", "--operator", operator, "--on", on]
-    argv = [a.replace("N", literal) for a in argv]
-    # a fresh process, so that an escaping exception shows as a traceback
-    src = str(Path(opfactor.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "opfactor"] + argv,
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
+    done = run_module([a.replace("N", literal) for a in argv])
     assert done.returncode == 1
     assert done.stdout == ""
     assert "Traceback" not in done.stderr
     assert done.stderr == (
         "error: at position %d: integer literal too long\n" % position
     )
+
+
+def test_verify_json_for_diff_has_c_and_no_verified_key(capsys):
+    code, out, err = run(
+        capsys,
+        "verify",
+        "--algebra",
+        "diff",
+        "--c=-1/2",
+        "--operator",
+        "D - n",
+        "--on",
+        "n^2",
+        "--json",
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"algebra": "diff", "c": "-1/2", '
+        '"result": "(-2*n^3 + n^2 + 4*n + 2)/2"}\n'
+    )
+
+
+_COMMON_OPTIONS = [
+    (["--algebra"], True, None, ("qx", "quat", "diff", "c5"), None),
+    (["--c"], False, Fraction(1), None, "difference algebra constant (default 1)"),
+    (["--json"], False, False, None, None),
+]
+_KERNEL_OPTION = (["--kernel"], True, None, None, "comma separated kernel elements")
+
+
+def test_subcommand_options_are_pinned():
+    # the option data, not the help text, which argparse renders
+    # differently from one Python version to the next
+    expected = {
+        "kernel-op": [_KERNEL_OPTION],
+        "factor": [_KERNEL_OPTION, (["--operator"], True, None, None, None)],
+        "dual": [
+            _KERNEL_OPTION,
+            (
+                ["--targets"],
+                True,
+                None,
+                None,
+                "comma separated target elements, one per kernel element",
+            ),
+        ],
+        "intertwine": [_KERNEL_OPTION, (["--r"], True, None, None, "the operator R")],
+        "verify": [
+            (["--operator"], True, None, None, None),
+            (["--on"], True, None, None, "element to apply to"),
+        ],
+    }
+    parser = build_parser()
+    (commands,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert list(commands.choices) == list(expected)
+    for name, subparser in commands.choices.items():
+        options = [
+            (a.option_strings, a.required, a.default, a.choices, a.help)
+            for a in subparser._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert options == _COMMON_OPTIONS + expected[name], name
+
+
+# coefficients past the interpreter's int-string limit
+
+def _nines_squared():
+    """Literal digits N such that N*N has more digits than the limit allows,
+    and the exact text of N*N."""
+    m = int_str_limit() * 7 // 10
+    # (10^m - 1)^2 = 10^(2m) - 2*10^m + 1
+    return "9" * m, "9" * (m - 1) + "8" + "0" * (m - 1) + "1"
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        ("verify --algebra qx --operator x --on N*N", "L(f) = {}*x\n"),
+        ("verify --algebra c5 --operator D --on N*N*r", "L(f) = {}*r^2\n"),
+        ("kernel-op --algebra qx --kernel N*N*x", "K = D - 1/x\nP_1 = 1/({}*x)\n"),
+    ],
+    ids=["qx", "c5", "kernel"],
+)
+def test_huge_coefficients_print(argv, shown):
+    if not int_str_limit():
+        pytest.skip("the interpreter converts integer strings of any length")
+    nines, product = _nines_squared()
+    done = run_module(argv.replace("N", nines).split())
+    assert "Traceback" not in done.stderr
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == shown.format(product)
+
+
+def test_int_text_matches_str_past_the_limit():
+    from opfactor.formatting import int_text
+
+    limit = int_str_limit()
+    if not limit:
+        pytest.skip("the interpreter converts integer strings of any length")
+    rng = random.Random(5)
+    numbers = [0, 7, -7, 10**limit - 1, 10**limit, -(10**limit)]
+    for digits in (limit + 1, 2 * limit, 5 * limit + 3, 20000):
+        numbers.append(10**digits + rng.randrange(10**(digits // 3)))  # zero runs
+        numbers.append(-rng.randrange(10**(digits - 1), 10**digits))
+    texts = [int_text(n) for n in numbers]
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(n) for n in numbers]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert texts == expected
