@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .base import Algebra, TwistPair
+from .formatting import fraction_text
 from .groupring import GroupRingC5Element
 from .quaternion import Quaternion
 from .ratfunc import RationalFunction
@@ -77,6 +78,7 @@ class QuaternionDifferentialAlgebra(_Derivation, Algebra):
 
     name = "quat"
     variable = "x"
+    division_ring = True
 
     def check(self, e):
         if not isinstance(e, Quaternion) or e.var != self.variable:
@@ -120,7 +122,7 @@ class DifferenceAlgebra(RationalFunctionAlgebra):
         return (self.c,)
 
     def describe(self):
-        return "%s(c=%s)" % (self.name, self.c)
+        return "%s(c=%s)" % (self.name, fraction_text(self.c))
 
     def endo(self, f):
         self.check(f)

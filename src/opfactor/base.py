@@ -34,7 +34,10 @@ built-in group ring declares order 4; the others declare nothing.
 
 An algebra declares `commutative = True` when its products commute; matrix
 inversion then has a determinant-based fallback (see the ncmatrix module).
-The rational function algebras and the group ring declare it.
+The rational function algebras and the group ring declare it.  The
+quaternions declare `division_ring = True`: noncommutative, but every
+nonzero element is a unit.  Either declaration lets one product certify a
+matrix inverse.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ class Algebra(ABC):
     name: str = "?"
     endo_order: Optional[int] = None
     commutative: bool = False
+    division_ring: bool = False
 
     # identity and membership
 

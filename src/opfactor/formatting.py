@@ -31,6 +31,12 @@ def int_text(n: int) -> str:
     return int_text(high) + int_text(low).zfill(k)
 
 
+def fraction_text(q) -> str:
+    """str(q) for a Fraction q, also past the limit on int-string digits."""
+    text = int_text(q.numerator)
+    return text if q.denominator == 1 else text + "/" + int_text(q.denominator)
+
+
 def join_terms(terms) -> str:
     """Join (sign, body) pairs into `a + b - c` style text.
 

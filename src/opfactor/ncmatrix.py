@@ -13,9 +13,10 @@ pivot on.  So when the search fails over a commutative algebra, the
 inverse is read off the characteristic polynomial instead (Cayley-
 Hamilton, with Berkowitz's division-free recursion for the polynomial),
 which succeeds exactly when the determinant is a unit; otherwise the
-pivot search's NotInvertible stands.  Either candidate is certified by
-checking both products against the identity; anything short of that
-raises NotInvertible.
+pivot search's NotInvertible stands.  A candidate C must pass C*A = I, which
+suffices over a commutative algebra (det C * det A = 1) and over a division
+ring, whose matrix rings are Dedekind-finite (Lam, A First Course in
+Noncommutative Rings, section 1); any other algebra must also pass A*C = I.
 """
 
 from __future__ import annotations
@@ -118,8 +119,9 @@ class NCMatrix:
             candidate = self._cayley_hamilton()
             if candidate is None:
                 raise
-        ident = NCMatrix.identity(self.algebra, self.rows)
-        if self * candidate != ident or candidate * self != ident:
+        alg, ident = self.algebra, NCMatrix.identity(self.algebra, self.rows)
+        two_sided = not (alg.commutative or alg.division_ring)
+        if candidate * self != ident or (two_sided and self * candidate != ident):
             raise NotInvertible("candidate inverse failed certification")
         return candidate
 

@@ -45,6 +45,7 @@ from typing import List, NamedTuple, Optional, Tuple
 from .algebras import get_algebra
 from .base import Algebra
 from .errors import NotAUnit, ParseError
+from .formatting import fraction_text
 from .operators import Operator
 
 _TOKEN = re.compile(r"\d+|[A-Za-z]|[\^*/+()-]|\S")
@@ -260,7 +261,7 @@ def algebra_tag(algebra: Algebra) -> dict:
     """The JSON tag of an algebra: its selector, then "c" for `diff`."""
     tag = {"algebra": algebra.name}
     if algebra.name == "diff":
-        tag["c"] = str(algebra.c)
+        tag["c"] = fraction_text(algebra.c)
     return tag
 
 

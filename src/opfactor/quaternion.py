@@ -3,21 +3,34 @@
 A value is a + b*i + c*j + d*k with the Hamilton table
     i*i = j*j = k*k = -1,  i*j = k,  j*k = i,  k*i = j,
 and the reversed products negated.  Components live in one shared variable;
-the constructor refuses mixed variables, and so do the rational functions
-in any arithmetic between two quaternions.  Every nonzero value is a unit:
-the squared norm a^2 + b^2 + c^2 + d^2 is a rational function that only
-vanishes when all four components do, so conj(q) / norm inverts q from both
-sides.  The inverse computes that norm directly from the four components,
-which is the scalar part of q * conj(q) without the rest of the product.
+the constructor refuses mixed variables, and so does arithmetic between two
+quaternions, which then builds its result through `_trusted` with no check.
+A product multiplies only the pairs of nonzero components, each sent through
+the table to its unit and sign: most products in the engine have one nonzero
+component on each side, such as a scalar times a unit.  Every nonzero value
+is a unit: the squared norm a^2 + b^2 + c^2 + d^2 is a rational function
+that only vanishes when all four components do, so conj(q) / norm inverts q
+from both sides.  The inverse computes that norm directly from the four
+components, which is the scalar part of q * conj(q) without the rest of the
+product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from .errors import MixedAlgebras, NotAUnit
 from .formatting import Fmt, join_terms
 from .ratfunc import RationalFunction
+
+# (unit, sign) = _HAMILTON[m][n] when e_m * e_n = sign * e_unit, e = 1, i, j, k
+_HAMILTON = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, 1), (0, -1), (3, 1), (2, -1)),
+    ((2, 1), (3, -1), (0, -1), (1, 1)),
+    ((3, 1), (2, 1), (1, -1), (0, -1)),
+)
 
 
 @dataclass(frozen=True)
@@ -31,6 +44,13 @@ class Quaternion:
         vars_ = {comp.var for comp in self.components}
         if len(vars_) != 1:
             raise MixedAlgebras("quaternion components use different variables")
+
+    @classmethod
+    def _trusted(cls, a, b, c, d) -> "Quaternion":
+        """The trusted constructor: the components share one variable."""
+        q = object.__new__(cls)
+        q.__dict__.update(a=a, b=b, c=c, d=d)
+        return q
 
     @property
     def components(self):
@@ -73,37 +93,41 @@ class Quaternion:
     # structure
 
     def is_zero(self) -> bool:
-        return all(comp.is_zero() for comp in self.components)
+        return not (
+            self.a.num.prim or self.b.num.prim or self.c.num.prim or self.d.num.prim
+        )
 
     # arithmetic
 
     def __add__(self, other) -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return Quaternion(
-            self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
-        )
+        return Quaternion._trusted(*map(add, self.components, other.components))
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.a, -self.b, -self.c, -self.d)
+        return Quaternion._trusted(-self.a, -self.b, -self.c, -self.d)
 
     def __sub__(self, other) -> "Quaternion":
-        return self + (-other)
+        if not isinstance(other, Quaternion):
+            return NotImplemented
+        return Quaternion._trusted(*map(sub, self.components, other.components))
 
     def __mul__(self, other) -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
-        a1, b1, c1, d1 = self.components
-        a2, b2, c2, d2 = other.components
-        return Quaternion(
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
+        if other.a.var != self.a.var:
+            raise MixedAlgebras("quaternions in different variables")
+        right = [(n, y) for n, y in enumerate(other.components) if y.num.prim]
+        out = [RationalFunction.zero(self.a.var)] * 4
+        for m, x in enumerate(self.components):
+            if x.num.prim:
+                for n, y in right:
+                    unit, sign = _HAMILTON[m][n]
+                    out[unit] = out[unit] + x * y if sign > 0 else out[unit] - x * y
+        return Quaternion._trusted(*out)
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
+        return Quaternion._trusted(self.a, -self.b, -self.c, -self.d)
 
     def inverse(self) -> "Quaternion":
         """Two-sided inverse conj(q) / (a^2 + b^2 + c^2 + d^2)."""
@@ -111,11 +135,10 @@ class Quaternion:
         if norm.is_zero():
             raise NotAUnit("zero quaternion has no inverse")
         s = norm.inverse()
-        conj = self.conjugate()
-        return Quaternion(conj.a * s, conj.b * s, conj.c * s, conj.d * s)
+        return Quaternion._trusted(*(comp * s for comp in self.conjugate().components))
 
     def derivative(self) -> "Quaternion":
-        return Quaternion(*(comp.derivative() for comp in self.components))
+        return Quaternion._trusted(*(comp.derivative() for comp in self.components))
 
     # display
 

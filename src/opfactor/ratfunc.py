@@ -177,8 +177,10 @@ class RationalFunction:
         return RationalFunction._canonical(-self.num, self.den, self.var)
 
     def __sub__(self, other) -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
+        if not (isinstance(other, RationalFunction) and other.var == self.var):
             other = self._same_world(other)
+        if not other.num.prim:
+            return self
         return self + (-other)
 
     def __rsub__(self, other) -> "RationalFunction":

@@ -229,6 +229,21 @@ def ref_compose(left, right):
     return Operator(alg, tuple(acc))
 
 
+# an independent reference for Quaternion.__mul__
+
+def ref_quat_mul(p, q):
+    """p * q by the dense 16-term Hamilton formula, the way
+    Quaternion.__mul__ computed before it skipped zero components."""
+    a1, b1, c1, d1 = p.components
+    a2, b2, c2, d2 = q.components
+    return Quaternion(
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
 class CountingQX(type(QX)):
     """Q(x) with d/dx that counts its calls of twist."""
 

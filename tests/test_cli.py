@@ -516,3 +516,37 @@ def test_int_text_matches_str_past_the_limit():
     finally:
         sys.set_int_max_str_digits(limit)
     assert texts == expected
+
+
+# a constant c past the interpreter's int-string limit
+
+def _huge_constants():
+    """(--c, its exact text, the text of D(1) = 1 + c) for c = 10^d and
+    c = -1/10^d, where 10^d has more digits than the limit allows."""
+    d = int_str_limit() + 700
+    ten_d = "1" + "0" * d
+    return [
+        ("1e%d" % d, ten_d, "1" + "0" * (d - 1) + "1"),
+        ("-1e-%d" % d, "-1/" + ten_d, "9" * d + "/" + ten_d),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["integer", "fraction"])
+def test_huge_diff_constant_prints(case):
+    if not int_str_limit():
+        pytest.skip("the interpreter converts integer strings of any length")
+    c, c_text, result = _huge_constants()[case]
+    argv = ["verify", "--algebra", "diff", "--c=" + c, "--operator", "D", "--on"]
+    done = run_module(argv + ["1"])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "L(f) = %s\n" % result
+    done = run_module(argv + ["1", "--json"])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == {"algebra": "diff", "c": c_text, "result": result}
+    done = run_module(argv + ["y"])  # the message names the algebra with its c
+    assert "Traceback" not in done.stderr
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        "error: at position 1: symbol 'y' is not defined in algebra 'diff(c=%s)'\n"
+        % c_text
+    )

@@ -222,3 +222,45 @@ def test_inverse_entries_are_members(algebra, data):
         * NCMatrix.from_rows(algebra, [[one, c], [zero, one]])
     )
     assert_members(algebra, m.inverse().entries)
+
+
+# certificate strength
+
+class TwoSidedQuat(type(QUAT)):
+    """The quaternions without the division ring declaration, so their
+    inverses must pass both certificate products."""
+
+    division_ring = False
+
+
+def _upper_unitriangular(algebra):
+    """[[1, s], [0, 1]] for a symbol s: Gauss-Jordan pivots on the ones."""
+    one, s = algebra.one(), list(algebra.symbols().values())[-1]
+    return NCMatrix.from_rows(algebra, [[one, s], [algebra.zero(), one]])
+
+
+@pytest.mark.parametrize(
+    "algebra, products",
+    [(QX, 1), (DIFF1, 1), (C5, 1), (QUAT, 1), (TwoSidedQuat(), 2)],
+    ids=["qx", "diff", "c5", "quat", "quat-two-sided"],
+)
+def test_certificate_products(monkeypatch, algebra, products):
+    m = _upper_unitriangular(algebra)
+    calls = []
+    multiply = NCMatrix.__mul__
+
+    def spy(left, right):
+        calls.append((left, right))
+        return multiply(left, right)
+
+    monkeypatch.setattr(NCMatrix, "__mul__", spy)
+    inv = m.inverse()
+    assert len(calls) == products
+    assert calls[0] == (inv, m)  # C*A = I always runs, and first
+    monkeypatch.undo()
+    _certify(m, inv)
+
+
+def test_certificate_declarations():
+    assert [a.name for a in ALL_ALGEBRAS if a.division_ring] == ["quat"]
+    assert [a.name for a in ALL_ALGEBRAS if a.commutative] == ["qx", "diff", "c5"]

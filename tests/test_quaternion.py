@@ -3,11 +3,12 @@
 import operator
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from opfactor import MixedAlgebras, NotAUnit, Quaternion, RationalFunction
 
-from helpers import quaternions
+from helpers import quaternions, ratfuncs, ref_quat_mul
 
 
 def scalar(value):
@@ -111,3 +112,45 @@ def test_foreign_operands_raise_type_error():
 def test_mixed_variables_raise(combine):
     with pytest.raises(MixedAlgebras):
         combine(Quaternion.unit("i", "x"), Quaternion.unit("j", "n"))
+
+
+def test_public_constructor_refuses_mixed_variables():
+    one, zero = RationalFunction.one("x"), RationalFunction.zero("n")
+    with pytest.raises(MixedAlgebras):
+        Quaternion(one, zero, zero, zero)
+
+
+@pytest.mark.parametrize("combine", [operator.add, operator.sub, operator.mul])
+def test_mixed_variables_raise_with_a_zero_operand(combine):
+    with pytest.raises(MixedAlgebras):
+        combine(Quaternion.zero("n"), Quaternion.unit("i", "x"))
+    with pytest.raises(MixedAlgebras):
+        combine(Quaternion.unit("i", "x"), Quaternion.zero("n"))
+
+
+# the sparse product and the trusted results
+
+def sparse_quaternions():
+    """Quaternions whose components are each zero at random, all four at
+    times."""
+    comp = st.one_of(st.just(RationalFunction.zero("x")), ratfuncs("x", 1))
+    return st.builds(Quaternion, comp, comp, comp, comp)
+
+
+@example(Quaternion.zero(), Quaternion.zero())
+@example(Quaternion.zero(), unit("k"))
+@example(unit("j"), Quaternion.zero())
+@given(sparse_quaternions(), sparse_quaternions())
+def test_product_matches_dense_formula(p, q):
+    assert p * q == ref_quat_mul(p, q)
+
+
+@given(sparse_quaternions(), sparse_quaternions())
+def test_results_pass_the_public_constructor(p, q):
+    results = [p + q, p - q, p * q, -p, p.conjugate(), p.derivative()]
+    if not p.is_zero():
+        results.append(p.inverse())
+    for r in results:
+        assert type(r) is Quaternion
+        assert Quaternion(*r.components) == r
+        assert r.is_zero() == all(comp.is_zero() for comp in r.components)

@@ -184,3 +184,11 @@ def test_inverse_makes_the_new_denominator_monic():
     inv = r.inverse()
     assert (inv.num, inv.den) == (Poly([0, Fraction(-3, 2)]), Poly([1, 1]))
     assert_canonical(inv)
+
+
+@given(ratfuncs("x"))
+def test_subtracting_zero_returns_the_left_operand(a):
+    assert a - 0 is a
+    assert a - RationalFunction.zero("x") is a
+    with pytest.raises(MixedAlgebras):  # the variable is checked first
+        a - RationalFunction.zero("n")
