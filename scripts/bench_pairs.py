@@ -1,15 +1,11 @@
-"""Interleaved perfbench pairs of two commits, written as one BENCH json.
+"""Interleaved perfbench pairs of a parent commit and HEAD, as one BENCH json.
 
     python3 scripts/bench_pairs.py PARENT_REF --pairs 10 --first-seed 2201 --out BENCH_10.json
 
-Each run gets a fresh `git archive` export of its commit, so no run sees
-bytecode left by another.  Pair i runs `perfbench/run.py --workload all
---seed S --seconds 25` on both commits, S = first-seed + i, the parent first
-when S is odd.  Every end-to-end metric of BENCHMARK.json gets its runs,
-median and quartiles per side, the pairs the change won, the relative change
-of the medians and the parent's interquartile distance; then a `--trace 1`
-run with seed 11 on each commit gives the per-layer metrics.  Run it from
-the root of the repository.
+Run from the repository root.  Each run gets a fresh `git archive` export, so
+no run sees another's bytecode.  Seed S = first-seed + i runs `perfbench/run.py
+--workload all --seed S --seconds 25` on both commits, the parent first when S
+is odd; a seed-11 `--trace 1` run per commit gives the per-layer metrics.
 """
 
 import argparse
@@ -25,8 +21,7 @@ import tempfile
 def run(ref, *args):
     """The final JSON line of one perfbench run on a fresh export of ref."""
     with tempfile.TemporaryDirectory() as tree:
-        tar = subprocess.run(["git", "archive", ref], check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tree], input=tar, check=True)
+        subprocess.run("git archive %s | tar -x -C %s" % (ref, tree), shell=True, check=True)
         out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "all",
                               *map(str, args)], cwd=tree, check=True,
                              capture_output=True, text=True).stdout
@@ -43,14 +38,13 @@ def summary(runs):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent")
-    ap.add_argument("--change", default="HEAD")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--out", required=True)
     ap.add_argument("--note", default="")
     args = ap.parse_args()
     bench = json.load(open("BENCHMARK.json"))
-    refs = {"parent": args.parent, "change": args.change}
+    refs = {"parent": args.parent, "change": "HEAD"}
     seeds = [args.first_seed + i for i in range(args.pairs)]
     workloads = [w["name"] for w in bench["workloads"]]
     results = {"parent": [], "change": []}
@@ -76,16 +70,14 @@ def main():
             got = {s: traced[s].get(wl + "." + m["name"], {}).get("value") for s in refs}
             if got["change"] is not None:
                 layers.setdefault(wl, {})[m["name"]] = dict(got, unit=m["unit"])
-    cpu = next((l.split(":", 1)[1].strip() for l in open("/proc/cpuinfo")
-                if l.startswith("model name")), platform.processor())
+    cpu = [l.split(":")[1].strip() for l in open("/proc/cpuinfo") if "model name" in l][0]
     doc = {"change": args.note,
            "machine": {"cpu": cpu, "cores": os.cpu_count(),
                        "os": platform.system() + " " + platform.release().split("-")[0]},
            "python": platform.python_version(),
            "command": "python3 perfbench/run.py --workload all --seed SEED --seconds 25",
            "seeds": seeds,
-           "pairs": "one parent and one change run per seed, each on a fresh git archive "
-                    "export; the parent ran first on odd seeds, the change first on even seeds",
+           "pairs": "fresh git archive export per run; parent first on odd seeds, else HEAD",
            "quartiles": "statistics.quantiles(runs, n=4, method='inclusive')",
            "failed": {s: sum(r["failed"] for r in results[s]) for s in refs},
            "end_to_end": end_to_end,

@@ -5,14 +5,13 @@ A value is a + b*i + c*j + d*k with the Hamilton table
 and the reversed products negated.  Components live in one shared variable;
 the constructor refuses mixed variables, and so does arithmetic between two
 quaternions, which then builds its result through `_trusted` with no check.
-A product multiplies only the pairs of nonzero components, each sent through
-the table to its unit and sign: most products in the engine have one nonzero
-component on each side, such as a scalar times a unit.  Every nonzero value
-is a unit: the squared norm a^2 + b^2 + c^2 + d^2 is a rational function
-that only vanishes when all four components do, so conj(q) / norm inverts q
-from both sides.  The inverse computes that norm directly from the four
-components, which is the scalar part of q * conj(q) without the rest of the
-product.
+A product is the dense 16-term formula: most of its terms have a zero factor,
+and the rational-function `*`, `+` and `-` return early on a zero operand.
+Every nonzero value is a unit: the squared norm a^2 + b^2 + c^2 + d^2 is a
+rational function that only vanishes when all four components do, so
+conj(q) / norm inverts q from both sides.  The inverse computes that norm
+directly from the four components, which is the scalar part of q * conj(q)
+without the rest of the product.
 """
 
 from __future__ import annotations
@@ -23,14 +22,6 @@ from operator import add, sub
 from .errors import MixedAlgebras, NotAUnit
 from .formatting import Fmt, join_terms
 from .ratfunc import RationalFunction
-
-# (unit, sign) = _HAMILTON[m][n] when e_m * e_n = sign * e_unit, e = 1, i, j, k
-_HAMILTON = (
-    ((0, 1), (1, 1), (2, 1), (3, 1)),
-    ((1, 1), (0, -1), (3, 1), (2, -1)),
-    ((2, 1), (3, -1), (0, -1), (1, 1)),
-    ((3, 1), (2, 1), (1, -1), (0, -1)),
-)
 
 
 @dataclass(frozen=True)
@@ -93,9 +84,8 @@ class Quaternion:
     # structure
 
     def is_zero(self) -> bool:
-        return not (
-            self.a.num.prim or self.b.num.prim or self.c.num.prim or self.d.num.prim
-        )
+        a, b, c, d = self.components
+        return a.is_zero() and b.is_zero() and c.is_zero() and d.is_zero()
 
     # arithmetic
 
@@ -115,16 +105,14 @@ class Quaternion:
     def __mul__(self, other) -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
-        if other.a.var != self.a.var:
-            raise MixedAlgebras("quaternions in different variables")
-        right = [(n, y) for n, y in enumerate(other.components) if y.num.prim]
-        out = [RationalFunction.zero(self.a.var)] * 4
-        for m, x in enumerate(self.components):
-            if x.num.prim:
-                for n, y in right:
-                    unit, sign = _HAMILTON[m][n]
-                    out[unit] = out[unit] + x * y if sign > 0 else out[unit] - x * y
-        return Quaternion._trusted(*out)
+        a1, b1, c1, d1 = self.components
+        a2, b2, c2, d2 = other.components
+        return Quaternion._trusted(
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
 
     def conjugate(self) -> "Quaternion":
         return Quaternion._trusted(self.a, -self.b, -self.c, -self.d)

@@ -110,7 +110,7 @@ class RationalFunction:
     # structure
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.prim
 
     def is_one(self) -> bool:
         return self.num == Poly.one() and self.den == Poly.one()

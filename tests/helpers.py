@@ -231,17 +231,24 @@ def ref_compose(left, right):
 
 # an independent reference for Quaternion.__mul__
 
+# e_m * e_n = sign * e_unit as (unit, sign), for the units e = 1, i, j, k
+UNIT_PRODUCTS = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, 1), (0, -1), (3, 1), (2, -1)),
+    ((2, 1), (3, -1), (0, -1), (1, 1)),
+    ((3, 1), (2, 1), (1, -1), (0, -1)),
+)
+
+
 def ref_quat_mul(p, q):
-    """p * q by the dense 16-term Hamilton formula, the way
-    Quaternion.__mul__ computed before it skipped zero components."""
-    a1, b1, c1, d1 = p.components
-    a2, b2, c2, d2 = q.components
-    return Quaternion(
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    )
+    """p * q summed term by term over the 16 products of units, instead of
+    the written-out formula of Quaternion.__mul__."""
+    out = [RationalFunction.zero(p.var)] * 4
+    for m, x in enumerate(p.components):
+        for n, y in enumerate(q.components):
+            unit, sign = UNIT_PRODUCTS[m][n]
+            out[unit] = out[unit] + sign * (x * y)
+    return Quaternion(*out)
 
 
 class CountingQX(type(QX)):

@@ -128,9 +128,9 @@ def test_mixed_variables_raise_with_a_zero_operand(combine):
         combine(Quaternion.unit("i", "x"), Quaternion.zero("n"))
 
 
-# the sparse product and the trusted results
+# the product and the trusted results
 
-def sparse_quaternions():
+def quaternions_with_zeros():
     """Quaternions whose components are each zero at random, all four at
     times."""
     comp = st.one_of(st.just(RationalFunction.zero("x")), ratfuncs("x", 1))
@@ -140,12 +140,12 @@ def sparse_quaternions():
 @example(Quaternion.zero(), Quaternion.zero())
 @example(Quaternion.zero(), unit("k"))
 @example(unit("j"), Quaternion.zero())
-@given(sparse_quaternions(), sparse_quaternions())
-def test_product_matches_dense_formula(p, q):
+@given(quaternions_with_zeros(), quaternions_with_zeros())
+def test_product_matches_unit_table(p, q):
     assert p * q == ref_quat_mul(p, q)
 
 
-@given(sparse_quaternions(), sparse_quaternions())
+@given(quaternions_with_zeros(), quaternions_with_zeros())
 def test_results_pass_the_public_constructor(p, q):
     results = [p + q, p - q, p * q, -p, p.conjugate(), p.derivative()]
     if not p.is_zero():
