@@ -79,6 +79,7 @@ def main():
            "seeds": seeds,
            "pairs": "fresh git archive export per run; parent first on odd seeds, else HEAD",
            "quartiles": "statistics.quantiles(runs, n=4, method='inclusive')",
+           "attempted": {s: sum(r["attempted"] for r in results[s]) for s in refs},
            "failed": {s: sum(r["failed"] for r in results[s]) for s in refs},
            "end_to_end": end_to_end,
            "traced": {"command": "python3 perfbench/run.py --workload all --seed 11 --trace 1",

@@ -25,7 +25,13 @@ the public constructors, the parser, KernelContext, the arguments of
 scale_left, apply and interpolate, and the methods below, whose ring
 operations are validated wrappers for callers outside the engine.  Inside,
 the engine trusts its values and uses the elements' own arithmetic.
-Elements are immutable values and all operations return new values.
+
+Every value class of the package has one shape: `__slots__` and a public
+`__init__` that checks its arguments.  All but NCMatrix also have a private
+trusted constructor (`_new`, `_canonical`, `_trusted`) that assigns the
+slots directly and checks nothing.  Values are immutable by convention: no
+slot is assigned after construction, and every operation returns a new
+value.  `TwistPair`, a plain pair, is a NamedTuple.
 
 An algebra may declare `endo_order = n` when endo^n is the identity map
 AND the corresponding operator identity holds, in which case operator
@@ -43,15 +49,13 @@ matrix inverse.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional
 
 from .errors import MixedAlgebras
 
 
-@dataclass(frozen=True)
-class TwistPair:
+class TwistPair(NamedTuple):
     """The rewrite data for one element: endo . f = p . endo + q ."""
 
     p: Any

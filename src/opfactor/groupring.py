@@ -16,36 +16,36 @@ when both are 1, that is when x*y = 1 and y is the inverse; when their
 product is 0, x is a zero divisor.  The ring is commutative, so a
 one-sided inverse is automatically two-sided.
 
-The public constructor takes five integers and raises TypeError on a
-Fraction, float or string rather than truncate it; arithmetic builds its
-results through `_trusted`, which checks nothing.
+GroupRingC5Element is a value class in the package's one slotted idiom
+(see the base module), immutable by convention.  The public constructor
+takes five integers and raises TypeError on a Fraction, float or string
+rather than truncate it; arithmetic builds its results through `_trusted`,
+which checks nothing.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import NotAUnit
 from .formatting import Fmt, int_text, join_terms
 
 
-@dataclass(frozen=True)
 class GroupRingC5Element:
-    coeffs: Tuple[int, int, int, int, int]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        cs = tuple(operator.index(c) for c in self.coeffs)
+    def __init__(self, coeffs: Tuple[int, int, int, int, int]):
+        cs = tuple(operator.index(c) for c in coeffs)
         if len(cs) != 5:
             raise ValueError("exactly five coefficients required")
-        object.__setattr__(self, "coeffs", cs)
+        self.coeffs = cs
 
     @classmethod
     def _trusted(cls, cs: Tuple[int, ...]) -> "GroupRingC5Element":
         """The trusted constructor: cs is already a tuple of five ints."""
         e = object.__new__(cls)
-        object.__setattr__(e, "coeffs", cs)
+        e.coeffs = cs
         return e
 
     # constructors
@@ -72,6 +72,17 @@ class GroupRingC5Element:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GroupRingC5Element):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return "GroupRingC5Element(coeffs=%r)" % (self.coeffs,)
 
     # arithmetic
 

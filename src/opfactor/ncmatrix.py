@@ -17,36 +17,37 @@ pivot search's NotInvertible stands.  A candidate C must pass C*A = I, which
 suffices over a commutative algebra (det C * det A = 1) and over a division
 ring, whose matrix rings are Dedekind-finite (Lam, A First Course in
 Noncommutative Rings, section 1); any other algebra must also pass A*C = I.
+
+NCMatrix is a value class in the package's one slotted idiom (see the base
+module), immutable by convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .base import Algebra
 from .errors import MixedAlgebras, NotAUnit, NotInvertible, ShapeMismatch
 
 
-@dataclass(frozen=True, eq=False)
 class NCMatrix:
-    algebra: Algebra
-    rows: int
-    cols: int
-    entries: Tuple  # row-major
+    __slots__ = ("algebra", "rows", "cols", "entries")  # entries row-major
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, algebra: Algebra, rows: int, cols: int, entries):
+        if rows < 0 or cols < 0:
             raise ShapeMismatch("negative dimensions")
-        entries = tuple(self.entries)
-        if len(entries) != self.rows * self.cols:
+        entries = tuple(entries)
+        if len(entries) != rows * cols:
             raise ShapeMismatch(
                 "expected %d entries, got %d"
-                % (self.rows * self.cols, len(entries))
+                % (rows * cols, len(entries))
             )
         for e in entries:
-            self.algebra.check(e)
-        object.__setattr__(self, "entries", entries)
+            algebra.check(e)
+        self.algebra = algebra
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
 
     @classmethod
     def from_rows(cls, algebra: Algebra, rows: Sequence[Sequence]) -> "NCMatrix":

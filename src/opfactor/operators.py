@@ -20,11 +20,13 @@ Equality is equality of normal forms, except that an algebra declaring
 endo_order = n first folds every exponent e >= n down to e mod n.  That is
 the only representation quotient in play; no other identification between
 powers is assumed.
+
+Operator is a value class in the package's one slotted idiom (see the base
+module), immutable by convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from .base import Algebra
@@ -32,16 +34,15 @@ from .errors import MixedAlgebras
 from .formatting import join_terms
 
 
-@dataclass(frozen=True, eq=False)
 class Operator:
-    algebra: Algebra
-    coeffs: Tuple = ()
+    __slots__ = ("algebra", "coeffs")
 
-    def __post_init__(self):
-        for c in self.coeffs:
-            self.algebra.check(c)
-        trusted = self._trusted(self.algebra, self.coeffs)
-        object.__setattr__(self, "coeffs", trusted.coeffs)
+    def __init__(self, algebra: Algebra, coeffs=()):
+        coeffs = tuple(coeffs)
+        for c in coeffs:
+            algebra.check(c)
+        self.algebra = algebra
+        self.coeffs = Operator._trusted(algebra, coeffs).coeffs
 
     @classmethod
     def _trusted(cls, algebra: Algebra, coeffs) -> "Operator":
@@ -51,8 +52,8 @@ class Operator:
         while cs and cs[-1].is_zero():
             cs.pop()
         op = object.__new__(cls)
-        object.__setattr__(op, "algebra", algebra)
-        object.__setattr__(op, "coeffs", tuple(cs))
+        op.algebra = algebra
+        op.coeffs = tuple(cs)
         return op
 
     # constructors
@@ -121,7 +122,9 @@ class Operator:
 
     # arithmetic
 
-    def __add__(self, other: "Operator") -> "Operator":
+    def __add__(self, other) -> "Operator":
+        if not isinstance(other, Operator):
+            return NotImplemented
         alg = self._same_algebra(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return Operator._trusted(
@@ -131,7 +134,9 @@ class Operator:
     def __neg__(self) -> "Operator":
         return Operator._trusted(self.algebra, tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: "Operator") -> "Operator":
+    def __sub__(self, other) -> "Operator":
+        if not isinstance(other, Operator):
+            return NotImplemented
         return self + (-other)
 
     def scale_left(self, a) -> "Operator":

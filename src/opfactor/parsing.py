@@ -75,7 +75,7 @@ def _tokenize(text: str) -> List[Token]:
             continue
         m = _TOKEN.match(text, i)
         tok = m.group(0)
-        if not (tok.isdigit() or tok.isalpha() or tok in "^*/+-()"):
+        if not (tok.isdecimal() or tok.isalpha() or tok in "^*/+-()"):
             raise ParseError("unexpected character %r" % tok, i + 1)
         out.append(Token(tok, i + 1))
         i = m.end()
@@ -186,7 +186,7 @@ class _Parser:
             return value, bound
         self._next()
         etok = self._peek()
-        if etok is None or not etok.text.isdigit():
+        if etok is None or not etok.text.isdecimal():
             raise ParseError(
                 "expected a nonnegative integer exponent", self._end_pos()
             )
@@ -209,7 +209,7 @@ class _Parser:
     def _atom(self) -> Tuple[Operator, int]:
         tok = self._next()
         text = tok.text
-        if text.isdigit():
+        if text.isdecimal():
             value = self.algebra.from_fraction(Fraction(self._integer(tok)))
             return Operator.scalar(self.algebra, value), 0
         if text == "(":

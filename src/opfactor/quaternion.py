@@ -2,9 +2,12 @@
 
 A value is a + b*i + c*j + d*k with the Hamilton table
     i*i = j*j = k*k = -1,  i*j = k,  j*k = i,  k*i = j,
-and the reversed products negated.  Components live in one shared variable;
-the constructor refuses mixed variables, and so does arithmetic between two
-quaternions, which then builds its result through `_trusted` with no check.
+and the reversed products negated.  Quaternion is a value class in the
+package's one slotted idiom (see the base module), immutable by convention.
+Components are rational functions in one shared variable: the public
+constructor raises TypeError on any other component and MixedAlgebras on
+mixed variables.  Arithmetic between two quaternions refuses mixed
+variables too, then builds its result through `_trusted` with no check.
 A product is the dense 16-term formula: most of its terms have a zero factor,
 and the rational-function `*`, `+` and `-` return early on a zero operand.
 Every nonzero value is a unit: the squared norm a^2 + b^2 + c^2 + d^2 is a
@@ -16,7 +19,6 @@ without the rest of the product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, sub
 
 from .errors import MixedAlgebras, NotAUnit
@@ -24,23 +26,26 @@ from .formatting import Fmt, join_terms
 from .ratfunc import RationalFunction
 
 
-@dataclass(frozen=True)
 class Quaternion:
-    a: RationalFunction
-    b: RationalFunction
-    c: RationalFunction
-    d: RationalFunction
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        vars_ = {comp.var for comp in self.components}
+    def __init__(self, a, b, c, d):
+        for name, comp in zip("abcd", (a, b, c, d)):
+            if not isinstance(comp, RationalFunction):
+                raise TypeError(
+                    "quaternion component %s must be a RationalFunction, not %r"
+                    % (name, comp)
+                )
+        vars_ = {comp.var for comp in (a, b, c, d)}
         if len(vars_) != 1:
             raise MixedAlgebras("quaternion components use different variables")
+        self.a, self.b, self.c, self.d = a, b, c, d
 
     @classmethod
     def _trusted(cls, a, b, c, d) -> "Quaternion":
         """The trusted constructor: the components share one variable."""
         q = object.__new__(cls)
-        q.__dict__.update(a=a, b=b, c=c, d=d)
+        q.a, q.b, q.c, q.d = a, b, c, d
         return q
 
     @property
@@ -86,6 +91,17 @@ class Quaternion:
     def is_zero(self) -> bool:
         a, b, c, d = self.components
         return a.is_zero() and b.is_zero() and c.is_zero() and d.is_zero()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Quaternion):
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash(self.components)
+
+    def __repr__(self) -> str:
+        return "Quaternion(a=%r, b=%r, c=%r, d=%r)" % self.components
 
     # arithmetic
 

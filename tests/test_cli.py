@@ -405,6 +405,15 @@ def test_too_long_integer_literal_is_a_syntax_error(operator, on, position):
     )
 
 
+def test_superscript_exponent_is_an_unexpected_character(capsys):
+    code, out, err = run(
+        capsys, "verify", "--algebra", "qx", "--operator", "x^\u00b2", "--on", "x"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: at position 3: unexpected character '\u00b2'\n"
+
+
 def test_verify_json_for_diff_has_c_and_no_verified_key(capsys):
     code, out, err = run(
         capsys,

@@ -34,6 +34,26 @@ def test_normal_form_strips_trailing_zeros():
     assert Operator.d(QX).degree == 1
 
 
+def test_constructor_takes_an_iterator():
+    x = QX.symbols()["x"]
+    op = Operator(QX, (c for c in [x, QX.one()]))
+    assert op == Operator(QX, (x, QX.one()))
+    assert op.degree == 1
+
+
+@pytest.mark.parametrize("operand", [1, QX.one()], ids=["int", "element"])
+def test_foreign_operands_raise_type_error(operand):
+    op = Operator.d(QX)
+    with pytest.raises(TypeError):
+        op + operand
+    with pytest.raises(TypeError):
+        op - operand
+    with pytest.raises(TypeError):
+        operand + op
+    with pytest.raises(TypeError):
+        operand - op
+
+
 def test_leibniz_commutation():
     x = QX.symbols()["x"]
     d = Operator.d(QX)

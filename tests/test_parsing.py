@@ -76,6 +76,24 @@ def test_parse_errors_carry_positions():
     assert info.value.position == 6
 
 
+@pytest.mark.parametrize(
+    "text, position", [("x^\u00b2", 3), ("\u00b2*x", 1), ("x + \u2460", 5)],
+    ids=["superscript-exponent", "superscript-number", "circled-digit"],
+)
+def test_digit_that_is_not_decimal_is_an_unexpected_character(text, position):
+    # str.isdigit accepts these characters, int() does not
+    with pytest.raises(ParseError) as info:
+        parse_operator(text, QX)
+    assert info.value.position == position
+    assert "unexpected character %r" % text[position - 1] in str(info.value)
+
+
+def test_decimal_digits_of_any_script_parse():
+    arabic_indic_three = "\u0663"
+    assert parse_operator(arabic_indic_three + "*x", QX) == parse_operator("3*x", QX)
+    assert parse_operator("x^" + arabic_indic_three, QX) == parse_operator("x^3", QX)
+
+
 def test_deep_nesting_is_a_parse_error():
     from opfactor.parsing import MAX_NESTING
 

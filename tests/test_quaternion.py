@@ -120,6 +120,17 @@ def test_public_constructor_refuses_mixed_variables():
         Quaternion(one, zero, zero, zero)
 
 
+@pytest.mark.parametrize("bad", [0, 1, 2, 3], ids=["a", "b", "c", "d"])
+def test_public_constructor_refuses_components_that_are_not_rational_functions(bad):
+    comps = [RationalFunction.one("x")] * 4
+    comps[bad] = 7
+    with pytest.raises(TypeError) as info:
+        Quaternion(*comps)
+    assert "component %s" % "abcd"[bad] in str(info.value)
+    with pytest.raises(TypeError):
+        Quaternion(1, 2, 3, 4)
+
+
 @pytest.mark.parametrize("combine", [operator.add, operator.sub, operator.mul])
 def test_mixed_variables_raise_with_a_zero_operand(combine):
     with pytest.raises(MixedAlgebras):
