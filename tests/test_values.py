@@ -12,9 +12,7 @@ from opfactor import (
     GroupRingC5Element,
     MixedAlgebras,
     NCMatrix,
-    Operator,
     Quaternion,
-    TwistPair,
     parse_operator,
 )
 
@@ -73,12 +71,6 @@ def test_value_classes_are_slotted(name):
     value = VALUES[name]()
     assert "__slots__" in type(value).__dict__
     assert not hasattr(value, "__dict__")
-
-
-def test_twist_pair_is_a_named_pair():
-    pair = TwistPair(1, 2)
-    assert (pair.p, pair.q) == (1, 2)
-    assert pair == TwistPair(1, 2) != TwistPair(2, 1)
 
 
 def test_importing_the_cli_loads_no_dataclasses():
