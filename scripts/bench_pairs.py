@@ -5,7 +5,9 @@
 Run from the repository root.  Each run gets a fresh `git archive` export, so
 no run sees another's bytecode.  Seed S = first-seed + i runs `perfbench/run.py
 --workload all --seed S --seconds 25` on both commits, the parent first when S
-is odd; a seed-11 `--trace 1` run per commit gives the per-layer metrics.
+is odd.  Three seed-11 `--trace 1` runs per commit, interleaved, give the
+per-layer metrics: each `_calls` count, which must repeat exactly across the
+runs, and the median, min and max of every other metric.
 """
 
 import argparse
@@ -16,6 +18,8 @@ import statistics
 import subprocess
 import sys
 import tempfile
+
+TRACED_RUNS = 3
 
 
 def run(ref, *args):
@@ -35,6 +39,11 @@ def summary(runs):
             "runs": [round(r, 4) for r in runs]}
 
 
+def spread(values):
+    return {"median": round(statistics.median(values), 4),
+            "min": round(min(values), 4), "max": round(max(values), 4)}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent")
@@ -47,6 +56,29 @@ def main():
     refs = {"parent": args.parent, "change": "HEAD"}
     seeds = [args.first_seed + i for i in range(args.pairs)]
     workloads = [w["name"] for w in bench["workloads"]]
+    # traced runs first: a call count that does not repeat fails the script early
+    traced = {"parent": [], "change": []}
+    for _ in range(TRACED_RUNS):
+        for side in refs:
+            traced[side].append(run(refs[side], "--seed", 11, "--trace", 1)["metrics"])
+    layers = {}
+    for m in bench["per_layer"]:
+        for wl in workloads:
+            key = wl + "." + m["name"]
+            got = {s: [r[key]["value"] for r in traced[s] if key in r] for s in refs}
+            if not got["change"]:
+                continue
+            entry = {"unit": m["unit"]}
+            for side, values in got.items():
+                if not values:
+                    entry[side] = None
+                elif m["name"].endswith("_calls"):
+                    if len(set(values)) > 1:
+                        sys.exit("%s %s differs between traced runs: %s" % (side, key, values))
+                    entry[side] = values[0]
+                else:
+                    entry[side] = spread(values)
+            layers.setdefault(wl, {})[m["name"]] = entry
     results = {"parent": [], "change": []}
     for seed in seeds:
         for side in ("parent", "change")[::1 if seed % 2 else -1]:
@@ -63,13 +95,6 @@ def main():
                 "median_change": round(cs["median"] / ps["median"] - 1, 4),
                 "parent_iqr": round(ps["q3"] - ps["q1"], 4),
                 "worse_than_bound": -sign * (cs["median"] / ps["median"] - 1) > m["bound"]}
-    traced = {s: run(refs[s], "--seed", 11, "--trace", 1)["metrics"] for s in refs}
-    layers = {}
-    for m in bench["per_layer"]:
-        for wl in workloads:
-            got = {s: traced[s].get(wl + "." + m["name"], {}).get("value") for s in refs}
-            if got["change"] is not None:
-                layers.setdefault(wl, {})[m["name"]] = dict(got, unit=m["unit"])
     cpu = [l.split(":")[1].strip() for l in open("/proc/cpuinfo") if "model name" in l][0]
     doc = {"change": args.note,
            "machine": {"cpu": cpu, "cores": os.cpu_count(),
@@ -83,6 +108,8 @@ def main():
            "failed": {s: sum(r["failed"] for r in results[s]) for s in refs},
            "end_to_end": end_to_end,
            "traced": {"command": "python3 perfbench/run.py --workload all --seed 11 --trace 1",
+                      "runs_per_side": TRACED_RUNS,
+                      "summary": "calls: the one repeated value; others: median, min, max",
                       "metrics": layers}}
     with open(args.out, "w") as f:
         f.write(json.dumps(doc, indent=1) + "\n")

@@ -23,12 +23,18 @@ SYMBOL is a single letter owned by the algebra: `x` (and `i j k` for the
 quaternions), `n` for the difference algebra, `r` for the group ring.
 `D` denotes the endomorphism and is only legal when parsing operators.
 
-Everything evaluates in the operator domain.  A bare element is a degree
-zero operator; `*` is composition, which on degree zero operators is
-plain ring multiplication; `a / b` is `a` composed with the inverse of
-the degree zero operator `b`, and is rejected when `b` has positive
-degree or its coefficient is not a unit.  Element parsing runs the same
-evaluator with `D` disabled and unwraps the constant coefficient.
+A value is an element of the algebra until a `D` appears.  An operator
+is a sum of powers of `D`, each followed by left multiplication by an
+element, so text without `D` denotes an element, and the twist rewrite
+is needed only where a `D` stands left of a coefficient.  Elements add,
+multiply and take powers (by squaring) in the ring; `D^n` is built
+directly; an element times an operator scales each coefficient; only an
+operator times an operator or an element composes.  An element becomes a
+degree zero operator where it meets an operator in `+` or `-`, and when
+operator parsing ends.  `a / b` is `a` times the inverse of `b`, and is
+rejected when `b` has positive degree or its coefficient is not a unit.
+Element parsing runs the same evaluator with `D` disabled, so its value
+is never an operator.
 
 Printing lives with the value types; this module adds the JSON form of
 operators: {"algebra": <selector>, "coeffs": [<element text>, ...]},
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .algebras import get_algebra
 from .base import Algebra
@@ -59,109 +65,108 @@ MAX_NESTING = 100
 MAX_DEGREE = 300
 
 
-class Token(NamedTuple):
-    text: str
-    pos: int  # 1-based character position
-
-
-def _tokenize(text: str) -> List[Token]:
+def _tokenize(text: str) -> List[Tuple[str, int]]:
+    """(token, 1-based position) pairs; whitespace matches no token."""
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _TOKEN.match(text, i)
-        tok = m.group(0)
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
         if not (tok.isdecimal() or tok.isalpha() or tok in "^*/+-()"):
-            raise ParseError("unexpected character %r" % tok, i + 1)
-        out.append(Token(tok, i + 1))
-        i = m.end()
+            raise ParseError("unexpected character %r" % tok, m.start() + 1)
+        out.append((tok, m.start() + 1))
     return out
 
 
 class _Parser:
     def __init__(self, text: str, algebra: Algebra, allow_d: bool):
-        self.text = text
         self.algebra = algebra
         self.allow_d = allow_d
-        self.tokens = _tokenize(text)
+        # an empty token ends the list, at the position past the text
+        self.tokens = _tokenize(text) + [("", len(text) + 1)]
         self.pos = 0
         self.depth = 0  # open parentheses around the current position
         self.symbols = algebra.symbols()
 
     # token plumbing
 
-    def _peek(self) -> Optional[Token]:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
+    def _peek(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def _next(self) -> Token:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text) + 1)
+    def _next(self) -> Tuple[str, int]:
+        tok = self.tokens[self.pos]
+        if not tok[0]:
+            raise ParseError("unexpected end of input", tok[1])
         self.pos += 1
         return tok
 
     def _end_pos(self) -> int:
-        tok = self._peek()
-        return tok.pos if tok else len(self.text) + 1
+        return self.tokens[self.pos][1]
 
-    # grammar: each rule returns its value and the degree bound of its text
+    def _lift(self, value) -> Operator:
+        if isinstance(value, Operator):
+            return value
+        return Operator._trusted(self.algebra, (value,))
 
-    def parse(self) -> Operator:
-        if not self.tokens:
+    # grammar: each rule returns its value, an element until a D appears,
+    # and the degree bound of its text
+
+    def parse(self):
+        if len(self.tokens) == 1:
             raise ParseError("empty expression", 1)
         value, _ = self._expr()
-        tok = self._peek()
-        if tok is not None:
+        text, pos = self.tokens[self.pos]
+        if text:
             raise ParseError(
-                "expected an operator or end of input, found %r" % tok.text,
-                tok.pos,
+                "expected an operator or end of input, found %r" % text, pos
             )
         return value
 
-    def _expr(self) -> Tuple[Operator, int]:
+    def _expr(self):
         value, bound = self._term()
         while True:
-            tok = self._peek()
-            if tok is None or tok.text not in "+-":
+            op = self._peek()
+            if op not in ("+", "-"):
                 return value, bound
             self._next()
             rhs, rhs_bound = self._term()
-            value = value + rhs if tok.text == "+" else value - rhs
+            if isinstance(value, Operator) or isinstance(rhs, Operator):
+                value, rhs = self._lift(value), self._lift(rhs)
+            value = value + rhs if op == "+" else value - rhs
             bound = max(bound, rhs_bound)
 
-    def _term(self) -> Tuple[Operator, int]:
+    def _term(self):
         value, bound = self._factor()
         while True:
-            tok = self._peek()
-            if tok is None or tok.text not in "*/":
+            op = self._peek()
+            if op not in ("*", "/"):
                 return value, bound
-            self._next()
+            _, pos = self._next()
             rhs, rhs_bound = self._factor()
-            bound = self._capped(bound + rhs_bound, tok.pos)
-            if tok.text == "*":
-                value = value.compose(rhs)
+            bound = self._capped(bound + rhs_bound, pos)
+            if op == "*":
+                value = self._times(value, rhs)
             else:
-                value = self._divide(value, rhs, tok.pos)
+                value = self._times(value, self._inverse(rhs, pos))
 
-    def _divide(self, value: Operator, rhs: Operator, pos: int) -> Operator:
-        if len(rhs.coeffs) > 1:
-            raise ParseError("cannot divide by an operator of positive degree", pos)
-        coeff = rhs.coeff(0)
+    def _times(self, value, rhs):
+        if isinstance(value, Operator):
+            return value.compose(self._lift(rhs))
+        if isinstance(rhs, Operator):
+            return rhs.scale_left(value)
+        return value * rhs
+
+    def _inverse(self, rhs, pos: int):
+        if isinstance(rhs, Operator):
+            if len(rhs.coeffs) > 1:
+                raise ParseError("cannot divide by an operator of positive degree", pos)
+            rhs = rhs.coeff(0)
         try:
-            inv = self.algebra.try_invert(coeff)
+            return self.algebra.try_invert(rhs)
         except NotAUnit:
             raise ParseError(
                 "division by %s, which is not a unit here"
-                % self.algebra.format_element(coeff),
+                % self.algebra.format_element(rhs),
                 pos,
             ) from None
-        return value.compose(Operator.scalar(self.algebra, inv))
 
     def _capped(self, bound: int, pos: int) -> int:
         if bound > MAX_DEGREE:
@@ -170,67 +175,75 @@ class _Parser:
             )
         return bound
 
-    def _factor(self) -> Tuple[Operator, int]:
+    def _factor(self):
         # a loop, since recursing once per sign overflows on long runs
         signs = 0
-        while self._peek() is not None and self._peek().text == "-":
+        while self._peek() == "-":
             self._next()
             signs += 1
         value, bound = self._power()
         return (-value if signs % 2 else value), bound
 
-    def _power(self) -> Tuple[Operator, int]:
+    def _power(self):
+        start = self.pos
         value, bound = self._atom()
-        tok = self._peek()
-        if tok is None or tok.text != "^":
+        if self._peek() != "^":
             return value, bound
         self._next()
-        etok = self._peek()
-        if etok is None or not etok.text.isdecimal():
+        if not self._peek().isdecimal():
             raise ParseError(
                 "expected a nonnegative integer exponent", self._end_pos()
             )
-        n = self._integer(self._next())
-        bound = self._capped(max(bound, 1) * n, etok.pos)
-        out = Operator.identity(self.algebra)
-        for _ in range(n):
-            # powers of one operator commute; with value on the left each
-            # step advances the power so far only deg(value) times
-            out = value.compose(out)
+        text, pos = self._next()
+        n = self._integer(text, pos)
+        bound = self._capped(max(bound, 1) * n, pos)
+        if self.tokens[start][0] == "D":
+            return Operator.d(self.algebra, n), bound
+        if isinstance(value, Operator):
+            out = Operator.identity(self.algebra)
+            for _ in range(n):
+                # powers of one operator commute; with value on the left each
+                # step advances the power so far only deg(value) times
+                out = value.compose(out)
+            return out, bound
+        out = self.algebra.one()
+        while n:  # square and multiply
+            if n & 1:
+                out = out * value
+            n >>= 1
+            if n:
+                value = value * value
         return out, bound
 
     @staticmethod
-    def _integer(tok: Token) -> int:
+    def _integer(text: str, pos: int) -> int:
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:  # more digits than the interpreter converts
-            raise ParseError("integer literal too long", tok.pos) from None
+            raise ParseError("integer literal too long", pos) from None
 
-    def _atom(self) -> Tuple[Operator, int]:
-        tok = self._next()
-        text = tok.text
+    def _atom(self):
+        text, pos = self._next()
         if text.isdecimal():
-            value = self.algebra.from_fraction(Fraction(self._integer(tok)))
-            return Operator.scalar(self.algebra, value), 0
+            return self.algebra.from_fraction(Fraction(self._integer(text, pos))), 0
         if text == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(
-                    "parentheses nested deeper than %d" % MAX_NESTING, tok.pos
+                    "parentheses nested deeper than %d" % MAX_NESTING, pos
                 )
             self.depth += 1
             inner = self._expr()
             self.depth -= 1
-            closing = self._peek()
-            if closing is None or closing.text != ")":
+            if self._peek() != ")":
                 raise ParseError("expected ')'", self._end_pos())
             self._next()
             return inner
         if text == ")":
-            raise ParseError("unmatched ')'", tok.pos)
+            raise ParseError("unmatched ')'", pos)
         if text == "D":
             if not self.allow_d:
                 raise ParseError(
-                    "D is an operator, not an element of the algebra", tok.pos
+                    "D is an operator, not an element of the algebra", pos
                 )
             return Operator.d(self.algebra), 1
         if text.isalpha():
@@ -239,20 +252,20 @@ class _Parser:
                 raise ParseError(
                     "symbol %r is not defined in algebra %r"
                     % (text, self.algebra.describe()),
-                    tok.pos,
+                    pos,
                 )
-            return Operator.scalar(self.algebra, elem), 1
-        raise ParseError("unexpected token %r" % text, tok.pos)
+            return elem, 1
+        raise ParseError("unexpected token %r" % text, pos)
 
 
 def parse_operator(text: str, algebra: Algebra) -> Operator:
-    return _Parser(text, algebra, allow_d=True).parse()
+    parser = _Parser(text, algebra, allow_d=True)
+    return parser._lift(parser.parse())
 
 
 def parse_element(text: str, algebra: Algebra):
-    op = _Parser(text, algebra, allow_d=False).parse()
-    # without D every value stays at degree zero
-    return op.coeff(0)
+    # without D no value is ever lifted to an operator
+    return _Parser(text, algebra, allow_d=False).parse()
 
 
 # JSON form

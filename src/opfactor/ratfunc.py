@@ -128,6 +128,9 @@ class RationalFunction:
         )
 
     def __hash__(self) -> int:
+        if len(self.num.prim) <= 1 and len(self.den.prim) == 1:
+            # a constant equals the int or Fraction of its value
+            return hash(self.num.coeff(0))
         return hash(("RationalFunction", self.var, self.num, self.den))
 
     def __repr__(self) -> str:

@@ -229,6 +229,90 @@ def ref_compose(left, right):
     return Operator(alg, tuple(acc))
 
 
+# an independent reference for the parser's evaluation
+
+# expression trees: ("int", k), ("sym", name), ("D",), ("neg", signs, t),
+# ("^", t, n), and (op, left, right) for op in "+-*/"
+
+def expr_trees(algebra, allow_d=True, max_leaves=6):
+    leaves = [st.tuples(st.just("int"), st.integers(0, 3)),
+              st.tuples(st.just("sym"), st.sampled_from(sorted(algebra.symbols())))]
+    if allow_d:
+        leaves.append(st.just(("D",)))
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*/"), children, children),
+            st.tuples(st.just("^"), children, st.integers(0, 6)),
+            st.tuples(st.just("neg"), st.integers(1, 4), children),
+        )
+
+    return st.recursive(st.one_of(leaves), extend, max_leaves=max_leaves)
+
+
+def degree_bound(tree):
+    """The parser's syntactic degree bound of the rendered tree."""
+    kind = tree[0]
+    if kind in ("int", "sym", "D"):
+        return 0 if kind == "int" else 1
+    if kind == "neg":
+        return degree_bound(tree[2])
+    if kind == "^":
+        return max(degree_bound(tree[1]), 1) * tree[2]
+    a, b = degree_bound(tree[1]), degree_bound(tree[2])
+    return max(a, b) if kind in "+-" else a + b
+
+
+def render(tree):
+    """Expression text for a tree; every compound operand in parentheses."""
+    kind = tree[0]
+    if kind in ("int", "sym", "D"):
+        return str(tree[-1])
+
+    def operand(t):
+        return render(t) if t[0] in ("int", "sym", "D") else "(%s)" % render(t)
+
+    if kind == "neg":
+        return "-" * tree[1] + operand(tree[2])
+    if kind == "^":
+        return "%s^%d" % (operand(tree[1]), tree[2])
+    return "%s %s %s" % (operand(tree[1]), kind, operand(tree[2]))
+
+
+def ref_evaluate(tree, algebra):
+    """The value of a tree computed in the operator domain throughout: an
+    atom is Operator.scalar (D is Operator.d), * composes, / composes with
+    the scalar inverse of a degree-zero divisor, and ^ composes in a loop.
+    A divisor of positive degree raises ValueError, a nonunit NotAUnit."""
+    kind = tree[0]
+    if kind == "int":
+        return Operator.scalar(algebra, algebra.from_fraction(Fraction(tree[1])))
+    if kind == "sym":
+        return Operator.scalar(algebra, algebra.symbols()[tree[1]])
+    if kind == "D":
+        return Operator.d(algebra)
+    if kind == "neg":
+        value = ref_evaluate(tree[2], algebra)
+        return -value if tree[1] % 2 else value
+    left = ref_evaluate(tree[1], algebra)
+    if kind == "^":
+        out = Operator.identity(algebra)
+        for _ in range(tree[2]):
+            out = left.compose(out)
+        return out
+    right = ref_evaluate(tree[2], algebra)
+    if kind == "+":
+        return left + right
+    if kind == "-":
+        return left - right
+    if kind == "*":
+        return left.compose(right)
+    if right.degree > 0:
+        raise ValueError("divisor of positive degree")
+    inv = algebra.try_invert(right.coeff(0))
+    return left.compose(Operator.scalar(algebra, inv))
+
+
 # an independent reference for Quaternion.__mul__
 
 # e_m * e_n = sign * e_unit as (unit, sign), for the units e = 1, i, j, k

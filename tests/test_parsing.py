@@ -7,8 +7,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from opfactor import (
+    NotAUnit,
     Operator,
     ParseError,
     get_algebra,
@@ -18,7 +21,18 @@ from opfactor import (
     parse_operator,
 )
 
-from helpers import ALL_ALGEBRAS, C5, DIFF1, QUAT, QX, rand_operator
+from helpers import (
+    ALL_ALGEBRAS,
+    C5,
+    DIFF1,
+    QUAT,
+    QX,
+    degree_bound,
+    expr_trees,
+    rand_operator,
+    ref_evaluate,
+    render,
+)
 
 
 def test_element_examples():
@@ -221,6 +235,48 @@ def test_nonunit_division_rejected():
         parse_operator("1/D", QX)
     with pytest.raises(ParseError):
         parse_operator("1/0", QX)
+
+
+@pytest.mark.parametrize(
+    "text, algebra, message, position",
+    [
+        ("x/D", QX, "cannot divide by an operator of positive degree", 2),
+        ("x/(D-D)", QX, "division by 0, which is not a unit here", 2),
+        ("x/(0*D)", QX, "division by 0, which is not a unit here", 2),
+        ("D/(1+r)", C5, "division by 1 + r, which is not a unit here", 2),
+        ("(2*D)/2", C5, "division by 2, which is not a unit here", 6),
+    ],
+)
+def test_division_mixing_elements_and_operators_rejected(text, algebra, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_operator(text, algebra)
+    assert info.value.position == position
+    assert message in str(info.value)
+
+
+def test_mixed_element_and_operator_values():
+    assert parse_operator("D/x", QX) == parse_operator("D*(1/x)", QX)
+    for text in ("x^0", "0^0", "(D-D)^0"):
+        assert parse_operator(text, QX) == Operator.identity(QX), text
+    assert parse_operator("(D-D+D)^3", QX) == Operator.d(QX, 3)
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
+@given(data=st.data())
+def test_parser_matches_the_operator_domain_reference(algebra, data):
+    tree = data.draw(expr_trees(algebra))
+    # small bounds keep the exact arithmetic quick
+    assume(degree_bound(tree) <= 12)
+    text = render(tree)
+    try:
+        want = ref_evaluate(tree, algebra)
+    except (ValueError, NotAUnit):
+        with pytest.raises(ParseError):
+            parse_operator(text, algebra)
+        return
+    assert parse_operator(text, algebra).coeffs == want.coeffs, text
+    if "D" not in text:
+        assert parse_element(text, algebra) == want.coeff(0), text
 
 
 def test_d_not_an_element():

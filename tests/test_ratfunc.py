@@ -22,6 +22,14 @@ def test_canonical_invariants():
     assert z.num == Poly() and z.den == Poly.one()
 
 
+def test_constants_hash_like_their_values():
+    one, half, zero = RationalFunction.one("x"), rf([1], [2]), RationalFunction.zero("n")
+    assert len({one, 1}) == 1 and len({half, Fraction(1, 2)}) == 1 and len({zero, 0}) == 1
+    table = {1: "one", Fraction(1, 2): "half", 0: "zero"}
+    assert (table[one], table[half], table[zero]) == ("one", "half", "zero")
+    assert {rf([0, 1]): "x"}[rf([0, 1])] == "x"
+
+
 @given(polys(), polys(2))
 def test_canonicalization_idempotent(n, d):
     assume(not d.is_zero())
