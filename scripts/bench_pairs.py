@@ -6,8 +6,8 @@ Run from the repository root.  Each run gets a fresh `git archive` export, so
 no run sees another's bytecode.  Seed S = first-seed + i runs `perfbench/run.py
 --workload all --seed S --seconds 25` on both commits, the parent first when S
 is odd.  Three seed-11 `--trace 1` runs per commit, interleaved, give the
-per-layer metrics: each `_calls` count, which must repeat exactly across the
-runs, and the median, min and max of every other metric.
+per-layer metrics: each call count (unit calls/req), which must repeat exactly
+across the runs, and the median, min and max of every other metric.
 """
 
 import argparse
@@ -72,7 +72,7 @@ def main():
             for side, values in got.items():
                 if not values:
                     entry[side] = None
-                elif m["name"].endswith("_calls"):
+                elif m["unit"] == "calls/req":
                     if len(set(values)) > 1:
                         sys.exit("%s %s differs between traced runs: %s" % (side, key, values))
                     entry[side] = values[0]

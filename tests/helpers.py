@@ -234,11 +234,12 @@ def ref_compose(left, right):
 # expression trees: ("int", k), ("sym", name), ("D",), ("neg", signs, t),
 # ("^", t, n), and (op, left, right) for op in "+-*/"
 
-def expr_trees(algebra, allow_d=True, max_leaves=6):
-    leaves = [st.tuples(st.just("int"), st.integers(0, 3)),
-              st.tuples(st.just("sym"), st.sampled_from(sorted(algebra.symbols())))]
-    if allow_d:
-        leaves.append(st.just(("D",)))
+def expr_trees(algebra):
+    leaves = st.one_of(
+        st.tuples(st.just("int"), st.integers(0, 3)),
+        st.tuples(st.just("sym"), st.sampled_from(sorted(algebra.symbols()))),
+        st.just(("D",)),
+    )
 
     def extend(children):
         return st.one_of(
@@ -247,7 +248,7 @@ def expr_trees(algebra, allow_d=True, max_leaves=6):
             st.tuples(st.just("neg"), st.integers(1, 4), children),
         )
 
-    return st.recursive(st.one_of(leaves), extend, max_leaves=max_leaves)
+    return st.recursive(leaves, extend, max_leaves=6)
 
 
 def degree_bound(tree):
