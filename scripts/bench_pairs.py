@@ -7,7 +7,8 @@ no run sees another's bytecode.  Seed S = first-seed + i runs `perfbench/run.py
 --workload all --seed S --seconds 25` on both commits, the parent first when S
 is odd.  Three seed-11 `--trace 1` runs per commit, interleaved, give the
 per-layer metrics: each call count (unit calls/req), which must repeat exactly
-across the runs, and the median, min and max of every other metric.
+across the runs, and the median, min and max of every other metric.  A run that
+exits nonzero stops the script with its ref, its arguments and its stderr.
 """
 
 import argparse
@@ -26,11 +27,13 @@ def run(ref, *args):
     """The final JSON line of one perfbench run on a fresh export of ref."""
     with tempfile.TemporaryDirectory() as tree:
         subprocess.run("git archive %s | tar -x -C %s" % (ref, tree), shell=True, check=True)
-        out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "all",
-                              *map(str, args)], cwd=tree, check=True,
-                             capture_output=True, text=True).stdout
+        done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "all",
+                               *map(str, args)], cwd=tree, capture_output=True, text=True)
+    if done.returncode:
+        sys.exit("perfbench/run.py failed on %s with %s, exit status %d:\n%s"
+                 % (ref, " ".join(map(str, args)), done.returncode, done.stderr))
     print(ref, *args, file=sys.stderr)
-    return json.loads(out.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def summary(runs):

@@ -33,6 +33,11 @@ slots directly and checks nothing.  Values are immutable by convention: no
 slot is assigned after construction, and every operation returns a new
 value.  `TwistPair`, a plain pair, is a NamedTuple.
 
+Every element prints, by `str`, as plain text in the grammar the parser
+reads, and `split_sign` folds an overall minus out of it.  Where one text
+is embedded in another, the formatting module's one rule places the
+parentheses.
+
 An algebra may declare `endo_order = n` when endo^n is the identity map
 AND the corresponding operator identity holds, in which case operator
 equality folds exponents above n - 1 (see the operator module).  The
@@ -160,4 +165,4 @@ class Algebra(ABC):
 
     def format_element(self, f) -> str:
         self.check(f)
-        return f.fmt().text
+        return str(f)

@@ -1,21 +1,19 @@
 """Small shared pieces for rendering elements back into expression text.
 
-Every element formatter returns an Fmt record: the rendered text plus three
-structural facts about its top level (is it a sum, does it contain a top
-level division, does it start with a minus sign).  Callers embedding the
-text into a larger expression use the flags to decide on parentheses.
+Every element printer returns plain text in the grammar the parser reads.
+A caller that embeds one text in a larger expression decides on
+parentheses from the text alone, by one rule:
+  * it is a sum when `is_sum` finds ` + ` or ` - ` outside its
+    parenthesised groups;
+  * it is a quotient when it contains `/`;
+  * it is negative when it starts with `-`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import re
 
-
-class Fmt(NamedTuple):
-    text: str
-    is_sum: bool = False
-    is_quotient: bool = False
-    is_negative: bool = False
+_SUM_TOKENS = re.compile(r"[()]| [+-] ")
 
 
 def int_text(n: int) -> str:
@@ -50,3 +48,17 @@ def join_terms(terms) -> str:
         else:
             out.append((" - " if sign < 0 else " + ") + body)
     return "".join(out) if out else "0"
+
+
+def is_sum(text: str) -> bool:
+    """Whether ` + ` or ` - ` appears in `text` outside every group."""
+    depth = 0
+    for m in _SUM_TOKENS.finditer(text):
+        token = m.group()
+        if token == "(":
+            depth += 1
+        elif token == ")":
+            depth -= 1
+        elif not depth:
+            return True
+    return False

@@ -29,7 +29,7 @@ import operator
 from typing import Tuple
 
 from .errors import NotAUnit
-from .formatting import Fmt, int_text, join_terms
+from .formatting import int_text, join_terms
 
 
 class GroupRingC5Element:
@@ -134,9 +134,7 @@ class GroupRingC5Element:
             return -1, -self
         return 1, self
 
-    def fmt(self) -> Fmt:
-        if self.is_zero():
-            return Fmt("0")
+    def __str__(self) -> str:
         terms = []
         for e, c in enumerate(self.coeffs):
             if c == 0:
@@ -149,12 +147,4 @@ class GroupRingC5Element:
                 rpart = "r" if e == 1 else "r^%d" % e
                 body = rpart if mag == 1 else "%s*%s" % (int_text(mag), rpart)
             terms.append((sign, body))
-        return Fmt(
-            join_terms(terms),
-            is_sum=len(terms) > 1,
-            is_quotient=False,
-            is_negative=terms[0][0] < 0,
-        )
-
-    def __str__(self) -> str:
-        return self.fmt().text
+        return join_terms(terms)

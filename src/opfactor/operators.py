@@ -31,7 +31,7 @@ from typing import Tuple
 
 from .base import Algebra
 from .errors import MixedAlgebras
-from .formatting import join_terms
+from .formatting import is_sum, join_terms
 
 
 class Operator:
@@ -192,25 +192,23 @@ class Operator:
 
     def format(self) -> str:
         alg = self.algebra
-        if self.is_zero():
-            return "0"
         terms = []
         for d in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[d]
             if c.is_zero():
                 continue
             sign, mag = c.split_sign()
-            mf = mag.fmt()
+            text = str(mag)
             if d == 0:
-                wrap = (sign < 0 and mf.is_sum) or (mf.is_negative and terms)
-                body = "(%s)" % mf.text if wrap else mf.text
+                wrap = (sign < 0 and is_sum(text)) or (terms and text.startswith("-"))
+                body = "(%s)" % text if wrap else text
             else:
                 dpart = "D" if d == 1 else "D^%d" % d
                 if mag == alg.one():
                     body = dpart
                 else:
-                    wrap = mf.is_sum or mf.is_quotient or mf.is_negative
-                    coeff_text = "(%s)" % mf.text if wrap else mf.text
+                    wrap = is_sum(text) or "/" in text or text.startswith("-")
+                    coeff_text = "(%s)" % text if wrap else text
                     body = "%s*%s" % (coeff_text, dpart)
             terms.append((sign, body))
         return join_terms(terms)

@@ -11,8 +11,9 @@ The value is (cnum/cden) * prim.  Zero is the empty tuple with content
 0/1 and has degree -1.  A nonzero rational polynomial has exactly one
 such form: the primitive part is fixed up to sign, and the sign goes to
 the content.  So the representation is canonical and equality is field
-equality.  `coeffs`, `leading`, `coeff`, `evaluate` and `fmt` give the
-rational coefficients as Fractions; `coeffs` is derived on demand.
+equality.  `coeffs`, `leading` and `coeff` give the rational coefficients
+as Fractions; `coeffs` is derived on demand.  `evaluate` gives the value at
+a rational point as a Fraction, and `fmt(var)` the text in variable `var`.
 
 Arithmetic runs on the integer tuples (Knuth, TAOCP vol. 2, 4.6.1):
   * Gauss's lemma: a product of primitive polynomials is primitive, and
@@ -47,7 +48,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
-from .formatting import Fmt, int_text, join_terms
+from .formatting import int_text, join_terms
 
 Scalar = Union[int, Fraction]
 
@@ -295,12 +296,9 @@ class Poly:
 
     # display
 
-    def fmt(self, var: str) -> Fmt:
-        if self.is_zero():
-            return Fmt("0")
+    def fmt(self, var: str) -> str:
         n, d = self.cnum, self.cden
         terms = []
-        den = 1
         for e in range(len(self.prim) - 1, -1, -1):
             c = n * self.prim[e]
             if not c:
@@ -314,12 +312,7 @@ class Poly:
                 vpart = var if e == 1 else "%s^%d" % (var, e)
                 body = vpart if num == den == 1 else "%s*%s" % (mag, vpart)
             terms.append((-1 if c < 0 else 1, body))
-        return Fmt(
-            join_terms(terms),
-            is_sum=len(terms) > 1,
-            is_quotient=(len(terms) == 1 and den != 1),
-            is_negative=terms[0][0] < 0,
-        )
+        return join_terms(terms)
 
 
 def _new(prim: tuple, n: int, d: int) -> Poly:

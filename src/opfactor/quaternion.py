@@ -22,7 +22,7 @@ from __future__ import annotations
 from operator import add, sub
 
 from .errors import MixedAlgebras, NotAUnit
-from .formatting import Fmt, join_terms
+from .formatting import is_sum, join_terms
 from .ratfunc import RationalFunction
 
 
@@ -56,7 +56,8 @@ class Quaternion:
     def var(self) -> str:
         return self.a.var
 
-    # constructors
+    # constructors: `scalar` checks its argument; the others build their
+    # components themselves and skip the check
 
     @classmethod
     def scalar(cls, r: RationalFunction) -> "Quaternion":
@@ -65,15 +66,18 @@ class Quaternion:
 
     @classmethod
     def from_fraction(cls, q, var: str = "x") -> "Quaternion":
-        return cls.scalar(RationalFunction.constant(q, var))
+        z = RationalFunction.zero(var)
+        return cls._trusted(RationalFunction.constant(q, var), z, z, z)
 
     @classmethod
     def zero(cls, var: str = "x") -> "Quaternion":
-        return cls.scalar(RationalFunction.zero(var))
+        z = RationalFunction.zero(var)
+        return cls._trusted(z, z, z, z)
 
     @classmethod
     def one(cls, var: str = "x") -> "Quaternion":
-        return cls.scalar(RationalFunction.one(var))
+        z = RationalFunction.zero(var)
+        return cls._trusted(RationalFunction.one(var), z, z, z)
 
     @classmethod
     def unit(cls, name: str, var: str = "x") -> "Quaternion":
@@ -84,7 +88,7 @@ class Quaternion:
             "j": (z, z, o, z),
             "k": (z, z, z, o),
         }
-        return cls(*table[name])
+        return cls._trusted(*table[name])
 
     # structure
 
@@ -152,37 +156,19 @@ class Quaternion:
             return -1, -self
         return 1, self
 
-    def fmt(self) -> Fmt:
-        if self.is_zero():
-            return Fmt("0")
+    def __str__(self) -> str:
         terms = []
-        scalar_is_sum = False
         for comp, unit in zip(self.components, ("", "i", "j", "k")):
             if comp.is_zero():
                 continue
             sign, mag = comp.split_sign()
-            mf = mag.fmt()
-            if not unit:
-                # a positive scalar sum reassociates fine when appended
-                # bare; under a minus it has to keep its parentheses
-                if sign < 0 and mf.is_sum:
-                    terms.append((sign, "(%s)" % mf.text))
-                else:
-                    terms.append((sign, mf.text))
-                    scalar_is_sum = mf.is_sum
-            elif mag.is_one():
+            if unit and mag.is_one():
                 terms.append((sign, unit))
-            else:
-                body = "(%s)" % mf.text if mf.is_sum else mf.text
-                terms.append((sign, "%s*%s" % (body, unit)))
-        text = join_terms(terms)
-        single = len(terms) == 1
-        return Fmt(
-            text,
-            is_sum=(not single) or scalar_is_sum,
-            is_quotient=single and "/" in terms[0][1],
-            is_negative=terms[0][0] < 0,
-        )
-
-    def __str__(self) -> str:
-        return self.fmt().text
+                continue
+            text = str(mag)
+            # a positive scalar sum reassociates fine when appended bare;
+            # under a minus or before a unit it keeps its parentheses
+            if is_sum(text) and (unit or sign < 0):
+                text = "(%s)" % text
+            terms.append((sign, "%s*%s" % (text, unit) if unit else text))
+        return join_terms(terms)

@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import MixedAlgebras, NotAUnit
-from .formatting import Fmt
+from .formatting import is_sum
 from .poly import Poly, integer_cleared
 
 Scalar = Union[int, Fraction]
@@ -251,25 +251,15 @@ class RationalFunction:
             return -1, -self
         return 1, self
 
-    def fmt(self) -> Fmt:
-        if self.is_zero():
-            return Fmt("0")
-        n, d = integer_cleared(self.num, self.den)
-        nf = n.fmt(self.var)
-        if d == Poly.one():
-            return nf
-        ntext = "(%s)" % nf.text if nf.is_sum else nf.text
-        df = d.fmt(self.var)
-        bare_den = (not df.is_sum) and (
-            d.degree == 0 or (d.leading == 1 and sum(1 for c in d.prim if c) == 1)
-        )
-        dtext = df.text if bare_den else "(%s)" % df.text
-        return Fmt(
-            "%s/%s" % (ntext, dtext),
-            is_sum=False,
-            is_quotient=True,
-            is_negative=nf.is_negative,
-        )
-
     def __str__(self) -> str:
-        return self.fmt().text
+        n, d = integer_cleared(self.num, self.den)
+        ntext = n.fmt(self.var)
+        if d == Poly.one():
+            return ntext
+        if is_sum(ntext):
+            ntext = "(%s)" % ntext
+        dtext = d.fmt(self.var)
+        # only a constant or a monic power x^e stays bare after the slash
+        if d.degree > 0 and (d.leading != 1 or sum(1 for c in d.prim if c) > 1):
+            dtext = "(%s)" % dtext
+        return "%s/%s" % (ntext, dtext)

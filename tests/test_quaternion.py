@@ -1,6 +1,7 @@
 """Quaternion arithmetic over the rational function scalars."""
 
 import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -165,3 +166,20 @@ def test_results_pass_the_public_constructor(p, q):
         assert type(r) is Quaternion
         assert Quaternion(*r.components) == r
         assert r.is_zero() == all(comp.is_zero() for comp in r.components)
+
+
+@pytest.mark.parametrize("var", ["x", "n"])
+def test_constants_equal_their_checked_construction(var):
+    z, o = RationalFunction.zero(var), RationalFunction.one(var)
+    c = RationalFunction.constant(Fraction(-3, 4), var)
+    built = [
+        (Quaternion.zero(var), Quaternion(z, z, z, z)),
+        (Quaternion.one(var), Quaternion(o, z, z, z)),
+        (Quaternion.from_fraction(Fraction(-3, 4), var), Quaternion(c, z, z, z)),
+        (Quaternion.unit("i", var), Quaternion(z, o, z, z)),
+        (Quaternion.unit("j", var), Quaternion(z, z, o, z)),
+        (Quaternion.unit("k", var), Quaternion(z, z, z, o)),
+    ]
+    for got, checked in built:
+        assert got == checked and got.var == var
+        assert all(type(comp) is RationalFunction for comp in got.components)
