@@ -6,8 +6,7 @@ also one the parser reads back.
 
 import pytest
 
-from opfactor import get_algebra, parse_element, parse_operator
-from opfactor import formatting
+from opfactor import formatting, get_algebra, parse_element, parse_operator
 
 OPERATOR_CASES = [
     # constant term: a negative sum keeps its group
