@@ -9,6 +9,7 @@ is odd.  Three seed-11 `--trace 1` runs per commit, interleaved, give the
 per-layer metrics: each call count (unit calls/req), which must repeat exactly
 across the runs, and the median, min and max of every other metric.  A run that
 exits nonzero stops the script with its ref, its arguments and its stderr.
+`src_lines` sums `git diff --numstat PARENT_REF HEAD -- src`.
 """
 
 import argparse
@@ -34,6 +35,15 @@ def run(ref, *args):
                  % (ref, " ".join(map(str, args)), done.returncode, done.stderr))
     print(ref, *args, file=sys.stderr)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def src_lines(ref):
+    """Lines added and removed under src/ from ref to HEAD."""
+    numstat = subprocess.run(["git", "diff", "--numstat", ref, "HEAD", "--", "src"],
+                             capture_output=True, text=True, check=True).stdout
+    counts = [line.split("\t")[:2] for line in numstat.splitlines()]
+    return {"added": sum(int(a) for a, _ in counts),
+            "removed": sum(int(r) for _, r in counts)}
 
 
 def summary(runs):
@@ -104,6 +114,7 @@ def main():
                        "os": platform.system() + " " + platform.release().split("-")[0]},
            "python": platform.python_version(),
            "command": "python3 perfbench/run.py --workload all --seed SEED --seconds 25",
+           "src_lines": src_lines(args.parent),
            "seeds": seeds,
            "pairs": "fresh git archive export per run; parent first on odd seeds, else HEAD",
            "quartiles": "statistics.quantiles(runs, n=4, method='inclusive')",

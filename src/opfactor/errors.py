@@ -55,7 +55,7 @@ class NotIntertwinable(_Offenders):
 
 
 class NotMonicizable(AlgebraError):
-    """Right division needs a unit leading coefficient and there is none."""
+    """Right division needs a monic divisor: leading coefficient one."""
 
 
 class CorollaryViolated(AlgebraError):

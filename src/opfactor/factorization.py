@@ -41,7 +41,6 @@ from typing import List, Sequence, Tuple
 from .base import Algebra
 from .errors import (
     CorollaryViolated,
-    NotAUnit,
     NotInKernel,
     NotIntertwinable,
     NotMonicizable,
@@ -101,15 +100,14 @@ class KernelContext:
         return Operator.d(self.algebra, i - self.k).compose(self.K)
 
     def interpolate(self, targets: Sequence) -> Operator:
-        """The degree < k operator with f_i -> targets[i] for every i."""
+        """The degree < k operator sum(t_i . P_i), which sends f_i to t_i:
+        the row vector of targets times Phi^-1, whose rows are the P_i."""
         if len(targets) != self.k:
             raise ValueError(
                 "expected %d targets, got %d" % (self.k, len(targets))
             )
-        out = Operator.zero(self.algebra)
-        for t, p_op in zip(targets, self.P):
-            out = out + p_op.scale_left(t)
-        return out
+        row = NCMatrix(self.algebra, 1, self.k, targets) * self.phi_inv
+        return Operator._trusted(self.algebra, row.entries)
 
     def hat_coefficients(self, op: Operator) -> List:
         """Expand an operator over the Dhat family.
@@ -177,43 +175,31 @@ class KernelContext:
 
 
 def right_divide_monic(op: Operator, divisor: Operator) -> Tuple[Operator, Operator]:
-    """Long division from the right: op = Q . divisor + R with the
-    representation degree of R below that of the divisor.
-
-    The shifted divisors endo^j . divisor are built once, one twist advance
-    each, so a step costs no twist.  Their top coefficients must be units:
-    the divisor's is inverted once and pushed through the twist's p, which
-    is multiplicative on every built-in algebra.  The result is certified
-    by recomposing Q . divisor + R == op exactly.
+    """Long division from the right by a monic divisor of degree d:
+    op = Q . divisor + R with R of degree below d; any other divisor
+    raises NotMonicizable.  The twist of 1 is (1, 0), so each shifted
+    divisor endo^j . divisor, built once by one twist advance, is monic
+    of degree j + d.  From the top, step j takes the remainder's
+    coefficient of endo^(j+d) as Q_j and subtracts Q_j . (endo^j . divisor)
+    below it.  Recomposing Q . divisor + R == op certifies the result.
     """
     alg = op._same_algebra(divisor)
-    if divisor.is_zero():
-        raise NotMonicizable("cannot divide by the zero operator")
+    if divisor.is_zero() or divisor.coeffs[-1] != alg.one():
+        raise NotMonicizable("divisor %s is not monic" % divisor)
     d = len(divisor.coeffs) - 1
-    lead = divisor.coeffs[-1]
-    monic = lead == alg.one()
-    try:
-        inv = lead if monic else alg.try_invert(lead)
-    except NotAUnit as exc:
-        raise NotMonicizable(
-            "leading coefficient %s is not a unit" % alg.format_element(lead)
-        ) from exc
-    shifted, pushed = [divisor], [inv]
+    shifted = [divisor]
     while len(shifted) < len(op.coeffs) - d:
         shifted.append(shifted[-1]._advanced())
-        pushed.append(inv if monic else alg.twist(pushed[-1]).p)
+    rest = list(op.coeffs)
     quotient = [alg.zero()] * max(len(op.coeffs) - d, 0)
-    rest = op
-    while rest.degree >= d:
-        m = len(rest.coeffs) - 1
-        top = rest.coeffs[-1]
-        if not monic:
-            top = top * pushed[m - d]
-        quotient[m - d] = top
-        rest = rest + shifted[m - d].scale_left(-top)
-        if rest.degree >= m:
-            raise VerificationFailed("division step did not reduce the degree")
-    q_op = Operator._trusted(alg, tuple(quotient))
-    if q_op.compose(divisor) + rest != op:
+    for j in reversed(range(len(quotient))):
+        top = rest[j + d]
+        quotient[j] = top
+        if not top.is_zero():
+            for t, c in enumerate(shifted[j].coeffs[: j + d]):
+                rest[t] = rest[t] - top * c
+    q_op = Operator._trusted(alg, quotient)
+    r_op = Operator._trusted(alg, rest[:d])
+    if q_op.compose(divisor) + r_op != op:
         raise VerificationFailed("right division does not recompose")
-    return q_op, rest
+    return q_op, r_op

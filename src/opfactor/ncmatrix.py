@@ -30,6 +30,14 @@ from .base import Algebra
 from .errors import MixedAlgebras, NotAUnit, NotInvertible, ShapeMismatch
 
 
+def _dot(alg: Algebra, xs, ys):
+    """sum(x * y) over the pairs in order, each product keeping x on the left."""
+    acc = alg.zero()
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
 class NCMatrix:
     __slots__ = ("algebra", "rows", "cols", "entries")  # entries row-major
 
@@ -99,14 +107,9 @@ class NCMatrix:
                 % (self.rows, self.cols, other.rows, other.cols)
             )
         alg = self.algebra
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = alg.zero()
-                for l in range(self.cols):
-                    acc = acc + self.entry(i, l) * other.entry(l, j)
-                out.append(acc)
-        return NCMatrix(alg, self.rows, other.cols, tuple(out))
+        cols = [other.entries[j :: other.cols] for j in range(other.cols)]
+        out = [_dot(alg, self.row(i), col) for i in range(self.rows) for col in cols]
+        return NCMatrix(alg, self.rows, other.cols, out)
 
     def inverse(self) -> "NCMatrix":
         """Certified two-sided inverse, or NotInvertible."""
@@ -187,13 +190,6 @@ class NCMatrix:
         alg = self.algebra
         n = self.rows
         entry = self.entry
-
-        def dot(xs, ys):
-            acc = alg.zero()
-            for x, y in zip(xs, ys):
-                acc = acc + x * y
-            return acc
-
         poly = [alg.one(), -entry(n - 1, n - 1)]
         for m in range(n - 2, -1, -1):
             rest = range(m + 1, n)
@@ -202,10 +198,10 @@ class NCMatrix:
             col = [alg.one(), -entry(m, m)]
             vec = [entry(i, m) for i in rest]
             for _ in rest:
-                col.append(-dot(row_r, vec))
-                vec = [dot(b_row, vec) for b_row in block]
+                col.append(-_dot(alg, row_r, vec))
+                vec = [_dot(alg, b_row, vec) for b_row in block]
             # entry i is sum_j col[i - j] * poly[j]; zip stops at poly's end
-            poly = [dot(col[i::-1], poly) for i in range(len(poly) + 1)]
+            poly = [_dot(alg, col[i::-1], poly) for i in range(len(poly) + 1)]
         return poly
 
     def __repr__(self) -> str:

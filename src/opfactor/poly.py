@@ -150,11 +150,7 @@ class Poly:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if not other.prim:
-            return self
-        if not self.prim:
-            return -other
-        return _combine(self, -other.cnum, other)
+        return self + (-other)
 
     def __rsub__(self, other) -> "Poly":
         other = _coerce(other)

@@ -165,15 +165,6 @@ def elements(algebra):
     raise ValueError(name)
 
 
-def units(algebra):
-    """Invertible elements: the trivial units of the group ring, anything
-    nonzero in the division rings."""
-    if algebra.name == "c5":
-        gens = [GroupRingC5Element.generator(p) for p in range(5)]
-        return st.sampled_from(gens + [-g for g in gens])
-    return elements(algebra).filter(lambda e: not e.is_zero())
-
-
 def operators(algebra, max_deg=2):
     return st.lists(elements(algebra), min_size=0, max_size=max_deg + 1).map(
         lambda cs: Operator(algebra, tuple(cs))

@@ -1,5 +1,5 @@
 """Smoke and golden tests of scripts/demo.py, the library walk-through in
-the README.
+the README, and a run of the README's own "Library use" example.
 
 The demo runs as a subprocess with the package's source directory on
 PYTHONPATH, as tests/test_cli_golden.py runs the CLI.  Its whole stdout is
@@ -15,6 +15,7 @@ import opfactor
 
 DEMO = Path(__file__).resolve().parent.parent / "scripts" / "demo.py"
 GOLDEN = Path(__file__).resolve().parent / "demo_golden.txt"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_demo_runs_all_showcases():
@@ -46,3 +47,9 @@ def test_demo_output_matches_golden():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == GOLDEN.read_text()
+
+
+def test_readme_library_example_runs():
+    section = README.read_text().split("## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
