@@ -390,8 +390,8 @@ def test_right_division_generic():
 def test_right_division_catches_a_wrong_inverse():
     # division takes 1 as the inverse of every shifted divisor's lead,
     # which holds because the twist of 1 is (1, 0); a twist that doubles
-    # p leaves 2 there, so the remainder keeps a D^2 term that the
-    # certificate's recomposition misses
+    # p leaves 2 there, so a D^2 term is never cleared, and R, read from
+    # the low coefficients only, fails the recomposition
     class DoubledTwist(type(QX)):
         def twist(self, f):
             tw = super().twist(f)
