@@ -9,7 +9,9 @@ is odd.  Three seed-11 `--trace 1` runs per commit, interleaved, give the
 per-layer metrics: each call count (unit calls/req), which must repeat exactly
 across the runs, and the median, min and max of every other metric.  A run that
 exits nonzero stops the script with its ref, its arguments and its stderr.
-`src_lines` sums `git diff --numstat PARENT_REF HEAD -- src`.
+`src_lines` sums `git diff --numstat PARENT_REF HEAD -- src`.  An end-to-end
+entry `meets_pair_rule` when the change wins at least nine tenths of the pairs
+and its median beats the parent's by more than the parent's interquartile range.
 """
 
 import argparse
@@ -102,11 +104,15 @@ def main():
             key, sign = wl + "." + m["name"], (1 if m["better"] == "higher" else -1)
             p, c = ([r["metrics"][key]["value"] for r in results[s]] for s in results)
             ps, cs = summary(p), summary(c)
+            wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+            iqr = round(ps["q3"] - ps["q1"], 4)
             end_to_end.setdefault(wl, {})[m["name"]] = {
                 "unit": m["unit"], "better": m["better"], "parent": ps, "change": cs,
-                "change_wins_pairs": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
+                "change_wins_pairs": wins,
                 "median_change": round(cs["median"] / ps["median"] - 1, 4),
-                "parent_iqr": round(ps["q3"] - ps["q1"], 4),
+                "parent_iqr": iqr,
+                "meets_pair_rule": wins >= 0.9 * len(seeds)
+                                   and sign * (cs["median"] - ps["median"]) > iqr,
                 "worse_than_bound": -sign * (cs["median"] / ps["median"] - 1) > m["bound"]}
     cpu = [l.split(":")[1].strip() for l in open("/proc/cpuinfo") if "model name" in l][0]
     doc = {"change": args.note,

@@ -29,8 +29,27 @@ Arithmetic runs on the integer tuples (Knuth, TAOCP vol. 2, 4.6.1):
     and that factor goes to the contents of the results.  When b divides
     a, Gauss's lemma makes the quotient of their primitive parts
     integral, so an exact division never rescales.
-  * The gcd is the primitive PRS: Euclid on pseudo-remainders, each cut
-    to its primitive part.  The result is returned monic.
+  * The gcd is returned monic and is found by the first of four steps
+    that applies, each exact:
+      1. a constant argument gives 1, a zero one the other's monic form,
+         and equal arguments their own;
+      2. when one primitive part is x^m, the gcd is x^min(m, v), with v
+         the index of the other's first nonzero coefficient, since x is
+         irreducible;
+      3. GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989;
+         Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
+         ch. 7): evaluate both at xi = 2 * min(|a|, |b|) + 29 in the max
+         norm and take h = igcd(a(xi), b(xi)).  A root of a common
+         factor is a root of both, so its modulus is below
+         1 + min(|a|, |b|) <= xi / 2; a nonconstant common factor, whose
+         value at xi divides h, therefore exceeds xi / 2 there, and
+         2h <= xi proves the pair coprime.  Otherwise the primitive part
+         of h written in symmetric base-xi digits (each of modulus at most
+         xi / 2) is the gcd exactly when it divides both, which
+         pseudo-division checks.  Both arguments need
+         xi >= 2 * min(|a|, |b|) + 2, so xi is never chosen smaller;
+      4. when that check fails, the primitive PRS: Euclid on
+         pseudo-remainders, each cut to its primitive part.
   * The Taylor shift x -> x + 1 is an automorphism of Z[x], so it keeps
     the tuple primitive and the content as it is.  A derivative scales
     the tuple and takes the content out again.
@@ -243,8 +262,9 @@ class Poly:
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
-        """Monic greatest common divisor; gcd(0, 0) is 0.  A nonzero
-        constant, given or met as a remainder, ends the search at once."""
+        """Monic greatest common divisor; gcd(0, 0) is 0.  The shortcuts,
+        a power of x, GCDHEU and the primitive PRS are tried in that
+        order; the module docstring says why each is exact."""
         a, b = a.prim, b.prim
         if len(a) == 1 or len(b) == 1:
             return _ONE
@@ -252,11 +272,15 @@ class Poly:
             a, b = b, a
         if not b or a == b:
             return _new(a, 1, a[-1]) if a else _ZERO
-        while True:
-            rem = _reduced(_pseudo_divide(a, b)[1], 1, 1).prim
-            if len(rem) < 2:
-                return _ONE if rem else _new(b, 1, b[-1])
-            a, b = b, rem
+        for p, q in ((a, b), (b, a)):
+            if p.count(0) == len(p) - 1:  # p is x^m
+                v = 0
+                while not q[v]:
+                    v += 1
+                k = min(len(p) - 1, v)
+                return _new((0,) * k + (1,), 1, 1) if k else _ONE
+        g = _heuristic_gcd(a, b)
+        return g if g is not None else _prs_gcd(a, b)
 
     def derivative(self) -> "Poly":
         a = self.prim
@@ -393,6 +417,50 @@ def _pseudo_divide(a: tuple, b: tuple):
                 rem[j] -= q * y
     del rem[db:]
     return quot, rem, scale
+
+
+def _value_at(p: tuple, x: int) -> int:
+    """p(x) by Horner's rule."""
+    v = 0
+    for c in reversed(p):
+        v = v * x + c
+    return v
+
+
+def _heuristic_gcd(a: tuple, b: tuple):
+    """GCDHEU, step 3 of the gcd, on primitive tuples with len(a) >=
+    len(b) >= 2: the monic gcd, or None when the reconstructed candidate
+    does not divide both."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    h = gcd(_value_at(a, xi), _value_at(b, xi))
+    if 2 * h <= xi:
+        return _ONE
+    digits = []
+    while h:
+        d = h % xi
+        if 2 * d > xi:
+            d -= xi
+        digits.append(d)
+        h = (h - d) // xi
+    g = _reduced(digits, 1, 1).prim
+    if (
+        len(g) <= len(b)
+        and not any(_pseudo_divide(a, g)[1])
+        and (g == b or not any(_pseudo_divide(b, g)[1]))
+    ):
+        return _new(g, 1, g[-1])
+    return None
+
+
+def _prs_gcd(a: tuple, b: tuple) -> Poly:
+    """The monic gcd of primitive tuples with len(a) >= len(b) >= 2 by the
+    primitive PRS: Euclid on pseudo-remainders, each cut to its primitive
+    part.  A constant remainder ends the search at once."""
+    while True:
+        rem = _reduced(_pseudo_divide(a, b)[1], 1, 1).prim
+        if len(rem) < 2:
+            return _ONE if rem else _new(b, 1, b[-1])
+        a, b = b, rem
 
 
 def _coerce(other):

@@ -17,7 +17,8 @@ the way Fraction does for integers (Henrici; Knuth, TAOCP vol. 2, 4.5.1):
     (a*d + c*b)/(b*d) is already canonical, since a prime factor of b
     divides neither a nor d.  Otherwise t = a*(d/g) + c*(b/g) can share
     a factor only with g, so with h = gcd(t, g) the sum is
-    (t/h)/((b/g)*(d/h)).
+    (t/h)/((b/g)*(d/h)).  Since the form is unique, a sum that cancels
+    has b = d, so only t can be zero; it returns 0/1 at once, with no h.
   * a/b * c/d: cross-cancel gcd(a, d) and gcd(c, b); the remaining
     factors are pairwise coprime.  Each gcd is skipped when its
     denominator is constant, so a product of polynomials needs none.
@@ -162,17 +163,15 @@ class RationalFunction:
             return RationalFunction._canonical(a + c, b, self.var)
         g = Poly.gcd(b, d)
         if len(g.prim) == 1:
-            num, den = a * d + c * b, b * d
-        else:
-            b_g, d_g = b // g, d // g
-            num = a * d_g + c * b_g
-            g = Poly.gcd(num, g)
-            if len(g.prim) > 1:
-                num, d = num // g, d // g
-            den = b_g * d
+            return RationalFunction._canonical(a * d + c * b, b * d, self.var)
+        b_g, d_g = b // g, d // g
+        num = a * d_g + c * b_g
         if not num.prim:
             return RationalFunction.zero(self.var)
-        return RationalFunction._canonical(num, den, self.var)
+        g = Poly.gcd(num, g)
+        if len(g.prim) > 1:
+            num, d = num // g, d // g
+        return RationalFunction._canonical(num, b_g * d, self.var)
 
     __radd__ = __add__
 

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
+import opfactor.poly as poly_module
 from opfactor import Poly
 from opfactor.formatting import is_sum
-from opfactor.poly import _pseudo_divide
+from opfactor.poly import _heuristic_gcd, _prs_gcd, _pseudo_divide
 
 from helpers import RefPoly, factored_polys, polys, small_fractions
 
@@ -251,3 +253,98 @@ def test_exact_division_never_rescales():
     quot, rem, scale = _pseudo_divide((g * u).prim, g.prim)
     assert scale == 1 and not any(rem)
     assert (g * u) // g == u
+
+
+# the gcd's steps: power of x, GCDHEU, and the primitive PRS as fallback
+
+int_coeffs = st.one_of(st.integers(-3, 3), st.integers(-10 ** 9, 10 ** 9))
+
+
+def int_polys(max_deg):
+    return st.lists(int_coeffs, min_size=1, max_size=max_deg + 1).map(Poly)
+
+
+@pytest.fixture
+def prs_calls(monkeypatch):
+    """The argument pairs the gcd hands to its PRS fallback."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return _prs_gcd(a, b)
+
+    monkeypatch.setattr(poly_module, "_prs_gcd", counted)
+    return calls
+
+
+@given(int_polys(3), int_polys(3), int_polys(2))
+def test_gcd_with_a_planted_factor_matches_the_fraction_reference(u, v, g):
+    a, b = u * g, v * g
+    expected = RefPoly.gcd(RefPoly(a.coeffs), RefPoly(b.coeffs))
+    assert Poly.gcd(a, b).coeffs == expected.coeffs
+    assert Poly.gcd(b, a).coeffs == expected.coeffs
+
+
+@given(int_polys(3), int_polys(3), int_polys(2))
+def test_a_heuristic_gcd_equals_the_prs_gcd(u, v, g):
+    a, b = (u * g).prim, (v * g).prim
+    if len(a) < len(b):
+        a, b = b, a
+    assume(len(b) >= 2 and a != b)
+    found = _heuristic_gcd(a, b)
+    if found is not None:
+        assert found == _prs_gcd(a, b)
+
+
+def test_gcd_coefficients_may_exceed_both_norms(prs_calls):
+    a = Poly([-1, -1, 1, 1])  # (x - 1)(x + 1)^2
+    b = Poly([1, 1, 0, 1, 1])  # (x + 1)^2 (x^2 - x + 1)
+    assert Poly.gcd(a, b) == Poly([1, 2, 1]) == Poly.gcd(b, a)
+    assert prs_calls == []
+
+
+def test_gcd_with_coefficients_above_2_to_the_200(prs_calls):
+    rng = random.Random(200)
+
+    def big(degree):
+        top = 2 ** 100
+        return Poly([rng.randrange(-top, top) for _ in range(degree)] + [top + rng.randrange(top)])
+
+    g, u, v = big(2), big(3), big(3)
+    a, b = g * u, g * v
+    norms = [max(map(abs, p.prim)) for p in (a, b)]
+    assert min(norms) >= 2 ** 200
+    # the evaluation point of sympy's dup_zz_heu_gcd would be below 2 * min + 2
+    low = 2 * min(norms) + 29
+    low = max(min(low, 99 * isqrt(low)), 2 * min(n // p.prim[-1] for n, p in zip(norms, (a, b))) + 2)
+    assert low < 2 * min(norms) + 2
+    assert Poly.gcd(a, b) == g.monic()  # u and v are coprime for this seed
+    for p, q in [(a, b), (a * (g + 1), b * (g - 1)), (a * v, v * (g + 1)), (u, v)]:
+        expected = RefPoly.gcd(RefPoly(p.coeffs), RefPoly(q.coeffs))
+        assert Poly.gcd(p, q).coeffs == expected.coeffs
+    assert prs_calls == []
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        ([0, 0, 0, 1], [0, 0, 0, 0, 0, 1, 1], [0, 0, 0, 1]),  # x^3, x^5 (x + 1)
+        ([0, 1], [0, 1, 3], [0, 1]),  # x, 3x^2 + x
+        ([0, 0, 1], [0, 0, 0, 0, 0, 1], [0, 0, 1]),  # x^2, x^5
+        ([0, 0, 0, 1], [1, 0, 2], [1]),  # x^3, 2x^2 + 1
+        ([0, 0, Fraction(1, 2)], [0, 0, 0, 5, -2], [0, 0, 1]),
+    ],
+)
+def test_gcd_with_a_power_of_x(a, b, expected, prs_calls):
+    a, b = Poly(a), Poly(b)
+    assert Poly.gcd(a, b) == Poly(expected) == Poly.gcd(b, a)
+    assert prs_calls == []
+
+
+def test_gcd_falls_back_to_the_prs_when_the_candidate_does_not_divide(prs_calls):
+    # xi = 2 * 7 + 29 = 43 and igcd(4 * 43 - 7, 10 * 43 - 1) = igcd(165, 429)
+    # = 33 > 43 / 2, which reads in base 43 as x - 10, a divisor of neither
+    a, b = Poly([-7, 4]), Poly([-1, 10])
+    assert _heuristic_gcd(a.prim, b.prim) is None
+    assert Poly.gcd(a, b) is Poly.one()
+    assert prs_calls == [(a.prim, b.prim)]

@@ -179,6 +179,22 @@ def test_sum_that_cancels_to_zero():
     assert (t.num, t.den) == (Poly(), Poly.one())
 
 
+def test_sum_that_cancels_runs_one_gcd(monkeypatch):
+    # (x+2)/(x(x+1)) + (-x-2)/(x(x+1)): equal denominators, so t is zero
+    a, b = rf([2, 1], [0, 1, 1]), rf([-2, -1], [0, 1, 1])
+    calls = []
+    gcd = Poly.gcd
+
+    def counted(p, q):
+        calls.append((p, q))
+        return gcd(p, q)
+
+    monkeypatch.setattr(Poly, "gcd", staticmethod(counted))
+    s = a + b
+    assert (s.num, s.den) == (Poly(), Poly.one()) and s.num is Poly.zero()
+    assert calls == [(a.den, b.den)]
+
+
 def test_product_that_cross_cancels_on_both_sides():
     left = rf([0, -1, 1], [1, 1])  # x(x - 1) / (x + 1)
     right = rf([2, 3, 1], [0, 1])  # (x + 1)(x + 2) / x
