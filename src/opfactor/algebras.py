@@ -36,6 +36,7 @@ class RationalFunctionAlgebra(Algebra):
 
     variable = "?"
     commutative = True
+    fraction_field = True
 
     def check(self, e):
         if not isinstance(e, RationalFunction) or e.var != self.variable:

@@ -48,7 +48,9 @@ inversion then has a determinant-based fallback (see the ncmatrix module).
 The rational function algebras and the group ring declare it.  The
 quaternions declare `division_ring = True`: noncommutative, but every
 nonzero element is a unit.  Either declaration lets one product certify a
-matrix inverse.
+matrix inverse.  The rational function algebras also declare
+`fraction_field = True` (Q(v), RationalFunction elements): their matrices
+are inverted and certified on polynomials.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ class Algebra(ABC):
     endo_order: Optional[int] = None
     commutative: bool = False
     division_ring: bool = False
+    fraction_field: bool = False
 
     # identity and membership
 

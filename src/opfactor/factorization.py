@@ -58,7 +58,9 @@ class KernelContext:
     endo^k minus the interpolation of the images.  Neither needs a check
     of its own: P_i(f_j) is entry (i, j) of Phi^-1 . Phi, and
     K(f_j) = endo^k(f_j) - sum_i endo^k(f_i) . (Phi^-1 . Phi)_ij = 0,
-    so both are the certificate of the inverse.  NotInvertible
+    so both are the certificate of the inverse: over qx and diff the
+    polynomial identity adj . A' = det . I that implies Phi^-1 . Phi = I,
+    elsewhere that product itself (see the ncmatrix module).  NotInvertible
     propagates from the matrix inverse when the elements are not
     independent enough.
 

@@ -3,20 +3,33 @@
 Multiplication keeps operand order, entry (i,j) of A*B is
 sum_l A[i][l] * B[l][j], never the reverse.
 
-Inversion runs Gauss-Jordan elimination with row operations only, which
-are left multiplications by elementary matrices.  A pivot must be a unit
-of the algebra: each column is scanned top to bottom among the remaining
-rows, and the first entry whose try_invert succeeds is used.  Over a
-division ring this finds an inverse whenever one exists.  Over the group
-ring it can miss: [[2, 3], [3, 5]] is invertible with no unit entry to
-pivot on.  So when the search fails over a commutative algebra, the
-inverse is read off the characteristic polynomial instead (Cayley-
-Hamilton, with Berkowitz's division-free recursion for the polynomial),
-which succeeds exactly when the determinant is a unit; otherwise the
-pivot search's NotInvertible stands.  A candidate C must pass C*A = I, which
-suffices over a commutative algebra (det C * det A = 1) and over a division
-ring, whose matrix rings are Dedekind-finite (Lam, A First Course in
-Noncommutative Rings, section 1); any other algebra must also pass A*C = I.
+Over the fraction fields Q(v) (qx, diff) inversion runs on polynomials.
+Column j is scaled by the lcm L_j of its denominators, A' = A*diag(L) over
+Q[v], and fraction-free Gauss-Jordan on [A' | I] (Bareiss, Math. Comp. 22,
+1968) pivots on the first nonzero entry at or below the diagonal, divides
+each update exactly by the previous pivot and ends at [det*I | adj].  The
+one certificate adj*A' = det*I, by Poly products, makes C = diag(L)*adj/det
+a left inverse, C*A = diag(L)*adj*A'*diag(L)^-1/det = I, so a two-sided
+one over a commutative ring.  By Sylvester's identity each entry scanned
+for a pivot is a nonzero multiple (column scales times the previous
+pivot) of the one Gauss-Jordan over Q(v) scans, so both stop at the same
+column, where A is singular.
+
+Other algebras run Gauss-Jordan elimination with row operations only,
+which are left multiplications by elementary matrices.  A pivot must be a
+unit of the algebra: each column is scanned top to bottom among the
+remaining rows, and the first entry whose try_invert succeeds is used.
+Over a division ring this finds an inverse whenever one exists.  Over the
+group ring, whose zero divisors rule out exact division, it can miss:
+[[2, 3], [3, 5]] is invertible with no unit entry to pivot on.  So when
+the search fails over a commutative algebra, the inverse is read off the
+characteristic polynomial instead (Cayley-Hamilton, with Berkowitz's
+division-free recursion for the polynomial), which succeeds exactly when
+the determinant is a unit; otherwise the pivot search's NotInvertible
+stands.  A candidate C must pass C*A = I, which suffices over a
+commutative algebra (det C * det A = 1) and over a division ring, whose
+matrix rings are Dedekind-finite (Lam, A First Course in Noncommutative
+Rings, section 1); any other algebra must also pass A*C = I.
 
 NCMatrix is a value class in the package's one slotted idiom (see the base
 module), immutable by convention.
@@ -28,6 +41,8 @@ from typing import Sequence, Tuple
 
 from .base import Algebra
 from .errors import MixedAlgebras, NotAUnit, NotInvertible, ShapeMismatch
+from .poly import Poly
+from .ratfunc import RationalFunction
 
 
 def _dot(alg: Algebra, xs, ys):
@@ -115,6 +130,8 @@ class NCMatrix:
         """Certified two-sided inverse, or NotInvertible."""
         if self.rows != self.cols:
             raise ShapeMismatch("only square matrices can be inverted")
+        if self.algebra.fraction_field:
+            return self._fraction_free_inverse()
         try:
             candidate = self._gauss_jordan()
         except NotInvertible:
@@ -128,6 +145,25 @@ class NCMatrix:
         if candidate * self != ident or (two_sided and self * candidate != ident):
             raise NotInvertible("candidate inverse failed certification")
         return candidate
+
+    def _fraction_free_inverse(self) -> "NCMatrix":
+        """The certified inverse over Q(v), as the module docstring says."""
+        n = self.rows
+        scales = []
+        for j in range(n):
+            lcd = Poly.one()
+            for e in self.entries[j::n]:
+                if e.den.degree > 0:
+                    lcd = lcd * (e.den // Poly.gcd(lcd, e.den))
+            scales.append(lcd)
+        cleared = [[e.num if s.degree < 1 else e.num * (s // e.den)
+                    for e, s in zip(self.row(i), scales)] for i in range(n)]
+        adj, det = _fraction_free_gauss_jordan(cleared)
+        if not _is_adjugate(adj, cleared, det):
+            raise NotInvertible("candidate inverse failed certification")
+        var = self.algebra.variable
+        return NCMatrix(self.algebra, n, n, (RationalFunction(s * a, det, var)
+                                             for s, row in zip(scales, adj) for a in row))
 
     def _gauss_jordan(self) -> "NCMatrix":
         """The uncertified inverse by one elimination on the augmented
@@ -210,3 +246,33 @@ class NCMatrix:
             for i in range(self.rows)
         ]
         return "NCMatrix(%s)" % "; ".join(rows)
+
+
+def _fraction_free_gauss_jordan(a: list):
+    """(adj, det) with adj*a == det*I by fraction-free Gauss-Jordan on
+    [a | I]; columns left of the pivot are never read again, or updated."""
+    n = len(a)
+    one, zero = Poly.one(), Poly.zero()
+    a = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
+    prev = one
+    for j in range(n):
+        i = next((r for r in range(j, n) if a[r][j]), None)
+        if i is None:
+            raise NotInvertible("no unit pivot available in column %d" % (j + 1))
+        a[j], a[i] = a[i], a[j]
+        pivot_row, pivot = a[j], a[j][j]
+        for r, row in enumerate(a):
+            if r != j:
+                new = [pivot * x - row[j] * y for x, y in zip(row[j + 1:], pivot_row[j + 1:])]
+                row[j + 1:] = new if prev is one else [e // prev for e in new]
+        prev = pivot
+    return [row[n:] for row in a], prev
+
+
+def _is_adjugate(adj: list, a: list, det: Poly) -> bool:
+    """adj*a == det*I, entry by entry, by Poly products."""
+    zero = Poly.zero()
+    return all(
+        sum((x * y for x, y in zip(row, col)), zero) == (det if i == j else zero)
+        for i, row in enumerate(adj) for j, col in enumerate(zip(*a))
+    )

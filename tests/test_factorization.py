@@ -5,6 +5,7 @@ adjugate, compositions by the twisted product rule) and double checked
 numerically before being frozen into the assertions.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -418,10 +419,11 @@ def test_right_division_twists_each_shifted_divisor_once():
 
 def test_kernel_context_catches_a_wrong_inverse():
     # P_i(f_j) = delta_ij is certified only as Phi^-1 * Phi = I inside
-    # NCMatrix.inverse, so a wrong pivot inverse must fail there
-    class WrongInverse(type(QX)):
+    # NCMatrix.inverse, so a wrong pivot inverse must fail there; the
+    # quaternions keep the Gauss-Jordan elimination that calls try_invert
+    class WrongInverse(type(QUAT)):
         def try_invert(self, f):
-            return f.inverse() * 2
+            return f.inverse() * self.from_fraction(2)
 
     algebra = WrongInverse()
     elements = [parse_element(t, algebra) for t in ("1", "x")]
@@ -458,3 +460,45 @@ def test_division_results_keep_the_normal_form(algebra, data):
     quotient, rest = right_divide_monic(op, divisor)
     assert_normal_form(quotient)
     assert_normal_form(rest)
+
+
+# sha1 of the kernel-op text (the K line, then one line per P_i) for
+# quotient kernels, whose columns of Phi carry denominators; recorded while
+# Phi was still inverted by Gauss-Jordan over Q(v)
+QUOTIENT_KERNEL_DIGESTS = [
+    ("qx", 1, "(-5*x - 9)/(4*x^2 + 5*x + 8),(4*x^3 - 7*x^2 - 1*x - 2)/(8*x + 3)",
+     "f3a7f2ed3a78acd1e011cb2ab778df1f133c148c"),
+    ("qx", 1, "(x - 5)/(4*x^2 + 7*x + 2),(-6*x^2 - 9*x + 7)/(4*x^2 + 9*x + 6),"
+     "(-4*x^2 - 1*x - 1)/(5*x + 4)",
+     "f5758c82f89d923d1057a05fcf73f0773f0e8721"),
+    ("qx", 1, "(2*x^3 + 9*x^2 + 3)/(3*x^2 + 6*x + 8),(-4*x^2 - 4*x + 2)/(2*x + 4),"
+     "(3*x + 2)/(4*x + 6),(2*x^2 + 5*x + 7)/(8*x + 6)",
+     "81138e1a3449921e56d39d53ff9abd3bcea7ada5"),
+    ("qx", 1, "(-9*x^2)/(8*x^2 + 5*x + 4),(-9*x^3 + 4*x^2 - 6*x - 7)/(5*x^2 + 6*x + 3),"
+     "(3*x^3 + 8*x^2 + 7*x + 6)/(7*x^2 + 9*x + 6),(4*x - 1)/(8*x + 4),"
+     "(8*x^3 + 7*x^2 - 4*x + 6)/(x + 8)",
+     "02f610e6ddc5ce151c267023c428e999fa635117"),
+    ("diff", 1, "(-5*n - 9)/(4*n^2 + 5*n + 8),(4*n^3 - 7*n^2 - 1*n - 2)/(8*n + 3)",
+     "57d35b340d9c671bc7bcc675273a4bcb2c0a663d"),
+    ("diff", 1, "(n - 5)/(4*n^2 + 7*n + 2),(-6*n^2 - 9*n + 7)/(4*n^2 + 9*n + 6),"
+     "(-4*n^2 - 1*n - 1)/(5*n + 4)",
+     "dadbe27b0a5ebe5c25e57379ca502d004b8cc904"),
+    ("diff", 1, "(2*n^3 + 9*n^2 + 3)/(3*n^2 + 6*n + 8),(-4*n^2 - 4*n + 2)/(2*n + 4),"
+     "(3*n + 2)/(4*n + 6),(2*n^2 + 5*n + 7)/(8*n + 6)",
+     "412e53d0028eac87cddb1a080ac7569ed1078baa"),
+    ("diff", 1, "(-9*n^2)/(8*n^2 + 5*n + 4),(-9*n^3 + 4*n^2 - 6*n - 7)/(5*n^2 + 6*n + 3),"
+     "(3*n^3 + 8*n^2 + 7*n + 6)/(7*n^2 + 9*n + 6),(4*n - 1)/(8*n + 4),"
+     "(8*n^3 + 7*n^2 - 4*n + 6)/(n + 8)",
+     "a339a32a8a7800595bfda270acaa14b63b7e94c0"),
+    ("diff", Fraction(-1, 2), "(n - 5)/(4*n^2 + 7*n + 2),(-6*n^2 - 9*n + 7)/(4*n^2 + 9*n + 6),"
+     "(-4*n^2 - 1*n - 1)/(5*n + 4)",
+     "9ae9206879a7193db6aff356231ed5e56ee2a806"),
+]
+
+
+@pytest.mark.parametrize("selector, c, kernel, digest", QUOTIENT_KERNEL_DIGESTS)
+def test_quotient_kernels_match_recorded_digests(selector, c, kernel, digest):
+    algebra = get_algebra(selector, c)
+    ctx = KernelContext(algebra, [parse_element(t, algebra) for t in kernel.split(",")])
+    lines = ["K = %s" % ctx.K] + ["P_%d = %s" % (i + 1, p) for i, p in enumerate(ctx.P)]
+    assert hashlib.sha1("\n".join(lines).encode()).hexdigest() == digest

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opfactor import ncmatrix
 from opfactor import (
     MixedAlgebras,
     NCMatrix,
@@ -147,24 +148,25 @@ def _adjugate_inverse(entries, n):
     return inv
 
 
-@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("size", [2, 3, 4])
 def test_inverse_matches_adjugate_oracle(size):
     rng = random.Random(400 + size)
-    done = 0
-    while done < 25:
-        entries = [rand_ratfunc(rng, "n") for _ in range(size * size)]
-        expected = _adjugate_inverse(entries, size)
-        mat = NCMatrix(DIFF1, size, size, tuple(entries))
-        if expected is None:
-            with pytest.raises(NotInvertible):
-                mat.inverse()
-            continue
-        inv = mat.inverse()
-        for r in range(size):
-            for c in range(size):
-                assert inv.entry(r, c) == expected[r * size + c]
-        _certify(mat, inv)
-        done += 1
+    for algebra in (DIFF1, QX):
+        done = 0
+        while done < 25:
+            entries = [rand_ratfunc(rng, algebra.variable) for _ in range(size * size)]
+            expected = _adjugate_inverse(entries, size)
+            mat = NCMatrix(algebra, size, size, tuple(entries))
+            if expected is None:
+                with pytest.raises(NotInvertible):
+                    mat.inverse()
+                continue
+            inv = mat.inverse()
+            for r in range(size):
+                for c in range(size):
+                    assert inv.entry(r, c) == expected[r * size + c]
+            _certify(mat, inv)
+            done += 1
 
 
 def _c5_integers(rows):
@@ -240,27 +242,51 @@ def _upper_unitriangular(algebra):
 
 
 @pytest.mark.parametrize(
-    "algebra, products",
-    [(QX, 1), (DIFF1, 1), (C5, 1), (QUAT, 1), (TwoSidedQuat(), 2)],
+    "algebra, products, adjugate_checks",
+    [(QX, 0, 1), (DIFF1, 0, 1), (C5, 1, 0), (QUAT, 1, 0), (TwoSidedQuat(), 2, 0)],
     ids=["qx", "diff", "c5", "quat", "quat-two-sided"],
 )
-def test_certificate_products(monkeypatch, algebra, products):
+def test_certificate_products(monkeypatch, algebra, products, adjugate_checks):
+    # over Q(v) the one certificate is adj * A' = det * I with Poly
+    # products; the other algebras certify with NCMatrix products
     m = _upper_unitriangular(algebra)
-    calls = []
-    multiply = NCMatrix.__mul__
+    calls, checks = [], []
+    multiply, is_adjugate = NCMatrix.__mul__, ncmatrix._is_adjugate
 
     def spy(left, right):
         calls.append((left, right))
         return multiply(left, right)
 
+    def adjugate_spy(*args):
+        checks.append(args)
+        return is_adjugate(*args)
+
     monkeypatch.setattr(NCMatrix, "__mul__", spy)
+    monkeypatch.setattr(ncmatrix, "_is_adjugate", adjugate_spy)
     inv = m.inverse()
     assert len(calls) == products
-    assert calls[0] == (inv, m)  # C*A = I always runs, and first
+    assert len(checks) == adjugate_checks
+    if products:
+        assert calls[0] == (inv, m)  # C*A = I always runs, and first
     monkeypatch.undo()
     _certify(m, inv)
+
+
+@pytest.mark.parametrize("algebra", [QX, DIFF1], ids=["qx", "diff"])
+def test_fraction_free_certificate_catches_a_wrong_adjugate(monkeypatch, algebra):
+    eliminate = ncmatrix._fraction_free_gauss_jordan
+
+    def corrupted(a):
+        adj, det = eliminate(a)
+        adj[0][1] = adj[0][1] + det
+        return adj, det
+
+    monkeypatch.setattr(ncmatrix, "_fraction_free_gauss_jordan", corrupted)
+    with pytest.raises(NotInvertible, match="^candidate inverse failed certification$"):
+        _upper_unitriangular(algebra).inverse()
 
 
 def test_certificate_declarations():
     assert [a.name for a in ALL_ALGEBRAS if a.division_ring] == ["quat"]
     assert [a.name for a in ALL_ALGEBRAS if a.commutative] == ["qx", "diff", "c5"]
+    assert [a.name for a in ALL_ALGEBRAS if a.fraction_field] == ["qx", "diff"]

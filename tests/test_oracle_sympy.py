@@ -8,14 +8,15 @@ rescaled to a monic denominator, coefficient for coefficient.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from opfactor import KernelContext, NCMatrix, NotInvertible, Operator
+from opfactor import KernelContext, NCMatrix, NotInvertible, Operator, Poly, RationalFunction
 
-from helpers import C5, DIFF1, QX, factored_ratfuncs, rand_ratfunc
+from helpers import C5, DIFF1, QX, factored_ratfuncs, rand_fraction, rand_poly, rand_ratfunc
 
 sympy = pytest.importorskip("sympy")
 
@@ -152,6 +153,64 @@ def test_factorize_matches_sympy(algebra):
             expected = apply_sympy(quotient, apply_sympy(ctx.K, g))
             assert sympy.cancel(apply_sympy(op, g) - expected) == 0
         done += 1
+
+
+# matrices over Q(x) and Q(n): the inverse is sympy's, and "cannot invert"
+# is raised exactly when sympy's determinant cancels to zero, naming the
+# first column that lies in the span of the columns before it
+
+
+def rand_quotient(rng, var):
+    """A rational function whose denominator is not constant."""
+    while True:
+        den = Poly([rand_fraction(rng) for _ in range(rng.randint(1, 2))] + [1])
+        r = RationalFunction(rand_poly(rng, 1), den, var)
+        if r.den.degree > 0:
+            return r
+
+
+def field_matrix(m):
+    """m over sympy's field of rational functions, where every entry is
+    kept cancelled; Matrix.det on raw quotients takes seconds at size 4."""
+    return sympy.polys.matrices.DomainMatrix.from_Matrix(m)
+
+
+def sympy_rank(m):
+    return field_matrix(m).rank() if m.cols else 0
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS, ids=lambda a: a.describe())
+def test_matrix_inverse_matches_sympy(algebra):
+    rng = random.Random(15)
+    var = algebra.variable
+    for size in (2, 3, 4):
+        for kind in ("random", "row combination", "zero column"):
+            rows = [[rand_quotient(rng, var) for _ in range(size)] for _ in range(size)]
+            if kind == "row combination":
+                weights = [rand_quotient(rng, var) for _ in range(size - 1)]
+                rows[-1] = [
+                    sum((w * row[j] for w, row in zip(weights, rows)), algebra.zero())
+                    for j in range(size)
+                ]
+                rng.shuffle(rows)
+            elif kind == "zero column":
+                col = rng.randrange(size)
+                for row in rows:
+                    row[col] = algebra.zero()
+            mat = NCMatrix.from_rows(algebra, rows)
+            expr = sympy.Matrix([[to_sympy(e) for e in row] for row in rows])
+            if field_matrix(expr).det():
+                assert kind == "random"
+                inv, expected = mat.inverse(), expr.inv()
+                for i in range(size):
+                    for j in range(size):
+                        assert_matches(inv.entry(i, j), expected[i, j])
+                continue
+            with pytest.raises(NotInvertible) as info:
+                mat.inverse()
+            found = re.fullmatch(r"no unit pivot available in column (\d+)", str(info.value))
+            col = int(found.group(1))
+            assert sympy_rank(expr[:, : col - 1]) == col - 1 == sympy_rank(expr[:, :col])
 
 
 # matrices over Z[C5] with integer entries: invertible exactly when the
