@@ -181,12 +181,17 @@ def sympy_rank(m):
 
 @pytest.mark.parametrize("algebra", ALGEBRAS, ids=lambda a: a.describe())
 def test_matrix_inverse_matches_sympy(algebra):
-    rng = random.Random(15)
+    rng = random.Random("matrix inverse " + algebra.describe())
     var = algebra.variable
     for size in (2, 3, 4):
-        for kind in ("random", "row combination", "zero column"):
+        for kind in ("random", "row combination", "column combination", "zero column"):
             rows = [[rand_quotient(rng, var) for _ in range(size)] for _ in range(size)]
-            if kind == "row combination":
+            if kind == "column combination":
+                col = rng.randrange(1, size)
+                weights = [rand_quotient(rng, var) for _ in range(col)]
+                for row in rows:
+                    row[col] = sum((w * e for w, e in zip(weights, row)), algebra.zero())
+            elif kind == "row combination":
                 weights = [rand_quotient(rng, var) for _ in range(size - 1)]
                 rows[-1] = [
                     sum((w * row[j] for w, row in zip(weights, rows)), algebra.zero())
@@ -209,6 +214,7 @@ def test_matrix_inverse_matches_sympy(algebra):
             with pytest.raises(NotInvertible) as info:
                 mat.inverse()
             found = re.fullmatch(r"no unit pivot available in column (\d+)", str(info.value))
+            assert found, info.value
             col = int(found.group(1))
             assert sympy_rank(expr[:, : col - 1]) == col - 1 == sympy_rank(expr[:, :col])
 
