@@ -8,13 +8,20 @@ Components are rational functions in one shared variable: the public
 constructor raises TypeError on any other component and MixedAlgebras on
 mixed variables.  Arithmetic between two quaternions refuses mixed
 variables too, then builds its result through `_trusted` with no check.
-A product is the dense 16-term formula: most of its terms have a zero factor,
-and the rational-function `*`, `+` and `-` return early on a zero operand.
-Every nonzero value is a unit: the squared norm a^2 + b^2 + c^2 + d^2 is a
-rational function that only vanishes when all four components do, so
+
+A product checks the variables first, even when an operand is zero,
+then sums l_u * r_v over the nonzero components only, with the unit
+table e_u * e_v = +-e_w; a slot that no product reaches holds a zero
+component of an operand.  Most products in a request are of one nonzero
+component by one.
+
+Every nonzero value is a unit: the squared norm a^2 + b^2 + c^2 + d^2 is
+a rational function that only vanishes when all four components do, so
 conj(q) / norm inverts q from both sides.  The inverse computes that norm
-directly from the four components, which is the scalar part of q * conj(q)
-without the rest of the product.
+directly from the four components, which is the scalar part of
+q * conj(q) without the rest of the product.  A scalar a, which the
+parser makes for `/`, is inverted as 1/a in the scalar slot, the same
+canonical value.
 """
 
 from __future__ import annotations
@@ -24,6 +31,14 @@ from operator import add, sub
 from .errors import MixedAlgebras, NotAUnit
 from .formatting import is_sum, join_terms
 from .ratfunc import RationalFunction
+
+# e_u * e_v = sign * e_w as (w, sign), for the units e = 1, i, j, k
+_UNIT_PRODUCTS = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, 1), (0, -1), (3, 1), (2, -1)),
+    ((2, 1), (3, -1), (0, -1), (1, 1)),
+    ((3, 1), (2, 1), (1, -1), (0, -1)),
+)
 
 
 class Quaternion:
@@ -125,25 +140,37 @@ class Quaternion:
     def __mul__(self, other) -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
-        a1, b1, c1, d1 = self.components
-        a2, b2, c2, d2 = other.components
-        return Quaternion._trusted(
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
+        left, right = self.components, other.components
+        if left[0].var != right[0].var:
+            raise MixedAlgebras(
+                "cannot combine quaternions in %r and %r" % (left[0].var, right[0].var)
+            )
+        # a zero component of an operand fills the slots no product reaches;
+        # with none, all 16 products are taken and every slot is reached
+        zero = next((comp for comp in left + right if not comp.num.prim), None)
+        out = [zero] * 4
+        right_terms = [(v, y) for v, y in enumerate(right) if y.num.prim]
+        for u, x in enumerate(left):
+            if not x.num.prim:
+                continue
+            for v, y in right_terms:
+                w, sign = _UNIT_PRODUCTS[u][v]
+                t = x * y if sign > 0 else -(x * y)
+                out[w] = t if out[w] is zero else out[w] + t
+        return Quaternion._trusted(*out)
 
     def conjugate(self) -> "Quaternion":
         return Quaternion._trusted(self.a, -self.b, -self.c, -self.d)
 
     def inverse(self) -> "Quaternion":
-        """Two-sided inverse conj(q) / (a^2 + b^2 + c^2 + d^2)."""
-        norm = self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
-        if norm.is_zero():
-            raise NotAUnit("zero quaternion has no inverse")
-        s = norm.inverse()
-        return Quaternion._trusted(*(comp * s for comp in self.conjugate().components))
+        """Two-sided inverse conj(q) / (a^2 + b^2 + c^2 + d^2), or 1/a of a scalar."""
+        a, b, c, d = self.components
+        if b.is_zero() and c.is_zero() and d.is_zero():
+            if a.is_zero():
+                raise NotAUnit("zero quaternion has no inverse")
+            return Quaternion._trusted(a.inverse(), b, c, d)
+        s = (a * a + b * b + c * c + d * d).inverse()
+        return Quaternion._trusted(a * s, -b * s, -c * s, -d * s)
 
     def derivative(self) -> "Quaternion":
         return Quaternion._trusted(*(comp.derivative() for comp in self.components))

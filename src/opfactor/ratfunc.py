@@ -27,9 +27,10 @@ the way Fraction does for integers (Henrici; Knuth, TAOCP vol. 2, 4.5.1):
     make the new denominator monic) keep the form as it is.
 
 All of these, and the zero, one, constant and variable constructors,
-build their result through `_canonical`, which trusts its input.  The
-derivative goes through the public constructor, since b^2 can share a
-factor with a'*b - a*b'.
+build their result through `_canonical`, which trusts its input, and so
+does the derivative of a polynomial, a'/1.  Any other derivative goes
+through the public constructor, since b^2 can share a factor with
+a'*b - a*b'.
 
 Numerator and denominator are `Poly` values, a rational content times a
 primitive integer polynomial, so every product, gcd and exact division
@@ -230,6 +231,10 @@ class RationalFunction:
     # the two endomorphism building blocks used by the built-in algebras
 
     def derivative(self) -> "RationalFunction":
+        if len(self.den.prim) == 1:  # a polynomial: num'/1 is canonical
+            return RationalFunction._canonical(
+                self.num.derivative(), self.den, self.var
+            )
         return RationalFunction(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,

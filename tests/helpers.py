@@ -317,14 +317,22 @@ UNIT_PRODUCTS = (
 
 
 def ref_quat_mul(p, q):
-    """p * q summed term by term over the 16 products of units, instead of
-    the written-out formula of Quaternion.__mul__."""
+    """p * q as the dense sum over all 16 products of units, zero
+    components included, independent of the sparse Quaternion.__mul__."""
     out = [RationalFunction.zero(p.var)] * 4
     for m, x in enumerate(p.components):
         for n, y in enumerate(q.components):
             unit, sign = UNIT_PRODUCTS[m][n]
             out[unit] = out[unit] + sign * (x * y)
     return Quaternion(*out)
+
+
+def ref_quat_inverse(q):
+    """conj(q) / (a^2 + b^2 + c^2 + d^2) for every q, scalars included,
+    with the norm taken through ref_quat_mul."""
+    conj = Quaternion(q.a, -q.b, -q.c, -q.d)
+    s = ref_quat_mul(q, conj).a.inverse()
+    return Quaternion(*(comp * s for comp in conj.components))
 
 
 class CountingQX(type(QX)):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from opfactor import MixedAlgebras, NotAUnit, Quaternion, RationalFunction
 
-from helpers import quaternions, ratfuncs, ref_quat_mul
+from helpers import quaternions, ratfuncs, ref_quat_inverse, ref_quat_mul
 
 
 def scalar(value):
@@ -142,30 +142,79 @@ def test_mixed_variables_raise_with_a_zero_operand(combine):
 
 # the product and the trusted results
 
-def quaternions_with_zeros():
+def quaternions_with_zeros(var="x"):
     """Quaternions whose components are each zero at random, all four at
     times."""
-    comp = st.one_of(st.just(RationalFunction.zero("x")), ratfuncs("x", 1))
+    comp = st.one_of(st.just(RationalFunction.zero(var)), ratfuncs(var, 1))
     return st.builds(Quaternion, comp, comp, comp, comp)
 
 
-@example(Quaternion.zero(), Quaternion.zero())
-@example(Quaternion.zero(), unit("k"))
-@example(unit("j"), Quaternion.zero())
-@given(quaternions_with_zeros(), quaternions_with_zeros())
-def test_product_matches_unit_table(p, q):
+@pytest.mark.parametrize("var", ["x", "n"])
+def test_sparse_products_keep_the_variable(var):
+    zero, j, k = Quaternion.zero(var), Quaternion.unit("j", var), Quaternion.unit("k", var)
+    for p, q in [(zero, zero), (zero, k), (j, zero), (j, k), (k, k)]:
+        r = p * q
+        assert r == ref_quat_mul(p, q)
+        assert all(comp.var == var for comp in r.components)
+
+
+@pytest.mark.parametrize("var", ["x", "n"])
+@given(st.data())
+def test_product_matches_unit_table(var, data):
+    p = data.draw(quaternions_with_zeros(var))
+    q = data.draw(quaternions_with_zeros(var))
     assert p * q == ref_quat_mul(p, q)
 
 
-@given(quaternions_with_zeros(), quaternions_with_zeros())
-def test_results_pass_the_public_constructor(p, q):
+@pytest.mark.parametrize("var", ["x", "n"])
+@given(st.data())
+def test_results_pass_the_public_constructor(var, data):
+    p = data.draw(quaternions_with_zeros(var))
+    q = data.draw(quaternions_with_zeros(var))
     results = [p + q, p - q, p * q, -p, p.conjugate(), p.derivative()]
     if not p.is_zero():
         results.append(p.inverse())
     for r in results:
         assert type(r) is Quaternion
-        assert Quaternion(*r.components) == r
+        assert Quaternion(*r.components) == r and r.var == var
         assert r.is_zero() == all(comp.is_zero() for comp in r.components)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (Quaternion.zero("n"), Quaternion.zero("x")),
+        (Quaternion.unit("i", "x"), Quaternion.unit("k", "n")),
+        (Quaternion.from_fraction(3, "n"), Quaternion.unit("j", "x")),
+    ],
+    ids=["zero-by-zero", "unit-by-unit", "scalar-by-unit"],
+)
+def test_product_checks_the_variables_first(left, right, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a component product ran before the variable check")
+
+    monkeypatch.setattr(RationalFunction, "__mul__", refuse)
+    with pytest.raises(MixedAlgebras):
+        left * right
+    with pytest.raises(MixedAlgebras):
+        right * left
+
+
+@pytest.mark.parametrize("var", ["x", "n"])
+@given(st.data())
+def test_inverse_of_a_scalar_matches_conj_over_norm(var, data):
+    a = data.draw(ratfuncs(var).filter(lambda r: not r.is_zero()))
+    q = Quaternion.scalar(a)
+    inv = q.inverse()
+    assert inv == ref_quat_inverse(q) == Quaternion.scalar(a.inverse())
+    one = Quaternion.one(var)
+    assert q * inv == one and inv * q == one
+
+
+@pytest.mark.parametrize("var", ["x", "n"])
+def test_zero_scalar_has_no_inverse(var):
+    with pytest.raises(NotAUnit, match="zero quaternion has no inverse"):
+        Quaternion.zero(var).inverse()
 
 
 @pytest.mark.parametrize("var", ["x", "n"])

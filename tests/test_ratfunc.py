@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 import hypothesis.strategies as st
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 
 from opfactor import MixedAlgebras, NotAUnit, Poly, RationalFunction
 
-from helpers import factored_ratfuncs, polys, ratfuncs
+from helpers import factored_polys, factored_ratfuncs, polys, ratfuncs, small_fractions
 
 
 def rf(num, den=None, var="x"):
@@ -140,6 +140,39 @@ def test_unary_operations_match_full_normalisation(p, n):
     assert_normalises(p.inverse(), b, a, "n")
     raw = (a ** n, b ** n) if n >= 0 else (b ** -n, a ** -n)
     assert_normalises(p ** n, *raw, "n")
+
+
+@example(RationalFunction.zero("x"))
+@example(RationalFunction.constant(Fraction(-2, 3), "x"))
+@given(
+    st.one_of(
+        factored_ratfuncs("x"),
+        factored_polys(allow_zero=True).map(lambda p: RationalFunction(p, None, "x")),
+        small_fractions.map(lambda c: RationalFunction.constant(c, "x")),
+    )
+)
+def test_derivative_matches_full_normalisation(p):
+    a, b = p.num, p.den
+    assert_normalises(p.derivative(), a.derivative() * b - a * b.derivative(), b * b)
+
+
+def test_derivative_of_a_polynomial_runs_no_gcd(monkeypatch):
+    cubic, five, quotient = rf([1, 2, 3]), rf([5]), rf([1], [0, 1])
+    zero = RationalFunction.zero("n")
+    calls = []
+    gcd = Poly.gcd
+
+    def counted(p, q):
+        calls.append((p, q))
+        return gcd(p, q)
+
+    monkeypatch.setattr(Poly, "gcd", staticmethod(counted))
+    derivatives = [cubic.derivative(), five.derivative(), zero.derivative()]
+    assert calls == []
+    assert quotient.derivative().den == Poly([0, 0, 1])  # -1/x^2
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert derivatives == [rf([2, 6]), RationalFunction.zero("x"), zero]
 
 
 @given(ratfuncs("x"), ratfuncs("x"))
