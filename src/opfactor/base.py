@@ -7,7 +7,7 @@ must have is a twist, defined below.  Operators are built over the pair
 (A, endo), and everything the operator layer needs is expressed through
 this interface:
 
-  * ring arithmetic (add, sub, neg, mul, zero, one),
+  * the constants zero() and one() (the arithmetic is the elements' own),
   * the endomorphism itself,
   * a twist: for every f a pair (p, q) with
 
@@ -22,9 +22,8 @@ this interface:
 Every element knows which algebra owns it; `check` enforces that and
 raises MixedAlgebras otherwise.  Values are checked where they enter:
 the public constructors, the parser, KernelContext, the arguments of
-scale_left, apply and interpolate, and the methods below, whose ring
-operations are validated wrappers for callers outside the engine.  Inside,
-the engine trusts its values and uses the elements' own arithmetic.
+scale_left, apply and interpolate, and the endo, try_invert and
+format_element methods below.  Inside, the engine trusts its values.
 
 Every value class of the package has one shape: `__slots__` and a public
 `__init__` that checks its arguments.  All but NCMatrix also have a private
@@ -115,36 +114,6 @@ class Algebra(ABC):
     @abstractmethod
     def from_fraction(self, q: Fraction):
         """Embed a rational scalar, when the algebra contains it."""
-
-    # ring operations (validated wrappers over the element types)
-
-    def add(self, a, b):
-        self.check(a)
-        self.check(b)
-        return a + b
-
-    def sub(self, a, b):
-        self.check(a)
-        self.check(b)
-        return a - b
-
-    def neg(self, a):
-        self.check(a)
-        return -a
-
-    def mul(self, a, b):
-        self.check(a)
-        self.check(b)
-        return a * b
-
-    def equal(self, a, b) -> bool:
-        self.check(a)
-        self.check(b)
-        return a == b
-
-    def is_zero(self, a) -> bool:
-        self.check(a)
-        return a.is_zero()
 
     # the endomorphism and its twist
 

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .factorization import KernelContext
 from .operators import Operator
-from .parsing import algebra_tag, parse_element, parse_operator
+from .parsing import algebra_tag, parse_element, parse_fraction, parse_operator
 
 EX_OK = 0
 EX_SYNTAX = 1
@@ -63,7 +63,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("%r is not a rational number" % text)
 

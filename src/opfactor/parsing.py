@@ -64,6 +64,11 @@ MAX_NESTING = 100
 # bound is syntactic, so exponents and products past it cost nothing
 MAX_DEGREE = 300
 
+# Fraction expands 1eN to N digits before it can refuse a text, so a larger
+# exponent (the bound is the default int digit limit) is refused first
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
 
 def _tokenize(text: str) -> List[Tuple[str, int]]:
     """(token, 1-based position) pairs; whitespace matches no token."""
@@ -268,6 +273,14 @@ def parse_element(text: str, algebra: Algebra):
     return _Parser(text, algebra, allow_d=False).parse()
 
 
+def parse_fraction(text) -> Fraction:
+    """Fraction(text), but a ValueError for an exponent past MAX_EXPONENT."""
+    exp = isinstance(text, str) and _EXPONENT.search(text)
+    if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
+        raise ValueError("%r has a decimal exponent beyond %d" % (text, MAX_EXPONENT))
+    return Fraction(text)
+
+
 # JSON form
 
 def algebra_tag(algebra: Algebra) -> dict:
@@ -285,7 +298,7 @@ def operator_to_json(op: Operator) -> dict:
 
 
 def operator_from_json(data: dict, algebra: Optional[Algebra] = None) -> Operator:
-    tagged = get_algebra(data["algebra"], Fraction(data.get("c", 1)))
+    tagged = get_algebra(data["algebra"], parse_fraction(data.get("c", 1)))
     if algebra is None:
         algebra = tagged
     elif algebra != tagged:

@@ -12,8 +12,8 @@ The value is (cnum/cden) * prim.  Zero is the empty tuple with content
 such form: the primitive part is fixed up to sign, and the sign goes to
 the content.  So the representation is canonical and equality is field
 equality.  `coeffs`, `leading` and `coeff` give the rational coefficients
-as Fractions; `coeffs` is derived on demand.  `evaluate` gives the value at
-a rational point as a Fraction, and `fmt(var)` the text in variable `var`.
+as Fractions; `coeffs` is derived on demand.  `fmt(var)` gives the text
+in variable `var`.
 
 Arithmetic runs on the integer tuples (Knuth, TAOCP vol. 2, 4.6.1):
   * Gauss's lemma: a product of primitive polynomials is primitive, and
@@ -288,13 +288,6 @@ class Poly:
             return _ZERO
         return _reduced([i * c for i, c in enumerate(a) if i], self.cnum, self.cden)
 
-    def compose(self, other: "Poly") -> "Poly":
-        """Substitute `other` for the variable (Horner evaluation)."""
-        out = _ZERO
-        for c in reversed(self.coeffs):
-            out = out * other + Poly.constant(c)
-        return out
-
     def shifted(self) -> "Poly":
         """The polynomial with its variable replaced by (variable + 1),
         by the Taylor shift: repeated synthetic division by (x - 1), which
@@ -307,12 +300,6 @@ class Poly:
             for j in range(top - 1, i - 1, -1):
                 out[j] += out[j + 1]
         return _new(tuple(out), self.cnum, self.cden)
-
-    def evaluate(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.prim):
-            acc = acc * x + c
-        return acc * Fraction(self.cnum, self.cden)
 
     # display
 

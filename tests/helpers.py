@@ -335,6 +335,16 @@ def ref_quat_inverse(q):
     return Quaternion(*(comp * s for comp in conj.components))
 
 
+def ref_poly_compose(p, q):
+    """p with q substituted for its variable, by Horner's rule over the
+    rational coefficients, independent of the Taylor shift in
+    Poly.shifted."""
+    out = Poly()
+    for c in reversed(p.coeffs):
+        out = out * q + Poly.constant(c)
+    return out
+
+
 class CountingQX(type(QX)):
     """Q(x) with d/dx that counts its calls of twist."""
 

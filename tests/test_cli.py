@@ -293,6 +293,20 @@ def test_exit_usage(capsys):
     assert code == 64
     code, _, err = run(capsys, "kernel-op", "--algebra", "diff", "--c", "pi", "--kernel", "n")
     assert code == 64
+    # an exponent past the bound is refused before Fraction expands it
+    for c in ("1e1000000", "1e10000000", "1e4301", "-1e-4301", "1E+4301"):
+        code, out, err = run(capsys, "kernel-op", "--algebra", "diff", "--c=" + c, "--kernel", "n")
+        assert (code, out) == (64, "")
+        assert "argument --c: %r is not a rational number" % c in err
+
+
+@pytest.mark.parametrize("c", ["2.5e-3", "1e4300", "1e-4300"])
+def test_c_up_to_the_exponent_bound_is_accepted(capsys, c):
+    code, out, err = run(
+        capsys, "kernel-op", "--algebra", "diff", "--c", c, "--kernel", "n,n^2,1/n"
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("K = D^3")
 
 
 def test_exit_internal_on_unmapped_algebra_errors(capsys, monkeypatch):
@@ -533,10 +547,11 @@ def _huge_constants():
     """(--c, its exact text, the text of D(1) = 1 + c) for c = 10^d and
     c = -1/10^d, where 10^d has more digits than the limit allows."""
     d = int_str_limit() + 700
+    h = d // 2  # the exponent stays within parsing.MAX_EXPONENT
     ten_d = "1" + "0" * d
     return [
-        ("1e%d" % d, ten_d, "1" + "0" * (d - 1) + "1"),
-        ("-1e-%d" % d, "-1/" + ten_d, "9" * d + "/" + ten_d),
+        ("1%se%d" % ("0" * h, d - h), ten_d, "1" + "0" * (d - 1) + "1"),
+        ("-0.%s1e-%d" % ("0" * (h - 1), d - h), "-1/" + ten_d, "9" * d + "/" + ten_d),
     ]
 
 

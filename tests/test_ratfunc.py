@@ -6,7 +6,14 @@ from hypothesis import assume, example, given
 
 from opfactor import MixedAlgebras, NotAUnit, Poly, RationalFunction
 
-from helpers import factored_polys, factored_ratfuncs, polys, ratfuncs, small_fractions
+from helpers import (
+    factored_polys,
+    factored_ratfuncs,
+    polys,
+    ratfuncs,
+    ref_poly_compose,
+    small_fractions,
+)
 
 
 def rf(num, den=None, var="x"):
@@ -134,7 +141,8 @@ def test_sum_difference_product_match_full_normalisation(p, q):
 def test_unary_operations_match_full_normalisation(p, n):
     a, b = p.num, p.den
     assert_normalises(-p, -a, b, "n")
-    assert_normalises(p.shifted(), a.compose(Poly([1, 1])), b.compose(Poly([1, 1])), "n")
+    shift = Poly([1, 1])
+    assert_normalises(p.shifted(), ref_poly_compose(a, shift), ref_poly_compose(b, shift), "n")
     if p.is_zero():
         return
     assert_normalises(p.inverse(), b, a, "n")
