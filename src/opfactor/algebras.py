@@ -109,6 +109,8 @@ class DifferenceAlgebra(RationalFunctionAlgebra):
     """Q(n) with the shifted difference map g -> g(n+1) + c*g(n).
 
     c is a fixed rational constant chosen at construction (default 1).
+    It is kept as a Fraction for the name and the JSON tag, and once as
+    an element, `_c`, for the products in endo and twist.
     Instances with different c are different algebras: their operators do
     not mix even though the underlying elements look alike.
     """
@@ -118,6 +120,7 @@ class DifferenceAlgebra(RationalFunctionAlgebra):
 
     def __init__(self, c: Fraction = Fraction(1)):
         self.c = Fraction(c)
+        self._c = self.from_fraction(self.c)
 
     def _key(self):
         return (self.c,)
@@ -127,12 +130,12 @@ class DifferenceAlgebra(RationalFunctionAlgebra):
 
     def endo(self, f):
         self.check(f)
-        return f.shifted() + f * self.c
+        return f.shifted() + f * self._c
 
     def twist(self, f):
         self.check(f)
         p = f.shifted()
-        return TwistPair(p, (f - p) * self.c)
+        return TwistPair(p, (f - p) * self._c)
 
 
 class GroupRingC5Algebra(Algebra):

@@ -24,6 +24,8 @@ raises MixedAlgebras otherwise.  Values are checked where they enter:
 the public constructors, the parser, KernelContext, the arguments of
 scale_left, apply and interpolate, and the endo, try_invert and
 format_element methods below.  Inside, the engine trusts its values.
+A rational number enters one way, as a multiple of the unit through
+`from_fraction`; no element's arithmetic takes an int or a Fraction.
 
 Every value class of the package has one shape: `__slots__` and a public
 `__init__` that checks its arguments.  All but NCMatrix also have a private

@@ -64,8 +64,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _fraction(text: str) -> Fraction:
     try:
         return parse_fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("%r is not a rational number" % text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 _KERNEL = ("--kernel", "comma separated kernel elements")

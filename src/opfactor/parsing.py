@@ -274,11 +274,15 @@ def parse_element(text: str, algebra: Algebra):
 
 
 def parse_fraction(text) -> Fraction:
-    """Fraction(text), but a ValueError for an exponent past MAX_EXPONENT."""
+    """Fraction(text), but every refusal is a ValueError, which names the
+    bound for an exponent past MAX_EXPONENT."""
     exp = isinstance(text, str) and _EXPONENT.search(text)
-    if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
-        raise ValueError("%r has a decimal exponent beyond %d" % (text, MAX_EXPONENT))
-    return Fraction(text)
+    try:
+        if not (exp and abs(int(exp.group(1))) > MAX_EXPONENT):
+            return Fraction(text)
+    except (ArithmeticError, TypeError, ValueError):
+        raise ValueError("%r is not a rational number" % (text,)) from None
+    raise ValueError("%r has a decimal exponent beyond %d" % (text, MAX_EXPONENT))
 
 
 # JSON form

@@ -54,7 +54,8 @@ Arithmetic runs on the integer tuples (Knuth, TAOCP vol. 2, 4.6.1):
     the tuple primitive and the content as it is.  A derivative scales
     the tuple and takes the content out again.
 
-Values are immutable.  The public constructor takes any rationals.
+Values are immutable.  Rationals become a Poly only through the public
+constructor or `Poly.constant`; arithmetic takes Poly operands alone.
 Arithmetic builds its results through `_reduced`, which takes the
 content out of an integer list, or `_new`, which trusts its fields.
 `Poly.zero()` and `Poly.one()` are shared instances.  Arithmetic builds
@@ -148,16 +149,12 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+            return NotImplemented
         if not other.prim:
             return self
         if not self.prim:
             return other
         return _combine(self, other.cnum, other)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "Poly":
         if not self.prim:
@@ -166,22 +163,12 @@ class Poly:
 
     def __sub__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Poly":
-        other = _coerce(other)
-        if other is NotImplemented:
             return NotImplemented
-        return other - self
+        return self + (-other)
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+            return NotImplemented
         a, b = self.prim, other.prim
         if not a or not b:
             return _ZERO
@@ -202,32 +189,16 @@ class Poly:
                     out[j] += x * y
         return _new(tuple(out), n, d)
 
-    __rmul__ = __mul__
-
     def _scaled(self, c: Scalar) -> "Poly":
         """self * c for a nonzero int or Fraction c."""
         if not self.prim or c == 1:
             return self
         return _reduced(list(self.prim), self.cnum * c.numerator, self.cden * c.denominator)
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __divmod__(self, other: "Poly"):
         """Exact euclidean division; the divisor must be nonzero."""
         if not isinstance(other, Poly):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+            return NotImplemented
         a, b = self.prim, other.prim
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
@@ -248,9 +219,6 @@ class Poly:
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     # algebraic helpers
 
@@ -448,12 +416,6 @@ def _prs_gcd(a: tuple, b: tuple) -> Poly:
         if len(rem) < 2:
             return _ONE if rem else _new(b, 1, b[-1])
         a, b = b, rem
-
-
-def _coerce(other):
-    if isinstance(other, (int, Fraction)):
-        return Poly.constant(other)
-    return NotImplemented
 
 
 _ZERO = _new((), 0, 1)

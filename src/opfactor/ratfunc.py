@@ -7,9 +7,10 @@ Canonical form invariants:
 With those three, the representation of a value is unique, so equality is
 componentwise and needs no cross multiplication.
 
-The public constructor reaches that form from any numerator and
-denominator with one gcd.  Arithmetic reaches it without recomputing it,
-the way Fraction does for integers (Henrici; Knuth, TAOCP vol. 2, 4.5.1):
+The public constructor takes a numerator and a denominator, both `Poly`,
+and the variable, and reaches that form with one gcd.  Arithmetic
+reaches it without recomputing it, the way Fraction does for integers
+(Henrici; Knuth, TAOCP vol. 2, 4.5.1):
 
   * a zero operand is returned as it is by a sum or a product.
   * a/b + c/d: with both denominators constant (so both 1) the sum is
@@ -21,8 +22,9 @@ the way Fraction does for integers (Henrici; Knuth, TAOCP vol. 2, 4.5.1):
     has b = d, so only t can be zero; it returns 0/1 at once, with no h.
   * a/b * c/d: cross-cancel gcd(a, d) and gcd(c, b); the remaining
     factors are pairwise coprime.  Each gcd is skipped when its
-    denominator is constant, so a product of polynomials needs none.
-  * negation, powers, the shift x -> x + 1 (a ring automorphism of Q[x]
+    denominator is constant, so a product of polynomials needs none,
+    and when b is 1 the denominator is d itself, with no product.
+  * negation, the shift x -> x + 1 (a ring automorphism of Q[x]
     that keeps leading coefficients) and the inverse (which only has to
     make the new denominator monic) keep the form as it is.
 
@@ -39,8 +41,9 @@ above runs on ints.  Emptiness and degree are read off `Poly.prim`.
 Each value carries its variable name.  Mixing two variables in one
 operation raises MixedAlgebras; this is what keeps elements of the x-world
 and the n-world apart at the lowest level.  Sums, differences and
-products test a rational-function operand's variable inline and leave
-ints, Fractions and foreign operands to `_same_world`.
+products test the operand's type and variable inline and leave a failure
+to `_same_world`, which raises TypeError for anything but a rational
+function.  A rational number enters only as `RationalFunction.constant`.
 """
 
 from __future__ import annotations
@@ -58,13 +61,9 @@ Scalar = Union[int, Fraction]
 class RationalFunction:
     __slots__ = ("num", "den", "var")
 
-    def __init__(self, num, den=None, var: str = "x"):
-        if not isinstance(num, Poly):
-            num = Poly.constant(num)
-        if den is None:
-            den = Poly.one()
-        elif not isinstance(den, Poly):
-            den = Poly.constant(den)
+    def __init__(self, num: Poly, den: Poly, var: str):
+        if not (isinstance(num, Poly) and isinstance(den, Poly)):
+            raise TypeError("expected two Polys, got %r and %r" % (num, den))
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
@@ -119,10 +118,7 @@ class RationalFunction:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
-            if isinstance(other, (int, Fraction)):
-                other = RationalFunction.constant(other, self.var)
-            else:
-                return NotImplemented
+            return NotImplemented
         return (
             self.var == other.var
             and self.num == other.num
@@ -130,25 +126,20 @@ class RationalFunction:
         )
 
     def __hash__(self) -> int:
-        if len(self.num.prim) <= 1 and len(self.den.prim) == 1:
-            # a constant equals the int or Fraction of its value
-            return hash(self.num.coeff(0))
         return hash(("RationalFunction", self.var, self.num, self.den))
 
     def __repr__(self) -> str:
         return "RationalFunction(%r, %r, %r)" % (self.num, self.den, self.var)
 
     def _same_world(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            if other.var != self.var:
-                raise MixedAlgebras(
-                    "cannot combine rational functions in %r and %r"
-                    % (self.var, other.var)
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.constant(other, self.var)
-        raise TypeError("expected a rational function, got %r" % (other,))
+        if not isinstance(other, RationalFunction):
+            raise TypeError("expected a rational function, got %r" % (other,))
+        if other.var != self.var:
+            raise MixedAlgebras(
+                "cannot combine rational functions in %r and %r"
+                % (self.var, other.var)
+            )
+        return other
 
     # arithmetic
 
@@ -174,8 +165,6 @@ class RationalFunction:
             num, d = num // g, d // g
         return RationalFunction._canonical(num, b_g * d, self.var)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "RationalFunction":
         return RationalFunction._canonical(-self.num, self.den, self.var)
 
@@ -185,9 +174,6 @@ class RationalFunction:
         if not other.num.prim:
             return self
         return self + (-other)
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return self._same_world(other) - self
 
     def __mul__(self, other) -> "RationalFunction":
         if not (isinstance(other, RationalFunction) and other.var == self.var):
@@ -205,9 +191,8 @@ class RationalFunction:
             g = Poly.gcd(c, b)
             if len(g.prim) > 1:
                 c, b = c // g, b // g
-        return RationalFunction._canonical(a * c, b * d, self.var)
-
-    __rmul__ = __mul__
+            d = b * d
+        return RationalFunction._canonical(a * c, d, self.var)
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
@@ -216,17 +201,6 @@ class RationalFunction:
         return RationalFunction._canonical(
             self.den._scaled(1 / lead), self.num.monic(), self.var
         )
-
-    def __truediv__(self, other) -> "RationalFunction":
-        return self * self._same_world(other).inverse()
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return self._same_world(other) * self.inverse()
-
-    def __pow__(self, n: int) -> "RationalFunction":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return RationalFunction._canonical(self.num ** n, self.den ** n, self.var)
 
     # the two endomorphism building blocks used by the built-in algebras
 

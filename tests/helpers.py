@@ -323,7 +323,7 @@ def ref_quat_mul(p, q):
     for m, x in enumerate(p.components):
         for n, y in enumerate(q.components):
             unit, sign = UNIT_PRODUCTS[m][n]
-            out[unit] = out[unit] + sign * (x * y)
+            out[unit] = out[unit] + (x * y if sign > 0 else -(x * y))
     return Quaternion(*out)
 
 

@@ -111,19 +111,20 @@ def test_criterion_3_difference_reproduction(capsys):
             ctx = KernelContext(
                 algebra, [parse_element("n", algebra), parse_element("n^2", algebra)]
             )
+            q = algebra.from_fraction
             assert ctx.phi.entry(0, 0) == n
             assert ctx.phi.entry(0, 1) == n * n
-            assert ctx.phi.entry(1, 0) == (c + 1) * n + 1
-            assert ctx.phi.entry(1, 1) == (c + 1) * n * n + 2 * n + 1
+            assert ctx.phi.entry(1, 0) == q(c + 1) * n + q(1)
+            assert ctx.phi.entry(1, 1) == q(c + 1) * n * n + q(2) * n + q(1)
 
-            det = n * n + n
-            assert ctx.phi_inv.entry(0, 0) == ((c + 1) * n * n + 2 * n + 1) / det
-            assert ctx.phi_inv.entry(0, 1) == -(n * n) / det
-            assert ctx.phi_inv.entry(1, 0) == -((c + 1) * n + 1) / det
-            assert ctx.phi_inv.entry(1, 1) == n / det
+            inv_det = (n * n + n).inverse()
+            assert ctx.phi_inv.entry(0, 0) == (q(c + 1) * n * n + q(2) * n + q(1)) * inv_det
+            assert ctx.phi_inv.entry(0, 1) == -(n * n) * inv_det
+            assert ctx.phi_inv.entry(1, 0) == -(q(c + 1) * n + q(1)) * inv_det
+            assert ctx.phi_inv.entry(1, 1) == n * inv_det
 
-            mid = -(2 * (c * n + c + n + 2) / (n + 1))
-            const = ((c + 1) ** 2 * n * n + (c * c + 4 * c + 3) * n + 2) / det
+            mid = -(q(2) * (q(c) * n + q(c) + n + q(2)) * (n + q(1)).inverse())
+            const = (q((c + 1) ** 2) * n * n + q(c * c + 4 * c + 3) * n + q(2)) * inv_det
             assert ctx.K == Operator(algebra, (const, mid, algebra.one()))
             for f in ctx.f:
                 assert ctx.K.apply(f) == algebra.zero()

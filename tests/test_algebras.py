@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from opfactor import MixedAlgebras, NotAUnit, get_algebra
+from opfactor import MixedAlgebras, NotAUnit, Poly, get_algebra
 
 from helpers import ALL_ALGEBRAS, C5, DIFF1, QUAT, QX, elements, rand_element, rand_unit
 import itertools
@@ -106,23 +106,37 @@ def test_membership_check_rejects_foreign_values():
 
 GENERATORS = ((QX, "x"), (QUAT, "x"), (DIFF1, "n"), (C5, "r"))
 
+# (id, value): a generator of each algebra, and the polynomial x
+OPERANDS = [(a.name, a.symbols()[name]) for a, name in GENERATORS]
+POLY_X = ("poly", Poly.variable())
+SCALARS = (("int", 1), ("fraction", Fraction(1, 2)))
+
 
 @pytest.mark.parametrize(
     "left, right",
-    list(itertools.permutations(GENERATORS, 2)),
-    ids=lambda g: g[0].name,
+    list(itertools.permutations(OPERANDS, 2))
+    + [
+        pair
+        for value in (OPERANDS[0], OPERANDS[2], POLY_X)
+        for scalar in SCALARS
+        for pair in ((value, scalar), (scalar, value))
+    ],
+    ids=lambda operand: operand[0],
 )
 def test_element_arithmetic_rejects_other_algebras(left, right):
     """The elements' own +, - and * refuse a value of another algebra:
     MixedAlgebras between the two rational function algebras, TypeError
-    between different element types; == is False for every pair."""
-    a = left[0].symbols()[left[1]]
-    b = right[0].symbols()[right[1]]
-    rational = {QX, DIFF1}
-    error = MixedAlgebras if {left[0], right[0]} == rational else TypeError
+    between different element types.  Poly and RationalFunction refuse an
+    int or a Fraction on either side with TypeError, since a rational
+    enters only through a constructor.  No element has /, and == is False
+    for every pair."""
+    a, b = left[1], right[1]
+    error = MixedAlgebras if {left[0], right[0]} == {"qx", "diff"} else TypeError
     for op in (operator.add, operator.sub, operator.mul):
         with pytest.raises(error):
             op(a, b)
+    with pytest.raises(TypeError):
+        a / b
     assert not a == b
 
 def test_c5_scalars_must_be_integral():

@@ -293,11 +293,12 @@ def test_exit_usage(capsys):
     assert code == 64
     code, _, err = run(capsys, "kernel-op", "--algebra", "diff", "--c", "pi", "--kernel", "n")
     assert code == 64
+    assert err.endswith("error: argument --c: 'pi' is not a rational number\n")
     # an exponent past the bound is refused before Fraction expands it
     for c in ("1e1000000", "1e10000000", "1e4301", "-1e-4301", "1E+4301"):
         code, out, err = run(capsys, "kernel-op", "--algebra", "diff", "--c=" + c, "--kernel", "n")
         assert (code, out) == (64, "")
-        assert "argument --c: %r is not a rational number" % c in err
+        assert err.endswith("argument --c: %r has a decimal exponent beyond 4300\n" % c)
 
 
 @pytest.mark.parametrize("c", ["2.5e-3", "1e4300", "1e-4300"])

@@ -129,21 +129,21 @@ def test_quaternion_misprint_is_not_in_kernel():
 
 
 def _diff_expected_k(algebra, c):
-    n = RationalFunction.variable("n")
-    mid = -(2 * (c * n + c + n + 2) / (n + 1))
-    const_num = (c + 1) ** 2 * n * n + (c * c + 4 * c + 3) * n + 2
-    const = const_num / (n * n + n)
+    n, q = RationalFunction.variable("n"), algebra.from_fraction
+    mid = -(q(2) * (q(c) * n + q(c) + n + q(2)) * (n + q(1)).inverse())
+    const_num = q((c + 1) ** 2) * n * n + q(c * c + 4 * c + 3) * n + q(2)
+    const = const_num * (n * n + n).inverse()
     return Operator(algebra, (const, mid, algebra.one()))
 
 
-def _diff_expected_inverse(c):
-    n = RationalFunction.variable("n")
-    det = n * n + n
+def _diff_expected_inverse(algebra, c):
+    n, q = RationalFunction.variable("n"), algebra.from_fraction
+    inv_det = (n * n + n).inverse()
     return (
-        ((c + 1) * n * n + 2 * n + 1) / det,
-        -(n * n) / det,
-        -((c + 1) * n + 1) / det,
-        n / det,
+        (q(c + 1) * n * n + q(2) * n + q(1)) * inv_det,
+        -(n * n) * inv_det,
+        -(q(c + 1) * n + q(1)) * inv_det,
+        n * inv_det,
     )
 
 
@@ -152,13 +152,13 @@ def test_difference_showcase(c):
     algebra = get_algebra("diff", c=c)
     ctx = ctx_diff(algebra)
 
-    n = RationalFunction.variable("n")
+    n, q = RationalFunction.variable("n"), algebra.from_fraction
     assert ctx.phi.entry(0, 0) == n
     assert ctx.phi.entry(0, 1) == n * n
-    assert ctx.phi.entry(1, 0) == (c + 1) * n + 1
-    assert ctx.phi.entry(1, 1) == (c + 1) * n * n + 2 * n + 1
+    assert ctx.phi.entry(1, 0) == q(c + 1) * n + q(1)
+    assert ctx.phi.entry(1, 1) == q(c + 1) * n * n + q(2) * n + q(1)
 
-    expected = _diff_expected_inverse(c)
+    expected = _diff_expected_inverse(algebra, c)
     for idx, (row, col) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
         assert ctx.phi_inv.entry(row, col) == expected[idx]
 
@@ -393,7 +393,7 @@ def test_right_division_catches_a_wrong_inverse():
     class DoubledTwist(type(QX)):
         def twist(self, f):
             tw = super().twist(f)
-            return tw._replace(p=tw.p * 2)
+            return tw._replace(p=tw.p * self.from_fraction(Fraction(2)))
 
     algebra = DoubledTwist()
     divisor = parse_operator("D - 1/x", algebra)

@@ -141,8 +141,8 @@ def _adjugate_inverse(entries, n):
             minor = [
                 row[:c] + row[c + 1 :] for idx, row in enumerate(rows) if idx != r
             ]
-            sign = -1 if (r + c) % 2 else 1
-            cof.append(det(minor) * sign if minor else RationalFunction.one(d.var))
+            cofactor = det(minor) if minor else RationalFunction.one(d.var)
+            cof.append(-cofactor if (r + c) % 2 else cofactor)
     # adjugate is the transposed cofactor matrix
     inv = [cof[c * n + r] * d.inverse() for r in range(n) for c in range(n)]
     return inv

@@ -356,3 +356,11 @@ def test_json_difference_constant_exponent_is_bounded():
     data["c"] = "1e1000000"
     with pytest.raises(ValueError, match="decimal exponent beyond 4300"):
         operator_from_json(data)
+
+
+@pytest.mark.parametrize("c", ["1/0", None, [1]], ids=["zero-denominator", "null", "list"])
+def test_json_malformed_difference_constant_is_a_value_error(c):
+    data = {"algebra": "diff", "c": c, "coeffs": ["0", "1"]}
+    with pytest.raises(ValueError) as info:
+        operator_from_json(data)
+    assert str(info.value) == "%r is not a rational number" % (c,)

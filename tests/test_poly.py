@@ -28,9 +28,9 @@ def test_basic_arithmetic():
     assert p + p == Poly([2, 2])
     assert p - p == Poly()
     assert -p == Poly([-1, -1])
-    assert p * 0 == Poly()
-    assert p ** 3 == Poly([1, 3, 3, 1])
-    assert 2 * p == Poly([2, 2])
+    assert p * Poly.constant(0) == Poly()
+    assert p * p * p == Poly([1, 3, 3, 1])
+    assert Poly.constant(2) * p == Poly([2, 2])
 
 
 @given(polys(), polys(), polys())
@@ -59,10 +59,10 @@ def test_gcd_divides_both(a, b, g):
         assert (a * g).is_zero() and (b * g).is_zero()
         return
     assert d.leading == 1
-    assert ((a * g) % d).is_zero()
-    assert ((b * g) % d).is_zero()
+    assert divmod(a * g, d)[1].is_zero()
+    assert divmod(b * g, d)[1].is_zero()
     if not g.is_zero():
-        assert (d % g).is_zero()  # common factor survives
+        assert divmod(d, g)[1].is_zero()  # common factor survives
 
 
 def test_monic():
@@ -112,7 +112,7 @@ def test_arithmetic_leaves_the_shared_zero_and_one_alone(a):
     zero, one = Poly.zero(), Poly.one()
     assert zero is Poly.zero() and one is Poly.one()
     results = [a + zero, zero + a, a - zero, zero - a, a * one, one * a, a * zero]
-    results += [*divmod(a, one), one.monic(), a ** 0, a + one, one - a, -zero]
+    results += [*divmod(a, one), one.monic(), a + one, one - a, -zero]
     for r in results:
         assert_stored_canonically(r)
     assert zero.coeffs == () and one.coeffs == (1,)
@@ -178,8 +178,8 @@ def test_shared_zero_and_one_hold_the_integer_form():
     assert Poly([Fraction(-3, 4), Fraction(3, 2)]).cden == 4
     assert Poly([2, -4]).prim == (-1, 2) and Poly([2, -4]).cnum == -2
     x = Poly.variable()
-    assert Poly.gcd(x + 1, x - 1) is one and Poly.gcd(x, Poly([3])) is one
-    assert x - x is zero and divmod(x, x)[1] is zero and x * 0 is zero
+    assert Poly.gcd(x + one, x - one) is one and Poly.gcd(x, Poly([3])) is one
+    assert x - x is zero and divmod(x, x)[1] is zero and x * Poly.constant(0) is zero
 
 
 @given(polys(3), polys(2))
@@ -200,7 +200,7 @@ def test_arithmetic_matches_the_fraction_reference(a, b):
 
 @given(factored_polys(allow_zero=True), factored_polys(allow_zero=True), polys(1))
 def test_gcd_matches_the_fraction_reference(a, b, c):
-    a, b = a * c, b * (c + 1)
+    a, b = a * c, b * (c + Poly.one())
     expected = RefPoly.gcd(RefPoly(a.coeffs), RefPoly(b.coeffs))
     assert Poly.gcd(a, b).coeffs == expected.coeffs
     assert Poly.gcd(b, a).coeffs == expected.coeffs
@@ -221,7 +221,7 @@ def test_gcd_of_degree_8_with_200_bit_coefficients():
     d = Poly.gcd(a, b)
     assert d.coeffs == expected.coeffs
     assert d == g.monic()  # u and v are coprime for this seed
-    assert (a % d).is_zero() and (b % d).is_zero()
+    assert divmod(a, d)[1].is_zero() and divmod(b, d)[1].is_zero()
 
 
 def test_pseudo_division_rescales_when_the_lead_does_not_divide():
@@ -235,7 +235,7 @@ def test_pseudo_division_rescales_when_the_lead_does_not_divide():
     a = Poly([7, -5, 3, 0, 11, 4])
     b = Poly([5, 2, 6])
     quot, rem, scale = _pseudo_divide(a.prim, b.prim)
-    assert scale > 1 and Poly(quot) * Poly(b.prim) + Poly(rem) == Poly(a.prim) * scale
+    assert scale > 1 and Poly(quot) * Poly(b.prim) + Poly(rem) == Poly(a.prim) * Poly.constant(scale)
     q, r = divmod(a, b)
     rq, rr = divmod(RefPoly(a.coeffs), RefPoly(b.coeffs))
     assert (q.coeffs, r.coeffs) == (rq.coeffs, rr.coeffs)
@@ -243,8 +243,7 @@ def test_pseudo_division_rescales_when_the_lead_does_not_divide():
 
 
 def test_exact_division_never_rescales():
-    x = Poly.variable()
-    g, u = 3 * x * x + 2 * x + 7, 5 * x ** 3 - x + 2
+    g, u = Poly([7, 2, 3]), Poly([2, -1, 0, 5])  # 3x^2 + 2x + 7, 5x^3 - x + 2
     quot, rem, scale = _pseudo_divide((g * u).prim, g.prim)
     assert scale == 1 and not any(rem)
     assert (g * u) // g == u
@@ -314,7 +313,8 @@ def test_gcd_with_coefficients_above_2_to_the_200(prs_calls):
     low = max(min(low, 99 * isqrt(low)), 2 * min(n // p.prim[-1] for n, p in zip(norms, (a, b))) + 2)
     assert low < 2 * min(norms) + 2
     assert Poly.gcd(a, b) == g.monic()  # u and v are coprime for this seed
-    for p, q in [(a, b), (a * (g + 1), b * (g - 1)), (a * v, v * (g + 1)), (u, v)]:
+    one = Poly.one()
+    for p, q in [(a, b), (a * (g + one), b * (g - one)), (a * v, v * (g + one)), (u, v)]:
         expected = RefPoly.gcd(RefPoly(p.coeffs), RefPoly(q.coeffs))
         assert Poly.gcd(p, q).coeffs == expected.coeffs
     assert prs_calls == []

@@ -16,8 +16,8 @@ from helpers import (
 )
 
 
-def rf(num, den=None, var="x"):
-    return RationalFunction(Poly(num), Poly(den) if den is not None else None, var)
+def rf(num, den=(1,), var="x"):
+    return RationalFunction(Poly(num), Poly(den), var)
 
 
 def test_canonical_invariants():
@@ -27,14 +27,6 @@ def test_canonical_invariants():
     assert r == rf([1], [0, 2])  # 1 / 2x
     z = rf([0], [0, 1])
     assert z.num == Poly() and z.den == Poly.one()
-
-
-def test_constants_hash_like_their_values():
-    one, half, zero = RationalFunction.one("x"), rf([1], [2]), RationalFunction.zero("n")
-    assert len({one, 1}) == 1 and len({half, Fraction(1, 2)}) == 1 and len({zero, 0}) == 1
-    table = {1: "one", Fraction(1, 2): "half", 0: "zero"}
-    assert (table[one], table[half], table[zero]) == ("one", "half", "zero")
-    assert {rf([0, 1]): "x"}[rf([0, 1])] == "x"
 
 
 @given(polys(), polys(2))
@@ -88,8 +80,9 @@ def test_shift_is_multiplicative_and_additive(a, b):
 
 def test_shift_moves_the_variable():
     n = RationalFunction.variable("n")
-    assert n.shifted() == n + 1
-    assert (n * n).shifted() == n * n + 2 * n + 1
+    one, two = RationalFunction.one("n"), RationalFunction.constant(2, "n")
+    assert n.shifted() == n + one
+    assert (n * n).shifted() == n * n + two * n + one
 
 
 def test_mixed_variables_rejected():
@@ -100,6 +93,17 @@ def test_mixed_variables_rejected():
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         rf([1], [0])
+
+
+def test_constructor_takes_two_polys_and_a_variable():
+    with pytest.raises(TypeError):
+        RationalFunction(1)
+    with pytest.raises(TypeError):
+        RationalFunction(Poly([1]), Poly([1]))
+    with pytest.raises(TypeError):
+        RationalFunction(1, Poly([1]), "x")
+    with pytest.raises(TypeError):
+        RationalFunction(Poly([1]), Fraction(2), "x")
 
 
 def test_display():
@@ -137,8 +141,8 @@ def test_sum_difference_product_match_full_normalisation(p, q):
     assert_normalises(p * q, a * c, b * d)
 
 
-@given(factored_ratfuncs("n"), st.integers(-3, 3))
-def test_unary_operations_match_full_normalisation(p, n):
+@given(factored_ratfuncs("n"))
+def test_unary_operations_match_full_normalisation(p):
     a, b = p.num, p.den
     assert_normalises(-p, -a, b, "n")
     shift = Poly([1, 1])
@@ -146,8 +150,6 @@ def test_unary_operations_match_full_normalisation(p, n):
     if p.is_zero():
         return
     assert_normalises(p.inverse(), b, a, "n")
-    raw = (a ** n, b ** n) if n >= 0 else (b ** -n, a ** -n)
-    assert_normalises(p ** n, *raw, "n")
 
 
 @example(RationalFunction.zero("x"))
@@ -155,7 +157,7 @@ def test_unary_operations_match_full_normalisation(p, n):
 @given(
     st.one_of(
         factored_ratfuncs("x"),
-        factored_polys(allow_zero=True).map(lambda p: RationalFunction(p, None, "x")),
+        factored_polys(allow_zero=True).map(lambda p: RationalFunction(p, Poly.one(), "x")),
         small_fractions.map(lambda c: RationalFunction.constant(c, "x")),
     )
 )
@@ -181,13 +183,6 @@ def test_derivative_of_a_polynomial_runs_no_gcd(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     assert derivatives == [rf([2, 6]), RationalFunction.zero("x"), zero]
-
-
-@given(ratfuncs("x"), ratfuncs("x"))
-def test_mixed_scalar_operands_match_full_normalisation(p, q):
-    assert_normalises(p + 3, p.num + p.den * 3, p.den)
-    assert_normalises(Fraction(1, 2) * q, q.num, q.den * 2)
-    assert_normalises(1 - q, q.den - q.num, q.den)
 
 
 def test_sum_with_constant_denominators():
@@ -244,8 +239,30 @@ def test_product_that_cross_cancels_on_both_sides():
     assert_canonical(p)
 
 
+@pytest.mark.parametrize(
+    "left, right, product",
+    [
+        (rf([-1, 0, 1]), rf([1], [2, 1]), rf([-1, 0, 1], [2, 1])),  # (x^2 - 1) * 1/(x + 2)
+        (rf([0, 1]), rf([0, 1]), rf([0, 0, 1])),  # x * x
+    ],
+)
+def test_product_with_a_left_denominator_of_one_reuses_the_right(monkeypatch, left, right, product):
+    products = []
+    mul = Poly.__mul__
+
+    def counted(p, q):
+        products.append((p, q))
+        return mul(p, q)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    result = left * right
+    assert products == [(left.num, right.num)] and result.den is right.den
+    monkeypatch.undo()
+    assert result == product
+
+
 def test_inverse_makes_the_new_denominator_monic():
-    r = rf([1, 1], [0, 1]) * Fraction(-2, 3)
+    r = rf([1, 1], [0, 1]) * RationalFunction.constant(Fraction(-2, 3), "x")
     inv = r.inverse()
     assert (inv.num, inv.den) == (Poly([0, Fraction(-3, 2)]), Poly([1, 1]))
     assert_canonical(inv)
@@ -253,7 +270,6 @@ def test_inverse_makes_the_new_denominator_monic():
 
 @given(ratfuncs("x"))
 def test_subtracting_zero_returns_the_left_operand(a):
-    assert a - 0 is a
     assert a - RationalFunction.zero("x") is a
     with pytest.raises(MixedAlgebras):  # the variable is checked first
         a - RationalFunction.zero("n")
