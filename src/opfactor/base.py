@@ -44,8 +44,8 @@ AND the corresponding operator identity holds, in which case operator
 equality folds exponents above n - 1 (see the operator module).  The
 built-in group ring declares order 4; the others declare nothing.
 
-An algebra declares `commutative = True` when its products commute; matrix
-inversion then has a determinant-based fallback (see the ncmatrix module).
+An algebra declares `commutative = True` when its products commute; its
+matrices are then inverted through the determinant (see the ncmatrix module).
 The rational function algebras and the group ring declare it.  The
 quaternions declare `division_ring = True`: noncommutative, but every
 nonzero element is a unit.  Either declaration lets one product certify a

@@ -3,7 +3,9 @@
 Multiplication keeps operand order, entry (i,j) of A*B is
 sum_l A[i][l] * B[l][j], never the reverse.
 
-Over the fraction fields Q(v) (qx, diff) inversion runs on polynomials.
+Inversion runs one algorithm per algebra, chosen by its declarations, and
+on each built-in algebra that algorithm fails only where no inverse exists.
+Over the fraction fields Q(v) (qx, diff) it runs on polynomials.
 Column j is scaled by the lcm L_j of its denominators, A' = A*diag(L) over
 Q[v], and fraction-free Gauss-Jordan on [A' | I] (Bareiss, Math. Comp. 22,
 1968) pivots on the first nonzero entry at or below the diagonal, divides
@@ -15,21 +17,21 @@ for a pivot is a nonzero multiple (column scales times the previous
 pivot) of the one Gauss-Jordan over Q(v) scans, so both stop at the same
 column, where A is singular.
 
-Other algebras run Gauss-Jordan elimination with row operations only,
-which are left multiplications by elementary matrices.  A pivot must be a
-unit of the algebra: each column is scanned top to bottom among the
-remaining rows, and the first entry whose try_invert succeeds is used.
-Over a division ring this finds an inverse whenever one exists.  Over the
-group ring, whose zero divisors rule out exact division, it can miss:
-[[2, 3], [3, 5]] is invertible with no unit entry to pivot on.  So when
-the search fails over a commutative algebra, the inverse is read off the
-characteristic polynomial instead (Cayley-Hamilton, with Berkowitz's
-division-free recursion for the polynomial), which succeeds exactly when
-the determinant is a unit; otherwise the pivot search's NotInvertible
-stands.  A candidate C must pass C*A = I, which suffices over a
-commutative algebra (det C * det A = 1) and over a division ring, whose
-matrix rings are Dedekind-finite (Lam, A First Course in Noncommutative
-Rings, section 1); any other algebra must also pass A*C = I.
+Over any other commutative algebra (c5) a matrix is invertible exactly
+when its determinant is a unit, and the inverse is read off the
+characteristic polynomial (Cayley-Hamilton, with Berkowitz's
+division-free recursion for the polynomial); when det A is not a unit,
+NotInvertible names it.  Unit pivots would not do: the group ring has
+zero divisors, and [[2, 3], [3, 5]] is invertible with no unit entry to
+pivot on.  The remaining algebras (quat) run Gauss-Jordan elimination
+with row operations only, which are left multiplications by elementary
+matrices: each column is scanned top to bottom among the remaining rows
+and the first entry whose try_invert succeeds is the pivot, so over a
+division ring it finds an inverse whenever one exists.  A candidate C
+must pass C*A = I, which suffices over a commutative algebra
+(det C * det A = 1) and over a division ring, whose matrix rings are
+Dedekind-finite (Lam, A First Course in Noncommutative Rings, section 1);
+any other algebra must also pass A*C = I.
 
 NCMatrix is a value class in the package's one slotted idiom (see the base
 module), immutable by convention.
@@ -130,17 +132,11 @@ class NCMatrix:
         """Certified two-sided inverse, or NotInvertible."""
         if self.rows != self.cols:
             raise ShapeMismatch("only square matrices can be inverted")
-        if self.algebra.fraction_field:
+        alg = self.algebra
+        if alg.fraction_field:
             return self._fraction_free_inverse()
-        try:
-            candidate = self._gauss_jordan()
-        except NotInvertible:
-            if not self.algebra.commutative:
-                raise
-            candidate = self._cayley_hamilton()
-            if candidate is None:
-                raise
-        alg, ident = self.algebra, NCMatrix.identity(self.algebra, self.rows)
+        candidate = self._cayley_hamilton() if alg.commutative else self._gauss_jordan()
+        ident = NCMatrix.identity(alg, self.rows)
         two_sided = not (alg.commutative or alg.division_ring)
         if candidate * self != ident or (two_sided and self * candidate != ident):
             raise NotInvertible("candidate inverse failed certification")
@@ -197,18 +193,19 @@ class NCMatrix:
                 rows[r] = [e - factor * p for e, p in zip(rows[r], rows[col])]
         return NCMatrix.from_rows(alg, [row[n:] for row in rows])
 
-    def _cayley_hamilton(self):
-        """The uncertified inverse over a commutative algebra, or None when
-        the determinant is not a unit.  With det(tI - A) = t^n + c_1
-        t^(n-1) + ... + c_n, Cayley-Hamilton gives
-        A^-1 = -c_n^-1 (A^(n-1) + c_1 A^(n-2) + ... + c_(n-1) I)."""
+    def _cayley_hamilton(self) -> "NCMatrix":
+        """The uncertified inverse over a commutative algebra.  With
+        det(tI - A) = t^n + c_1 t^(n-1) + ... + c_n, Cayley-Hamilton gives
+        A^-1 = -c_n^-1 (A^(n-1) + c_1 A^(n-2) + ... + c_(n-1) I); when
+        det A = (-1)^n c_n is not a unit, NotInvertible names it."""
         alg = self.algebra
         n = self.rows
         coeffs = self._charpoly()
         try:
             scale = -alg.try_invert(coeffs[n])
         except NotAUnit:
-            return None
+            det = -coeffs[n] if n % 2 else coeffs[n]
+            raise NotInvertible("determinant %s is not a unit" % alg.format_element(det)) from None
         acc = NCMatrix.identity(alg, n)
         for c in coeffs[1:n]:  # Horner, adding c_i on the diagonal
             acc = NCMatrix(alg, n, n, tuple(
@@ -222,11 +219,12 @@ class NCMatrix:
         by Berkowitz's recursion: for a block [[a, R], [C, B]] the
         polynomial of the block is the lower triangular Toeplitz matrix
         with first column 1, -a, -R C, -R B C, -R B^2 C, ... times the
-        polynomial of B.  It needs no division; entries must commute."""
+        polynomial of B; the 0 x 0 matrix has polynomial 1.  It needs no
+        division; entries must commute."""
         alg = self.algebra
         n = self.rows
         entry = self.entry
-        poly = [alg.one(), -entry(n - 1, n - 1)]
+        poly = [alg.one(), -entry(n - 1, n - 1)] if n else [alg.one()]
         for m in range(n - 2, -1, -1):
             rest = range(m + 1, n)
             row_r = [entry(m, j) for j in rest]

@@ -3,7 +3,8 @@
 cli_golden.json holds, for each example, the argv and the exact stdout,
 stderr and exit code the CLI gave for it; every `$ opfactor` command in
 README.md must be among them, and the JSON, the misprint (exit 3) and
-the other documented exit codes are covered as well.  Each example runs
+the other documented exit codes are covered as well.  A case is named by
+its first three arguments unless it gives an "id".  Each example runs
 as `python -m opfactor` in a subprocess, so nothing is shared with the
 test process.
 """
@@ -36,7 +37,7 @@ def _run(argv):
 
 
 @pytest.mark.parametrize(
-    "case", GOLDEN, ids=[" ".join(c["argv"][:3]) for c in GOLDEN]
+    "case", GOLDEN, ids=[c.get("id", " ".join(c["argv"][:3])) for c in GOLDEN]
 )
 def test_cli_output_is_unchanged(case):
     done = _run(case["argv"])

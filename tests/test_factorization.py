@@ -7,6 +7,7 @@ numerically before being frozen into the assertions.
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from opfactor import (
     KernelContext,
     MixedAlgebras,
+    NotAUnit,
     NotInKernel,
     NotIntertwinable,
     NotInvertible,
@@ -41,6 +43,7 @@ from helpers import (
     operators,
     rand_element,
     rand_operator,
+    rand_unit,
 )
 
 
@@ -371,6 +374,37 @@ def test_dependent_kernel_elements_rejected():
     two_x = x + x
     with pytest.raises(NotInvertible):
         KernelContext(QX, [x, two_x])
+
+
+def test_c5_kernels_of_random_elements():
+    # endo keeps the augmentation r -> 1, so for k >= 2 every row of Phi
+    # augments alike and the determinant NotInvertible names augments to 0;
+    # for k = 1, Phi = [f] inverts exactly when f does
+    rng = random.Random(20)
+
+    def draw():
+        return rand_unit(rng, C5) if rng.random() < 0.5 else rand_element(rng, C5)
+
+    for k in (2, 3, 4):
+        for _ in range(12):
+            with pytest.raises(NotInvertible) as info:
+                KernelContext(C5, [draw() for _ in range(k)])
+            found = re.fullmatch(r"determinant (.+) is not a unit", str(info.value))
+            assert found, info.value
+            assert sum(parse_element(found.group(1), C5).coeffs) == 0
+    seen = {True: 0, False: 0}
+    for _ in range(40):
+        f = draw()
+        try:
+            inverse = f.inverse()
+        except NotAUnit:
+            with pytest.raises(NotInvertible, match="^determinant .* is not a unit$"):
+                KernelContext(C5, [f])
+            seen[False] += 1
+        else:
+            assert KernelContext(C5, [f]).phi_inv.entries == (inverse,)
+            seen[True] += 1
+    assert min(seen.values()) >= 10
 
 
 def test_right_division_generic():

@@ -182,15 +182,15 @@ def test_c5_unimodular_matrix_without_a_unit_entry():
     _certify(m, inv)
 
 
-def test_c5_nonunit_determinant_keeps_the_pivot_message():
+def test_c5_nonunit_determinant_is_named():
     # [[2, 3], [4, 5]] has determinant -2, which is not a unit
     m = _c5_integers([[2, 3], [4, 5]])
-    with pytest.raises(NotInvertible, match="^no unit pivot available in column 1$"):
+    with pytest.raises(NotInvertible, match="^determinant -2 is not a unit$"):
         m.inverse()
     g = C5.symbols()["r"]
     one = C5.one()
     rank_one = NCMatrix.from_rows(C5, [[one, g], [one, g]])
-    with pytest.raises(NotInvertible, match="^no unit pivot available in column 2$"):
+    with pytest.raises(NotInvertible, match="^determinant 0 is not a unit$"):
         rank_one.inverse()
 
 
@@ -210,12 +210,41 @@ def test_c5_products_of_elementary_matrices_invert(size):
 
 
 @pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
+def test_empty_matrix_inverts_to_itself(algebra):
+    empty = NCMatrix(algebra, 0, 0, ())
+    assert empty.inverse() == empty
+
+
+@pytest.mark.parametrize(
+    "algebra, routine",
+    [(QX, "_fraction_free_inverse"), (DIFF1, "_fraction_free_inverse"),
+     (QUAT, "_gauss_jordan"), (C5, "_cayley_hamilton")],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_each_algebra_runs_one_inversion_routine(monkeypatch, algebra, routine):
+    # one algorithm per algebra, for invertible and singular matrices alike
+    routines = ("_fraction_free_inverse", "_gauss_jordan", "_cayley_hamilton")
+    calls = []
+    for name in routines:
+        def spy(self, _name=name, _run=getattr(NCMatrix, name)):
+            calls.append(_name)
+            return _run(self)
+
+        monkeypatch.setattr(NCMatrix, name, spy)
+    one, zero = algebra.one(), algebra.zero()
+    _upper_unitriangular(algebra).inverse()
+    with pytest.raises(NotInvertible):
+        NCMatrix.from_rows(algebra, [[one, one], [zero, zero]]).inverse()
+    assert calls == [routine, routine]
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
 @settings(max_examples=25)
 @given(data=st.data())
 def test_inverse_entries_are_members(algebra, data):
     """A product of elementary matrices is invertible over any ring; over
-    the group ring its top left entry 1 + a*b is often not a unit, so the
-    determinant fallback runs too."""
+    the group ring its top left entry 1 + a*b is often not a unit, so no
+    unit pivot need exist."""
     a, b, c = (data.draw(elements(algebra)) for _ in range(3))
     one, zero = algebra.one(), algebra.zero()
     m = (
@@ -243,12 +272,13 @@ def _upper_unitriangular(algebra):
 
 @pytest.mark.parametrize(
     "algebra, products, adjugate_checks",
-    [(QX, 0, 1), (DIFF1, 0, 1), (C5, 1, 0), (QUAT, 1, 0), (TwoSidedQuat(), 2, 0)],
+    [(QX, 0, 1), (DIFF1, 0, 1), (C5, 2, 0), (QUAT, 1, 0), (TwoSidedQuat(), 2, 0)],
     ids=["qx", "diff", "c5", "quat", "quat-two-sided"],
 )
 def test_certificate_products(monkeypatch, algebra, products, adjugate_checks):
     # over Q(v) the one certificate is adj * A' = det * I with Poly
-    # products; the other algebras certify with NCMatrix products
+    # products; the other algebras certify with NCMatrix products, and
+    # over c5 Cayley-Hamilton's one Horner product I*A comes first
     m = _upper_unitriangular(algebra)
     calls, checks = [], []
     multiply, is_adjugate = NCMatrix.__mul__, ncmatrix._is_adjugate
@@ -266,8 +296,9 @@ def test_certificate_products(monkeypatch, algebra, products, adjugate_checks):
     inv = m.inverse()
     assert len(calls) == products
     assert len(checks) == adjugate_checks
-    if products:
-        assert calls[0] == (inv, m)  # C*A = I always runs, and first
+    two_sided = not (algebra.commutative or algebra.division_ring)
+    assert calls.count((inv, m)) == (0 if algebra.fraction_field else 1)  # C*A = I
+    assert calls.count((m, inv)) == two_sided  # A*C = I
     monkeypatch.undo()
     _certify(m, inv)
 

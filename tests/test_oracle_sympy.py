@@ -14,9 +14,27 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from opfactor import KernelContext, NCMatrix, NotInvertible, Operator, Poly, RationalFunction
+from opfactor import (
+    GroupRingC5Element,
+    KernelContext,
+    NCMatrix,
+    NotInvertible,
+    Operator,
+    Poly,
+    RationalFunction,
+    parse_element,
+)
 
-from helpers import C5, DIFF1, QX, factored_ratfuncs, rand_fraction, rand_poly, rand_ratfunc
+from helpers import (
+    C5,
+    DIFF1,
+    QX,
+    factored_ratfuncs,
+    rand_fraction,
+    rand_poly,
+    rand_ratfunc,
+    rand_unit,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -246,3 +264,65 @@ def test_integer_c5_matrices_invert_exactly_when_unimodular():
         for i in range(size):
             for j in range(size):
                 assert inv.entry(i, j) == C5.from_fraction(int(expected[i, j]))
+
+
+# matrices over Z[C5] with entries in r, computed in sympy over
+# Z[x]/(x^5 - 1): an element is a unit exactly when its images in Z
+# (x -> 1) and in Z[zeta_5] are, that is when its augmentation and its
+# resultant with x^4 + x^3 + x^2 + x + 1 are both +-1; then the inverse is
+# adj * det^-1 mod x^5 - 1, and otherwise NotInvertible names det
+
+
+def c5_to_sympy(e, x):
+    return sum((c * x**i for i, c in enumerate(e.coeffs)), sympy.Integer(0))
+
+
+def c5_coeffs(expr, x):
+    """The five integer coefficients of expr mod x^5 - 1."""
+    reduced = sympy.Poly(sympy.rem(sympy.expand(expr), x**5 - 1, x), x)
+    cs = list(reversed(reduced.all_coeffs()))
+    assert all(c.is_integer for c in cs), expr
+    return tuple([int(c) for c in cs] + [0] * (5 - len(cs)))
+
+
+def test_c5_matrices_in_r_invert_exactly_when_the_determinant_is_a_unit():
+    rng = random.Random(15)
+    x = sympy.Symbol("x")
+    cyclotomic = x**4 + x**3 + x**2 + x + 1
+
+    def entry():
+        return GroupRingC5Element(tuple(rng.choice((-1, 0, 0, 1, 2)) for _ in range(5)))
+
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 8:
+        size = rng.randint(2, 3)
+        if rng.random() < 0.5:
+            m = NCMatrix.from_rows(C5, [[entry() for _ in range(size)] for _ in range(size)])
+        else:  # elementary matrices times trivial units: det is a unit
+            m = NCMatrix.from_rows(C5, [
+                [rand_unit(rng, C5) if i == j else C5.zero() for j in range(size)]
+                for i in range(size)
+            ])
+            for _ in range(size):
+                i, j = rng.sample(range(size), 2)
+                elementary = list(NCMatrix.identity(C5, size).entries)
+                elementary[i * size + j] = entry()
+                m = m * NCMatrix(C5, size, size, tuple(elementary))
+        expr = sympy.Matrix(size, size, [c5_to_sympy(e, x) for e in m.entries])
+        det = sympy.rem(sympy.expand(expr.det()), x**5 - 1, x)
+        unit = abs(det.subs(x, 1)) == 1 and abs(sympy.resultant(det, cyclotomic, x)) == 1
+        if seen[unit] >= 8:
+            continue
+        seen[unit] += 1
+        if not unit:
+            with pytest.raises(NotInvertible) as info:
+                m.inverse()
+            found = re.fullmatch(r"determinant (.+) is not a unit", str(info.value))
+            assert found, info.value
+            assert parse_element(found.group(1), C5).coeffs == c5_coeffs(det, x)
+            continue
+        inv, det_inv = m.inverse(), sympy.invert(det, x**5 - 1, x)
+        adj = expr.adjugate()
+        for i in range(size):
+            for j in range(size):
+                assert inv.entry(i, j).coeffs == c5_coeffs(adj[i, j] * det_inv, x)
