@@ -36,7 +36,6 @@ class RationalFunctionAlgebra(Algebra):
 
     variable = "?"
     commutative = True
-    fraction_field = True
 
     def check(self, e):
         if not isinstance(e, RationalFunction) or e.var != self.variable:
@@ -79,7 +78,6 @@ class QuaternionDifferentialAlgebra(_Derivation, Algebra):
 
     name = "quat"
     variable = "x"
-    division_ring = True
 
     def check(self, e):
         if not isinstance(e, Quaternion) or e.var != self.variable:

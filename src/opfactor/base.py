@@ -45,13 +45,8 @@ equality folds exponents above n - 1 (see the operator module).  The
 built-in group ring declares order 4; the others declare nothing.
 
 An algebra declares `commutative = True` when its products commute; its
-matrices are then inverted through the determinant (see the ncmatrix module).
-The rational function algebras and the group ring declare it.  The
-quaternions declare `division_ring = True`: noncommutative, but every
-nonzero element is a unit.  Either declaration lets one product certify a
-matrix inverse.  The rational function algebras also declare
-`fraction_field = True` (Q(v), RationalFunction elements): their matrices
-are inverted and certified on polynomials.
+matrices are then inverted through the determinant (see the ncmatrix
+module).  The rational function algebras and the group ring declare it.
 """
 
 from __future__ import annotations
@@ -76,8 +71,6 @@ class Algebra(ABC):
     name: str = "?"
     endo_order: Optional[int] = None
     commutative: bool = False
-    division_ring: bool = False
-    fraction_field: bool = False
 
     # identity and membership
 

@@ -68,28 +68,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-_KERNEL = ("--kernel", "comma separated kernel elements")
-
-# each subcommand's own required flags, in order, with their help
-_FLAGS = {
-    "kernel-op": [_KERNEL],
-    "factor": [_KERNEL, ("--operator", None)],
-    "dual": [
-        _KERNEL,
-        ("--targets", "comma separated target elements, one per kernel element"),
-    ],
-    "intertwine": [_KERNEL, ("--r", "the operator R")],
-    "verify": [("--operator", None), ("--on", "element to apply to")],
-}
-
-
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="opfactor",
         description="Exact kernel-driven factorization in twisted operator algebras.",
     )
     sub = parser.add_subparsers(dest="command", parser_class=_ArgumentParser)
-    for command, flags in _FLAGS.items():
+    for command, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(command)
         p.add_argument("--algebra", required=True, choices=SELECTORS)
         p.add_argument(
@@ -174,12 +159,18 @@ def _cmd_verify(algebra: Algebra, args):
     return ["L(f) = %s" % value], payload
 
 
+_KERNEL = ("--kernel", "comma separated kernel elements")
+
+# each subcommand's function and its own required flags, in order, with their help
 _COMMANDS = {
-    "kernel-op": _cmd_kernel_op,
-    "factor": _cmd_factor,
-    "dual": _cmd_dual,
-    "intertwine": _cmd_intertwine,
-    "verify": _cmd_verify,
+    "kernel-op": (_cmd_kernel_op, [_KERNEL]),
+    "factor": (_cmd_factor, [_KERNEL, ("--operator", None)]),
+    "dual": (_cmd_dual, [
+        _KERNEL,
+        ("--targets", "comma separated target elements, one per kernel element"),
+    ]),
+    "intertwine": (_cmd_intertwine, [_KERNEL, ("--r", "the operator R")]),
+    "verify": (_cmd_verify, [("--operator", None), ("--on", "element to apply to")]),
 }
 
 
@@ -192,7 +183,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EX_USAGE
     algebra = get_algebra(args.algebra, args.c)
     try:
-        lines, payload = _COMMANDS[args.command](algebra, args)
+        lines, payload = _COMMANDS[args.command][0](algebra, args)
     except ParseError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EX_SYNTAX

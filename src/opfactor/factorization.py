@@ -115,13 +115,12 @@ class KernelContext:
         """Expand an operator over the Dhat family.
 
         Divides op = Q . K + R: the first k hat coefficients are the
-        values R(f_i), the rest are the coefficients of Q, padded with
-        zeros up to index max(deg op, k - 1).
+        values R(f_i), the rest are the coefficients of Q.  Q's top
+        coefficient is op's nonzero leading one, so the list ends at
+        index max(deg op, k - 1) with no padding.
         """
         quotient, rest = right_divide_monic(op, self.K)
-        hats = [rest.apply(f) for f in self.f] + list(quotient.coeffs)
-        size = max(len(op.coeffs), self.k)
-        return hats + [self.algebra.zero()] * (size - len(hats))
+        return [rest.apply(f) for f in self.f] + list(quotient.coeffs)
 
     def leading_coefficients_by_apply(self, op: Operator) -> Tuple:
         """The first k hat coefficients, computed independently: the hat

@@ -3,9 +3,9 @@
 Multiplication keeps operand order, entry (i,j) of A*B is
 sum_l A[i][l] * B[l][j], never the reverse.
 
-Inversion runs one algorithm per algebra, chosen by its declarations, and
-on each built-in algebra that algorithm fails only where no inverse exists.
-Over the fraction fields Q(v) (qx, diff) it runs on polynomials.
+Inversion runs one algorithm per algebra, and on each built-in algebra that
+algorithm fails only where no inverse exists.  Over the fraction fields
+Q(v) (qx, diff, the RationalFunctionAlgebra type) it runs on polynomials.
 Column j is scaled by the lcm L_j of its denominators, A' = A*diag(L) over
 Q[v], and fraction-free Gauss-Jordan on [A' | I] (Bareiss, Math. Comp. 22,
 1968) pivots on the first nonzero entry at or below the diagonal, divides
@@ -17,9 +17,9 @@ for a pivot is a nonzero multiple (column scales times the previous
 pivot) of the one Gauss-Jordan over Q(v) scans, so both stop at the same
 column, where A is singular.
 
-Over any other commutative algebra (c5) a matrix is invertible exactly
-when its determinant is a unit, and the inverse is read off the
-characteristic polynomial (Cayley-Hamilton, with Berkowitz's
+Over any other algebra that declares itself commutative (c5) a matrix is
+invertible exactly when its determinant is a unit, and the inverse is read
+off the characteristic polynomial (Cayley-Hamilton, with Berkowitz's
 division-free recursion for the polynomial); when det A is not a unit,
 NotInvertible names it.  Unit pivots would not do: the group ring has
 zero divisors, and [[2, 3], [3, 5]] is invertible with no unit entry to
@@ -27,11 +27,15 @@ pivot on.  The remaining algebras (quat) run Gauss-Jordan elimination
 with row operations only, which are left multiplications by elementary
 matrices: each column is scanned top to bottom among the remaining rows
 and the first entry whose try_invert succeeds is the pivot, so over a
-division ring it finds an inverse whenever one exists.  A candidate C
-must pass C*A = I, which suffices over a commutative algebra
-(det C * det A = 1) and over a division ring, whose matrix rings are
-Dedekind-finite (Lam, A First Course in Noncommutative Rings, section 1);
-any other algebra must also pass A*C = I.
+division ring it finds an inverse whenever one exists.
+
+A candidate C from Cayley-Hamilton or Gauss-Jordan is certified by the
+one product C*A = I, and that proves C two-sided on any algebra.  Over a commutative
+ring, det C * det A = 1, so A is invertible and its inverse is C.
+Gauss-Jordan's C is a product of elementary matrices (row swaps, left
+scalings by the two-sided units try_invert returns, and additions of a
+multiple of one row to another), so C is invertible, and C*A = I gives
+A = C^-1, hence A*C = I.  A*C is never multiplied out.
 
 NCMatrix is a value class in the package's one slotted idiom (see the base
 module), immutable by convention.
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
+from .algebras import RationalFunctionAlgebra
 from .base import Algebra
 from .errors import MixedAlgebras, NotAUnit, NotInvertible, ShapeMismatch
 from .poly import Poly
@@ -133,12 +138,10 @@ class NCMatrix:
         if self.rows != self.cols:
             raise ShapeMismatch("only square matrices can be inverted")
         alg = self.algebra
-        if alg.fraction_field:
+        if isinstance(alg, RationalFunctionAlgebra):
             return self._fraction_free_inverse()
         candidate = self._cayley_hamilton() if alg.commutative else self._gauss_jordan()
-        ident = NCMatrix.identity(alg, self.rows)
-        two_sided = not (alg.commutative or alg.division_ring)
-        if candidate * self != ident or (two_sided and self * candidate != ident):
+        if candidate * self != NCMatrix.identity(alg, self.rows):
             raise NotInvertible("candidate inverse failed certification")
         return candidate
 

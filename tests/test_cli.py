@@ -316,7 +316,8 @@ def test_exit_internal_on_unmapped_algebra_errors(capsys, monkeypatch):
     def boom(session, args):
         raise VerificationFailed("synthetic")
 
-    monkeypatch.setitem(cli._COMMANDS, "kernel-op", boom)
+    flags = cli._COMMANDS["kernel-op"][1]
+    monkeypatch.setitem(cli._COMMANDS, "kernel-op", (boom, flags))
     code, _, err = run(capsys, "kernel-op", "--algebra", "qx", "--kernel", "x")
     assert code == 70
     assert "synthetic" in err

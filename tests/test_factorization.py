@@ -240,6 +240,7 @@ def test_hat_expansion_reconstructs_and_matches_apply(make):
     for _ in range(25):
         op = rand_operator(rng, alg, 4)
         hats = ctx.hat_coefficients(op)
+        assert len(hats) == max(len(op.coeffs), ctx.k)
         recon = Operator.zero(alg)
         for i, h in enumerate(hats):
             recon = recon + ctx.dhat(i).scale_left(h)

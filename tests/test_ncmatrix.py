@@ -24,6 +24,7 @@ from helpers import (
     assert_members,
     elements,
     rand_c5,
+    rand_quaternion,
     rand_ratfunc,
 )
 
@@ -209,6 +210,64 @@ def test_c5_products_of_elementary_matrices_invert(size):
         _certify(m, m.inverse())
 
 
+def _quat_elementary_product(rng, size):
+    """A product of row swaps, left scalings by nonzero quaternions and
+    row additions with quaternion multipliers: invertible by construction."""
+    m = NCMatrix.identity(QUAT, size)
+    for _ in range(2 * size):
+        entries = list(NCMatrix.identity(QUAT, size).entries)
+        i, j = rng.sample(range(size), 2)
+        kind = rng.randrange(3)
+        if kind == 0:
+            entries[i * size + i] = entries[j * size + j] = QUAT.zero()
+            entries[i * size + j] = entries[j * size + i] = QUAT.one()
+        elif kind == 1:
+            entries[i * size + i] = rand_quaternion(rng, nonzero=True)
+        else:
+            entries[i * size + j] = rand_quaternion(rng)
+        m = m * NCMatrix(QUAT, size, size, tuple(entries))
+    return m
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_quat_products_of_elementary_matrices_invert(size):
+    # the engine multiplies out only C*A; _certify checks A*C as well
+    rng = random.Random(1100 + size)
+    for _ in range(4):
+        m = _quat_elementary_product(rng, size)
+        _certify(m, m.inverse())
+
+
+def _quat_third_column(rng, combine):
+    """A 3x3 quaternion matrix whose third column is combine(a_i, b_i,
+    c1, c2) of its first two columns a and b."""
+    c1, c2 = rand_quaternion(rng, nonzero=True), rand_quaternion(rng, nonzero=True)
+    rows = []
+    for _ in range(3):
+        a, b = rand_quaternion(rng, nonzero=True), rand_quaternion(rng, nonzero=True)
+        rows.append([a, b, combine(a, b, c1, c2)])
+    return NCMatrix.from_rows(QUAT, rows)
+
+
+def test_quat_right_combination_of_columns_is_singular():
+    # column 3 = a*c1 + b*c2, so A (c1, c2, -1)^T = 0: row operations keep
+    # that relation, and column 3 reduces to (c1, c2, 0) with no pivot
+    rng = random.Random(1200)
+    for _ in range(5):
+        m = _quat_third_column(rng, lambda a, b, c1, c2: a * c1 + b * c2)
+        with pytest.raises(NotInvertible, match="^no unit pivot available in column 3$"):
+            m.inverse()
+
+
+def test_quat_left_combination_of_columns_inverts():
+    # column 3 = c1*a + c2*b is no relation among the columns over the
+    # quaternions, and the one certificate C*A = I makes C two-sided
+    rng = random.Random(1300)
+    for _ in range(5):
+        m = _quat_third_column(rng, lambda a, b, c1, c2: c1 * a + c2 * b)
+        _certify(m, m.inverse())
+
+
 @pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
 def test_empty_matrix_inverts_to_itself(algebra):
     empty = NCMatrix(algebra, 0, 0, ())
@@ -257,13 +316,6 @@ def test_inverse_entries_are_members(algebra, data):
 
 # certificate strength
 
-class TwoSidedQuat(type(QUAT)):
-    """The quaternions without the division ring declaration, so their
-    inverses must pass both certificate products."""
-
-    division_ring = False
-
-
 def _upper_unitriangular(algebra):
     """[[1, s], [0, 1]] for a symbol s: Gauss-Jordan pivots on the ones."""
     one, s = algebra.one(), list(algebra.symbols().values())[-1]
@@ -271,14 +323,16 @@ def _upper_unitriangular(algebra):
 
 
 @pytest.mark.parametrize(
-    "algebra, products, adjugate_checks",
-    [(QX, 0, 1), (DIFF1, 0, 1), (C5, 2, 0), (QUAT, 1, 0), (TwoSidedQuat(), 2, 0)],
-    ids=["qx", "diff", "c5", "quat", "quat-two-sided"],
+    "algebra, products, left_certificates, adjugate_checks",
+    [(QX, 0, 0, 1), (DIFF1, 0, 0, 1), (C5, 2, 1, 0), (QUAT, 1, 1, 0)],
+    ids=["qx", "diff", "c5", "quat"],
 )
-def test_certificate_products(monkeypatch, algebra, products, adjugate_checks):
+def test_certificate_products(monkeypatch, algebra, products, left_certificates,
+                              adjugate_checks):
     # over Q(v) the one certificate is adj * A' = det * I with Poly
-    # products; the other algebras certify with NCMatrix products, and
-    # over c5 Cayley-Hamilton's one Horner product I*A comes first
+    # products; the other algebras certify with the one NCMatrix product
+    # C*A, and over c5 Cayley-Hamilton's one Horner product I*A comes
+    # first; A*C is never multiplied out
     m = _upper_unitriangular(algebra)
     calls, checks = [], []
     multiply, is_adjugate = NCMatrix.__mul__, ncmatrix._is_adjugate
@@ -296,9 +350,8 @@ def test_certificate_products(monkeypatch, algebra, products, adjugate_checks):
     inv = m.inverse()
     assert len(calls) == products
     assert len(checks) == adjugate_checks
-    two_sided = not (algebra.commutative or algebra.division_ring)
-    assert calls.count((inv, m)) == (0 if algebra.fraction_field else 1)  # C*A = I
-    assert calls.count((m, inv)) == two_sided  # A*C = I
+    assert calls.count((inv, m)) == left_certificates  # C*A = I
+    assert calls.count((m, inv)) == 0  # A*C = I
     monkeypatch.undo()
     _certify(m, inv)
 
@@ -318,6 +371,4 @@ def test_fraction_free_certificate_catches_a_wrong_adjugate(monkeypatch, algebra
 
 
 def test_certificate_declarations():
-    assert [a.name for a in ALL_ALGEBRAS if a.division_ring] == ["quat"]
     assert [a.name for a in ALL_ALGEBRAS if a.commutative] == ["qx", "diff", "c5"]
-    assert [a.name for a in ALL_ALGEBRAS if a.fraction_field] == ["qx", "diff"]
