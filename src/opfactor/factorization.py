@@ -29,13 +29,21 @@ L(f_i).  So an operator annihilates all the f_i exactly when the
 remainder vanishes, and then L = Q . K.  One division routine,
 right_divide_monic, computes all of this.
 
-Each result carries one exact certificate: Phi^-1 . Phi = I for the
-duals and for K, and Q . K + R == L for each division.  A failed
-identity raises rather than returning a wrong answer.
+Neither K nor an interpolation needs Phi^-1.  The row X of coefficients
+with X . Phi = (t_1 .. t_k) is the operator sending each f_i to t_i, so
+one left solve gives it, and K = endo^k - X for the targets endo^k(f_i).
+Phi^-1 is that solve with the identity for targets, and the P_i are
+built from it only when first asked for.
+
+Each result carries one exact certificate: X . Phi = B for each solve
+(K(f_j) = 0 for K, P_i(f_j) = delta_ij for the duals), and
+Q . K + R == L for each division.  A failed identity raises rather than
+returning a wrong answer.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from .base import Algebra
@@ -53,21 +61,23 @@ from .operators import Operator
 class KernelContext:
     """Everything derived from one tuple of kernel elements.
 
-    Construction computes Phi, its certified two-sided inverse, the dual
-    operators P, the images endo^k(f_i), and the kernel operator K as
-    endo^k minus the interpolation of the images.  Neither needs a check
-    of its own: P_i(f_j) is entry (i, j) of Phi^-1 . Phi, and
-    K(f_j) = endo^k(f_j) - sum_i endo^k(f_i) . (Phi^-1 . Phi)_ij = 0,
-    so both are the certificate of the inverse: over qx and diff the
-    polynomial identity adj . A' = det . I that implies Phi^-1 . Phi = I,
-    elsewhere that product itself (see the ncmatrix module).  NotInvertible
-    propagates from the matrix inverse when the elements are not
-    independent enough.
+    Construction computes Phi, prepares its certified left solve (see
+    the ncmatrix module), takes the images endo^k(f_i), and gets K as
+    endo^k minus the interpolation of the images.  K needs no check of
+    its own: the solve's certificate X . Phi = f_image says
+    K(f_j) = endo^k(f_j) - X(f_j) = 0.  Phi^-1 and the duals P, its
+    rows, are solved on first use and kept, so factoring never computes
+    them; their certificate Phi^-1 . Phi = I is P_i(f_j) = delta_ij.
+    Over qx, diff and c5 the one elimination of Phi serves K, P and
+    every interpolation; over quat each solve eliminates afresh.
+    NotInvertible propagates from the construction when the elements
+    are not independent enough.
 
     Everything above the construction (hat expansion, factorize,
     intertwiner) is right division by the monic K, certified once per
     division; whether an operator kills the kernel is read off the
-    remainder.
+    remainder.  That reading rests on Phi being invertible, which the
+    elimination proves.
     """
 
     def __init__(self, algebra: Algebra, elements: Sequence):
@@ -84,13 +94,20 @@ class KernelContext:
         for _ in range(k):
             rows.append([algebra.endo(v) for v in rows[-1]])
         self.phi = NCMatrix.from_rows(algebra, rows[:k])
-        self.phi_inv = self.phi.inverse()
+        self._solve = self.phi.left_solver()
         self.f_image = tuple(rows[k])
-
-        self.P = tuple(
-            Operator._trusted(algebra, self.phi_inv.row(i)) for i in range(k)
-        )
         self.K = Operator.d(algebra, k) - self.interpolate(self.f_image)
+
+    @cached_property
+    def phi_inv(self) -> NCMatrix:
+        """The certified two-sided inverse of Phi, solved on first use."""
+        return self._solve(NCMatrix.identity(self.algebra, self.k))
+
+    @cached_property
+    def P(self) -> Tuple[Operator, ...]:
+        """The dual operators, the rows of Phi^-1, built on first use."""
+        return tuple(Operator._trusted(self.algebra, row)
+                     for row in map(self.phi_inv.row, range(self.k)))
 
     # the second spanning family
 
@@ -103,12 +120,13 @@ class KernelContext:
 
     def interpolate(self, targets: Sequence) -> Operator:
         """The degree < k operator sum(t_i . P_i), which sends f_i to t_i:
-        the row vector of targets times Phi^-1, whose rows are the P_i."""
+        the row X of coefficients with X . Phi = targets, solved and
+        certified without Phi^-1."""
         if len(targets) != self.k:
             raise ValueError(
                 "expected %d targets, got %d" % (self.k, len(targets))
             )
-        row = NCMatrix(self.algebra, 1, self.k, targets) * self.phi_inv
+        row = self._solve(NCMatrix(self.algebra, 1, self.k, targets))
         return Operator._trusted(self.algebra, row.entries)
 
     def hat_coefficients(self, op: Operator) -> List:

@@ -3,39 +3,49 @@
 Multiplication keeps operand order, entry (i,j) of A*B is
 sum_l A[i][l] * B[l][j], never the reverse.
 
-Inversion runs one algorithm per algebra, and on each built-in algebra that
-algorithm fails only where no inverse exists.  Over the fraction fields
-Q(v) (qx, diff, the RationalFunctionAlgebra type) it runs on polynomials.
-Column j is scaled by the lcm L_j of its denominators, A' = A*diag(L) over
-Q[v], and fraction-free Gauss-Jordan on [A' | I] (Bareiss, Math. Comp. 22,
-1968) pivots on the first nonzero entry at or below the diagonal, divides
-each update exactly by the previous pivot and ends at [det*I | adj].  The
-one certificate adj*A' = det*I, by Poly products, makes C = diag(L)*adj/det
-a left inverse, C*A = diag(L)*adj*A'*diag(L)^-1/det = I, so a two-sided
-one over a commutative ring.  By Sylvester's identity each entry scanned
-for a pivot is a nonzero multiple (column scales times the previous
-pivot) of the one Gauss-Jordan over Q(v) scans, so both stop at the same
-column, where A is singular.
+A square matrix A has one certified left solve.  `A.left_solver()`
+returns a function taking each B with as many columns as A to the X with
+X*A = B, and `A.inverse()` is that solve with B = I.  Each algebra runs
+one elimination, which fails only where A has no inverse and which proves
+A invertible when it succeeds: a nonzero determinant over Q(v), a unit
+determinant over a commutative ring, a unit pivot in every column
+otherwise.  Each X then carries one certificate, X*A = B, and with A
+invertible that gives X = B*A^-1; for B = I a two-sided inverse.  A*X
+is never multiplied out.
+
+Over the fraction fields Q(v) (qx, diff, the RationalFunctionAlgebra
+type) the elimination runs once per solver, on polynomials.  Column j is
+scaled by the lcm L_j of its denominators, A' = A*diag(L) over Q[v], and
+fraction-free Gauss-Jordan on [A' | I] (Bareiss, Math. Comp. 22, 1968)
+pivots on the first nonzero entry at or below the diagonal, divides each
+update exactly by the previous pivot and ends at [det*I | adj] with det
+nonzero.  By Sylvester's identity each entry scanned for a pivot is a
+nonzero multiple (column scales times the previous pivot) of the one
+Gauss-Jordan over Q(v) scans, so both stop at the same column, where A is
+singular.  Since A^-1 = diag(L)*adj/det, a row b of B, written as
+polynomial numerators n = m*b*diag(L) over one denominator m, has the
+row (n*adj)/(m*det) of X.  Its certificate is the Poly identity
+(n*adj)*A' = det*n, which is X*A = b times m*det*diag(L); for B = I it
+is adj*A' = det*I, row by row.
 
 Over any other algebra that declares itself commutative (c5) a matrix is
-invertible exactly when its determinant is a unit, and the inverse is read
-off the characteristic polynomial (Cayley-Hamilton, with Berkowitz's
-division-free recursion for the polynomial); when det A is not a unit,
-NotInvertible names it.  Unit pivots would not do: the group ring has
-zero divisors, and [[2, 3], [3, 5]] is invertible with no unit entry to
-pivot on.  The remaining algebras (quat) run Gauss-Jordan elimination
-with row operations only, which are left multiplications by elementary
-matrices: each column is scanned top to bottom among the remaining rows
-and the first entry whose try_invert succeeds is the pivot, so over a
-division ring it finds an inverse whenever one exists.
+invertible exactly when its determinant is a unit.  The solver reads the
+inverse C off the characteristic polynomial once (Cayley-Hamilton, with
+Berkowitz's division-free recursion for the polynomial), and when det A
+is not a unit, NotInvertible names it.  Unit pivots would not do: the
+group ring has zero divisors, and [[2, 3], [3, 5]] is invertible with no
+unit entry to pivot on.  Each X is B*C, certified by the product X*A = B.
 
-A candidate C from Cayley-Hamilton or Gauss-Jordan is certified by the
-one product C*A = I, and that proves C two-sided on any algebra.  Over a commutative
-ring, det C * det A = 1, so A is invertible and its inverse is C.
-Gauss-Jordan's C is a product of elementary matrices (row swaps, left
-scalings by the two-sided units try_invert returns, and additions of a
-multiple of one row to another), so C is invertible, and C*A = I gives
-A = C^-1, hence A*C = I.  A*C is never multiplied out.
+The remaining algebras (quat) run Gauss-Jordan elimination with column
+operations only, right multiplications by elementary matrices, on the
+stacked [A; B], once per B.  Column c pivots on the first row, from the
+top, not yet a pivot whose entry try_invert accepts; the column is scaled
+on the right by that inverse, and the pivot row is cleared in every other
+column.  A*E ends as a permutation matrix, so X is B*E with its columns
+put back in pivot-row order, certified by the product X*A = B.  Over a
+division ring a column has no pivot exactly when it lies in the right
+span of the columns before it, so the elimination fails at the first
+such column and finds X whenever A is invertible.
 
 NCMatrix is a value class in the package's one slotted idiom (see the base
 module), immutable by convention.
@@ -43,12 +53,12 @@ module), immutable by convention.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from .algebras import RationalFunctionAlgebra
 from .base import Algebra
 from .errors import MixedAlgebras, NotAUnit, NotInvertible, ShapeMismatch
-from .poly import Poly
+from .poly import Poly, product
 from .ratfunc import RationalFunction
 
 
@@ -134,67 +144,97 @@ class NCMatrix:
         return NCMatrix(alg, self.rows, other.cols, out)
 
     def inverse(self) -> "NCMatrix":
-        """Certified two-sided inverse, or NotInvertible."""
+        """Certified two-sided inverse, or NotInvertible: the left solve
+        with B = I."""
+        return self.left_solver()(NCMatrix.identity(self.algebra, self.rows))
+
+    def left_solver(self) -> Callable[["NCMatrix"], "NCMatrix"]:
+        """The function taking B to the certified X with X*self == B, as
+        the module docstring says.  Over a commutative algebra the
+        elimination runs here, once, and raises NotInvertible; otherwise
+        it runs, and raises, in each solve."""
         if self.rows != self.cols:
             raise ShapeMismatch("only square matrices can be inverted")
-        alg = self.algebra
-        if isinstance(alg, RationalFunctionAlgebra):
-            return self._fraction_free_inverse()
-        candidate = self._cayley_hamilton() if alg.commutative else self._gauss_jordan()
-        if candidate * self != NCMatrix.identity(alg, self.rows):
-            raise NotInvertible("candidate inverse failed certification")
-        return candidate
+        if isinstance(self.algebra, RationalFunctionAlgebra):
+            return self._fraction_free_solver()
+        if self.algebra.commutative:
+            inverse = self._cayley_hamilton()
+            return lambda b: _certified(b * inverse, self, b)
+        return self._column_solve
 
-    def _fraction_free_inverse(self) -> "NCMatrix":
-        """The certified inverse over Q(v), as the module docstring says."""
+    def _check_right_side(self, b: "NCMatrix") -> None:
+        if b.algebra != self.algebra:
+            raise MixedAlgebras("matrices over different algebras")
+        if b.cols != self.cols:
+            raise ShapeMismatch(
+                "cannot solve X*A = B for a %dx%d A and a %dx%d B"
+                % (self.rows, self.cols, b.rows, b.cols)
+            )
+
+    def _fraction_free_solver(self) -> Callable[["NCMatrix"], "NCMatrix"]:
+        """The elimination over Q(v), once, and the certified solve that
+        reuses it, as the module docstring says."""
         n = self.rows
-        scales = []
-        for j in range(n):
-            lcd = Poly.one()
-            for e in self.entries[j::n]:
-                if e.den.degree > 0:
-                    lcd = lcd * (e.den // Poly.gcd(lcd, e.den))
-            scales.append(lcd)
-        cleared = [[e.num if s.degree < 1 else e.num * (s // e.den)
-                    for e, s in zip(self.row(i), scales)] for i in range(n)]
-        adj, det = _fraction_free_gauss_jordan(cleared)
-        if not _is_adjugate(adj, cleared, det):
-            raise NotInvertible("candidate inverse failed certification")
         var = self.algebra.variable
-        return NCMatrix(self.algebra, n, n, (RationalFunction(s * a, det, var)
-                                             for s, row in zip(scales, adj) for a in row))
+        scales = [_common_denominator(self.entries[j::n]) for j in range(n)]
+        cleared = list(zip(*(_numerators(self.entries[j::n], s)
+                             for j, s in enumerate(scales))))
+        adj, det = _fraction_free_gauss_jordan(cleared)
+        scales = [RationalFunction._canonical(s, Poly.one(), var) for s in scales]
 
-    def _gauss_jordan(self) -> "NCMatrix":
-        """The uncertified inverse by one elimination on the augmented
-        rows [self | I]; NotInvertible when a column has no unit pivot."""
+        def solve(b: "NCMatrix") -> "NCMatrix":
+            self._check_right_side(b)
+            out = []
+            for i in range(b.rows):
+                row = [e * s for e, s in zip(b.row(i), scales)]
+                lcd = _common_denominator(row)
+                nums = _numerators(row, lcd)
+                sol = _combination(nums, adj)
+                if not _solves(sol, cleared, det, nums):
+                    raise NotInvertible("candidate inverse failed certification")
+                den = product(lcd, det)
+                out += (RationalFunction(x, den, var) for x in sol)
+            return NCMatrix(self.algebra, b.rows, n, out)
+
+        return solve
+
+    def _column_solve(self, b: "NCMatrix") -> "NCMatrix":
+        """The certified X with X*self == b by one Gauss-Jordan
+        elimination with column operations on [self; b]; NotInvertible
+        when a column has no unit pivot."""
+        self._check_right_side(b)
         alg = self.algebra
         n = self.rows
-        ident = NCMatrix.identity(alg, n)
-        rows = [list(self.row(i)) + list(ident.row(i)) for i in range(n)]
-        for col in range(n):
-            pivot_row = None
-            pivot_inv = None
-            for r in range(col, n):
+        zero = alg.zero()
+        cols = [list(self.entries[j::n] + b.entries[j::n]) for j in range(n)]
+        free = list(range(n))  # rows of self not yet a pivot
+        pivots = []
+        for c, col in enumerate(cols):
+            for r in free:
                 try:
-                    pivot_inv = alg.try_invert(rows[r][col])
+                    inv = alg.try_invert(col[r])
                 except NotAUnit:
                     continue
-                pivot_row = r
                 break
-            if pivot_row is None:
-                raise NotInvertible(
-                    "no unit pivot available in column %d" % (col + 1)
-                )
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            rows[col] = [pivot_inv * e for e in rows[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                factor = rows[r][col]
-                if factor.is_zero():
-                    continue
-                rows[r] = [e - factor * p for e, p in zip(rows[r], rows[col])]
-        return NCMatrix.from_rows(alg, [row[n:] for row in rows])
+            else:
+                raise NotInvertible("no unit pivot available in column %d" % (c + 1))
+            free.remove(r)
+            pivots.append(r)
+            # row r of self*E is now e_c and is never read again, so it is
+            # stored as zeros, which keep it out of the products
+            col[r] = zero
+            col[:] = [e if e.is_zero() else e * inv for e in col]
+            for other in cols:
+                factor = other[r]
+                if other is not col and not factor.is_zero():
+                    other[r] = zero
+                    other[:] = [e if p.is_zero() else e - p * factor
+                                for e, p in zip(other, col)]
+        # self*E has its one in column c at row pivots[c], so X*self = B
+        # puts column c of B*E at column pivots[c] of X
+        x_cols = dict(zip(pivots, cols))
+        x = NCMatrix(alg, b.rows, n, (x_cols[j][n + i] for i in range(b.rows) for j in range(n)))
+        return _certified(x, self, b)
 
     def _cayley_hamilton(self) -> "NCMatrix":
         """The uncertified inverse over a commutative algebra.  With
@@ -209,12 +249,14 @@ class NCMatrix:
         except NotAUnit:
             det = -coeffs[n] if n % 2 else coeffs[n]
             raise NotInvertible("determinant %s is not a unit" % alg.format_element(det)) from None
-        acc = NCMatrix.identity(alg, n)
-        for c in coeffs[1:n]:  # Horner, adding c_i on the diagonal
+        acc = None  # Horner, adding c_i on the diagonal; its first I*A is A
+        for c in coeffs[1:n]:
+            power = self if acc is None else acc * self
             acc = NCMatrix(alg, n, n, tuple(
-                e + c if idx % (n + 1) == 0 else e
-                for idx, e in enumerate((acc * self).entries)
+                e + c if idx % (n + 1) == 0 else e for idx, e in enumerate(power.entries)
             ))
+        if acc is None:  # n < 2, where the bracket is I
+            acc = NCMatrix.identity(alg, n)
         return NCMatrix(alg, n, n, tuple(scale * e for e in acc.entries))
 
     def _charpoly(self) -> list:
@@ -270,10 +312,41 @@ def _fraction_free_gauss_jordan(a: list):
     return [row[n:] for row in a], prev
 
 
-def _is_adjugate(adj: list, a: list, det: Poly) -> bool:
-    """adj*a == det*I, entry by entry, by Poly products."""
-    zero = Poly.zero()
-    return all(
-        sum((x * y for x, y in zip(row, col)), zero) == (det if i == j else zero)
-        for i, row in enumerate(adj) for j, col in enumerate(zip(*a))
-    )
+def _certified(x: NCMatrix, a: NCMatrix, b: NCMatrix) -> NCMatrix:
+    """x, after the one product x*a == b."""
+    if x * a != b:
+        raise NotInvertible("candidate inverse failed certification")
+    return x
+
+
+def _common_denominator(entries) -> Poly:
+    """The monic lcm of the denominators of rational functions."""
+    lcd = Poly.one()
+    for e in entries:
+        if len(e.den.prim) > 1:
+            lcd = lcd * (e.den // Poly.gcd(lcd, e.den))
+    return lcd
+
+
+def _numerators(entries, lcd: Poly) -> list:
+    """The polynomials lcd*e, for rational functions e whose denominators
+    divide lcd."""
+    if len(lcd.prim) == 1:
+        return [e.num for e in entries]
+    return [e.num * (lcd // e.den) for e in entries]
+
+
+def _combination(coeffs: list, rows: list) -> list:
+    """sum(c * row) over the rows of a square matrix whose coefficient c
+    is nonzero, by Poly products."""
+    acc = None
+    for c, row in zip(coeffs, rows):
+        if c.prim:
+            row = [product(c, e) for e in row]
+            acc = row if acc is None else [a + e for a, e in zip(acc, row)]
+    return [Poly.zero()] * len(rows) if acc is None else acc
+
+
+def _solves(x: list, a: list, det: Poly, nums: list) -> bool:
+    """x*a == det*nums, for a row x and a square a, by Poly products."""
+    return _combination(x, a) == [product(det, y) for y in nums]

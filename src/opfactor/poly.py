@@ -60,6 +60,8 @@ Arithmetic builds its results through `_reduced`, which takes the
 content out of an integer list, or `_new`, which trusts its fields.
 `Poly.zero()` and `Poly.one()` are shared instances.  Arithmetic builds
 no zero of its own: a zero result is the shared zero or a zero operand.
+`product(p, q)` is p * q for callers whose factors are often 1: it
+returns the other factor then, with no product.
 """
 
 from __future__ import annotations
@@ -420,6 +422,15 @@ def _prs_gcd(a: tuple, b: tuple) -> Poly:
 
 _ZERO = _new((), 0, 1)
 _ONE = _new((1,), 1, 1)
+
+
+def product(p: Poly, q: Poly) -> Poly:
+    """p * q, with no product when either factor is 1."""
+    if len(p.prim) == 1 and p.cnum == p.cden:
+        return q
+    if len(q.prim) == 1 and q.cnum == q.cden:
+        return p
+    return p * q
 
 
 def integer_cleared(num: Poly, den: Poly):

@@ -22,8 +22,10 @@ reaches it without recomputing it, the way Fraction does for integers
     has b = d, so only t can be zero; it returns 0/1 at once, with no h.
   * a/b * c/d: cross-cancel gcd(a, d) and gcd(c, b); the remaining
     factors are pairwise coprime.  Each gcd is skipped when its
-    denominator is constant, so a product of polynomials needs none,
-    and when b is 1 the denominator is d itself, with no product.
+    denominator is constant, so a product of polynomials needs none.
+  * no sum or product multiplies a polynomial by a factor equal to 1
+    (`poly.product`): a cofactor, a denominator or a numerator 1 leaves
+    the other factor as it is.
   * negation, the shift x -> x + 1 (a ring automorphism of Q[x]
     that keeps leading coefficients) and the inverse (which only has to
     make the new denominator monic) keep the form as it is.
@@ -53,7 +55,7 @@ from typing import Union
 
 from .errors import MixedAlgebras, NotAUnit
 from .formatting import is_sum
-from .poly import Poly, integer_cleared
+from .poly import Poly, integer_cleared, product
 
 Scalar = Union[int, Fraction]
 
@@ -155,15 +157,17 @@ class RationalFunction:
             return RationalFunction._canonical(a + c, b, self.var)
         g = Poly.gcd(b, d)
         if len(g.prim) == 1:
-            return RationalFunction._canonical(a * d + c * b, b * d, self.var)
+            return RationalFunction._canonical(
+                product(a, d) + product(c, b), product(b, d), self.var
+            )
         b_g, d_g = b // g, d // g
-        num = a * d_g + c * b_g
+        num = product(a, d_g) + product(c, b_g)
         if not num.prim:
             return RationalFunction.zero(self.var)
         g = Poly.gcd(num, g)
         if len(g.prim) > 1:
             num, d = num // g, d // g
-        return RationalFunction._canonical(num, b_g * d, self.var)
+        return RationalFunction._canonical(num, product(b_g, d), self.var)
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction._canonical(-self.num, self.den, self.var)
@@ -191,8 +195,8 @@ class RationalFunction:
             g = Poly.gcd(c, b)
             if len(g.prim) > 1:
                 c, b = c // g, b // g
-            d = b * d
-        return RationalFunction._canonical(a * c, d, self.var)
+            d = product(b, d)
+        return RationalFunction._canonical(product(a, c), d, self.var)
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
@@ -241,3 +245,4 @@ class RationalFunction:
         if d.degree > 0 and (d.leading != 1 or sum(1 for c in d.prim if c) > 1):
             dtext = "(%s)" % dtext
         return "%s/%s" % (ntext, dtext)
+

@@ -22,6 +22,7 @@ from opfactor import (
     NotIntertwinable,
     NotInvertible,
     NotMonicizable,
+    NCMatrix,
     Operator,
     RationalFunction,
     VerificationFailed,
@@ -450,19 +451,72 @@ def test_right_division_twists_each_shifted_divisor_once():
 
 
 def test_kernel_context_catches_a_wrong_inverse():
-    # P_i(f_j) = delta_ij is certified only as Phi^-1 * Phi = I inside
-    # NCMatrix.inverse, so a wrong pivot inverse must fail there; the
-    # quaternions keep the Gauss-Jordan elimination that calls try_invert
+    # K is certified as X . Phi = f_image, that is K(f_j) = 0, and P as
+    # Phi^-1 . Phi = I, each inside its own solve, so a wrong pivot
+    # inverse must fail the solve that uses it; the quaternions run the
+    # column elimination that calls try_invert once per right-hand side
     class WrongInverse(type(QUAT)):
         def try_invert(self, f):
             return f.inverse() * self.from_fraction(2)
 
     algebra = WrongInverse()
-    elements = [parse_element(t, algebra) for t in ("1", "x")]
+    elements = [parse_element(t, algebra) for t in ("1", "x^2")]
     with pytest.raises(
         NotInvertible, match="candidate inverse failed certification"
     ):
         KernelContext(algebra, elements)
+    # 1 and x have f_image = 0, so K = D^2 solves X . Phi = 0 exactly;
+    # the wrong inverse shows when the duals are first read
+    ctx = KernelContext(algebra, [parse_element(t, algebra) for t in ("1", "x")])
+    assert ctx.K == Operator.d(algebra, 2)
+    with pytest.raises(
+        NotInvertible, match="candidate inverse failed certification"
+    ):
+        ctx.P
+
+
+def test_quat_factor_builds_neither_the_inverse_nor_the_duals(monkeypatch):
+    inverses = []
+    invert = NCMatrix.inverse
+
+    def spy(self):
+        inverses.append(self)
+        return invert(self)
+
+    monkeypatch.setattr(NCMatrix, "inverse", spy)
+    ctx = ctx_quat()
+    quotient = parse_operator("D + x*j", QUAT)
+    assert ctx.factorize(quotient.compose(ctx.K)) == quotient
+    with pytest.raises(NotInKernel):
+        ctx.factorize(Operator.d(QUAT))
+    assert inverses == []
+    assert "P" not in vars(ctx) and "phi_inv" not in vars(ctx)
+    ctx.dhat(0)  # the duals, on first use
+    assert "P" in vars(ctx) and "phi_inv" in vars(ctx) and inverses == []
+
+
+@pytest.mark.parametrize("make", [ctx_qx, ctx_diff], ids=["qx", "diff"])
+def test_one_fraction_free_elimination_per_context(monkeypatch, make):
+    from opfactor import ncmatrix
+
+    runs = []
+    eliminate = ncmatrix._fraction_free_gauss_jordan
+
+    def spy(a):
+        runs.append(a)
+        return eliminate(a)
+
+    monkeypatch.setattr(ncmatrix, "_fraction_free_gauss_jordan", spy)
+    ctx = make()
+    assert len(runs) == 1 and "P" not in vars(ctx)
+    duals = ctx.P
+    targets = [ctx.f[1], ctx.f[0]]
+    swap = ctx.interpolate(targets)
+    assert len(runs) == 1
+    assert [p.apply(f) for p in duals for f in ctx.f] == [
+        ctx.algebra.one(), ctx.algebra.zero(), ctx.algebra.zero(), ctx.algebra.one()]
+    assert [swap.apply(f) for f in ctx.f] == targets
+    assert ctx.phi_inv * ctx.phi == NCMatrix.identity(ctx.algebra, 2)
 
 
 def test_right_division_rejects_bad_divisors():

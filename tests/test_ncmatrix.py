@@ -250,13 +250,16 @@ def _quat_third_column(rng, combine):
 
 
 def test_quat_right_combination_of_columns_is_singular():
-    # column 3 = a*c1 + b*c2, so A (c1, c2, -1)^T = 0: row operations keep
-    # that relation, and column 3 reduces to (c1, c2, 0) with no pivot
+    # column 3 = a*c1 + b*c2, so A (c1, c2, -1)^T = 0: column operations
+    # keep that relation, and column 3 reduces to zero with no pivot,
+    # whatever the right-hand side
     rng = random.Random(1200)
     for _ in range(5):
         m = _quat_third_column(rng, lambda a, b, c1, c2: a * c1 + b * c2)
-        with pytest.raises(NotInvertible, match="^no unit pivot available in column 3$"):
-            m.inverse()
+        rhs = NCMatrix(QUAT, 2, 3, tuple(rand_quaternion(rng) for _ in range(6)))
+        for solve in (m.inverse, lambda: m.left_solver()(rhs)):
+            with pytest.raises(NotInvertible, match="^no unit pivot available in column 3$"):
+                solve()
 
 
 def test_quat_left_combination_of_columns_inverts():
@@ -268,6 +271,28 @@ def test_quat_left_combination_of_columns_inverts():
         _certify(m, m.inverse())
 
 
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_quat_solve_is_b_times_the_inverse(size):
+    rng = random.Random(1400 + size)
+    for _ in range(4):
+        m = _quat_elementary_product(rng, size)
+        rows = rng.randint(1, 3)
+        rhs = NCMatrix(QUAT, rows, size, tuple(rand_quaternion(rng) for _ in range(rows * size)))
+        x = m.left_solver()(rhs)
+        assert x == rhs * m.inverse()
+        assert x * m == rhs
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
+def test_solve_checks_the_right_side(algebra):
+    solve = _upper_unitriangular(algebra).left_solver()
+    with pytest.raises(ShapeMismatch):
+        solve(NCMatrix.identity(algebra, 3))
+    other = QUAT if algebra is not QUAT else QX
+    with pytest.raises(MixedAlgebras):
+        solve(NCMatrix.identity(other, 2))
+
+
 @pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
 def test_empty_matrix_inverts_to_itself(algebra):
     empty = NCMatrix(algebra, 0, 0, ())
@@ -276,18 +301,18 @@ def test_empty_matrix_inverts_to_itself(algebra):
 
 @pytest.mark.parametrize(
     "algebra, routine",
-    [(QX, "_fraction_free_inverse"), (DIFF1, "_fraction_free_inverse"),
-     (QUAT, "_gauss_jordan"), (C5, "_cayley_hamilton")],
+    [(QX, "_fraction_free_solver"), (DIFF1, "_fraction_free_solver"),
+     (QUAT, "_column_solve"), (C5, "_cayley_hamilton")],
     ids=lambda v: getattr(v, "name", v),
 )
 def test_each_algebra_runs_one_inversion_routine(monkeypatch, algebra, routine):
     # one algorithm per algebra, for invertible and singular matrices alike
-    routines = ("_fraction_free_inverse", "_gauss_jordan", "_cayley_hamilton")
+    routines = ("_fraction_free_solver", "_column_solve", "_cayley_hamilton")
     calls = []
     for name in routines:
-        def spy(self, _name=name, _run=getattr(NCMatrix, name)):
+        def spy(self, *args, _name=name, _run=getattr(NCMatrix, name)):
             calls.append(_name)
-            return _run(self)
+            return _run(self, *args)
 
         monkeypatch.setattr(NCMatrix, name, spy)
     one, zero = algebra.one(), algebra.zero()
@@ -323,37 +348,44 @@ def _upper_unitriangular(algebra):
 
 
 @pytest.mark.parametrize(
-    "algebra, products, left_certificates, adjugate_checks",
-    [(QX, 0, 0, 1), (DIFF1, 0, 0, 1), (C5, 2, 1, 0), (QUAT, 1, 1, 0)],
-    ids=["qx", "diff", "c5", "quat"],
+    "algebra, solve_rows, products, left_certificates, polynomial_checks",
+    [(QX, 0, 0, 0, 2), (DIFF1, 0, 0, 0, 2), (C5, 0, 2, 1, 0), (QUAT, 0, 1, 1, 0),
+     (QX, 1, 0, 0, 1), (DIFF1, 1, 0, 0, 1), (C5, 1, 2, 1, 0), (QUAT, 1, 1, 1, 0)],
+    ids=["qx", "diff", "c5", "quat", "qx-solve", "diff-solve", "c5-solve", "quat-solve"],
 )
-def test_certificate_products(monkeypatch, algebra, products, left_certificates,
-                              adjugate_checks):
-    # over Q(v) the one certificate is adj * A' = det * I with Poly
-    # products; the other algebras certify with the one NCMatrix product
-    # C*A, and over c5 Cayley-Hamilton's one Horner product I*A comes
-    # first; A*C is never multiplied out
+def test_certificate_products(monkeypatch, algebra, solve_rows, products,
+                              left_certificates, polynomial_checks):
+    # over Q(v) the one certificate of each row b of B is (n*adj)*A' ==
+    # det*n with Poly products; the other algebras certify with the one
+    # NCMatrix product X*A == B, after c5's B*C (Horner starts from A, so
+    # a 2x2 C takes no product); A*X is never multiplied out.  solve_rows
+    # 0 is the inverse, B = I.
     m = _upper_unitriangular(algebra)
+    one, s = algebra.one(), list(algebra.symbols().values())[-1]
+    rhs = NCMatrix.from_rows(algebra, [[s, one]]) if solve_rows else None
     calls, checks = [], []
-    multiply, is_adjugate = NCMatrix.__mul__, ncmatrix._is_adjugate
+    multiply, solves = NCMatrix.__mul__, ncmatrix._solves
 
     def spy(left, right):
         calls.append((left, right))
         return multiply(left, right)
 
-    def adjugate_spy(*args):
+    def polynomial_spy(*args):
         checks.append(args)
-        return is_adjugate(*args)
+        return solves(*args)
 
     monkeypatch.setattr(NCMatrix, "__mul__", spy)
-    monkeypatch.setattr(ncmatrix, "_is_adjugate", adjugate_spy)
-    inv = m.inverse()
+    monkeypatch.setattr(ncmatrix, "_solves", polynomial_spy)
+    x = m.left_solver()(rhs) if solve_rows else m.inverse()
     assert len(calls) == products
-    assert len(checks) == adjugate_checks
-    assert calls.count((inv, m)) == left_certificates  # C*A = I
-    assert calls.count((m, inv)) == 0  # A*C = I
+    assert len(checks) == polynomial_checks
+    assert calls.count((x, m)) == left_certificates  # X*A = B
+    assert calls.count((m, x)) == 0  # A*X
     monkeypatch.undo()
-    _certify(m, inv)
+    if solve_rows:
+        assert x * m == rhs
+    else:
+        _certify(m, x)
 
 
 @pytest.mark.parametrize("algebra", [QX, DIFF1], ids=["qx", "diff"])
@@ -366,8 +398,26 @@ def test_fraction_free_certificate_catches_a_wrong_adjugate(monkeypatch, algebra
         return adj, det
 
     monkeypatch.setattr(ncmatrix, "_fraction_free_gauss_jordan", corrupted)
+    m = _upper_unitriangular(algebra)
     with pytest.raises(NotInvertible, match="^candidate inverse failed certification$"):
-        _upper_unitriangular(algebra).inverse()
+        m.inverse()
+    # the corrupted row of adj reaches a solve through a nonzero first entry
+    rhs = NCMatrix.from_rows(algebra, [[algebra.one(), algebra.zero()]])
+    with pytest.raises(NotInvertible, match="^candidate inverse failed certification$"):
+        m.left_solver()(rhs)
+
+
+def test_column_solve_certificate_catches_a_wrong_pivot_inverse():
+    class WrongInverse(type(QUAT)):
+        def try_invert(self, f):
+            return f.inverse() * self.from_fraction(2)
+
+    algebra = WrongInverse()
+    m = NCMatrix(algebra, 2, 2, _upper_unitriangular(QUAT).entries)
+    rhs = NCMatrix(algebra, 1, 2, (algebra.one(), algebra.zero()))
+    for solve in (m.inverse, lambda: m.left_solver()(rhs)):
+        with pytest.raises(NotInvertible, match="^candidate inverse failed certification$"):
+            solve()
 
 
 def test_certificate_declarations():

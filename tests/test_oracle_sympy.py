@@ -237,6 +237,43 @@ def test_matrix_inverse_matches_sympy(algebra):
             assert sympy_rank(expr[:, : col - 1]) == col - 1 == sympy_rank(expr[:, :col])
 
 
+@pytest.mark.parametrize("algebra", ALGEBRAS, ids=lambda a: a.describe())
+def test_left_solve_matches_sympy(algebra):
+    # X * A = B for B of 1-3 rows against sympy's B * A^-1; a singular A
+    # refuses the solve with the inverse's own message
+    rng = random.Random("left solve " + algebra.describe())
+    var = algebra.variable
+    for size in (2, 3, 4):
+        for kind in ("random", "column combination"):
+            rows = [[rand_quotient(rng, var) for _ in range(size)] for _ in range(size)]
+            if kind == "column combination":
+                col = rng.randrange(1, size)
+                weights = [rand_quotient(rng, var) for _ in range(col)]
+                for row in rows:
+                    row[col] = sum((w * e for w, e in zip(weights, row)), algebra.zero())
+            rhs_rows = [[rand_ratfunc(rng, var) for _ in range(size)]
+                        for _ in range(rng.randint(1, 3))]
+            mat = NCMatrix.from_rows(algebra, rows)
+            rhs = NCMatrix.from_rows(algebra, rhs_rows)
+            expr = sympy.Matrix([[to_sympy(e) for e in row] for row in rows])
+            if field_matrix(expr).det():
+                assert kind == "random"
+                x = mat.left_solver()(rhs)
+                assert x * mat == rhs
+                b = sympy.Matrix([[to_sympy(e) for e in row] for row in rhs_rows])
+                expected = b * expr.inv()
+                for i in range(rhs.rows):
+                    for j in range(size):
+                        assert_matches(x.entry(i, j), expected[i, j])
+                continue
+            with pytest.raises(NotInvertible) as solved:
+                mat.left_solver()(rhs)
+            with pytest.raises(NotInvertible) as inverted:
+                mat.inverse()
+            assert re.fullmatch(r"no unit pivot available in column \d+", str(solved.value))
+            assert str(solved.value) == str(inverted.value)
+
+
 # matrices over Z[C5] with integer entries: invertible exactly when the
 # integer determinant is +-1, and then the inverse is sympy's
 

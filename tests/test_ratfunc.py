@@ -256,9 +256,29 @@ def test_product_with_a_left_denominator_of_one_reuses_the_right(monkeypatch, le
 
     monkeypatch.setattr(Poly, "__mul__", counted)
     result = left * right
-    assert products == [(left.num, right.num)] and result.den is right.den
+    # a numerator 1 is no product
+    expected = [] if Poly.one() in (left.num, right.num) else [(left.num, right.num)]
+    assert products == expected and result.den is right.den
     monkeypatch.undo()
     assert result == product
+
+
+def test_factors_equal_to_one_make_no_poly_product(monkeypatch):
+    products = []
+    mul = Poly.__mul__
+
+    def counted(p, q):
+        products.append((p, q))
+        return mul(p, q)
+
+    x, frac = rf([0, 1]), rf([1], [1, 1])  # x and 1/(x + 1)
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    s = x + frac  # (x*(x + 1) + 1*1) / (1*(x + 1))
+    p = rf([1]) * frac  # (1*1) / (x + 1)
+    assert products == [(x.num, frac.den)]
+    monkeypatch.undo()
+    assert s == rf([1, 1, 1], [1, 1]) and p == frac
+    assert_canonical(s)
 
 
 def test_inverse_makes_the_new_denominator_monic():
