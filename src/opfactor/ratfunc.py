@@ -245,4 +245,3 @@ class RationalFunction:
         if d.degree > 0 and (d.leading != 1 or sum(1 for c in d.prim if c) > 1):
             dtext = "(%s)" % dtext
         return "%s/%s" % (ntext, dtext)
-
