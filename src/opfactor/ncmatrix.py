@@ -180,13 +180,15 @@ class NCMatrix:
         cleared = list(zip(*(_numerators(self.entries[j::n], s)
                              for j, s in enumerate(scales))))
         adj, det = _fraction_free_gauss_jordan(cleared)
-        scales = [RationalFunction._canonical(s, Poly.one(), var) for s in scales]
+        # b*diag(L) is b itself when no column of self has a denominator
+        diag = None if all(len(s.prim) == 1 for s in scales) else [
+            RationalFunction._canonical(s, Poly.one(), var) for s in scales]
 
         def solve(b: "NCMatrix") -> "NCMatrix":
             self._check_right_side(b)
             out = []
             for i in range(b.rows):
-                row = [e * s for e, s in zip(b.row(i), scales)]
+                row = b.row(i) if diag is None else [e * s for e, s in zip(b.row(i), diag)]
                 lcd = _common_denominator(row)
                 nums = _numerators(row, lcd)
                 sol = _combination(nums, adj)
