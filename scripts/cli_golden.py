@@ -22,7 +22,8 @@ def main(command):
     cases = json.loads(GOLDEN.read_text())
     mismatches = 0
     for case in cases:
-        done = subprocess.run(command + case["argv"], capture_output=True, text=True)
+        done = subprocess.run(command + case["argv"], capture_output=True, text=True,
+                              timeout=60)
         got = {"exit": done.returncode, "stdout": done.stdout, "stderr": done.stderr}
         for key, value in got.items():
             if value != case[key]:

@@ -19,7 +19,6 @@ from .algebras import (
 from .base import Algebra, TwistPair
 from .errors import (
     AlgebraError,
-    CorollaryViolated,
     MixedAlgebras,
     NotAUnit,
     NotInKernel,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Algebra",
     "AlgebraError",
-    "CorollaryViolated",
     "DifferenceAlgebra",
     "DifferentialRationalAlgebra",
     "GroupRingC5Algebra",

@@ -19,8 +19,8 @@ stdout.
 
 Exit codes: 0 success, 1 syntax error in an expression, 2 the structure
 matrix is not invertible, 3 the operator does not annihilate the kernel,
-4 the map does not preserve the kernel, 64 usage error.  Anything else
-unexpected exits 70.
+4 the map does not preserve the kernel, 64 usage error.  A failed
+certificate (VerificationFailed) or any other AlgebraError exits 70.
 """
 
 from __future__ import annotations
@@ -45,12 +45,16 @@ from .operators import Operator
 from .parsing import algebra_tag, parse_element, parse_fraction, parse_operator
 
 EX_OK = 0
-EX_SYNTAX = 1
-EX_NOT_INVERTIBLE = 2
-EX_NOT_IN_KERNEL = 3
-EX_NOT_INTERTWINABLE = 4
 EX_USAGE = 64
-EX_INTERNAL = 70
+
+# the exit code of each outcome; the first class that matches wins
+_EXIT_CODES = (
+    (ParseError, 1),
+    (NotInvertible, 2),
+    (NotInKernel, 3),
+    (NotIntertwinable, 4),
+    (AlgebraError, 70),
+)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -184,21 +188,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     algebra = get_algebra(args.algebra, args.c)
     try:
         lines, payload = _COMMANDS[args.command][0](algebra, args)
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EX_SYNTAX
-    except NotInvertible as exc:
-        print("error: structure matrix is not invertible: %s" % exc, file=sys.stderr)
-        return EX_NOT_INVERTIBLE
-    except NotInKernel as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EX_NOT_IN_KERNEL
-    except NotIntertwinable as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EX_NOT_INTERTWINABLE
     except AlgebraError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EX_INTERNAL
+        code = next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+        what = "structure matrix is not invertible: " if code == 2 else ""
+        print("error: %s%s" % (what, exc), file=sys.stderr)
+        return code
     print(json.dumps(payload) if args.json else "\n".join(lines))
     return EX_OK
 

@@ -24,7 +24,7 @@ class ShapeMismatch(AlgebraError):
 
 
 class NotInvertible(AlgebraError):
-    """A matrix inverse does not exist or could not be certified."""
+    """An elimination proved the matrix has no inverse."""
 
 
 class _Offenders(AlgebraError):
@@ -58,16 +58,12 @@ class NotMonicizable(AlgebraError):
     """Right division needs a monic divisor: leading coefficient one."""
 
 
-class CorollaryViolated(AlgebraError):
-    """A low-order operator annihilates the kernel yet is not zero.
-
-    With an invertible structure matrix this cannot happen; seeing it means
-    an internal inconsistency.
-    """
-
-
 class VerificationFailed(AlgebraError):
-    """A result failed its defining identity when checked exactly."""
+    """An identity the engine re-checks before it returns did not hold,
+    and the message names it: a left solve X*A = B, a right division
+    Q*K + R = L, or the corollary that no nonzero operator of degree
+    below k annihilates the kernel.  Each means an engine fault, never
+    bad input."""
 
 
 class ParseError(AlgebraError):

@@ -37,8 +37,9 @@ built from it only when first asked for.
 
 Each result carries one exact certificate: X . Phi = B for each solve
 (K(f_j) = 0 for K, P_i(f_j) = delta_ij for the duals), and
-Q . K + R == L for each division.  A failed identity raises rather than
-returning a wrong answer.
+Q . K + R == L for each division.  A failed identity raises
+VerificationFailed, naming it, rather than returning a wrong answer; only
+an elimination that finds Phi singular raises NotInvertible.
 """
 
 from __future__ import annotations
@@ -47,13 +48,7 @@ from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from .base import Algebra
-from .errors import (
-    CorollaryViolated,
-    NotInKernel,
-    NotIntertwinable,
-    NotMonicizable,
-    VerificationFailed,
-)
+from .errors import NotInKernel, NotIntertwinable, NotMonicizable, VerificationFailed
 from .ncmatrix import NCMatrix
 from .operators import Operator
 
@@ -71,7 +66,8 @@ class KernelContext:
     Over qx, diff and c5 the one elimination of Phi serves K, P and
     every interpolation; over quat each solve eliminates afresh.
     NotInvertible propagates from the construction when the elements
-    are not independent enough.
+    are not independent enough, and VerificationFailed when a solve
+    fails its certificate.
 
     Everything above the construction (hat expansion, factorize,
     intertwiner) is right division by the monic K, certified once per
@@ -167,8 +163,9 @@ class KernelContext:
 
     def zero_on_low_filtration(self, op: Operator) -> bool:
         """For operators of degree below k: does op annihilate the whole
-        kernel tuple?  True is only possible for the zero operator; a
-        nonzero witness raises CorollaryViolated."""
+        kernel tuple?  True is only possible for the zero operator, since
+        Phi is invertible; a nonzero operator that annihilates the kernel
+        would be an engine fault and raises VerificationFailed."""
         self.K._same_algebra(op)
         if not op.is_zero() and len(op.coeffs) > self.k:
             raise ValueError(
@@ -180,13 +177,14 @@ class KernelContext:
     def _offenders(self, op: Operator) -> List:
         """The nonzero values op(f_i) with 1-based indices, for op of
         degree below k.  A nonzero op with none would contradict the
-        invertibility of Phi, so it raises CorollaryViolated."""
+        invertibility of Phi, which the elimination proved, so it raises
+        VerificationFailed."""
         values = self.leading_coefficients_by_apply(op)
         offenders = [
             (i + 1, v) for i, v in enumerate(values) if not v.is_zero()
         ]
         if not offenders and not op.is_zero():
-            raise CorollaryViolated(
+            raise VerificationFailed(
                 "nonzero operator %s of degree < %d annihilates the kernel"
                 % (op, self.k)
             )

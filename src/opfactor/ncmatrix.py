@@ -11,7 +11,9 @@ A invertible when it succeeds: a nonzero determinant over Q(v), a unit
 determinant over a commutative ring, a unit pivot in every column
 otherwise.  Each X then carries one certificate, X*A = B, and with A
 invertible that gives X = B*A^-1; for B = I a two-sided inverse.  A*X
-is never multiplied out.
+is never multiplied out.  So NotInvertible comes only from an
+elimination, and only when A is singular; a certificate that fails is an
+engine fault and raises VerificationFailed.
 
 Over the fraction fields Q(v) (qx, diff, the RationalFunctionAlgebra
 type) the elimination runs once per solver, on polynomials.  Column j is
@@ -57,8 +59,8 @@ from typing import Callable, Sequence, Tuple
 
 from .algebras import RationalFunctionAlgebra
 from .base import Algebra
-from .errors import MixedAlgebras, NotAUnit, NotInvertible, ShapeMismatch
-from .poly import Poly, product
+from .errors import MixedAlgebras, NotAUnit, NotInvertible, ShapeMismatch, VerificationFailed
+from .poly import Poly
 from .ratfunc import RationalFunction
 
 
@@ -159,7 +161,12 @@ class NCMatrix:
             return self._fraction_free_solver()
         if self.algebra.commutative:
             inverse = self._cayley_hamilton()
-            return lambda b: _certified(b * inverse, self, b)
+
+            def solve(b: "NCMatrix") -> "NCMatrix":
+                self._check_right_side(b)
+                return _certified(b * inverse, self, b)
+
+            return solve
         return self._column_solve
 
     def _check_right_side(self, b: "NCMatrix") -> None:
@@ -193,8 +200,8 @@ class NCMatrix:
                 nums = _numerators(row, lcd)
                 sol = _combination(nums, adj)
                 if not _solves(sol, cleared, det, nums):
-                    raise NotInvertible("candidate inverse failed certification")
-                den = product(lcd, det)
+                    raise VerificationFailed("left solve X*A = B does not hold")
+                den = lcd * det
                 out += (RationalFunction(x, den, var) for x in sol)
             return NCMatrix(self.algebra, b.rows, n, out)
 
@@ -317,7 +324,7 @@ def _fraction_free_gauss_jordan(a: list):
 def _certified(x: NCMatrix, a: NCMatrix, b: NCMatrix) -> NCMatrix:
     """x, after the one product x*a == b."""
     if x * a != b:
-        raise NotInvertible("candidate inverse failed certification")
+        raise VerificationFailed("left solve X*A = B does not hold")
     return x
 
 
@@ -344,11 +351,11 @@ def _combination(coeffs: list, rows: list) -> list:
     acc = None
     for c, row in zip(coeffs, rows):
         if c.prim:
-            row = [product(c, e) for e in row]
+            row = [c * e for e in row]
             acc = row if acc is None else [a + e for a, e in zip(acc, row)]
     return [Poly.zero()] * len(rows) if acc is None else acc
 
 
 def _solves(x: list, a: list, det: Poly, nums: list) -> bool:
     """x*a == det*nums, for a row x and a square a, by Poly products."""
-    return _combination(x, a) == [product(det, y) for y in nums]
+    return _combination(x, a) == [det * y for y in nums]

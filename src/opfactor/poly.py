@@ -60,8 +60,9 @@ Arithmetic builds its results through `_reduced`, which takes the
 content out of an integer list, or `_new`, which trusts its fields.
 `Poly.zero()` and `Poly.one()` are shared instances.  Arithmetic builds
 no zero of its own: a zero result is the shared zero or a zero operand.
-`product(p, q)` is p * q for callers whose factors are often 1: it
-returns the other factor then, with no product.
+Likewise a product with a factor equal to 1 returns the other factor as
+it is, with no arithmetic: in rational-function sums and products a
+cofactor, a numerator or a denominator is often 1.
 """
 
 from __future__ import annotations
@@ -174,6 +175,10 @@ class Poly:
         a, b = self.prim, other.prim
         if not a or not b:
             return _ZERO
+        if len(a) == 1 and self.cnum == self.cden:  # self is 1
+            return other
+        if len(b) == 1 and other.cnum == other.cden:  # other is 1
+            return self
         n, d = self.cnum * other.cnum, self.cden * other.cden
         if d != 1:
             g = gcd(n, d)
@@ -190,12 +195,6 @@ class Poly:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
         return _new(tuple(out), n, d)
-
-    def _scaled(self, c: Scalar) -> "Poly":
-        """self * c for a nonzero int or Fraction c."""
-        if not self.prim or c == 1:
-            return self
-        return _reduced(list(self.prim), self.cnum * c.numerator, self.cden * c.denominator)
 
     def __divmod__(self, other: "Poly"):
         """Exact euclidean division; the divisor must be nonzero."""
@@ -422,15 +421,6 @@ def _prs_gcd(a: tuple, b: tuple) -> Poly:
 
 _ZERO = _new((), 0, 1)
 _ONE = _new((1,), 1, 1)
-
-
-def product(p: Poly, q: Poly) -> Poly:
-    """p * q, with no product when either factor is 1."""
-    if len(p.prim) == 1 and p.cnum == p.cden:
-        return q
-    if len(q.prim) == 1 and q.cnum == q.cden:
-        return p
-    return p * q
 
 
 def integer_cleared(num: Poly, den: Poly):

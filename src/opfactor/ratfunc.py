@@ -24,8 +24,8 @@ reaches it without recomputing it, the way Fraction does for integers
     factors are pairwise coprime.  Each gcd is skipped when its
     denominator is constant, so a product of polynomials needs none.
   * no sum or product multiplies a polynomial by a factor equal to 1
-    (`poly.product`): a cofactor, a denominator or a numerator 1 leaves
-    the other factor as it is.
+    (`Poly.__mul__` returns the other factor): a cofactor, a denominator
+    or a numerator 1 leaves the other factor as it is.
   * negation, the shift x -> x + 1 (a ring automorphism of Q[x]
     that keeps leading coefficients) and the inverse (which only has to
     make the new denominator monic) keep the form as it is.
@@ -55,7 +55,7 @@ from typing import Union
 
 from .errors import MixedAlgebras, NotAUnit
 from .formatting import is_sum
-from .poly import Poly, integer_cleared, product
+from .poly import Poly, integer_cleared
 
 Scalar = Union[int, Fraction]
 
@@ -76,7 +76,7 @@ class RationalFunction:
                 num, den = num // g, den // g
             lead = den.leading
             if lead != 1:
-                num = num._scaled(1 / lead)
+                num = num * Poly.constant(1 / lead)
                 den = den.monic()
         self.num = num
         self.den = den
@@ -158,16 +158,16 @@ class RationalFunction:
         g = Poly.gcd(b, d)
         if len(g.prim) == 1:
             return RationalFunction._canonical(
-                product(a, d) + product(c, b), product(b, d), self.var
+                a * d + c * b, b * d, self.var
             )
         b_g, d_g = b // g, d // g
-        num = product(a, d_g) + product(c, b_g)
+        num = a * d_g + c * b_g
         if not num.prim:
             return RationalFunction.zero(self.var)
         g = Poly.gcd(num, g)
         if len(g.prim) > 1:
             num, d = num // g, d // g
-        return RationalFunction._canonical(num, product(b_g, d), self.var)
+        return RationalFunction._canonical(num, b_g * d, self.var)
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction._canonical(-self.num, self.den, self.var)
@@ -195,15 +195,15 @@ class RationalFunction:
             g = Poly.gcd(c, b)
             if len(g.prim) > 1:
                 c, b = c // g, b // g
-            d = product(b, d)
-        return RationalFunction._canonical(product(a, c), d, self.var)
+            d = b * d
+        return RationalFunction._canonical(a * c, d, self.var)
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
             raise NotAUnit("zero has no inverse")
         lead = self.num.leading
         return RationalFunction._canonical(
-            self.den._scaled(1 / lead), self.num.monic(), self.var
+            self.den * Poly.constant(1 / lead), self.num.monic(), self.var
         )
 
     # the two endomorphism building blocks used by the built-in algebras

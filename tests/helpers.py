@@ -356,6 +356,14 @@ class CountingQX(type(QX)):
         return super().twist(f)
 
 
+class WrongInverseQuat(type(QUAT)):
+    """The quaternion algebra whose try_invert returns twice the inverse,
+    so a solve whose answer depends on a pivot fails its certificate."""
+
+    def try_invert(self, f):
+        return f.inverse() * self.from_fraction(2)
+
+
 def dense_qx_operator(algebra, degree, sign="+"):
     """sum_i 1/(x + i + 1) . D^i, or with x - i - 1, for i = 0 .. degree:
     every coefficient and every twist of one is nonzero."""

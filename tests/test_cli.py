@@ -16,7 +16,7 @@ import opfactor
 from opfactor import Operator, VerificationFailed, get_algebra, parse_operator
 from opfactor.cli import build_parser, main
 
-from helpers import QUAT
+from helpers import QUAT, WrongInverseQuat
 
 
 def run(capsys, *argv):
@@ -321,6 +321,17 @@ def test_exit_internal_on_unmapped_algebra_errors(capsys, monkeypatch):
     code, _, err = run(capsys, "kernel-op", "--algebra", "qx", "--kernel", "x")
     assert code == 70
     assert "synthetic" in err
+
+
+def test_failed_certificate_exits_internal_not_invertible(capsys, monkeypatch):
+    # the elimination proves Phi invertible, so a solve that fails its
+    # certificate is an engine fault (70), never "not invertible" (2)
+    from opfactor import cli
+
+    monkeypatch.setattr(cli, "get_algebra", lambda name, c: WrongInverseQuat())
+    code, out, err = run(capsys, "kernel-op", "--algebra", "quat", "--kernel", "1,x^2")
+    assert (code, out) == (70, "")
+    assert err == "error: left solve X*A = B does not hold\n"
 
 
 def test_misprinted_showcase_operator_is_reported(capsys):

@@ -39,6 +39,7 @@ from helpers import (
     QUAT,
     QX,
     CountingQX,
+    WrongInverseQuat,
     assert_normal_form,
     dense_qx_operator,
     operators,
@@ -354,6 +355,21 @@ def test_zero_on_low_filtration():
         ctx.zero_on_low_filtration(ctx.K)
 
 
+def test_corollary_check_catches_a_vanishing_low_operator(monkeypatch):
+    # with Phi invertible no nonzero operator of degree below k kills the
+    # kernel, so values forced to zero are an engine fault, not an answer
+    ctx = ctx_quat()
+    zeros = (QUAT.zero(),) * ctx.k
+    monkeypatch.setattr(ctx, "leading_coefficients_by_apply", lambda op: zeros)
+    low = Operator.identity(QUAT)
+    message = r"^nonzero operator 1 of degree < 2 annihilates the kernel$"
+    with pytest.raises(VerificationFailed, match=message):
+        ctx.zero_on_low_filtration(low)
+    with pytest.raises(VerificationFailed, match=message):
+        ctx.factorize(low)  # the remainder is 1, with no offender
+    assert ctx.zero_on_low_filtration(Operator.zero(QUAT)) is True
+
+
 def test_context_rejects_foreign_operators():
     ctx = ctx_diff(DIFF1)
     other = get_algebra("diff", c=Fraction(2))
@@ -455,23 +471,15 @@ def test_kernel_context_catches_a_wrong_inverse():
     # Phi^-1 . Phi = I, each inside its own solve, so a wrong pivot
     # inverse must fail the solve that uses it; the quaternions run the
     # column elimination that calls try_invert once per right-hand side
-    class WrongInverse(type(QUAT)):
-        def try_invert(self, f):
-            return f.inverse() * self.from_fraction(2)
-
-    algebra = WrongInverse()
+    algebra = WrongInverseQuat()
     elements = [parse_element(t, algebra) for t in ("1", "x^2")]
-    with pytest.raises(
-        NotInvertible, match="candidate inverse failed certification"
-    ):
+    with pytest.raises(VerificationFailed, match=r"^left solve X\*A = B does not hold$"):
         KernelContext(algebra, elements)
     # 1 and x have f_image = 0, so K = D^2 solves X . Phi = 0 exactly;
     # the wrong inverse shows when the duals are first read
     ctx = KernelContext(algebra, [parse_element(t, algebra) for t in ("1", "x")])
     assert ctx.K == Operator.d(algebra, 2)
-    with pytest.raises(
-        NotInvertible, match="candidate inverse failed certification"
-    ):
+    with pytest.raises(VerificationFailed, match=r"^left solve X\*A = B does not hold$"):
         ctx.P
 
 

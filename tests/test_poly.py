@@ -117,6 +117,8 @@ def test_arithmetic_leaves_the_shared_zero_and_one_alone(a):
         assert_stored_canonically(r)
     assert zero.coeffs == () and one.coeffs == (1,)
     assert a + zero == a and a * one == a and a * zero == zero
+    if a and a != one:  # a product with 1 returns the other factor itself
+        assert a * one is a and one * a is a
 
 
 def test_cancelling_sum_strips_to_zero():
