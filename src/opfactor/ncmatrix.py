@@ -49,6 +49,8 @@ division ring a column has no pivot exactly when it lies in the right
 span of the columns before it, so the elimination fails at the first
 such column and finds X whenever A is invertible.
 
+_dot computes every sum of products, of entries or of Polys.
+
 NCMatrix is a value class in the package's one slotted idiom (see the base
 module), immutable by convention.
 """
@@ -64,9 +66,9 @@ from .poly import Poly
 from .ratfunc import RationalFunction
 
 
-def _dot(alg: Algebra, xs, ys):
-    """sum(x * y) over the pairs in order, each product keeping x on the left."""
-    acc = alg.zero()
+def _dot(zero, xs, ys):
+    """zero + sum(x * y) over the pairs in order, x on the left of each product."""
+    acc = zero
     for x, y in zip(xs, ys):
         acc = acc + x * y
     return acc
@@ -140,9 +142,9 @@ class NCMatrix:
                 "cannot multiply %dx%d by %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
-        alg = self.algebra
+        alg, zero = self.algebra, self.algebra.zero()
         cols = [other.entries[j :: other.cols] for j in range(other.cols)]
-        out = [_dot(alg, self.row(i), col) for i in range(self.rows) for col in cols]
+        out = [_dot(zero, self.row(i), col) for i in range(self.rows) for col in cols]
         return NCMatrix(alg, self.rows, other.cols, out)
 
     def inverse(self) -> "NCMatrix":
@@ -182,11 +184,11 @@ class NCMatrix:
         """The elimination over Q(v), once, and the certified solve that
         reuses it, as the module docstring says."""
         n = self.rows
-        var = self.algebra.variable
-        scales = [_common_denominator(self.entries[j::n]) for j in range(n)]
-        cleared = list(zip(*(_numerators(self.entries[j::n], s)
-                             for j, s in enumerate(scales))))
-        adj, det = _fraction_free_gauss_jordan(cleared)
+        var, zero = self.algebra.variable, Poly.zero()
+        columns = [_cleared(self.entries[j::n]) for j in range(n)]
+        scales, cleared = [c[0] for c in columns], [c[1] for c in columns]
+        adj, det = _fraction_free_gauss_jordan(list(zip(*cleared)))
+        adj_cols = list(zip(*adj))
         # b*diag(L) is b itself when no column of self has a denominator
         diag = None if all(len(s.prim) == 1 for s in scales) else [
             RationalFunction._canonical(s, Poly.one(), var) for s in scales]
@@ -196,9 +198,8 @@ class NCMatrix:
             out = []
             for i in range(b.rows):
                 row = b.row(i) if diag is None else [e * s for e, s in zip(b.row(i), diag)]
-                lcd = _common_denominator(row)
-                nums = _numerators(row, lcd)
-                sol = _combination(nums, adj)
+                lcd, nums = _cleared(row)
+                sol = [_dot(zero, nums, col) for col in adj_cols]
                 if not _solves(sol, cleared, det, nums):
                     raise VerificationFailed("left solve X*A = B does not hold")
                 den = lcd * det
@@ -277,7 +278,7 @@ class NCMatrix:
         division; entries must commute."""
         alg = self.algebra
         n = self.rows
-        entry = self.entry
+        entry, zero = self.entry, alg.zero()
         poly = [alg.one(), -entry(n - 1, n - 1)] if n else [alg.one()]
         for m in range(n - 2, -1, -1):
             rest = range(m + 1, n)
@@ -286,10 +287,10 @@ class NCMatrix:
             col = [alg.one(), -entry(m, m)]
             vec = [entry(i, m) for i in rest]
             for _ in rest:
-                col.append(-_dot(alg, row_r, vec))
-                vec = [_dot(alg, b_row, vec) for b_row in block]
+                col.append(-_dot(zero, row_r, vec))
+                vec = [_dot(zero, b_row, vec) for b_row in block]
             # entry i is sum_j col[i - j] * poly[j]; zip stops at poly's end
-            poly = [_dot(alg, col[i::-1], poly) for i in range(len(poly) + 1)]
+            poly = [_dot(zero, col[i::-1], poly) for i in range(len(poly) + 1)]
         return poly
 
     def __repr__(self) -> str:
@@ -328,34 +329,19 @@ def _certified(x: NCMatrix, a: NCMatrix, b: NCMatrix) -> NCMatrix:
     return x
 
 
-def _common_denominator(entries) -> Poly:
-    """The monic lcm of the denominators of rational functions."""
+def _cleared(entries) -> tuple:
+    """(lcd, [lcd*e for e in entries]): the monic lcm of the denominators
+    of rational functions and their numerators over it."""
     lcd = Poly.one()
     for e in entries:
         if len(e.den.prim) > 1:
             lcd = lcd * (e.den // Poly.gcd(lcd, e.den))
-    return lcd
-
-
-def _numerators(entries, lcd: Poly) -> list:
-    """The polynomials lcd*e, for rational functions e whose denominators
-    divide lcd."""
     if len(lcd.prim) == 1:
-        return [e.num for e in entries]
-    return [e.num * (lcd // e.den) for e in entries]
+        return lcd, [e.num for e in entries]
+    return lcd, [e.num * (lcd // e.den) for e in entries]
 
 
-def _combination(coeffs: list, rows: list) -> list:
-    """sum(c * row) over the rows of a square matrix whose coefficient c
-    is nonzero, by Poly products."""
-    acc = None
-    for c, row in zip(coeffs, rows):
-        if c.prim:
-            row = [c * e for e in row]
-            acc = row if acc is None else [a + e for a, e in zip(acc, row)]
-    return [Poly.zero()] * len(rows) if acc is None else acc
-
-
-def _solves(x: list, a: list, det: Poly, nums: list) -> bool:
-    """x*a == det*nums, for a row x and a square a, by Poly products."""
-    return _combination(x, a) == [det * y for y in nums]
+def _solves(x: list, a_cols: list, det: Poly, nums: list) -> bool:
+    """x*a == det*nums, for a row x and a square a given by its columns,
+    by Poly products."""
+    return [_dot(Poly.zero(), x, col) for col in a_cols] == [det * y for y in nums]

@@ -278,6 +278,8 @@ def parse_fraction(text) -> Fraction:
     bound for an exponent past MAX_EXPONENT."""
     exp = isinstance(text, str) and _EXPONENT.search(text)
     try:
+        if isinstance(text, bool):  # Fraction(True) would be 1
+            raise TypeError
         if not (exp and abs(int(exp.group(1))) > MAX_EXPONENT):
             return Fraction(text)
     except (ArithmeticError, TypeError, ValueError):
@@ -302,6 +304,16 @@ def operator_to_json(op: Operator) -> dict:
 
 
 def operator_from_json(data: dict, algebra: Optional[Algebra] = None) -> Operator:
+    """The operator that operator_to_json wrote; malformed data is a
+    ValueError that names the field."""
+    if not isinstance(data, dict):
+        raise ValueError("operator JSON must be an object, not %s" % type(data).__name__)
+    for field in ("algebra", "coeffs"):
+        if field not in data:
+            raise ValueError("operator JSON has no %r" % field)
+    texts = data["coeffs"]
+    if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):
+        raise ValueError("operator JSON 'coeffs' must be a list of strings")
     tagged = get_algebra(data["algebra"], parse_fraction(data.get("c", 1)))
     if algebra is None:
         algebra = tagged
@@ -310,5 +322,5 @@ def operator_from_json(data: dict, algebra: Optional[Algebra] = None) -> Operato
             "operator tagged %r cannot load into algebra %r"
             % (tagged.describe(), algebra.describe())
         )
-    coeffs = [parse_element(t, algebra) for t in data["coeffs"]]
+    coeffs = [parse_element(t, algebra) for t in texts]
     return Operator(algebra, tuple(coeffs))

@@ -14,6 +14,7 @@ from opfactor import (
     RationalFunction,
     ShapeMismatch,
     VerificationFailed,
+    parse_element,
 )
 
 from helpers import (
@@ -390,8 +391,9 @@ def test_certificate_products(monkeypatch, algebra, solve_rows, products,
         _certify(m, x)
 
 
-@pytest.mark.parametrize("algebra", [QX, DIFF1], ids=["qx", "diff"])
-def test_fraction_free_certificate_catches_a_wrong_adjugate(monkeypatch, algebra):
+@pytest.mark.parametrize("algebra, fraction", [(QX, "1/x"), (DIFF1, "1/(n + 1)")],
+                         ids=["qx", "diff"])
+def test_fraction_free_certificate_catches_a_wrong_adjugate(monkeypatch, algebra, fraction):
     eliminate = ncmatrix._fraction_free_gauss_jordan
 
     def corrupted(a):
@@ -400,13 +402,18 @@ def test_fraction_free_certificate_catches_a_wrong_adjugate(monkeypatch, algebra
         return adj, det
 
     monkeypatch.setattr(ncmatrix, "_fraction_free_gauss_jordan", corrupted)
-    m = _upper_unitriangular(algebra)
-    with pytest.raises(VerificationFailed, match=r"^left solve X\*A = B does not hold$"):
-        m.inverse()
-    # the corrupted row of adj reaches a solve through a nonzero first entry
-    rhs = NCMatrix.from_rows(algebra, [[algebra.one(), algebra.zero()]])
-    with pytest.raises(VerificationFailed, match=r"^left solve X\*A = B does not hold$"):
-        m.left_solver()(rhs)
+    one, zero = algebra.one(), algebra.zero()
+    # [[1, s], [0, 1]] has no denominator, so its solve leaves B as it is;
+    # with a fraction in column 2 the solve first scales B by diag(L)
+    with_denominator = NCMatrix.from_rows(
+        algebra, [[one, parse_element(fraction, algebra)], [zero, one]])
+    for m in (_upper_unitriangular(algebra), with_denominator):
+        with pytest.raises(VerificationFailed, match=r"^left solve X\*A = B does not hold$"):
+            m.inverse()
+        # the corrupted row of adj reaches a solve through a nonzero first entry
+        rhs = NCMatrix.from_rows(algebra, [[one, zero]])
+        with pytest.raises(VerificationFailed, match=r"^left solve X\*A = B does not hold$"):
+            m.left_solver()(rhs)
 
 
 def test_column_solve_certificate_catches_a_wrong_pivot_inverse():

@@ -358,9 +358,32 @@ def test_json_difference_constant_exponent_is_bounded():
         operator_from_json(data)
 
 
-@pytest.mark.parametrize("c", ["1/0", None, [1]], ids=["zero-denominator", "null", "list"])
+@pytest.mark.parametrize("c", ["1/0", None, [1], True, False],
+                         ids=["zero-denominator", "null", "list", "true", "false"])
 def test_json_malformed_difference_constant_is_a_value_error(c):
     data = {"algebra": "diff", "c": c, "coeffs": ["0", "1"]}
     with pytest.raises(ValueError) as info:
         operator_from_json(data)
     assert str(info.value) == "%r is not a rational number" % (c,)
+
+
+@pytest.mark.parametrize("coeffs", ["12", [1], ["1", None], {"0": "1"}, None],
+                         ids=["string", "number", "null-entry", "object", "null"])
+def test_json_coefficients_must_be_a_list_of_strings(coeffs):
+    # a string would otherwise be read one character per coefficient
+    with pytest.raises(ValueError, match=r"^operator JSON 'coeffs' must be a list of strings$"):
+        operator_from_json({"algebra": "qx", "coeffs": coeffs})
+
+
+@pytest.mark.parametrize("field", ["algebra", "coeffs"])
+def test_json_missing_field_is_a_value_error(field):
+    data = {"algebra": "qx", "coeffs": ["1"]}
+    del data[field]
+    with pytest.raises(ValueError, match=r"^operator JSON has no '%s'$" % field):
+        operator_from_json(data)
+
+
+@pytest.mark.parametrize("data", [["qx", ["1"]], "qx", None], ids=["array", "string", "null"])
+def test_json_that_is_not_an_object_is_a_value_error(data):
+    with pytest.raises(ValueError, match=r"^operator JSON must be an object, not "):
+        operator_from_json(data)
