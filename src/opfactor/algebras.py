@@ -9,7 +9,9 @@ c5        group ring Z[C5]         the automorphism r -> r^2
 
 The first three are division rings (every nonzero element inverts), the
 group ring is not.  In the group ring the endomorphism has order 4, and
-that order is declared so the operator layer can fold exponents.
+that order is declared so the operator layer can fold exponents.  Each
+algebra declares its element class and builds its own constants (zero,
+one, from_fraction and the parser's symbols) from that class.
 
 Twist pairs, satisfying endo(f*g) = p*endo(g) + q*g:
 
@@ -34,12 +36,8 @@ class RationalFunctionAlgebra(Algebra):
     in one variable; subclasses name the variable and the endomorphism.
     Equality stays by type, so qx and diff never mix."""
 
-    variable = "?"
+    element = RationalFunction
     commutative = True
-
-    def check(self, e):
-        if not isinstance(e, RationalFunction) or e.var != self.variable:
-            self._reject(e)
 
     def zero(self):
         return RationalFunction.zero(self.variable)
@@ -77,29 +75,30 @@ class QuaternionDifferentialAlgebra(_Derivation, Algebra):
     componentwise.  A noncommutative division ring."""
 
     name = "quat"
+    element = Quaternion
     variable = "x"
 
-    def check(self, e):
-        if not isinstance(e, Quaternion) or e.var != self.variable:
-            self._reject(e)
+    def _scalar(self, a):
+        z = RationalFunction.zero(self.variable)
+        return Quaternion._trusted(a, z, z, z)
 
     def zero(self):
-        return Quaternion.zero(self.variable)
+        z = RationalFunction.zero(self.variable)
+        return Quaternion._trusted(z, z, z, z)
 
     def one(self):
-        return Quaternion.one(self.variable)
+        return self._scalar(RationalFunction.one(self.variable))
 
     def from_fraction(self, q):
-        return Quaternion.from_fraction(q, self.variable)
+        return self._scalar(RationalFunction.constant(q, self.variable))
 
     def symbols(self):
+        z, o = RationalFunction.zero(self.variable), RationalFunction.one(self.variable)
         return {
-            self.variable: Quaternion.scalar(
-                RationalFunction.variable(self.variable)
-            ),
-            "i": Quaternion.unit("i", self.variable),
-            "j": Quaternion.unit("j", self.variable),
-            "k": Quaternion.unit("k", self.variable),
+            self.variable: self._scalar(RationalFunction.variable(self.variable)),
+            "i": Quaternion._trusted(z, o, z, z),
+            "j": Quaternion._trusted(z, z, o, z),
+            "k": Quaternion._trusted(z, z, z, o),
         }
 
 
@@ -140,18 +139,15 @@ class GroupRingC5Algebra(Algebra):
     """Z[C5] with the automorphism r -> r^2, which has order 4."""
 
     name = "c5"
+    element = GroupRingC5Element
     endo_order = 4
     commutative = True
 
-    def check(self, e):
-        if not isinstance(e, GroupRingC5Element):
-            self._reject(e)
-
     def zero(self):
-        return GroupRingC5Element.zero()
+        return GroupRingC5Element._trusted((0, 0, 0, 0, 0))
 
     def one(self):
-        return GroupRingC5Element.one()
+        return GroupRingC5Element._trusted((1, 0, 0, 0, 0))
 
     def from_fraction(self, q):
         q = Fraction(q)
@@ -159,7 +155,7 @@ class GroupRingC5Algebra(Algebra):
             raise ValueError(
                 "%s is not integral, the group ring contains only integers" % q
             )
-        return GroupRingC5Element.from_int(int(q))
+        return GroupRingC5Element((int(q), 0, 0, 0, 0))
 
     def endo(self, f):
         self.check(f)
@@ -169,21 +165,22 @@ class GroupRingC5Algebra(Algebra):
         return TwistPair(self.endo(f), self.zero())
 
     def symbols(self):
-        return {"r": GroupRingC5Element.generator()}
+        return {"r": GroupRingC5Element._trusted((0, 1, 0, 0, 0))}
 
 
-SELECTORS = ("qx", "quat", "diff", "c5")
+# in this order argparse lists the choices, as {qx,quat,diff,c5}
+_ALGEBRAS = {cls.name: cls for cls in (DifferentialRationalAlgebra, QuaternionDifferentialAlgebra,
+                                       DifferenceAlgebra, GroupRingC5Algebra)}
+SELECTORS = tuple(_ALGEBRAS)
 
 
 def get_algebra(selector: str, c: Fraction = Fraction(1)) -> Algebra:
     """Build the algebra named by a CLI selector.  c only matters for
     the difference algebra."""
-    if selector == "qx":
-        return DifferentialRationalAlgebra()
-    if selector == "quat":
-        return QuaternionDifferentialAlgebra()
+    # tuple membership compares by ==, so an unhashable selector read
+    # from JSON is refused here too
+    if selector not in SELECTORS:
+        raise ValueError("unknown algebra selector %r" % (selector,))
     if selector == "diff":
         return DifferenceAlgebra(c)
-    if selector == "c5":
-        return GroupRingC5Algebra()
-    raise ValueError("unknown algebra selector %r" % (selector,))
+    return _ALGEBRAS[selector]()

@@ -19,8 +19,13 @@ this interface:
   * partial inversion (try_invert), total on the division-ring algebras
     and honestly partial on the group ring.
 
-Every element knows which algebra owns it; `check` enforces that and
-raises MixedAlgebras otherwise.  Values are checked where they enter:
+An algebra declares `element`, the class of its values, and `variable`,
+their `var`: None on the group ring, whose elements declare `var = None`.
+`element` has no default, so an algebra that does not declare it fails
+at its first check.  The one membership test, `check`, raises
+MixedAlgebras unless a value is an `element` whose `var` is `variable`.
+
+Values are checked where they enter:
 the public constructors, the parser, KernelContext, the arguments of
 scale_left, apply and interpolate, and the endo, try_invert and
 format_element methods below.  Inside, the engine trusts its values.
@@ -69,6 +74,8 @@ class Algebra(ABC):
     """A coefficient ring with a distinguished endomorphism."""
 
     name: str = "?"
+    element: type
+    variable: Optional[str] = None
     endo_order: Optional[int] = None
     commutative: bool = False
 
@@ -89,14 +96,12 @@ class Algebra(ABC):
     def describe(self) -> str:
         return self.name
 
-    @abstractmethod
     def check(self, e) -> None:
         """Raise MixedAlgebras unless e is an element of this algebra."""
-
-    def _reject(self, e):
-        raise MixedAlgebras(
-            "%r is not an element of algebra %r" % (e, self.describe())
-        )
+        if not (isinstance(e, self.element) and e.var == self.variable):
+            raise MixedAlgebras(
+                "%r is not an element of algebra %r" % (e, self.describe())
+            )
 
     # constants
 

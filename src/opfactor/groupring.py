@@ -34,6 +34,7 @@ from .formatting import int_text, join_terms
 
 class GroupRingC5Element:
     __slots__ = ("coeffs",)
+    var = None  # no variable; the algebra's membership check reads it
 
     def __init__(self, coeffs: Tuple[int, int, int, int, int]):
         cs = tuple(operator.index(c) for c in coeffs)
@@ -47,26 +48,6 @@ class GroupRingC5Element:
         e = object.__new__(cls)
         e.coeffs = cs
         return e
-
-    # constructors
-
-    @classmethod
-    def zero(cls) -> "GroupRingC5Element":
-        return cls._trusted((0, 0, 0, 0, 0))
-
-    @classmethod
-    def one(cls) -> "GroupRingC5Element":
-        return cls._trusted((1, 0, 0, 0, 0))
-
-    @classmethod
-    def from_int(cls, n: int) -> "GroupRingC5Element":
-        return cls((n, 0, 0, 0, 0))
-
-    @classmethod
-    def generator(cls, power: int = 1) -> "GroupRingC5Element":
-        cs = [0] * 5
-        cs[power % 5] = 1
-        return cls(tuple(cs))
 
     # structure
 
@@ -119,7 +100,7 @@ class GroupRingC5Element:
     def inverse(self) -> "GroupRingC5Element":
         y = self.scale_exponents(2) * self.scale_exponents(3) * self.scale_exponents(4)
         norm = self * y
-        if norm == GroupRingC5Element.one():
+        if norm.coeffs == (1, 0, 0, 0, 0):
             return y
         a, b = norm.coeffs[:2]
         if (a - b) * (a + 4 * b) == 0:

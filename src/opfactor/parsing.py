@@ -9,8 +9,9 @@
 Whitespace is insignificant.  Juxtaposition is not multiplication: `2x`
 is a syntax error, write `2*x`.  `^` binds tighter than unary minus,
 which binds tighter than `*` and `/`, which bind tighter than binary
-`+` and `-`.  Exponents are nonnegative integer literals.  Parentheses
-nest at most MAX_NESTING deep.
+`+` and `-`.  An INTEGER, a number or an exponent, is a run of the ASCII
+digits 0-9; a digit of another script is an unexpected character.
+Parentheses nest at most MAX_NESTING deep.
 
 The parser bounds the degree of what it builds before building it.  A
 number counts 0, a symbol or `D` counts 1, `+` and `-` take the larger
@@ -54,7 +55,7 @@ from .errors import NotAUnit, ParseError
 from .formatting import fraction_text
 from .operators import Operator
 
-_TOKEN = re.compile(r"\d+|[A-Za-z]|[\^*/+()-]|\S")
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z]|[\^*/+()-]|\S")
 
 # each nesting level costs the recursive descent a few stack frames, so
 # parentheses nested deeper than this are a ParseError, not a RecursionError
@@ -75,7 +76,7 @@ def _tokenize(text: str) -> List[Tuple[str, int]]:
     out = []
     for m in _TOKEN.finditer(text):
         tok = m.group()
-        if not (tok.isdecimal() or tok.isalpha() or tok in "^*/+-()"):
+        if not ((tok.isdecimal() and tok.isascii()) or tok.isalpha() or tok in "^*/+-()"):
             raise ParseError("unexpected character %r" % tok, m.start() + 1)
         out.append((tok, m.start() + 1))
     return out
@@ -275,11 +276,14 @@ def parse_element(text: str, algebra: Algebra):
 
 def parse_fraction(text) -> Fraction:
     """Fraction(text), but every refusal is a ValueError, which names the
-    bound for an exponent past MAX_EXPONENT."""
+    bound for an exponent past MAX_EXPONENT.  Text must be ASCII, as in the
+    expression grammar: Fraction would read other scripts' digits."""
     exp = isinstance(text, str) and _EXPONENT.search(text)
     try:
         if isinstance(text, bool):  # Fraction(True) would be 1
             raise TypeError
+        if isinstance(text, str) and not text.isascii():
+            raise ValueError
         if not (exp and abs(int(exp.group(1))) > MAX_EXPONENT):
             return Fraction(text)
     except (ArithmeticError, TypeError, ValueError):

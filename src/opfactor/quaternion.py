@@ -71,40 +71,6 @@ class Quaternion:
     def var(self) -> str:
         return self.a.var
 
-    # constructors: `scalar` checks its argument; the others build their
-    # components themselves and skip the check
-
-    @classmethod
-    def scalar(cls, r: RationalFunction) -> "Quaternion":
-        z = RationalFunction.zero(r.var)
-        return cls(r, z, z, z)
-
-    @classmethod
-    def from_fraction(cls, q, var: str = "x") -> "Quaternion":
-        z = RationalFunction.zero(var)
-        return cls._trusted(RationalFunction.constant(q, var), z, z, z)
-
-    @classmethod
-    def zero(cls, var: str = "x") -> "Quaternion":
-        z = RationalFunction.zero(var)
-        return cls._trusted(z, z, z, z)
-
-    @classmethod
-    def one(cls, var: str = "x") -> "Quaternion":
-        z = RationalFunction.zero(var)
-        return cls._trusted(RationalFunction.one(var), z, z, z)
-
-    @classmethod
-    def unit(cls, name: str, var: str = "x") -> "Quaternion":
-        z = RationalFunction.zero(var)
-        o = RationalFunction.one(var)
-        table = {
-            "i": (z, o, z, z),
-            "j": (z, z, o, z),
-            "k": (z, z, z, o),
-        }
-        return cls._trusted(*table[name])
-
     # structure
 
     def is_zero(self) -> bool:

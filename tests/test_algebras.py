@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from opfactor import MixedAlgebras, NotAUnit, Poly, get_algebra
+from opfactor import SELECTORS, Algebra, MixedAlgebras, NotAUnit, Poly, get_algebra
 
 from helpers import ALL_ALGEBRAS, C5, DIFF1, QUAT, QX, elements, rand_element, rand_unit
 import itertools
 import operator
 import random
+import types
 
 
 @pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
@@ -161,3 +162,33 @@ def test_format_parse_consistency_quat(data):
 def test_get_algebra_rejects_unknown():
     with pytest.raises(ValueError):
         get_algebra("octonion")
+
+
+@pytest.mark.parametrize("selector", [["qx"], {"qx": 1}, None], ids=["list", "dict", "null"])
+def test_get_algebra_rejects_selectors_that_are_not_strings(selector):
+    # operator_from_json passes the JSON "algebra" value as it is
+    with pytest.raises(ValueError, match="unknown algebra selector"):
+        get_algebra(selector)
+
+
+def test_selectors_name_their_algebras_in_cli_order():
+    assert SELECTORS == ("qx", "quat", "diff", "c5")
+    assert [get_algebra(s).name for s in SELECTORS] == list(SELECTORS)
+    assert get_algebra("diff", Fraction(-1, 2)).c == Fraction(-1, 2)
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
+def test_the_one_check_accepts_the_algebras_own_constants(algebra):
+    values = [algebra.zero(), algebra.one(), algebra.from_fraction(Fraction(-3))]
+    for value in values + list(algebra.symbols().values()):
+        algebra.check(value)
+        assert type(value) is algebra.element and value.var == algebra.variable
+
+
+def test_check_needs_a_declared_element_class():
+    """`element` has no default, so an algebra that does not declare it
+    fails at its first check instead of accepting anything."""
+    assert not hasattr(Algebra, "element")
+    undeclared = types.SimpleNamespace(variable=None, describe=lambda: "undeclared")
+    with pytest.raises(AttributeError, match="element"):
+        Algebra.check(undeclared, C5.one())

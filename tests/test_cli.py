@@ -294,6 +294,10 @@ def test_exit_usage(capsys):
     code, _, err = run(capsys, "kernel-op", "--algebra", "diff", "--c", "pi", "--kernel", "n")
     assert code == 64
     assert err.endswith("error: argument --c: 'pi' is not a rational number\n")
+    # Fraction reads an Arabic-Indic one as 1; the CLI takes ASCII digits only
+    code, _, err = run(capsys, "kernel-op", "--algebra", "diff", "--c", "\u0661", "--kernel", "n")
+    assert code == 64
+    assert err.endswith("error: argument --c: '\u0661' is not a rational number\n")
     # an exponent past the bound is refused before Fraction expands it
     for c in ("1e1000000", "1e10000000", "1e4301", "-1e-4301", "1E+4301"):
         code, out, err = run(capsys, "kernel-op", "--algebra", "diff", "--c=" + c, "--kernel", "n")

@@ -1,7 +1,7 @@
 """Smoke and golden tests of scripts/demo.py, the library walk-through in
 the README, and a run of the README's own "Library use" example.
 
-The demo runs as a subprocess with the package's source directory on
+The demo runs once, as a subprocess with the package's source directory on
 PYTHONPATH, as tests/test_cli_golden.py runs the CLI.  Its whole stdout is
 deterministic and must equal tests/demo_golden.txt byte for byte.
 """
@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import opfactor
 
 DEMO = Path(__file__).resolve().parent.parent / "scripts" / "demo.py"
@@ -18,17 +20,22 @@ GOLDEN = Path(__file__).resolve().parent / "demo_golden.txt"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_demo_runs_all_showcases():
+@pytest.fixture(scope="module")
+def demo():
+    """One run of the demo, shared by the tests below."""
     src = str(Path(opfactor.__file__).resolve().parents[1])
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(DEMO)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stderr == ""
-    lines = done.stdout.splitlines()
+
+
+def test_demo_runs_all_showcases(demo):
+    assert demo.returncode == 0, demo.stderr
+    assert demo.stderr == ""
+    lines = demo.stdout.splitlines()
     assert "factorize: Q = x^3*j*D + x^2*i" in lines
     assert "right division agrees: True, remainder 0" in lines
     assert lines.count("checked: K annihilates both kernel elements") == 3
@@ -37,16 +44,9 @@ def test_demo_runs_all_showcases():
     assert "D^4 equals the identity: True" in lines
 
 
-def test_demo_output_matches_golden():
-    src = str(Path(opfactor.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, str(DEMO)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == GOLDEN.read_text()
+def test_demo_output_matches_golden(demo):
+    assert demo.returncode == 0, demo.stderr
+    assert demo.stdout == GOLDEN.read_text()
 
 
 def test_readme_library_example_runs():

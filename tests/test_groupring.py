@@ -159,7 +159,7 @@ def test_constructor_accepts_ints_and_bools():
 
 def test_foreign_operands_raise_type_error():
     with pytest.raises(TypeError):
-        GroupRingC5Element.one() * 2
+        ONE * 2
     with pytest.raises(TypeError):
         ONE + 1
     with pytest.raises(TypeError):

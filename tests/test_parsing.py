@@ -100,10 +100,36 @@ def test_digit_that_is_not_decimal_is_an_unexpected_character(text, position):
     assert "unexpected character %r" % text[position - 1] in str(info.value)
 
 
-def test_decimal_digits_of_any_script_parse():
-    arabic_indic_three = "\u0663"
-    assert parse_operator(arabic_indic_three + "*x", QX) == parse_operator("3*x", QX)
-    assert parse_operator("x^" + arabic_indic_three, QX) == parse_operator("x^3", QX)
+@pytest.mark.parametrize(
+    "text, position",
+    [("x^\u0662", 3), ("\u0663*x", 1), ("\uff11", 1), ("x + 1\u0661", 6)],
+    ids=["arabic-indic-exponent", "arabic-indic-number", "fullwidth-number",
+         "arabic-indic-after-ascii"],
+)
+def test_decimal_digit_of_another_script_is_an_unexpected_character(text, position):
+    # str.isdecimal and int() accept these characters; the grammar reads
+    # only the ASCII digits 0-9
+    with pytest.raises(ParseError) as info:
+        parse_operator(text, QX)
+    assert info.value.position == position
+    assert "unexpected character %r" % text[position - 1] in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        (")", "unmatched ')'", 1),
+        ("2*)", "unmatched ')'", 3),
+        ("x + * y", "unexpected token '*'", 5),
+        ("^2", "unexpected token '^'", 1),
+        ("x*/2", "unexpected token '/'", 3),
+    ],
+)
+def test_misplaced_tokens_are_parse_errors(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_operator(text, QX)
+    assert info.value.position == position
+    assert message in str(info.value)
 
 
 def test_deep_nesting_is_a_parse_error():
@@ -358,8 +384,9 @@ def test_json_difference_constant_exponent_is_bounded():
         operator_from_json(data)
 
 
-@pytest.mark.parametrize("c", ["1/0", None, [1], True, False],
-                         ids=["zero-denominator", "null", "list", "true", "false"])
+@pytest.mark.parametrize("c", ["1/0", None, [1], True, False, "\uff11/\uff12"],
+                         ids=["zero-denominator", "null", "list", "true", "false",
+                              "fullwidth-digits"])
 def test_json_malformed_difference_constant_is_a_value_error(c):
     data = {"algebra": "diff", "c": c, "coeffs": ["0", "1"]}
     with pytest.raises(ValueError) as info:

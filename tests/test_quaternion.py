@@ -9,17 +9,21 @@ from hypothesis import strategies as st
 
 from opfactor import MixedAlgebras, NotAUnit, Quaternion, RationalFunction
 
-from helpers import quaternions, ratfuncs, ref_quat_inverse, ref_quat_mul
+from helpers import QUAT, quaternions, ratfuncs, ref_quat_inverse, ref_quat_mul
+
+
+def quat(var, a=0, b=0, c=0, d=0):
+    """a + b*i + c*j + d*k with rational constant components, through the
+    public constructor."""
+    return Quaternion(*(RationalFunction.constant(v, var) for v in (a, b, c, d)))
 
 
 def scalar(value):
-    return Quaternion.scalar(RationalFunction.constant(value, "x"))
+    return quat("x", value)
 
 
 def unit(which):
-    if which == "1":
-        return Quaternion.one("x")
-    return Quaternion.unit(which, "x")
+    return QUAT.one() if which == "1" else QUAT.symbols()[which]
 
 
 HAMILTON = {
@@ -71,7 +75,7 @@ def test_inverse_two_sided(q):
         with pytest.raises(NotAUnit):
             q.inverse()
         return
-    one = Quaternion.one("x")
+    one = QUAT.one()
     assert q * q.inverse() == one
     assert q.inverse() * q == one
 
@@ -102,17 +106,17 @@ def test_display():
 
 def test_foreign_operands_raise_type_error():
     with pytest.raises(TypeError):
-        Quaternion.one() + 1
+        QUAT.one() + 1
     with pytest.raises(TypeError):
-        Quaternion.one() - RationalFunction.one("x")
+        QUAT.one() - RationalFunction.one("x")
     with pytest.raises(TypeError):
-        Quaternion.one() * 2
+        QUAT.one() * 2
 
 
 @pytest.mark.parametrize("combine", [operator.add, operator.sub, operator.mul])
 def test_mixed_variables_raise(combine):
     with pytest.raises(MixedAlgebras):
-        combine(Quaternion.unit("i", "x"), Quaternion.unit("j", "n"))
+        combine(quat("x", b=1), quat("n", c=1))
 
 
 def test_public_constructor_refuses_mixed_variables():
@@ -135,9 +139,9 @@ def test_public_constructor_refuses_components_that_are_not_rational_functions(b
 @pytest.mark.parametrize("combine", [operator.add, operator.sub, operator.mul])
 def test_mixed_variables_raise_with_a_zero_operand(combine):
     with pytest.raises(MixedAlgebras):
-        combine(Quaternion.zero("n"), Quaternion.unit("i", "x"))
+        combine(quat("n"), quat("x", b=1))
     with pytest.raises(MixedAlgebras):
-        combine(Quaternion.unit("i", "x"), Quaternion.zero("n"))
+        combine(quat("x", b=1), quat("n"))
 
 
 # the product and the trusted results
@@ -151,7 +155,7 @@ def quaternions_with_zeros(var="x"):
 
 @pytest.mark.parametrize("var", ["x", "n"])
 def test_sparse_products_keep_the_variable(var):
-    zero, j, k = Quaternion.zero(var), Quaternion.unit("j", var), Quaternion.unit("k", var)
+    zero, j, k = quat(var), quat(var, c=1), quat(var, d=1)
     for p, q in [(zero, zero), (zero, k), (j, zero), (j, k), (k, k)]:
         r = p * q
         assert r == ref_quat_mul(p, q)
@@ -183,9 +187,9 @@ def test_results_pass_the_public_constructor(var, data):
 @pytest.mark.parametrize(
     "left, right",
     [
-        (Quaternion.zero("n"), Quaternion.zero("x")),
-        (Quaternion.unit("i", "x"), Quaternion.unit("k", "n")),
-        (Quaternion.from_fraction(3, "n"), Quaternion.unit("j", "x")),
+        (quat("n"), quat("x")),
+        (quat("x", b=1), quat("n", d=1)),
+        (quat("n", 3), quat("x", c=1)),
     ],
     ids=["zero-by-zero", "unit-by-unit", "scalar-by-unit"],
 )
@@ -204,31 +208,37 @@ def test_product_checks_the_variables_first(left, right, monkeypatch):
 @given(st.data())
 def test_inverse_of_a_scalar_matches_conj_over_norm(var, data):
     a = data.draw(ratfuncs(var).filter(lambda r: not r.is_zero()))
-    q = Quaternion.scalar(a)
+    z = RationalFunction.zero(var)
+    q = Quaternion(a, z, z, z)
     inv = q.inverse()
-    assert inv == ref_quat_inverse(q) == Quaternion.scalar(a.inverse())
-    one = Quaternion.one(var)
+    assert inv == ref_quat_inverse(q) == Quaternion(a.inverse(), z, z, z)
+    one = quat(var, 1)
     assert q * inv == one and inv * q == one
 
 
 @pytest.mark.parametrize("var", ["x", "n"])
 def test_zero_scalar_has_no_inverse(var):
     with pytest.raises(NotAUnit, match="zero quaternion has no inverse"):
-        Quaternion.zero(var).inverse()
+        quat(var).inverse()
 
 
-@pytest.mark.parametrize("var", ["x", "n"])
+@pytest.mark.parametrize("var", [QUAT.variable])
 def test_constants_equal_their_checked_construction(var):
+    """The algebra builds its constants and symbols unchecked; each equals
+    the public constructor's value."""
     z, o = RationalFunction.zero(var), RationalFunction.one(var)
     c = RationalFunction.constant(Fraction(-3, 4), var)
+    symbols = QUAT.symbols()
     built = [
-        (Quaternion.zero(var), Quaternion(z, z, z, z)),
-        (Quaternion.one(var), Quaternion(o, z, z, z)),
-        (Quaternion.from_fraction(Fraction(-3, 4), var), Quaternion(c, z, z, z)),
-        (Quaternion.unit("i", var), Quaternion(z, o, z, z)),
-        (Quaternion.unit("j", var), Quaternion(z, z, o, z)),
-        (Quaternion.unit("k", var), Quaternion(z, z, z, o)),
+        (QUAT.zero(), Quaternion(z, z, z, z)),
+        (QUAT.one(), Quaternion(o, z, z, z)),
+        (QUAT.from_fraction(Fraction(-3, 4)), Quaternion(c, z, z, z)),
+        (symbols[var], Quaternion(RationalFunction.variable(var), z, z, z)),
+        (symbols["i"], Quaternion(z, o, z, z)),
+        (symbols["j"], Quaternion(z, z, o, z)),
+        (symbols["k"], Quaternion(z, z, z, o)),
     ]
+    assert sorted(symbols) == sorted([var, "i", "j", "k"])
     for got, checked in built:
         assert got == checked and got.var == var
         assert all(type(comp) is RationalFunction for comp in got.components)

@@ -12,11 +12,10 @@ from opfactor import (
     GroupRingC5Element,
     MixedAlgebras,
     NCMatrix,
-    Quaternion,
     parse_operator,
 )
 
-from helpers import C5, QX
+from helpers import C5, QUAT, QX
 
 X = QX.symbols()["x"]
 
@@ -24,7 +23,7 @@ X = QX.symbols()["x"]
 VALUES = {
     "Operator": lambda: parse_operator("x*D + 1", QX),
     "NCMatrix": lambda: NCMatrix.from_rows(QX, [[X, QX.one()], [QX.zero(), X]]),
-    "Quaternion": lambda: Quaternion.unit("i"),
+    "Quaternion": lambda: QUAT.symbols()["i"],
     "GroupRingC5Element": lambda: GroupRingC5Element((1, 2, 0, 0, -1)),
     "TwistPair": lambda: QX.twist(X),
 }
@@ -62,7 +61,7 @@ def test_reprs_keep_the_dataclass_text(name):
 
 def test_mixed_algebras_message_names_the_value():
     with pytest.raises(MixedAlgebras) as info:
-        C5.check(Quaternion.unit("i"))
+        C5.check(QUAT.symbols()["i"])
     assert str(info.value) == "%s is not an element of algebra 'c5'" % REPRS["Quaternion"]
 
 
