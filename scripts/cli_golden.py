@@ -5,12 +5,14 @@
 
 The arguments are the command that stands for `opfactor`.  Each case's argv
 is appended to it and run from the repository root; its exit code, stdout
-and stderr must equal the case's exactly.  Prints each mismatch and a count,
-and exits 1 when any case differs.  Needs no pytest, so it runs on an
-interpreter that has only the package installed.
+and stderr must equal the case's exactly, with usage lines wrapped at 80
+columns.  Prints each mismatch and a count, and exits 1 when any case
+differs.  Needs no pytest, so it runs on an interpreter that has only the
+package installed.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,8 +24,9 @@ def main(command):
     cases = json.loads(GOLDEN.read_text())
     mismatches = 0
     for case in cases:
+        # argparse wraps the usage lines at COLUMNS
         done = subprocess.run(command + case["argv"], capture_output=True, text=True,
-                              timeout=60)
+                              timeout=60, env=dict(os.environ, COLUMNS="80"))
         got = {"exit": done.returncode, "stdout": done.stdout, "stderr": done.stderr}
         for key, value in got.items():
             if value != case[key]:

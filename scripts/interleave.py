@@ -1,0 +1,102 @@
+"""In-process CPU of a parent commit against the working tree, interleaved,
+with a digest of each side's answers.
+
+    python3 scripts/interleave.py PARENT_REF [--rounds 24]
+
+Run from the repository root.  PARENT_REF is exported with `git archive` into
+a temporary directory.  Its `opfactor` and the one under src/ are imported into
+this one process, `opfactor*` cleared from sys.modules between the two imports.
+Each side serves both forms of 60 seed-11 and 60 seed-12 base requests per
+workload, in `gen.WORKLOADS` order, through `perfbench/worker.serve`, which
+this script imports and does not change.
+
+A first, untimed pass gives each side's answers; their sha1 over the
+concatenated answer texts is printed per side.  Then each round times one
+pass per workload on both sides, in alternating order, by `process_time`.
+Per workload the script prints the change/parent ratio of the median times
+and the number of rounds in which the change took less time.  Exits 1 when
+the two digests differ.
+"""
+
+import argparse
+import hashlib
+import importlib
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import process_time
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen  # noqa: E402
+import worker  # noqa: E402
+from run import ALGEBRA  # noqa: E402
+
+SEEDS = (11, 12)
+BASE_REQUESTS = 60
+FORMS = 2
+
+
+def load(src):
+    """The opfactor package under src, imported afresh."""
+    for name in [m for m in sys.modules if m == "opfactor" or m.startswith("opfactor.")]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        api = importlib.import_module("opfactor")
+    finally:
+        sys.path.remove(src)
+    if Path(src).resolve() not in Path(api.__file__).resolve().parents:
+        sys.exit("opfactor was imported from %s, not from %s" % (api.__file__, src))
+    return api
+
+
+def requests(workload):
+    """The wire parts of both forms of every base request, seed by seed."""
+    return [r.wire for seed in SEEDS
+            for forms in gen.generate(workload, seed, BASE_REQUESTS, FORMS) for r in forms]
+
+
+def timed(api, algebra, wires):
+    t0 = process_time()
+    for wire in wires:
+        worker.serve(api, algebra, wire)
+    return process_time() - t0
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("--rounds", type=int, default=24)
+    args = ap.parse_args()
+    wires = {wl: requests(wl) for wl in gen.WORKLOADS}
+    with tempfile.TemporaryDirectory() as tree:
+        subprocess.run("git archive %s | tar -x -C %s" % (args.parent, tree),
+                       shell=True, check=True, cwd=ROOT)
+        apis = {"parent": load(str(Path(tree) / "src")), "change": load(str(ROOT / "src"))}
+    algebras = {side: {wl: api.get_algebra(ALGEBRA[wl]) for wl in gen.WORKLOADS}
+                for side, api in apis.items()}
+    digests = {}
+    for side, api in apis.items():
+        answers = "".join(worker.serve(api, algebras[side][wl], wire)
+                          for wl in gen.WORKLOADS for wire in wires[wl])
+        digests[side] = hashlib.sha1(answers.encode()).hexdigest()
+        print("%-6s sha1 %s" % (side, digests[side]))
+    times = {wl: {"parent": [], "change": []} for wl in gen.WORKLOADS}
+    for r in range(args.rounds):
+        for side in ("parent", "change")[::1 if r % 2 == 0 else -1]:
+            for wl in gen.WORKLOADS:
+                times[wl][side].append(timed(apis[side], algebras[side][wl], wires[wl]))
+    for wl, t in times.items():
+        ratio = statistics.median(t["change"]) / statistics.median(t["parent"])
+        wins = sum(c < p for p, c in zip(t["parent"], t["change"]))
+        print("%-12s change/parent %.3f, change won %d of %d rounds"
+              % (wl, ratio, wins, args.rounds))
+    return 0 if digests["parent"] == digests["change"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

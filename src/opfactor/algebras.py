@@ -10,8 +10,9 @@ c5        group ring Z[C5]         the automorphism r -> r^2
 The first three are division rings (every nonzero element inverts), the
 group ring is not.  In the group ring the endomorphism has order 4, and
 that order is declared so the operator layer can fold exponents.  Each
-algebra declares its element class and builds its own constants (zero,
-one, from_fraction and the parser's symbols) from that class.
+algebra declares its element class, and builds from that class its
+from_fraction and the parser's symbols; zero and one come from
+from_fraction (see the base module).
 
 Twist pairs, satisfying endo(f*g) = p*endo(g) + q*g:
 
@@ -38,12 +39,6 @@ class RationalFunctionAlgebra(Algebra):
 
     element = RationalFunction
     commutative = True
-
-    def zero(self):
-        return RationalFunction.zero(self.variable)
-
-    def one(self):
-        return RationalFunction.one(self.variable)
 
     def from_fraction(self, q):
         return RationalFunction.constant(q, self.variable)
@@ -78,24 +73,14 @@ class QuaternionDifferentialAlgebra(_Derivation, Algebra):
     element = Quaternion
     variable = "x"
 
-    def _scalar(self, a):
-        z = RationalFunction.zero(self.variable)
-        return Quaternion._trusted(a, z, z, z)
-
-    def zero(self):
-        z = RationalFunction.zero(self.variable)
-        return Quaternion._trusted(z, z, z, z)
-
-    def one(self):
-        return self._scalar(RationalFunction.one(self.variable))
-
     def from_fraction(self, q):
-        return self._scalar(RationalFunction.constant(q, self.variable))
+        z = RationalFunction.zero(self.variable)
+        return Quaternion._trusted(RationalFunction.constant(q, self.variable), z, z, z)
 
     def symbols(self):
         z, o = RationalFunction.zero(self.variable), RationalFunction.one(self.variable)
         return {
-            self.variable: self._scalar(RationalFunction.variable(self.variable)),
+            self.variable: Quaternion._trusted(RationalFunction.variable(self.variable), z, z, z),
             "i": Quaternion._trusted(z, o, z, z),
             "j": Quaternion._trusted(z, z, o, z),
             "k": Quaternion._trusted(z, z, z, o),
@@ -142,12 +127,6 @@ class GroupRingC5Algebra(Algebra):
     element = GroupRingC5Element
     endo_order = 4
     commutative = True
-
-    def zero(self):
-        return GroupRingC5Element._trusted((0, 0, 0, 0, 0))
-
-    def one(self):
-        return GroupRingC5Element._trusted((1, 0, 0, 0, 0))
 
     def from_fraction(self, q):
         q = Fraction(q)

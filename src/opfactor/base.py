@@ -7,7 +7,9 @@ must have is a twist, defined below.  Operators are built over the pair
 (A, endo), and everything the operator layer needs is expressed through
 this interface:
 
-  * the constants zero() and one() (the arithmetic is the elements' own),
+  * the constants zero() and one(), built once per algebra, on first use,
+    from from_fraction and then shared (the arithmetic is the elements'
+    own),
   * the endomorphism itself,
   * a twist: for every f a pair (p, q) with
 
@@ -37,7 +39,11 @@ Every value class of the package has one shape: `__slots__` and a public
 trusted constructor (`_new`, `_canonical`, `_trusted`) that assigns the
 slots directly and checks nothing.  Values are immutable by convention: no
 slot is assigned after construction, and every operation returns a new
-value.  `TwistPair`, a plain pair, is a NamedTuple.
+value.  All but Operator derive from `Value`, which gives them equality
+and hashing from their slots: two values are equal when they have the same
+type and equal slots, in the order `__slots__` names them.  Operator keeps
+its own, which folds exponents by `endo_order`.  `TwistPair`, a plain
+pair, is a NamedTuple.
 
 Every element prints, by `str`, as plain text in the grammar the parser
 reads, and `split_sign` folds an overall minus out of it.  Where one text
@@ -58,9 +64,29 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from fractions import Fraction
+from functools import cached_property
+from operator import attrgetter
 from typing import Any, Dict, NamedTuple, Optional
 
 from .errors import MixedAlgebras
+
+
+class Value:
+    """Equality and hashing from the slots of a value class."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._slot_values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._slot_values(self) == self._slot_values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._slot_values(self))
 
 
 class TwistPair(NamedTuple):
@@ -105,11 +131,15 @@ class Algebra(ABC):
 
     # constants
 
-    @abstractmethod
-    def zero(self): ...
+    @cached_property
+    def _constants(self) -> tuple:
+        return self.from_fraction(Fraction(0)), self.from_fraction(Fraction(1))
 
-    @abstractmethod
-    def one(self): ...
+    def zero(self):
+        return self._constants[0]
+
+    def one(self):
+        return self._constants[1]
 
     @abstractmethod
     def from_fraction(self, q: Fraction):

@@ -28,11 +28,12 @@ from __future__ import annotations
 import operator
 from typing import Tuple
 
+from .base import Value
 from .errors import NotAUnit
 from .formatting import int_text, join_terms
 
 
-class GroupRingC5Element:
+class GroupRingC5Element(Value):
     __slots__ = ("coeffs",)
     var = None  # no variable; the algebra's membership check reads it
 
@@ -53,14 +54,6 @@ class GroupRingC5Element:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupRingC5Element):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return "GroupRingC5Element(coeffs=%r)" % (self.coeffs,)

@@ -60,7 +60,7 @@ from __future__ import annotations
 from typing import Callable, Sequence, Tuple
 
 from .algebras import RationalFunctionAlgebra
-from .base import Algebra
+from .base import Algebra, Value
 from .errors import MixedAlgebras, NotAUnit, NotInvertible, ShapeMismatch, VerificationFailed
 from .poly import Poly
 from .ratfunc import RationalFunction
@@ -74,7 +74,7 @@ def _dot(zero, xs, ys):
     return acc
 
 
-class NCMatrix:
+class NCMatrix(Value):
     __slots__ = ("algebra", "rows", "cols", "entries")  # entries row-major
 
     def __init__(self, algebra: Algebra, rows: int, cols: int, entries):
@@ -118,19 +118,6 @@ class NCMatrix:
 
     def row(self, i: int) -> Tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NCMatrix):
-            return NotImplemented
-        return (
-            self.algebra == other.algebra
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, self.rows, self.cols, self.entries))
 
     def __mul__(self, other: "NCMatrix") -> "NCMatrix":
         if not isinstance(other, NCMatrix):

@@ -68,7 +68,13 @@ MAX_DEGREE = 300
 # Fraction expands 1eN to N digits before it can refuse a text, so a larger
 # exponent (the bound is the default int digit limit) is refused first
 MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+# the one grammar of a rational text, the same on every Python: p/q, or a
+# decimal (12, 1.5, .5, 5.) with an optional exponent, in ASCII digits,
+# with no `_` and no whitespace but around the whole; `exp` is the
+# exponent's digits without leading zeros
+_RATIONAL = re.compile(r"\s*[-+]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
+                       r"(?:[eE][-+]?0*(?P<exp>[0-9]+))?)\s*", re.ASCII)
 
 
 def _tokenize(text: str) -> List[Tuple[str, int]]:
@@ -275,20 +281,21 @@ def parse_element(text: str, algebra: Algebra):
 
 
 def parse_fraction(text) -> Fraction:
-    """Fraction(text), but every refusal is a ValueError, which names the
-    bound for an exponent past MAX_EXPONENT.  Text must be ASCII, as in the
-    expression grammar: Fraction would read other scripts' digits."""
-    exp = isinstance(text, str) and _EXPONENT.search(text)
+    """The rational number a text in the grammar of _RATIONAL names; any
+    other value goes to Fraction, which takes an int but not a bool.  Every
+    refusal is a ValueError, which names the bound for an exponent past
+    MAX_EXPONENT."""
+    m = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    # five digits with no leading zero already pass the bound, so int() never
+    # reads a longer exponent, which it refuses past 4300 digits from 3.11 on
+    if m and int((m["exp"] or "0")[:5]) > MAX_EXPONENT:
+        raise ValueError("%r has a decimal exponent beyond %d" % (text, MAX_EXPONENT))
     try:
-        if isinstance(text, bool):  # Fraction(True) would be 1
-            raise TypeError
-        if isinstance(text, str) and not text.isascii():
-            raise ValueError
-        if not (exp and abs(int(exp.group(1))) > MAX_EXPONENT):
-            return Fraction(text)
+        if isinstance(text, bool) or (isinstance(text, str) and not m):
+            raise TypeError  # Fraction(True) would be 1
+        return Fraction(text)
     except (ArithmeticError, TypeError, ValueError):
         raise ValueError("%r is not a rational number" % (text,)) from None
-    raise ValueError("%r has a decimal exponent beyond %d" % (text, MAX_EXPONENT))
 
 
 # JSON form

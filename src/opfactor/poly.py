@@ -71,12 +71,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
+from .base import Value
 from .formatting import int_text, join_terms
 
 Scalar = Union[int, Fraction]
 
 
-class Poly:
+class Poly(Value):
     """A univariate polynomial over the rationals."""
 
     __slots__ = ("prim", "cnum", "cden")
@@ -129,18 +130,6 @@ class Poly:
         if 0 <= i < len(self.prim):
             return Fraction(self.cnum * self.prim[i], self.cden)
         return Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return (
-            self.cnum == other.cnum
-            and self.cden == other.cden
-            and self.prim == other.prim
-        )
-
-    def __hash__(self) -> int:
-        return hash(("Poly", self.prim, self.cnum, self.cden))
 
     def __repr__(self) -> str:
         return "Poly(%r)" % (self.coeffs,)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from operator import add, sub
 
+from .base import Value
 from .errors import MixedAlgebras, NotAUnit
 from .formatting import is_sum, join_terms
 from .ratfunc import RationalFunction
@@ -41,7 +42,7 @@ _UNIT_PRODUCTS = (
 )
 
 
-class Quaternion:
+class Quaternion(Value):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
@@ -76,14 +77,6 @@ class Quaternion:
     def is_zero(self) -> bool:
         a, b, c, d = self.components
         return a.is_zero() and b.is_zero() and c.is_zero() and d.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self) -> int:
-        return hash(self.components)
 
     def __repr__(self) -> str:
         return "Quaternion(a=%r, b=%r, c=%r, d=%r)" % self.components

@@ -53,6 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+from .base import Value
 from .errors import MixedAlgebras, NotAUnit
 from .formatting import is_sum
 from .poly import Poly, integer_cleared
@@ -60,7 +61,7 @@ from .poly import Poly, integer_cleared
 Scalar = Union[int, Fraction]
 
 
-class RationalFunction:
+class RationalFunction(Value):
     __slots__ = ("num", "den", "var")
 
     def __init__(self, num: Poly, den: Poly, var: str):
@@ -117,18 +118,6 @@ class RationalFunction:
 
     def is_one(self) -> bool:
         return self.num == Poly.one() and self.den == Poly.one()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return (
-            self.var == other.var
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self) -> int:
-        return hash(("RationalFunction", self.var, self.num, self.den))
 
     def __repr__(self) -> str:
         return "RationalFunction(%r, %r, %r)" % (self.num, self.den, self.var)

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from opfactor import SELECTORS, Algebra, MixedAlgebras, NotAUnit, Poly, get_algebra
+from opfactor import SELECTORS, Algebra, DifferenceAlgebra, MixedAlgebras, NotAUnit, Poly, get_algebra
 
-from helpers import ALL_ALGEBRAS, C5, DIFF1, QUAT, QX, elements, rand_element, rand_unit
+from helpers import (
+    ALL_ALGEBRAS, C5, DIFF1, QUAT, QX, CountingQX, elements, rand_element, rand_unit,
+)
 import itertools
 import operator
 import random
@@ -183,6 +185,19 @@ def test_the_one_check_accepts_the_algebras_own_constants(algebra):
     for value in values + list(algebra.symbols().values()):
         algebra.check(value)
         assert type(value) is algebra.element and value.var == algebra.variable
+
+
+@pytest.mark.parametrize(
+    "algebra", ALL_ALGEBRAS + (DifferenceAlgebra(Fraction(-1, 2)), CountingQX()),
+    ids=["qx", "quat", "diff", "c5", "diff-c=-1/2", "CountingQX"],
+)
+def test_constants_are_built_once_from_from_fraction(algebra):
+    """zero() and one() are shared, also on a subclass whose __init__ does
+    not call Algebra's, and are the embedded 0 and 1."""
+    assert algebra.zero() is algebra.zero()
+    assert algebra.one() is algebra.one()
+    assert algebra.zero() == algebra.from_fraction(Fraction(0))
+    assert algebra.one() == algebra.from_fraction(Fraction(1))
 
 
 def test_check_needs_a_declared_element_class():

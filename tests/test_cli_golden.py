@@ -27,7 +27,8 @@ README = HERE.parent / "README.md"
 
 def _run(argv):
     src = str(Path(opfactor.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    # argparse wraps the usage lines at COLUMNS
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
     return subprocess.run(
         [sys.executable, "-m", "opfactor"] + argv,
         capture_output=True,

@@ -20,6 +20,7 @@ from opfactor import (
     parse_element,
     parse_operator,
 )
+from opfactor.parsing import parse_fraction
 
 from helpers import (
     ALL_ALGEBRAS,
@@ -374,6 +375,33 @@ def test_json_difference_constant_mismatch():
     assert operator_from_json(untagged) == Operator.d(DIFF1)
     with pytest.raises(ValueError):
         operator_from_json(untagged, get_algebra("diff", Fraction(3)))
+
+
+@pytest.mark.parametrize("text, value", [
+    ("12", Fraction(12)), ("-3/4", Fraction(-3, 4)), (" 1.5 ", Fraction(3, 2)),
+    (".5", Fraction(1, 2)), ("5.", Fraction(5)), ("+2.5e-3", Fraction(1, 400)),
+    ("1E+2", Fraction(100)), ("-0e00004300", Fraction(0)), ("4/6\n", Fraction(2, 3)),
+])
+def test_parse_fraction_reads_the_one_grammar(text, value):
+    assert parse_fraction(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1/ 2", "1 /2", "1_000", "1e1_0", "1/2.5", "1.5/2", "- 1", ".", "1e", "e5",
+    "1.5e", "0x10", "inf", "nan", "\u00a01", "", "1/-2",
+])
+def test_parse_fraction_refuses_every_other_text(text):
+    """Python 3.12 and later would read the first two, 3.11 and later the
+    third; the grammar takes none of them on any Python."""
+    with pytest.raises(ValueError) as info:
+        parse_fraction(text)
+    assert str(info.value) == "%r is not a rational number" % (text,)
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1e" + "9" * 5000, "1e000012345"])
+def test_parse_fraction_exponent_bound_reads_the_digits(text):
+    with pytest.raises(ValueError, match="decimal exponent beyond 4300"):
+        parse_fraction(text)
 
 
 def test_json_difference_constant_exponent_is_bounded():

@@ -1,8 +1,10 @@
 """Value semantics of the slotted value classes, and what importing the CLI
 loads."""
 
+import itertools
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,8 @@ from opfactor import (
     GroupRingC5Element,
     MixedAlgebras,
     NCMatrix,
+    Poly,
+    parse_element,
     parse_operator,
 )
 
@@ -23,6 +27,8 @@ X = QX.symbols()["x"]
 VALUES = {
     "Operator": lambda: parse_operator("x*D + 1", QX),
     "NCMatrix": lambda: NCMatrix.from_rows(QX, [[X, QX.one()], [QX.zero(), X]]),
+    "Poly": lambda: Poly([1, Fraction(-1, 2), 3]),
+    "RationalFunction": lambda: parse_element("(x^2 + 1)/(2*x - 1)", QX),
     "Quaternion": lambda: QUAT.symbols()["i"],
     "GroupRingC5Element": lambda: GroupRingC5Element((1, 2, 0, 0, -1)),
     "TwistPair": lambda: QX.twist(X),
@@ -65,7 +71,15 @@ def test_mixed_algebras_message_names_the_value():
     assert str(info.value) == "%s is not an element of algebra 'c5'" % REPRS["Quaternion"]
 
 
-@pytest.mark.parametrize("name", ["Operator", "NCMatrix", "Quaternion", "GroupRingC5Element"])
+@pytest.mark.parametrize("left, right", list(itertools.permutations(sorted(VALUES), 2)))
+def test_values_of_different_classes_are_unequal(left, right):
+    a, b = VALUES[left](), VALUES[right]()
+    assert a != b and not a == b
+
+
+@pytest.mark.parametrize(
+    "name", ["Operator", "NCMatrix", "Poly", "Quaternion", "RationalFunction", "GroupRingC5Element"]
+)
 def test_value_classes_are_slotted(name):
     value = VALUES[name]()
     assert "__slots__" in type(value).__dict__
