@@ -14,7 +14,9 @@ right factor is pushed through the endomorphism one power at a time:
 so endo^i . L2 advances to endo^(i+1) . L2 by sending each c . endo^t to
 p_c . endo^(t+1) + q_c . endo^t, and L1 . L2 = sum a_i . (endo^i . L2).
 With n and m coefficients that is (n-1)m + (n-1)(n-2)/2 twists; a degree
-zero left factor needs none.
+zero left factor needs none.  Right division's certificate runs the same
+sum over the shifted divisors it built.  Each operation skips the zero
+coefficients it would multiply by or add, which changes no result.
 
 Equality is equality of normal forms, except that an algebra declaring
 endo_order = n first folds every exponent e >= n down to e mod n.  That is
@@ -75,7 +77,7 @@ class Operator:
         """The bare operator endo^power."""
         if power < 0:
             raise ValueError("negative power")
-        return cls(algebra, (algebra.zero(),) * power + (algebra.one(),))
+        return cls._trusted(algebra, (algebra.zero(),) * power + (algebra.one(),))
 
     # structure
 
@@ -126,10 +128,12 @@ class Operator:
         if not isinstance(other, Operator):
             return NotImplemented
         alg = self._same_algebra(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Operator._trusted(
-            alg, tuple(self.coeff(i) + other.coeff(i) for i in range(n))
-        )
+        long, short = sorted((self.coeffs, other.coeffs), key=len, reverse=True)
+        out = list(long)
+        for i, c in enumerate(short):
+            if not c.is_zero():
+                out[i] = out[i] + c
+        return Operator._trusted(alg, out)
 
     def __neg__(self) -> "Operator":
         return Operator._trusted(self.algebra, tuple(-c for c in self.coeffs))
@@ -142,7 +146,8 @@ class Operator:
     def scale_left(self, a) -> "Operator":
         """Left multiplication by a ring element: a . L."""
         self.algebra.check(a)
-        return Operator._trusted(self.algebra, tuple(a * c for c in self.coeffs))
+        cs = tuple(c if c.is_zero() else a * c for c in self.coeffs)
+        return Operator._trusted(self.algebra, cs)
 
     def _advanced(self) -> "Operator":
         """endo . self: each c . endo^t becomes p_c . endo^(t+1) + q_c . endo^t."""
@@ -152,23 +157,29 @@ class Operator:
             if not c.is_zero():
                 tw = alg.twist(c)
                 out[t + 1] = out[t + 1] + tw.p
-                out[t] = out[t] + tw.q
+                if not tw.q.is_zero():
+                    out[t] = out[t] + tw.q
         return Operator._trusted(alg, out)
+
+    @classmethod
+    def _left_sum(cls, algebra: Algebra, coeffs, shifted) -> "Operator":
+        """sum a_i . shifted[i] for shifted = [L, endo . L, ...], skipping zeros."""
+        acc = [algebra.zero()] * (len(coeffs) + len(shifted[0].coeffs) - 1)
+        for a, s in zip(coeffs, shifted):
+            if not a.is_zero():
+                for t, c in enumerate(s.coeffs):
+                    if not c.is_zero():
+                        acc[t] = acc[t] + a * c
+        return cls._trusted(algebra, acc)
 
     def compose(self, other: "Operator") -> "Operator":
         """Normal form of self . other (apply other first): the sum of
         a_i . (endo^i . other), advancing other once per power of self."""
         alg = self._same_algebra(other)
-        acc = [alg.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        shifted = other
-        for i, a in enumerate(self.coeffs):
-            if i:
-                shifted = shifted._advanced()
-            if not a.is_zero():
-                for t, c in enumerate(shifted.coeffs):
-                    if not c.is_zero():
-                        acc[t] = acc[t] + a * c
-        return Operator._trusted(alg, acc)
+        shifted = [other]
+        for _ in self.coeffs[1:]:
+            shifted.append(shifted[-1]._advanced())
+        return Operator._left_sum(alg, self.coeffs, shifted)
 
     def __mul__(self, other) -> "Operator":
         if not isinstance(other, Operator):

@@ -212,20 +212,20 @@ class _Parser:
         if self.tokens[start][0] == "D":
             return Operator.d(self.algebra, n), bound
         if isinstance(value, Operator):
-            out = Operator.identity(self.algebra)
-            for _ in range(n):
+            out = value if n else Operator.identity(self.algebra)
+            for _ in range(n - 1):
                 # powers of one operator commute; with value on the left each
                 # step advances the power so far only deg(value) times
                 out = value.compose(out)
             return out, bound
-        out = self.algebra.one()
-        while n:  # square and multiply
+        out = None
+        while n:  # square and multiply, from the base itself
             if n & 1:
-                out = out * value
+                out = value if out is None else out * value
             n >>= 1
             if n:
                 value = value * value
-        return out, bound
+        return (self.algebra.one() if out is None else out), bound
 
     @staticmethod
     def _integer(text: str, pos: int) -> int:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opfactor import (
+    GroupRingC5Element,
     KernelContext,
     MixedAlgebras,
     NotAUnit,
@@ -24,6 +25,7 @@ from opfactor import (
     NotMonicizable,
     NCMatrix,
     Operator,
+    Quaternion,
     RationalFunction,
     VerificationFailed,
     get_algebra,
@@ -459,11 +461,48 @@ def test_right_division_twists_each_shifted_divisor_once():
     divisor = parse_operator("D^3 + 1/(x-1)*D^2 + 1/(x-2)*D + 1/(x-3)", algebra)
     algebra.twists = 0
     quotient, rest = right_divide_monic(op, divisor)
-    # endo^j . divisor for j = 1 .. 6 (4 + 5 + ... + 9 = 39 twists) and
-    # the 7-by-4 certificate compose (39); composing a monomial per step
-    # took 284
-    assert algebra.twists <= 78
+    # endo^j . divisor for j = 1 .. 6 (4 + 5 + ... + 9 = 39 twists); the
+    # certificate sums Q_j . (endo^j . divisor) over those same shifted
+    # divisors and twists nothing, where recomposing Q . divisor took
+    # another 39 and composing a monomial per step took 284
+    assert algebra.twists == 39
     assert (quotient.degree, rest.degree) == (6, 2)
+
+
+def _zero_operands(monkeypatch):
+    """Record every c5 or quaternion product that has a zero operand."""
+    seen = []
+    for cls in (GroupRingC5Element, Quaternion):
+        def spy(a, b, mul=cls.__mul__):
+            if a.is_zero() or b.is_zero():
+                seen.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "algebra, kernel, quotient",
+    [
+        # the README's c5 example: L = r*D^3 - 1, K = D - r^2
+        (C5, ("r^2",), "r*D^2 + r^4*D + r^3"),
+        # quat_factor's shape: the paper's kernel, Q of degree 1 with
+        # two-part constant coefficients
+        (QUAT, ("x*k", "x^3*i"), "(2*i - 3*k)*D + (j + 2)"),
+    ],
+    ids=["c5", "quat"],
+)
+def test_factor_multiplies_by_no_zero(monkeypatch, algebra, kernel, quotient):
+    # each operand is either a nonzero value or skipped: sums, scaling,
+    # twists, powers and the division certificate never multiply by 0
+    expected = parse_operator(quotient, algebra)
+    ctx = KernelContext(algebra, [parse_element(t, algebra) for t in kernel])
+    text = str(expected.compose(ctx.K))
+    seen = _zero_operands(monkeypatch)
+    ctx = KernelContext(algebra, [parse_element(t, algebra) for t in kernel])
+    assert ctx.factorize(parse_operator(text, algebra)) == expected
+    assert seen == []
 
 
 def test_kernel_context_catches_a_wrong_inverse():

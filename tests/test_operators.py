@@ -185,6 +185,31 @@ def test_arithmetic_results_keep_the_normal_form(algebra, data):
         assert_normal_form(result)
 
 
+def _stripped(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_sums_and_scaling_match_the_per_coefficient_reference(algebra, data):
+    # the operands mix zero and nonzero coefficients, including the zero
+    # operator, so that each zero skipped is a zero the reference adds
+    # or multiplies
+    zero = algebra.zero()
+    coeffs = st.one_of(st.just(zero), elements(algebra))
+    sparse = st.lists(coeffs, max_size=4).map(lambda cs: Operator(algebra, cs))
+    a, b = data.draw(sparse), data.draw(sparse)
+    n = max(len(a.coeffs), len(b.coeffs))
+    for e in (zero, data.draw(elements(algebra))):
+        assert a.scale_left(e).coeffs == _stripped(e * c for c in a.coeffs)
+    assert (a + b).coeffs == _stripped(a.coeff(i) + b.coeff(i) for i in range(n))
+    assert (a - b).coeffs == _stripped(a.coeff(i) - b.coeff(i) for i in range(n))
+
+
 # c5 goes past endo_order = 4, where == folds exponents but coeffs do not
 _REF_DEGREES = {"qx": 3, "quat": 2, "diff": 3, "c5": 6}
 
