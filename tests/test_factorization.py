@@ -463,8 +463,7 @@ def test_right_division_twists_each_shifted_divisor_once():
     quotient, rest = right_divide_monic(op, divisor)
     # endo^j . divisor for j = 1 .. 6 (4 + 5 + ... + 9 = 39 twists); the
     # certificate sums Q_j . (endo^j . divisor) over those same shifted
-    # divisors and twists nothing, where recomposing Q . divisor took
-    # another 39 and composing a monomial per step took 284
+    # divisors and twists nothing
     assert algebra.twists == 39
     assert (quotient.degree, rest.degree) == (6, 2)
 
@@ -494,13 +493,12 @@ def _zero_operands(monkeypatch):
     ids=["c5", "quat"],
 )
 def test_factor_multiplies_by_no_zero(monkeypatch, algebra, kernel, quotient):
-    # each operand is either a nonzero value or skipped: sums, scaling,
-    # twists, powers and the division certificate never multiply by 0
+    # parsing and division skip every zero they would multiply by: in
+    # sums, scaling, twists, powers and the division certificate
     expected = parse_operator(quotient, algebra)
     ctx = KernelContext(algebra, [parse_element(t, algebra) for t in kernel])
     text = str(expected.compose(ctx.K))
     seen = _zero_operands(monkeypatch)
-    ctx = KernelContext(algebra, [parse_element(t, algebra) for t in kernel])
     assert ctx.factorize(parse_operator(text, algebra)) == expected
     assert seen == []
 
