@@ -198,8 +198,8 @@ def right_divide_monic(op: Operator, divisor: Operator) -> Tuple[Operator, Opera
     divisor endo^j . divisor, built once by one twist advance, is monic
     of degree j + d.  From the top, step j takes the remainder's
     coefficient of endo^(j+d) as Q_j and subtracts Q_j . (endo^j . divisor)
-    below it, skipping zeros.  The certificate Q . divisor + R == op sums
-    Q_j . (endo^j . divisor) over those shifted divisors, with no new twist.
+    below it, skipping zeros.  The certificate Q . divisor + R == op is
+    Operator.compose handed those shifted divisors, so it twists nothing.
     """
     alg = op._same_algebra(divisor)
     if divisor.is_zero() or divisor.coeffs[-1] != alg.one():
@@ -219,6 +219,6 @@ def right_divide_monic(op: Operator, divisor: Operator) -> Tuple[Operator, Opera
                     rest[t] = rest[t] - top * c
     q_op = Operator._trusted(alg, quotient)
     r_op = Operator._trusted(alg, rest[:d])
-    if Operator._left_sum(alg, q_op.coeffs, shifted) + r_op != op:
+    if q_op.compose(divisor, shifted=shifted) + r_op != op:
         raise VerificationFailed("right division does not recompose")
     return q_op, r_op

@@ -161,25 +161,23 @@ class Operator:
                     out[t] = out[t] + tw.q
         return Operator._trusted(alg, out)
 
-    @classmethod
-    def _left_sum(cls, algebra: Algebra, coeffs, shifted) -> "Operator":
-        """sum a_i . shifted[i] for shifted = [L, endo . L, ...], skipping zeros."""
-        acc = [algebra.zero()] * (len(coeffs) + len(shifted[0].coeffs) - 1)
-        for a, s in zip(coeffs, shifted):
+    def compose(self, other: "Operator", *, shifted=None) -> "Operator":
+        """Normal form of self . other (apply other first): the sum of
+        a_i . (endo^i . other), advancing other once per power of self.
+        A caller that already holds shifted = [other, endo . other, ...],
+        one entry per coefficient of self, passes it to skip the advances."""
+        alg = self._same_algebra(other)
+        if shifted is None:
+            shifted = [other]
+            for _ in self.coeffs[1:]:
+                shifted.append(shifted[-1]._advanced())
+        acc = [alg.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for a, s in zip(self.coeffs, shifted):
             if not a.is_zero():
                 for t, c in enumerate(s.coeffs):
                     if not c.is_zero():
                         acc[t] = acc[t] + a * c
-        return cls._trusted(algebra, acc)
-
-    def compose(self, other: "Operator") -> "Operator":
-        """Normal form of self . other (apply other first): the sum of
-        a_i . (endo^i . other), advancing other once per power of self."""
-        alg = self._same_algebra(other)
-        shifted = [other]
-        for _ in self.coeffs[1:]:
-            shifted.append(shifted[-1]._advanced())
-        return Operator._left_sum(alg, self.coeffs, shifted)
+        return Operator._trusted(alg, acc)
 
     def __mul__(self, other) -> "Operator":
         if not isinstance(other, Operator):
