@@ -14,8 +14,9 @@ A first, untimed pass gives each side's answers; their sha1 over the
 concatenated answer texts is printed per side.  Then each round times one
 pass per workload on both sides, in alternating order, by `process_time`.
 Per workload the script prints the change/parent ratio of the median times
-and the number of rounds in which the change took less time.  Exits 1 when
-the two digests differ.
+and the number of rounds in which the change took less time, and under it the
+base of that ratio: each side's median and quartiles in ms per request.  Exits
+1 when the two digests differ.
 """
 
 import argparse
@@ -67,6 +68,16 @@ def timed(api, algebra, wires):
     return process_time() - t0
 
 
+def quartiles(times, n):
+    """Median, first and third quartile of times in ms per request, for n
+    requests per pass; a single round gives its one time three times."""
+    ms = [1000 * t / n for t in times]
+    if len(ms) == 1:
+        return ms * 3
+    q1, q2, q3 = statistics.quantiles(ms, n=4, method="inclusive")
+    return [q2, q1, q3]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent")
@@ -95,6 +106,9 @@ def main():
         wins = sum(c < p for p, c in zip(t["parent"], t["change"]))
         print("%-12s change/parent %.3f, change won %d of %d rounds"
               % (wl, ratio, wins, args.rounds))
+        print("%-12s " % "" + "; ".join(
+            "%s %.4f ms/request (quartiles %.4f, %.4f)"
+            % (side, *quartiles(t[side], len(wires[wl]))) for side in ("parent", "change")))
     return 0 if digests["parent"] == digests["change"] else 1
 
 

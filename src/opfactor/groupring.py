@@ -3,8 +3,11 @@
 An element is an integer combination a + b*r + c*r^2 + d*r^3 + e*r^4 where
 r generates the group, r^5 = 1.  This is the whole group ring on the five
 group elements, not a quotient polynomial ring, so it has zero divisors
-and very few units.  Multiplication is cyclic convolution of exponents
-mod 5.
+and very few units.  The product is the fixed cyclic convolution: the
+coefficient of r^e is the sum of the five a_p*b_q with p + q = e mod 5,
+written out as straight-line code, since a loop over the 25 exponent pairs
+costs more in the interpreter than the products themselves.  Sums,
+differences and negatives map one operator over the five coefficients.
 
 Inversion takes the norm over the automorphisms r -> r^m: with
 y = s2(x)*s3(x)*s4(x), where sm is r -> r^m, the product x*y is fixed by
@@ -63,25 +66,28 @@ class GroupRingC5Element(Value):
     def __add__(self, other) -> "GroupRingC5Element":
         if not isinstance(other, GroupRingC5Element):
             return NotImplemented
-        return self._trusted(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._trusted(tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "GroupRingC5Element":
-        return self._trusted(tuple(-c for c in self.coeffs))
+        return self._trusted(tuple(map(operator.neg, self.coeffs)))
 
     def __sub__(self, other) -> "GroupRingC5Element":
-        return self + (-other)
+        if not isinstance(other, GroupRingC5Element):
+            return NotImplemented
+        return self._trusted(tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __mul__(self, other) -> "GroupRingC5Element":
         if not isinstance(other, GroupRingC5Element):
             return NotImplemented
-        out = [0] * 5
-        for p, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for q, b in enumerate(other.coeffs):
-                if b:
-                    out[(p + q) % 5] += a * b
-        return self._trusted(tuple(out))
+        a0, a1, a2, a3, a4 = self.coeffs
+        b0, b1, b2, b3, b4 = other.coeffs
+        return self._trusted((
+            a0 * b0 + a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1,
+            a0 * b1 + a1 * b0 + a2 * b4 + a3 * b3 + a4 * b2,
+            a0 * b2 + a1 * b1 + a2 * b0 + a3 * b4 + a4 * b3,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + a4 * b4,
+            a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0,
+        ))
 
     def scale_exponents(self, m: int) -> "GroupRingC5Element":
         """Apply the group automorphism r -> r^m (for m prime to 5)."""

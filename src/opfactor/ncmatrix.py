@@ -49,7 +49,8 @@ division ring a column has no pivot exactly when it lies in the right
 span of the columns before it, so the elimination fails at the first
 such column and finds X whenever A is invertible.
 
-_dot computes every sum of products, of entries or of Polys.
+_dot computes every sum of products, of entries or of Polys, starting
+from its first product.
 
 NCMatrix is a value class in the package's one slotted idiom (see the base
 module), immutable by convention.
@@ -57,6 +58,7 @@ module), immutable by convention.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Sequence, Tuple
 
 from .algebras import RationalFunctionAlgebra
@@ -67,10 +69,12 @@ from .ratfunc import RationalFunction
 
 
 def _dot(zero, xs, ys):
-    """zero + sum(x * y) over the pairs in order, x on the left of each product."""
-    acc = zero
-    for x, y in zip(xs, ys):
-        acc = acc + x * y
+    """sum(x * y) over the pairs in order, x on the left of each product,
+    starting from the first product; zero when there are no pairs."""
+    products = map(operator.mul, xs, ys)
+    acc = next(products, zero)
+    for p in products:
+        acc = acc + p
     return acc
 
 

@@ -16,7 +16,10 @@ p_c . endo^(t+1) + q_c . endo^t, and L1 . L2 = sum a_i . (endo^i . L2).
 With n and m coefficients that is (n-1)m + (n-1)(n-2)/2 twists; a degree
 zero left factor needs none.  Right division's certificate runs the same
 sum over the shifted divisors it built.  Each operation skips the zero
-coefficients it would multiply by or add, which changes no result.
+coefficients it would multiply by or add, which changes no result.  An
+accumulator slot takes its first term as it is, rather than adding it to
+the algebra's zero, and scaling by a keeps a itself where a coefficient is
+the algebra's one.
 
 Equality is equality of normal forms, except that an algebra declaring
 endo_order = n first folds every exponent e >= n down to e mod n.  That is
@@ -107,10 +110,11 @@ class Operator:
         n = self.algebra.endo_order
         if n is None or len(self.coeffs) <= n:
             return self.coeffs
-        acc = [self.algebra.zero()] * n
-        for e, c in enumerate(self.coeffs):
-            t = e if e < n else e % n
-            acc[t] = acc[t] + c
+        acc = list(self.coeffs[:n])
+        for e in range(n, len(self.coeffs)):
+            c = self.coeffs[e]
+            if not c.is_zero():
+                acc[e % n] = acc[e % n] + c
         return Operator._trusted(self.algebra, acc).coeffs
 
     def __eq__(self, other) -> bool:
@@ -129,10 +133,11 @@ class Operator:
             return NotImplemented
         alg = self._same_algebra(other)
         long, short = sorted((self.coeffs, other.coeffs), key=len, reverse=True)
+        zero = alg.zero()
         out = list(long)
         for i, c in enumerate(short):
             if not c.is_zero():
-                out[i] = out[i] + c
+                out[i] = c if out[i] is zero else out[i] + c
         return Operator._trusted(alg, out)
 
     def __neg__(self) -> "Operator":
@@ -146,19 +151,22 @@ class Operator:
     def scale_left(self, a) -> "Operator":
         """Left multiplication by a ring element: a . L."""
         self.algebra.check(a)
-        cs = tuple(c if c.is_zero() else a * c for c in self.coeffs)
+        one = self.algebra.one()
+        cs = tuple(c if c.is_zero() else a if c is one else a * c for c in self.coeffs)
         return Operator._trusted(self.algebra, cs)
 
     def _advanced(self) -> "Operator":
         """endo . self: each c . endo^t becomes p_c . endo^(t+1) + q_c . endo^t."""
         alg = self.algebra
-        out = [alg.zero()] * (len(self.coeffs) + 1)
+        zero = alg.zero()
+        out = [zero] * (len(self.coeffs) + 1)
         for t, c in enumerate(self.coeffs):
             if not c.is_zero():
+                # no earlier c writes slot t + 1
                 tw = alg.twist(c)
-                out[t + 1] = out[t + 1] + tw.p
+                out[t + 1] = tw.p
                 if not tw.q.is_zero():
-                    out[t] = out[t] + tw.q
+                    out[t] = tw.q if out[t] is zero else out[t] + tw.q
         return Operator._trusted(alg, out)
 
     def compose(self, other: "Operator", *, shifted=None) -> "Operator":
@@ -171,12 +179,14 @@ class Operator:
             shifted = [other]
             for _ in self.coeffs[1:]:
                 shifted.append(shifted[-1]._advanced())
-        acc = [alg.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
+        zero = alg.zero()
+        acc = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for a, s in zip(self.coeffs, shifted):
             if not a.is_zero():
                 for t, c in enumerate(s.coeffs):
                     if not c.is_zero():
-                        acc[t] = acc[t] + a * c
+                        x = a * c
+                        acc[t] = x if acc[t] is zero else acc[t] + x
         return Operator._trusted(alg, acc)
 
     def __mul__(self, other) -> "Operator":
@@ -188,13 +198,15 @@ class Operator:
         """Evaluate the operator on a ring element."""
         alg = self.algebra
         alg.check(f)
-        acc = alg.zero()
+        zero = alg.zero()
+        acc = zero
         cur = f
         for i, a in enumerate(self.coeffs):
             if i:
                 cur = alg.endo(cur)
             if not a.is_zero():
-                acc = acc + a * cur
+                x = a * cur
+                acc = x if acc is zero else acc + x
         return acc
 
     # display

@@ -310,7 +310,7 @@ def ref_evaluate(tree, algebra):
     return left.compose(Operator.scalar(algebra, inv))
 
 
-# an independent reference for Quaternion.__mul__
+# independent references for Quaternion.__mul__ and GroupRingC5Element.__mul__
 
 # e_m * e_n = sign * e_unit as (unit, sign), for the units e = 1, i, j, k
 UNIT_PRODUCTS = (
@@ -330,6 +330,17 @@ def ref_quat_mul(p, q):
             unit, sign = UNIT_PRODUCTS[m][n]
             out[unit] = out[unit] + (x * y if sign > 0 else -(x * y))
     return Quaternion(*out)
+
+
+def ref_c5_mul(a, b):
+    """a * b as the dense double loop over all 25 exponent pairs, zero
+    coefficients included, independent of the straight-line
+    GroupRingC5Element.__mul__."""
+    out = [0] * 5
+    for p, x in enumerate(a.coeffs):
+        for q, y in enumerate(b.coeffs):
+            out[(p + q) % 5] += x * y
+    return GroupRingC5Element(tuple(out))
 
 
 def ref_quat_inverse(q):

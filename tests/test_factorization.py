@@ -468,20 +468,31 @@ def test_right_division_twists_each_shifted_divisor_once():
     assert (quotient.degree, rest.degree) == (6, 2)
 
 
-def _zero_operands(monkeypatch):
-    """Record every c5 or quaternion product that has a zero operand."""
+def _zero_operands(monkeypatch, method):
+    """Record every c5 or quaternion product or sum, as method is
+    "__mul__" or "__add__", that has a zero operand."""
     seen = []
     for cls in (GroupRingC5Element, Quaternion):
-        def spy(a, b, mul=cls.__mul__):
+        def spy(a, b, op=getattr(cls, method)):
             if a.is_zero() or b.is_zero():
                 seen.append((a, b))
-            return mul(a, b)
+            return op(a, b)
 
-        monkeypatch.setattr(cls, "__mul__", spy)
+        monkeypatch.setattr(cls, method, spy)
     return seen
 
 
-@pytest.mark.parametrize(
+def _factor_under_spy(monkeypatch, method, algebra, kernel, quotient):
+    """Parse and factor quotient . K under the spy; the zero operands seen."""
+    expected = parse_operator(quotient, algebra)
+    ctx = KernelContext(algebra, [parse_element(t, algebra) for t in kernel])
+    text = str(expected.compose(ctx.K))
+    seen = _zero_operands(monkeypatch, method)
+    assert ctx.factorize(parse_operator(text, algebra)) == expected
+    return seen
+
+
+FACTOR_CASES = pytest.mark.parametrize(
     "algebra, kernel, quotient",
     [
         # the README's c5 example: L = r*D^3 - 1, K = D - r^2
@@ -492,15 +503,20 @@ def _zero_operands(monkeypatch):
     ],
     ids=["c5", "quat"],
 )
+
+
+@FACTOR_CASES
 def test_factor_multiplies_by_no_zero(monkeypatch, algebra, kernel, quotient):
     # parsing and division skip every zero they would multiply by: in
     # sums, scaling, twists, powers and the division certificate
-    expected = parse_operator(quotient, algebra)
-    ctx = KernelContext(algebra, [parse_element(t, algebra) for t in kernel])
-    text = str(expected.compose(ctx.K))
-    seen = _zero_operands(monkeypatch)
-    assert ctx.factorize(parse_operator(text, algebra)) == expected
-    assert seen == []
+    assert _factor_under_spy(monkeypatch, "__mul__", algebra, kernel, quotient) == []
+
+
+@FACTOR_CASES
+def test_factor_adds_to_no_zero(monkeypatch, algebra, kernel, quotient):
+    # an accumulator slot takes its first term as it is, in sums, twists,
+    # compositions and the endo_order fold of the certificate's ==
+    assert _factor_under_spy(monkeypatch, "__add__", algebra, kernel, quotient) == []
 
 
 def test_kernel_context_catches_a_wrong_inverse():

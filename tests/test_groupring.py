@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from opfactor import GroupRingC5Element, NotAUnit, get_algebra
 
-from helpers import c5_elements
+from helpers import c5_elements, c5_power, ref_c5_mul
 
 
 def elem(*coeffs):
@@ -30,6 +31,35 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+BIG = 2 ** 80
+
+
+def c5_operands():
+    """Elements with sparse coefficients of up to 80 bits, and the zero,
+    the one and the group elements r^e among them."""
+    coeff = st.one_of(st.just(0), st.integers(-BIG, BIG))
+    return st.one_of(
+        st.sampled_from([elem()] + [c5_power(e) for e in range(5)]),
+        st.builds(GroupRingC5Element, st.tuples(*(coeff for _ in range(5)))),
+    )
+
+
+@given(c5_operands(), c5_operands())
+def test_arithmetic_matches_the_dense_reference(a, b):
+    pairs = list(zip(a.coeffs, b.coeffs))
+    cases = [
+        (a * b, ref_c5_mul(a, b).coeffs),
+        (a + b, tuple(x + y for x, y in pairs)),
+        (a - b, tuple(x - y for x, y in pairs)),
+        (-a, tuple(-x for x in a.coeffs)),
+    ]
+    for got, want in cases:
+        assert type(got) is GroupRingC5Element
+        assert got.coeffs == want
+        assert len(got.coeffs) == 5 and all(type(c) is int for c in got.coeffs)
+        assert got == GroupRingC5Element(got.coeffs)
 
 
 def test_exponent_squaring_permutes_coefficients():
@@ -164,3 +194,8 @@ def test_foreign_operands_raise_type_error():
         ONE + 1
     with pytest.raises(TypeError):
         ONE - Fraction(1)
+    # subtraction refuses a foreign operand itself, not through + or unary -
+    with pytest.raises(TypeError, match="for -:"):
+        RHO - 1
+    with pytest.raises(TypeError, match="for -:"):
+        RHO - "x"
