@@ -114,7 +114,8 @@ class Operator:
         for e in range(n, len(self.coeffs)):
             c = self.coeffs[e]
             if not c.is_zero():
-                acc[e % n] = acc[e % n] + c
+                t = e % n
+                acc[t] = c if acc[t].is_zero() else acc[t] + c
         return Operator._trusted(self.algebra, acc).coeffs
 
     def __eq__(self, other) -> bool:

@@ -519,6 +519,21 @@ def test_factor_adds_to_no_zero(monkeypatch, algebra, kernel, quotient):
     assert _factor_under_spy(monkeypatch, "__add__", algebra, kernel, quotient) == []
 
 
+def test_offenders_and_the_c5_fold_add_to_no_zero(monkeypatch):
+    # apply sums a_i . endo^i(f) from its first term, and the endo_order
+    # fold of == (n = 4 on c5) skips zero coefficients and fills a zero
+    # slot with the first coefficient folded onto it
+    ctx = KernelContext(C5, [parse_element("r^2", C5)])
+    outside = parse_operator("r*D^3 + D - 1", C5)
+    folded = parse_operator("D^7 + r*D^2 + 1", C5)
+    reduced = parse_operator("D^3 + r*D^2 + 1", C5)
+    seen = _zero_operands(monkeypatch, "__add__")
+    with pytest.raises(NotInKernel):
+        ctx.factorize(outside)
+    assert folded == reduced
+    assert seen == []
+
+
 def test_kernel_context_catches_a_wrong_inverse():
     # K is certified as X . Phi = f_image, that is K(f_j) = 0, and P as
     # Phi^-1 . Phi = I, each inside its own solve, so a wrong pivot
