@@ -106,7 +106,7 @@ def main():
         wins = sum(c < p for p, c in zip(t["parent"], t["change"]))
         print("%-12s change/parent %.3f, change won %d of %d rounds"
               % (wl, ratio, wins, args.rounds))
-        print("%-12s " % "" + "; ".join(
+        print(" " * 13 + "; ".join(
             "%s %.4f ms/request (quartiles %.4f, %.4f)"
             % (side, *quartiles(t[side], len(wires[wl]))) for side in ("parent", "change")))
     return 0 if digests["parent"] == digests["change"] else 1
