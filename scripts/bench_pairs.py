@@ -9,7 +9,8 @@ is odd.  Three seed-11 `--trace 1` runs per commit, interleaved, give the
 per-layer metrics: each call count (unit calls/req), which must repeat exactly
 across the runs, and the median, min and max of every other metric.  A run that
 exits nonzero stops the script with its ref, its arguments and its stderr.
-`src_lines` sums `git diff --numstat PARENT_REF HEAD -- src`.  An end-to-end
+`src_lines` sums `git diff --numstat PARENT_REF HEAD -- src`.  The `change`
+field is `--note`, or HEAD's subject line when no note is given.  An end-to-end
 entry `meets_pair_rule` when the change wins at least nine tenths of the pairs
 and its median beats the parent's by more than the parent's interquartile range.
 """
@@ -65,8 +66,12 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--note", default="")
+    ap.add_argument("--note", help="what the change is (default: HEAD's subject line)")
     args = ap.parse_args()
+    note = args.note
+    if note is None:
+        note = subprocess.run(["git", "log", "-1", "--format=%s"],
+                              capture_output=True, text=True, check=True).stdout.strip()
     bench = json.load(open("BENCHMARK.json"))
     refs = {"parent": args.parent, "change": "HEAD"}
     seeds = [args.first_seed + i for i in range(args.pairs)]
@@ -115,7 +120,7 @@ def main():
                                    and sign * (cs["median"] - ps["median"]) > iqr,
                 "worse_than_bound": -sign * (cs["median"] / ps["median"] - 1) > m["bound"]}
     cpu = [l.split(":")[1].strip() for l in open("/proc/cpuinfo") if "model name" in l][0]
-    doc = {"change": args.note,
+    doc = {"change": note,
            "machine": {"cpu": cpu, "cores": os.cpu_count(),
                        "os": platform.system() + " " + platform.release().split("-")[0]},
            "python": platform.python_version(),

@@ -37,6 +37,12 @@ rejected when `b` has positive degree or its coefficient is not a unit.
 Element parsing runs the same evaluator with `D` disabled, so its value
 is never an operator.
 
+The text is read by one scan that refuses a stray character and one
+that lists the tokens as plain strings.  A token's position is found
+only when a ParseError is raised, by scanning the text again.  Each
+distinct literal text is built once per parse, and each distinct
+divisor text inverted once; nothing is kept from one parse to the next.
+
 Printing lives with the value types; this module adds the JSON form of
 operators: {"algebra": <selector>, "coeffs": [<element text>, ...]},
 coefficients listed from power zero upward, with "c": <rational text>
@@ -47,7 +53,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from itertools import islice
+from typing import Optional
 
 from .algebras import get_algebra
 from .base import Algebra
@@ -56,6 +63,9 @@ from .formatting import fraction_text
 from .operators import Operator
 
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z]|[\^*/+()-]|\S")
+
+# a character no token class but the catch-all \S matches
+_STRAY = re.compile(r"[^\s0-9A-Za-z^*/+()-]")
 
 # each nesting level costs the recursive descent a few stack frames, so
 # parentheses nested deeper than this are a ParseError, not a RecursionError
@@ -77,41 +87,30 @@ _RATIONAL = re.compile(r"\s*[-+]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
                        r"(?:[eE][-+]?0*(?P<exp>[0-9]+))?)\s*", re.ASCII)
 
 
-def _tokenize(text: str) -> List[Tuple[str, int]]:
-    """(token, 1-based position) pairs; whitespace matches no token."""
-    out = []
-    for m in _TOKEN.finditer(text):
-        tok = m.group()
-        if not ((tok.isdecimal() and tok.isascii()) or tok.isalpha() or tok in "^*/+-()"):
-            raise ParseError("unexpected character %r" % tok, m.start() + 1)
-        out.append((tok, m.start() + 1))
-    return out
-
-
 class _Parser:
     def __init__(self, text: str, algebra: Algebra, allow_d: bool):
+        # a character outside the token classes is refused at once, unless
+        # it is a letter: that one is a SYMBOL, refused by the rule reading it
+        for m in _STRAY.finditer(text):
+            if not m.group().isalpha():
+                raise ParseError("unexpected character %r" % m.group(), m.start() + 1)
+        self.text = text
         self.algebra = algebra
         self.allow_d = allow_d
-        # an empty token ends the list, at the position past the text
-        self.tokens = _tokenize(text) + [("", len(text) + 1)]
-        self.pos = 0
-        self.depth = 0  # open parentheses around the current position
+        # an empty token ends the list; positions are found on error only
+        self.tokens = _TOKEN.findall(text) + [""]
+        self.pos = 0  # index of the current token
+        self.depth = 0  # open parentheses around the current token
         self.symbols = algebra.symbols()
+        # each literal text and each divisor text is built once per parse
+        self.literals = {}
+        self.inverses = {}
 
-    # token plumbing
-
-    def _peek(self) -> str:
-        return self.tokens[self.pos][0]
-
-    def _next(self) -> Tuple[str, int]:
-        tok = self.tokens[self.pos]
-        if not tok[0]:
-            raise ParseError("unexpected end of input", tok[1])
-        self.pos += 1
-        return tok
-
-    def _end_pos(self) -> int:
-        return self.tokens[self.pos][1]
+    def _error(self, message: str, index: int) -> ParseError:
+        """A ParseError at token `index`: the start of that token's match,
+        scanned again, or the position past the text for the end token."""
+        m = next(islice(_TOKEN.finditer(self.text), index, None), None)
+        return ParseError(message, m.start() + 1 if m else len(self.text) + 1)
 
     def _lift(self, value) -> Operator:
         if isinstance(value, Operator):
@@ -125,20 +124,21 @@ class _Parser:
         if len(self.tokens) == 1:
             raise ParseError("empty expression", 1)
         value, _ = self._expr()
-        text, pos = self.tokens[self.pos]
+        text = self.tokens[self.pos]
         if text:
-            raise ParseError(
-                "expected an operator or end of input, found %r" % text, pos
+            raise self._error(
+                "expected an operator or end of input, found %r" % text, self.pos
             )
         return value
 
     def _expr(self):
         value, bound = self._term()
+        tokens = self.tokens
         while True:
-            op = self._peek()
-            if op not in ("+", "-"):
+            op = tokens[self.pos]
+            if op != "+" and op != "-":
                 return value, bound
-            self._next()
+            self.pos += 1
             rhs, rhs_bound = self._term()
             if isinstance(value, Operator) or isinstance(rhs, Operator):
                 value, rhs = self._lift(value), self._lift(rhs)
@@ -147,17 +147,18 @@ class _Parser:
 
     def _term(self):
         value, bound = self._factor()
+        tokens = self.tokens
         while True:
-            op = self._peek()
-            if op not in ("*", "/"):
+            at = self.pos
+            op = tokens[at]
+            if op != "*" and op != "/":
                 return value, bound
-            _, pos = self._next()
+            self.pos = at + 1
             rhs, rhs_bound = self._factor()
-            bound = self._capped(bound + rhs_bound, pos)
-            if op == "*":
-                value = self._times(value, rhs)
-            else:
-                value = self._times(value, self._inverse(rhs, pos))
+            bound = self._capped(bound + rhs_bound, at)
+            if op == "/":
+                rhs = self._inverse(rhs, at)
+            value = self._times(value, rhs)
 
     def _times(self, value, rhs):
         if isinstance(value, Operator):
@@ -166,108 +167,119 @@ class _Parser:
             return rhs.scale_left(value)
         return value * rhs
 
-    def _inverse(self, rhs, pos: int):
+    def _inverse(self, rhs, at: int):
+        """The inverse of the divisor that follows the `/` at token `at`,
+        taken once per divisor text."""
+        key = tuple(self.tokens[at + 1:self.pos])
+        inverse = self.inverses.get(key)
+        if inverse is not None:
+            return inverse
         if isinstance(rhs, Operator):
             if len(rhs.coeffs) > 1:
-                raise ParseError("cannot divide by an operator of positive degree", pos)
+                raise self._error("cannot divide by an operator of positive degree", at)
             rhs = rhs.coeff(0)
         try:
-            return self.algebra.try_invert(rhs)
+            inverse = self.inverses[key] = self.algebra.try_invert(rhs)
         except NotAUnit:
-            raise ParseError(
+            raise self._error(
                 "division by %s, which is not a unit here"
                 % self.algebra.format_element(rhs),
-                pos,
+                at,
             ) from None
+        return inverse
 
-    def _capped(self, bound: int, pos: int) -> int:
+    def _capped(self, bound: int, index: int) -> int:
         if bound > MAX_DEGREE:
-            raise ParseError(
-                "degree bound %d exceeds %d" % (bound, MAX_DEGREE), pos
+            raise self._error(
+                "degree bound %d exceeds %d" % (bound, MAX_DEGREE), index
             )
         return bound
 
     def _factor(self):
-        # a loop, since recursing once per sign overflows on long runs
-        signs = 0
-        while self._peek() == "-":
-            self._next()
-            signs += 1
-        value, bound = self._power()
-        return (-value if signs % 2 else value), bound
-
-    def _power(self):
+        """'-'* power, with power := atom ('^' INTEGER)? read in this rule."""
+        tokens = self.tokens
         start = self.pos
+        while tokens[self.pos] == "-":  # a loop: one frame per sign overflows
+            self.pos += 1
+        atom = self.pos
         value, bound = self._atom()
-        if self._peek() != "^":
-            return value, bound
-        self._next()
-        if not self._peek().isdecimal():
-            raise ParseError(
-                "expected a nonnegative integer exponent", self._end_pos()
-            )
-        text, pos = self._next()
-        n = self._integer(text, pos)
-        bound = self._capped(max(bound, 1) * n, pos)
-        if self.tokens[start][0] == "D":
-            return Operator.d(self.algebra, n), bound
-        if isinstance(value, Operator):
-            out = value if n else Operator.identity(self.algebra)
-            for _ in range(n - 1):
-                # powers of one operator commute; with value on the left each
-                # step advances the power so far only deg(value) times
-                out = value.compose(out)
-            return out, bound
-        out = None
-        while n:  # square and multiply, from the base itself
-            if n & 1:
-                out = value if out is None else out * value
-            n >>= 1
-            if n:
-                value = value * value
-        return (self.algebra.one() if out is None else out), bound
+        if tokens[self.pos] == "^":
+            index = self.pos = self.pos + 1
+            text = tokens[index]
+            if not text.isdecimal():
+                raise self._error("expected a nonnegative integer exponent", index)
+            self.pos += 1
+            n = self._integer(text, index)
+            bound = self._capped(max(bound, 1) * n, index)
+            if tokens[atom] == "D":
+                value = Operator.d(self.algebra, n)
+            elif isinstance(value, Operator):
+                out = value if n else Operator.identity(self.algebra)
+                for _ in range(n - 1):
+                    # powers of one operator commute; with value on the left
+                    # each step advances the power so far only deg(value) times
+                    out = value.compose(out)
+                value = out
+            else:
+                out = None
+                while n:  # square and multiply, from the base itself
+                    if n & 1:
+                        out = value if out is None else out * value
+                    n >>= 1
+                    if n:
+                        value = value * value
+                value = self.algebra.one() if out is None else out
+        return (-value if (atom - start) % 2 else value), bound
 
-    @staticmethod
-    def _integer(text: str, pos: int) -> int:
+    def _integer(self, text: str, index: int) -> int:
         try:
             return int(text)
         except ValueError:  # more digits than the interpreter converts
-            raise ParseError("integer literal too long", pos) from None
+            raise self._error("integer literal too long", index) from None
 
     def _atom(self):
-        text, pos = self._next()
+        index = self.pos
+        text = self.tokens[index]
+        self.pos = index + 1
         if text.isdecimal():
-            return self.algebra.from_fraction(Fraction(self._integer(text, pos))), 0
+            value = self.literals.get(text)
+            if value is None:
+                value = self.literals[text] = self.algebra.from_fraction(
+                    Fraction(self._integer(text, index))
+                )
+            return value, 0
+        elem = self.symbols.get(text)
+        if elem is not None:
+            return elem, 1
         if text == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(
-                    "parentheses nested deeper than %d" % MAX_NESTING, pos
+                raise self._error(
+                    "parentheses nested deeper than %d" % MAX_NESTING, index
                 )
             self.depth += 1
             inner = self._expr()
             self.depth -= 1
-            if self._peek() != ")":
-                raise ParseError("expected ')'", self._end_pos())
-            self._next()
+            if self.tokens[self.pos] != ")":
+                raise self._error("expected ')'", self.pos)
+            self.pos += 1
             return inner
         if text == ")":
-            raise ParseError("unmatched ')'", pos)
+            raise self._error("unmatched ')'", index)
         if text == "D":
             if not self.allow_d:
-                raise ParseError(
-                    "D is an operator, not an element of the algebra", pos
+                raise self._error(
+                    "D is an operator, not an element of the algebra", index
                 )
             return Operator.d(self.algebra), 1
         if text.isalpha():
-            elem = self.symbols.get(text)
-            if elem is None:
-                raise ParseError(
-                    "symbol %r is not defined in algebra %r"
-                    % (text, self.algebra.describe()),
-                    pos,
-                )
-            return elem, 1
-        raise ParseError("unexpected token %r" % text, pos)
+            raise self._error(
+                "symbol %r is not defined in algebra %r"
+                % (text, self.algebra.describe()),
+                index,
+            )
+        if not text:
+            raise self._error("unexpected end of input", index)
+        raise self._error("unexpected token %r" % text, index)
 
 
 def parse_operator(text: str, algebra: Algebra) -> Operator:

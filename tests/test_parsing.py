@@ -1,8 +1,10 @@
 """Expression parsing, printing round trips, and JSON serialization."""
 
+import ast
 import hashlib
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -302,6 +304,79 @@ def test_parser_matches_the_operator_domain_reference(algebra, data):
     assert parse_operator(text, algebra).coeffs == want.coeffs, text
     if "D" not in text:
         assert parse_element(text, algebra) == want.coeff(0), text
+
+
+# the tokens of rendered and spliced text: digit runs, else one character
+_TOKEN_STARTS = re.compile(r"[0-9]+|\S")
+# a message that quotes the token found where the error points
+_QUOTED = re.compile(r"(?:unexpected character|unexpected token|found|symbol|unmatched) ('.*?')")
+
+
+def _outcome(text, algebra):
+    """The parsed operator's coefficients, or the ParseError's message."""
+    try:
+        return parse_operator(text, algebra).coeffs
+    except ParseError as e:
+        return e.message
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
+@given(data=st.data())
+def test_error_positions_point_at_a_token_under_any_spacing(algebra, data):
+    tree = data.draw(expr_trees(algebra))
+    assume(degree_bound(tree) <= 12)
+    tokens = _TOKEN_STARTS.findall(render(tree))
+    spaces = st.text(alphabet=" \t\u00a0", max_size=3)
+    gaps = [data.draw(spaces) for _ in range(len(tokens) + 1)]
+    text = "".join(g + t for g, t in zip(gaps, tokens + [""]))
+    # whitespace between tokens changes no value and no message
+    assert _outcome(text, algebra) == _outcome(" ".join(tokens), algebra), text
+    at = data.draw(st.integers(0, len(tokens)))
+    stray = data.draw(st.sampled_from([")", "^", "*", "é", "٢"]))
+    spliced = "".join(g + t for g, t in zip(gaps[:at], tokens)) + stray \
+        + "".join(g + t for g, t in zip(gaps[at:], tokens[at:] + [""]))
+    try:
+        parse_operator(spliced, algebra)
+    except ParseError as e:
+        starts = {m.start() + 1 for m in _TOKEN_STARTS.finditer(spliced)}
+        assert e.position in starts | {len(spliced) + 1}, (spliced, str(e))
+        quoted = _QUOTED.search(e.message)
+        if quoted:
+            assert spliced[e.position - 1:].startswith(ast.literal_eval(quoted[1])), \
+                (spliced, str(e))
+
+
+class CountingQuat(type(QUAT)):
+    """The quaternion algebra that records its from_fraction and
+    try_invert calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def from_fraction(self, q):
+        self.calls.append(("from_fraction", q))
+        return super().from_fraction(q)
+
+    def try_invert(self, f):
+        self.calls.append(("try_invert", f))
+        return super().try_invert(f)
+
+
+def test_each_literal_and_divisor_is_built_once_per_parse():
+    algebra = CountingQuat()
+    x = algebra.symbols()["x"]
+    text = "(2/x + 2*i)*D + 2/x - 2*j/x + 3/x^2"
+    expected = [("from_fraction", 2), ("try_invert", x),
+                ("from_fraction", 3), ("try_invert", x * x)]
+    algebra.one()  # the algebra builds its 0 and 1 once, on first use
+    algebra.calls = []
+    first = parse_operator(text, algebra)
+    assert algebra.calls == expected
+    # nothing is kept from one parse to the next
+    algebra.calls = []
+    assert parse_operator(text, algebra) == first
+    assert algebra.calls == expected
 
 
 def test_d_not_an_element():
