@@ -327,14 +327,14 @@ def test_error_positions_point_at_a_token_under_any_spacing(algebra, data):
     assume(degree_bound(tree) <= 12)
     tokens = _TOKEN_STARTS.findall(render(tree))
     spaces = st.text(alphabet=" \t\u00a0", max_size=3)
-    gaps = [data.draw(spaces) for _ in range(len(tokens) + 1)]
-    text = "".join(g + t for g, t in zip(gaps, tokens + [""]))
+    # each token after its run of whitespace, and a last run alone
+    pieces = [data.draw(spaces) + t for t in tokens + [""]]
+    text = "".join(pieces)
     # whitespace between tokens changes no value and no message
     assert _outcome(text, algebra) == _outcome(" ".join(tokens), algebra), text
     at = data.draw(st.integers(0, len(tokens)))
     stray = data.draw(st.sampled_from([")", "^", "*", "é", "٢"]))
-    spliced = "".join(g + t for g, t in zip(gaps[:at], tokens)) + stray \
-        + "".join(g + t for g, t in zip(gaps[at:], tokens[at:] + [""]))
+    spliced = "".join(pieces[:at]) + stray + "".join(pieces[at:])
     try:
         parse_operator(spliced, algebra)
     except ParseError as e:
