@@ -29,6 +29,13 @@ Arithmetic runs on the integer tuples (Knuth, TAOCP vol. 2, 4.6.1):
     and that factor goes to the contents of the results.  When b divides
     a, Gauss's lemma makes the quotient of their primitive parts
     integral, so an exact division never rescales.
+  * `//` by c * x^m, when the m low coefficients of the dividend are
+    zero, divides nothing: the quotient's primitive part is the dividend's
+    tuple from index m on (still primitive, with the same lead) and its
+    content is the quotient of the two contents.  Any other `//` is the
+    quotient of `divmod`.  A gcd with a power of x is a power of x
+    (step 2 below), so rational functions whose denominators are powers
+    of x divide only this way.
   * The gcd is returned monic and is found by the first of four steps
     that applies, each exact:
       1. a constant argument gives 1, a zero one the other's monic form,
@@ -208,6 +215,22 @@ class Poly(Value):
         )
 
     def __floordiv__(self, other):
+        """The quotient of `divmod`; by c * x^m with x^m dividing self, a
+        slice of the tuple with no division (see the module docstring)."""
+        if not isinstance(other, Poly):
+            return NotImplemented
+        a, b = self.prim, other.prim
+        m = len(b) - 1
+        if b.count(0) == m and not any(a[:m]):  # x^m divides self
+            if not a:
+                return _ZERO
+            n, d = self.cnum * other.cden, self.cden * other.cnum
+            if d < 0:
+                n, d = -n, -d
+            g = gcd(n, d)
+            if g != 1:
+                n, d = n // g, d // g
+            return _new(a[m:], n, d)
         return divmod(self, other)[0]
 
     # algebraic helpers

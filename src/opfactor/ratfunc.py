@@ -13,13 +13,16 @@ reaches it without recomputing it, the way Fraction does for integers
 (Henrici; Knuth, TAOCP vol. 2, 4.5.1):
 
   * a zero operand is returned as it is by a sum or a product.
-  * a/b + c/d: with both denominators constant (so both 1) the sum is
-    (a + c)/1.  Otherwise g = gcd(b, d); when g = 1 the sum
+  * a/b + c/d over one denominator: both are monic, so equal primitive
+    parts mean b = d, and the sum is (a + c)/b, which can share a factor
+    only with b.  With b = 1 that is the sum; a zero a + c returns 0/1
+    at once; otherwise h = gcd(a + c, b) gives ((a + c)/h)/(b/h).  Since
+    the form is unique, a sum that cancels always takes this branch.
+  * a/b + c/d with b != d: g = gcd(b, d); when g = 1 the sum
     (a*d + c*b)/(b*d) is already canonical, since a prime factor of b
-    divides neither a nor d.  Otherwise t = a*(d/g) + c*(b/g) can share
-    a factor only with g, so with h = gcd(t, g) the sum is
-    (t/h)/((b/g)*(d/h)).  Since the form is unique, a sum that cancels
-    has b = d, so only t can be zero; it returns 0/1 at once, with no h.
+    divides neither a nor d.  Otherwise t = a*(d/g) + c*(b/g), which is
+    not zero, can share a factor only with g, so with h = gcd(t, g) the
+    sum is (t/h)/((b/g)*(d/h)).
   * a/b * c/d: cross-cancel gcd(a, d) and gcd(c, b); the remaining
     factors are pairwise coprime.  Each gcd is skipped when its
     denominator is constant, so a product of polynomials needs none.
@@ -29,12 +32,14 @@ reaches it without recomputing it, the way Fraction does for integers
   * negation, the shift x -> x + 1 (a ring automorphism of Q[x]
     that keeps leading coefficients) and the inverse (which only has to
     make the new denominator monic) keep the form as it is.
+  * the derivative of a polynomial is a'/1.  For a nonconstant b, with
+    g = gcd(b, b'), (a/b)' = (a'*(b/g) - a*(b'/g))/(b*(b/g)).  Over the
+    rationals each prime p of b divides b/g exactly once and divides
+    neither b'/g nor a, so p does not divide the numerator: the form is
+    canonical after that one gcd.
 
 All of these, and the zero, one, constant and variable constructors,
-build their result through `_canonical`, which trusts its input, and so
-does the derivative of a polynomial, a'/1.  Any other derivative goes
-through the public constructor, since b^2 can share a factor with
-a'*b - a*b'.
+build their result through `_canonical`, which trusts its input.
 
 Numerator and denominator are `Poly` values, a rational content times a
 primitive integer polynomial, so every product, gcd and exact division
@@ -142,17 +147,24 @@ class RationalFunction(Value):
             return other
         if not c.prim:
             return self
-        if len(b.prim) == 1 and len(d.prim) == 1:  # both are 1
-            return RationalFunction._canonical(a + c, b, self.var)
+        if b.prim == d.prim:  # both monic, so b == d
+            num = a + c
+            if len(b.prim) == 1:  # both are 1
+                return RationalFunction._canonical(num, b, self.var)
+            if not num.prim:
+                return RationalFunction.zero(self.var)
+            h = Poly.gcd(num, b)
+            if len(h.prim) > 1:
+                num, b = num // h, b // h
+            return RationalFunction._canonical(num, b, self.var)
         g = Poly.gcd(b, d)
         if len(g.prim) == 1:
             return RationalFunction._canonical(
                 a * d + c * b, b * d, self.var
             )
+        # b != d, so the sum is not zero: a sum that cancels has b == d
         b_g, d_g = b // g, d // g
         num = a * d_g + c * b_g
-        if not num.prim:
-            return RationalFunction.zero(self.var)
         g = Poly.gcd(num, g)
         if len(g.prim) > 1:
             num, d = num // g, d // g
@@ -202,10 +214,12 @@ class RationalFunction(Value):
             return RationalFunction._canonical(
                 self.num.derivative(), self.den, self.var
             )
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-            self.var,
+        a, b = self.num, self.den
+        db = b.derivative()
+        g = Poly.gcd(b, db)
+        b_g, db_g = (b // g, db // g) if len(g.prim) > 1 else (b, db)
+        return RationalFunction._canonical(
+            a.derivative() * b_g - a * db_g, b * b_g, self.var
         )
 
     def shifted(self) -> "RationalFunction":

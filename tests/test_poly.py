@@ -4,14 +4,14 @@ from math import gcd, isqrt
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 
 import opfactor.poly as poly_module
 from opfactor import Poly
 from opfactor.formatting import is_sum
 from opfactor.poly import _heuristic_gcd, _prs_gcd, _pseudo_divide
 
-from helpers import RefPoly, factored_polys, polys, ref_poly_compose
+from helpers import RefPoly, factored_polys, polys, ref_poly_compose, small_fractions
 
 
 def test_normal_form_strips_trailing_zeros():
@@ -249,6 +249,55 @@ def test_exact_division_never_rescales():
     quot, rem, scale = _pseudo_divide((g * u).prim, g.prim)
     assert scale == 1 and not any(rem)
     assert (g * u) // g == u
+
+
+def x_power(m, c=1):
+    """c * x^m."""
+    return Poly([0] * m + [c])
+
+
+@example(Poly([0, 0, 3, 1]), 0, Fraction(-2, 3), 2)  # exact, negative c
+@example(Poly([1, 0, 3]), 0, Fraction(5), 1)  # a low coefficient 1: divmod runs
+@example(Poly(), 0, Fraction(-1), 2)
+@given(
+    factored_polys(allow_zero=True),
+    st.integers(0, 3),
+    small_fractions.filter(bool),
+    st.integers(0, 3),
+)
+def test_floor_division_by_a_power_of_x_matches_divmod(p, j, c, m):
+    dividend, divisor = p * x_power(j), x_power(m, c)
+    q = dividend // divisor
+    assert q == divmod(dividend, divisor)[0]
+    assert_primitive_form(q)
+    if j >= m:
+        assert q * divisor == dividend
+    if q.is_zero():
+        assert q is Poly.zero()
+
+
+@pytest.fixture
+def pseudo_divisions(monkeypatch):
+    """The argument pairs handed to _pseudo_divide."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return _pseudo_divide(a, b)
+
+    monkeypatch.setattr(poly_module, "_pseudo_divide", counted)
+    return calls
+
+
+def test_floor_division_by_a_power_of_x_divides_nothing(pseudo_divisions):
+    p = Poly([0, 0, Fraction(-3, 2), 0, 4])  # 4x^4 - 3/2 x^2
+    quotients = [p // x_power(m, c) for m in (0, 1, 2) for c in (1, Fraction(-2, 7))]
+    assert pseudo_divisions == []
+    assert quotients[4] == Poly([Fraction(-3, 2), 0, 4])  # p // x^2
+    assert quotients[5] == Poly([Fraction(21, 4), 0, -14])  # p // (-2/7 x^2)
+    # x^3 does not divide p: the quotient is divmod's, by pseudo-division
+    assert p // x_power(3) == Poly([0, 4])
+    assert pseudo_divisions == [(p.prim, x_power(3).prim)]
 
 
 # the gcd's steps: power of x, GCDHEU, and the primitive PRS as fallback

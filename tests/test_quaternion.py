@@ -184,6 +184,30 @@ def test_results_pass_the_public_constructor(var, data):
         assert r.is_zero() == all(comp.is_zero() for comp in r.components)
 
 
+@pytest.mark.parametrize("u", range(4))
+@pytest.mark.parametrize("v", range(4))
+def test_one_component_by_one_makes_one_component_product(u, v, monkeypatch):
+    x = RationalFunction.variable("x")
+    zero = RationalFunction.zero("x")
+    f, g = x, x * x * x * RationalFunction.constant(-2, "x")  # x and -2x^3
+    left = Quaternion(*(f if w == u else zero for w in range(4)))
+    right = Quaternion(*(g if w == v else zero for w in range(4)))
+    expected = ref_quat_mul(left, right)
+    calls = []
+    mul = RationalFunction.__mul__
+
+    def counted(p, q):
+        calls.append((p, q))
+        return mul(p, q)
+
+    monkeypatch.setattr(RationalFunction, "__mul__", counted)
+    product = left * right
+    assert calls == [(f, g)]
+    monkeypatch.undo()
+    assert product == expected
+    assert sum(not comp.is_zero() for comp in product.components) == 1
+
+
 @pytest.mark.parametrize(
     "left, right",
     [

@@ -215,8 +215,8 @@ def test_sum_that_cancels_to_zero():
     assert (t.num, t.den) == (Poly(), Poly.one())
 
 
-def test_sum_that_cancels_runs_one_gcd(monkeypatch):
-    # (x+2)/(x(x+1)) + (-x-2)/(x(x+1)): equal denominators, so t is zero
+def test_sum_that_cancels_runs_no_gcd(monkeypatch):
+    # (x+2)/(x(x+1)) + (-x-2)/(x(x+1)): one denominator, and a + c is zero
     a, b = rf([2, 1], [0, 1, 1]), rf([-2, -1], [0, 1, 1])
     calls = []
     gcd = Poly.gcd
@@ -228,7 +228,36 @@ def test_sum_that_cancels_runs_one_gcd(monkeypatch):
     monkeypatch.setattr(Poly, "gcd", staticmethod(counted))
     s = a + b
     assert (s.num, s.den) == (Poly(), Poly.one()) and s.num is Poly.zero()
-    assert calls == [(a.den, b.den)]
+    assert calls == []
+
+
+@example(rf([-12, 4], [0, 0, 0, 1]), Poly([12]))  # (4x - 12)/x^3 + 12/x^3 = 4/x^2
+@example(rf([1], [0, 1, 2, 1]), Poly([-1]))  # over x(x + 1)^2, cancelling
+@example(rf([1, 0, 1], [1, 2, 1]), Poly([0, 4, 2]))  # (3x + 1)(x + 1)/(x + 1)^2
+@given(
+    factored_ratfuncs("x"),
+    st.builds(lambda f, p: f * p, factored_polys(allow_zero=True), polys(1).filter(bool)),
+)
+def test_sum_over_one_denominator_matches_full_normalisation(p, c):
+    q = RationalFunction(c, p.den, "x")
+    assume(q.den == p.den)
+    a, b, d = p.num, p.den, q.den
+    c = q.num
+    assert_normalises(p + q, a * d + c * b, b * d)
+    assert_normalises(q + p, a * d + c * b, b * d)
+    assert_normalises(p - q, a * d - c * b, b * d)
+
+
+@pytest.mark.parametrize(
+    "den",
+    [[0, 0, 0, 1], [0, 1, 2, 1], [1, 0, 2, 0, 1]],
+    ids=["x^3", "x(x+1)^2", "(x^2+1)^2"],
+)
+@pytest.mark.parametrize("num", [[1], [Fraction(-2, 3), 0, 5], [3, 1, 0, 0, 7]])
+def test_derivative_over_a_repeated_factor_matches_full_normalisation(num, den):
+    p = rf(num, den)
+    a, b = p.num, p.den
+    assert_normalises(p.derivative(), a.derivative() * b - a * b.derivative(), b * b)
 
 
 def test_product_that_cross_cancels_on_both_sides():
