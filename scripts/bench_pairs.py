@@ -7,11 +7,7 @@ no run sees another's bytecode.  Seed S = first-seed + i runs `perfbench/run.py
 --workload all --seed S --seconds 25` on both commits, the parent first when S
 is odd.  Three seed-11 `--trace 1` runs per commit, interleaved, give the
 per-layer metrics: each call count (unit calls/req), which must repeat exactly
-across the runs, and the median, min and max of every other metric.  Each of
-those other entries also records `ranges_overlap`, whether the parent's
-[min, max] meets the change's.  Where the ranges overlap, three runs cannot
-tell a change in that layer from noise; the `cli.*` startup times, which
-swing by tens of ms from one spawn to the next, usually do.  A run that
+across the runs, and the median, min and max of every other metric.  A run that
 exits nonzero stops the script with its ref, its arguments and its stderr.
 `src_lines` sums `git diff --numstat PARENT_REF HEAD -- src`.  The `change`
 field is `--note`, or HEAD's subject line when no note is given.  An end-to-end
@@ -102,9 +98,6 @@ def main():
                     entry[side] = values[0]
                 else:
                     entry[side] = spread(values)
-            if m["unit"] != "calls/req" and None not in entry.values():
-                p, c = entry["parent"], entry["change"]
-                entry["ranges_overlap"] = p["min"] <= c["max"] and c["min"] <= p["max"]
             layers.setdefault(wl, {})[m["name"]] = entry
     results = {"parent": [], "change": []}
     for seed in seeds:
@@ -141,8 +134,7 @@ def main():
            "end_to_end": end_to_end,
            "traced": {"command": "python3 perfbench/run.py --workload all --seed 11 --trace 1",
                       "runs_per_side": TRACED_RUNS,
-                      "summary": "calls: the one repeated value; others: median, min, "
-                                 "max, and whether the two sides' ranges overlap",
+                      "summary": "calls: the one repeated value; others: median, min, max",
                       "metrics": layers}}
     with open(args.out, "w") as f:
         f.write(json.dumps(doc, indent=1) + "\n")

@@ -1,4 +1,4 @@
-"""In-process time of a parent commit against the working tree, interleaved,
+"""In-process CPU of a parent commit against the working tree, interleaved,
 with a digest of each side's answers.
 
     python3 scripts/interleave.py PARENT_REF [--rounds 24]
@@ -12,15 +12,11 @@ this script imports and does not change.
 
 A first, untimed pass gives each side's answers; their sha1 over the
 concatenated answer texts is printed per side.  Then each round times one
-pass per workload on both sides, in alternating order, each request on its
-own by `perf_counter_ns`; a pass's time is the sum of its requests' times.
-Per workload the script prints the change/parent ratio of the median pass
-times, the number of rounds in which the change took less time, and the
-change/parent ratio of the summed per-request minima: each request's least
-time over all rounds, summed per side, so each request counts at the round
-in which the host slowed it least.  Under those it prints the base of the
-median ratio: each side's median and quartiles in ms per request.  Exits 1
-when the two digests differ.
+pass per workload on both sides, in alternating order, by `process_time`.
+Per workload the script prints the change/parent ratio of the median times
+and the number of rounds in which the change took less time, and under it the
+base of that ratio: each side's median and quartiles in ms per request.  Exits
+1 when the two digests differ.
 """
 
 import argparse
@@ -31,7 +27,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from time import perf_counter_ns
+from time import process_time
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -66,20 +62,16 @@ def requests(workload):
 
 
 def timed(api, algebra, wires):
-    """The time of each request in ns."""
-    out = []
+    t0 = process_time()
     for wire in wires:
-        t0 = perf_counter_ns()
         worker.serve(api, algebra, wire)
-        out.append(perf_counter_ns() - t0)
-    return out
+    return process_time() - t0
 
 
 def quartiles(times, n):
-    """Median, first and third quartile of pass times (ns) in ms per
-    request, for n requests per pass; a single round gives its one time
-    three times."""
-    ms = [t / 1e6 / n for t in times]
+    """Median, first and third quartile of times in ms per request, for n
+    requests per pass; a single round gives its one time three times."""
+    ms = [1000 * t / n for t in times]
     if len(ms) == 1:
         return ms * 3
     q1, q2, q3 = statistics.quantiles(ms, n=4, method="inclusive")
@@ -109,14 +101,11 @@ def main():
         for side in ("parent", "change")[::1 if r % 2 == 0 else -1]:
             for wl in gen.WORKLOADS:
                 times[wl][side].append(timed(apis[side], algebras[side][wl], wires[wl]))
-    for wl, passes in times.items():
-        t = {side: [sum(p) for p in passes[side]] for side in passes}
+    for wl, t in times.items():
         ratio = statistics.median(t["change"]) / statistics.median(t["parent"])
         wins = sum(c < p for p, c in zip(t["parent"], t["change"]))
-        least = {side: sum(map(min, zip(*passes[side]))) for side in passes}
-        print("%-12s change/parent %.3f, change won %d of %d rounds; "
-              "summed per-request minima %.3f"
-              % (wl, ratio, wins, args.rounds, least["change"] / least["parent"]))
+        print("%-12s change/parent %.3f, change won %d of %d rounds"
+              % (wl, ratio, wins, args.rounds))
         print(" " * 13 + "; ".join(
             "%s %.4f ms/request (quartiles %.4f, %.4f)"
             % (side, *quartiles(t[side], len(wires[wl]))) for side in ("parent", "change")))

@@ -13,9 +13,7 @@ A product checks the variables first, even when an operand is zero,
 then sums l_u * r_v over the nonzero components only, with the unit
 table e_u * e_v = +-e_w; a slot that no product reaches holds a zero
 component of an operand.  Most products in a request are of one nonzero
-component by one, such as x*k by x^3*i; such a product is the one
-component product, signed and placed at its slot of the table, with no
-sum and no search for a zero.
+component by one.
 
 Every nonzero value is a unit: the squared norm a^2 + b^2 + c^2 + d^2 is
 a rational function that only vanishes when all four components do, so
@@ -106,20 +104,14 @@ class Quaternion(Value):
             raise MixedAlgebras(
                 "cannot combine quaternions in %r and %r" % (left[0].var, right[0].var)
             )
-        left_terms = [(u, x) for u, x in enumerate(left) if x.num.prim]
-        right_terms = [(v, y) for v, y in enumerate(right) if y.num.prim]
-        if len(left_terms) == 1 == len(right_terms):
-            (u, x), = left_terms
-            (v, y), = right_terms
-            w, sign = _UNIT_PRODUCTS[u][v]
-            out = [left[u - 1]] * 4  # a zero: u - 1 is another slot
-            out[w] = x * y if sign > 0 else -(x * y)
-            return Quaternion._trusted(*out)
         # a zero component of an operand fills the slots no product reaches;
         # with none, all 16 products are taken and every slot is reached
         zero = next((comp for comp in left + right if not comp.num.prim), None)
         out = [zero] * 4
-        for u, x in left_terms:
+        right_terms = [(v, y) for v, y in enumerate(right) if y.num.prim]
+        for u, x in enumerate(left):
+            if not x.num.prim:
+                continue
             for v, y in right_terms:
                 w, sign = _UNIT_PRODUCTS[u][v]
                 t = x * y if sign > 0 else -(x * y)
