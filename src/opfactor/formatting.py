@@ -7,6 +7,8 @@ parentheses from the text alone, by one rule:
     parenthesised groups;
   * it is a quotient when it contains `/`;
   * it is negative when it starts with `-`.
+`term` writes every term c*b^e of every printer; "1" is the only text of
+the one in every algebra, so a coefficient is dropped by its text alone.
 """
 
 from __future__ import annotations
@@ -33,6 +35,15 @@ def fraction_text(q) -> str:
     """str(q) for a Fraction q, also past the limit on int-string digits."""
     text = int_text(q.numerator)
     return text if q.denominator == 1 else text + "/" + int_text(q.denominator)
+
+
+def term(coeff: str, base: str, e: int) -> str:
+    """The text of coeff*base^e: `coeff` alone for e = 0 or an empty base,
+    the power alone for the coefficient "1", `base` for e = 1."""
+    if not e or not base:
+        return coeff
+    power = base if e == 1 else "%s^%d" % (base, e)
+    return power if coeff == "1" else "%s*%s" % (coeff, power)
 
 
 def join_terms(terms) -> str:

@@ -33,7 +33,7 @@ from typing import Tuple
 
 from .base import Value
 from .errors import NotAUnit
-from .formatting import int_text, join_terms
+from .formatting import int_text, join_terms, term
 
 
 class GroupRingC5Element(Value):
@@ -115,16 +115,5 @@ class GroupRingC5Element(Value):
         return 1, self
 
     def __str__(self) -> str:
-        terms = []
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            sign = -1 if c < 0 else 1
-            mag = abs(c)
-            if e == 0:
-                body = int_text(mag)
-            else:
-                rpart = "r" if e == 1 else "r^%d" % e
-                body = rpart if mag == 1 else "%s*%s" % (int_text(mag), rpart)
-            terms.append((sign, body))
-        return join_terms(terms)
+        return join_terms((-1 if c < 0 else 1, term(int_text(abs(c)), "r", e))
+                          for e, c in enumerate(self.coeffs) if c)

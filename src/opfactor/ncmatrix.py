@@ -180,16 +180,13 @@ class NCMatrix(Value):
         scales, cleared = [c[0] for c in columns], [c[1] for c in columns]
         adj, det = _fraction_free_gauss_jordan(list(zip(*cleared)))
         adj_cols = list(zip(*adj))
-        # b*diag(L) is b itself when no column of self has a denominator
-        diag = None if all(len(s.prim) == 1 for s in scales) else [
-            RationalFunction._canonical(s, Poly.one(), var) for s in scales]
 
         def solve(b: "NCMatrix") -> "NCMatrix":
             self._check_right_side(b)
             out = []
             for i in range(b.rows):
-                row = b.row(i) if diag is None else [e * s for e, s in zip(b.row(i), diag)]
-                lcd, nums = _cleared(row)
+                lcd, nums = _cleared(b.row(i))
+                nums = [y * s for y, s in zip(nums, scales)]
                 sol = [_dot(zero, nums, col) for col in adj_cols]
                 if not _solves(sol, cleared, det, nums):
                     raise VerificationFailed("left solve X*A = B does not hold")

@@ -36,7 +36,7 @@ from typing import Tuple
 
 from .base import Algebra
 from .errors import MixedAlgebras
-from .formatting import is_sum, join_terms
+from .formatting import is_sum, join_terms, term
 
 
 class Operator:
@@ -213,7 +213,6 @@ class Operator:
     # display
 
     def format(self) -> str:
-        alg = self.algebra
         terms = []
         for d in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[d]
@@ -221,18 +220,11 @@ class Operator:
                 continue
             sign, mag = c.split_sign()
             text = str(mag)
-            if d == 0:
-                wrap = (sign < 0 and is_sum(text)) or (terms and text.startswith("-"))
-                body = "(%s)" % text if wrap else text
+            if d:
+                wrap = is_sum(text) or "/" in text or text.startswith("-")
             else:
-                dpart = "D" if d == 1 else "D^%d" % d
-                if mag == alg.one():
-                    body = dpart
-                else:
-                    wrap = is_sum(text) or "/" in text or text.startswith("-")
-                    coeff_text = "(%s)" % text if wrap else text
-                    body = "%s*%s" % (coeff_text, dpart)
-            terms.append((sign, body))
+                wrap = (sign < 0 and is_sum(text)) or (terms and text.startswith("-"))
+            terms.append((sign, term("(%s)" % text if wrap else text, "D", d)))
         return join_terms(terms)
 
     def __str__(self) -> str:

@@ -79,7 +79,7 @@ from math import gcd, lcm
 from typing import Iterable, Union
 
 from .base import Value
-from .formatting import int_text, join_terms
+from .formatting import int_text, join_terms, term
 
 Scalar = Union[int, Fraction]
 
@@ -204,8 +204,6 @@ class Poly(Value):
         n, d = self.cnum * other.cden, self.cden * other.cnum
         if d < 0:
             n, d = -n, -d
-        if len(b) == 1:
-            return _reduced(list(a), n, d), _ZERO
         # scale * a == quot * b + rem over Z, so
         # self == (n / (d * scale)) * quot * other + (cnum / (cden * scale)) * rem
         quot, rem, scale = _pseudo_divide(a, b)
@@ -294,12 +292,7 @@ class Poly(Value):
             g = gcd(c, d)
             num, den = abs(c) // g, d // g
             mag = int_text(num) + ("" if den == 1 else "/" + int_text(den))
-            if e == 0:
-                body = mag
-            else:
-                vpart = var if e == 1 else "%s^%d" % (var, e)
-                body = vpart if num == den == 1 else "%s*%s" % (mag, vpart)
-            terms.append((-1 if c < 0 else 1, body))
+            terms.append((-1 if c < 0 else 1, term(mag, var, e)))
         return join_terms(terms)
 
 
@@ -354,7 +347,7 @@ def _combine(p: Poly, qn: int, q: Poly) -> Poly:
 
 
 def _pseudo_divide(a: tuple, b: tuple):
-    """Lazy pseudo-division of integer tuples with len(a) >= len(b) >= 2
+    """Lazy pseudo-division of integer tuples with len(a) >= len(b) >= 1
     and b[-1] > 0: (quot, rem, scale) with scale * a == quot * b + rem
     and len(rem) == len(b) - 1.  `scale` grows only at the steps whose
     quotient is not integral, by lc(b) / gcd(c, lc(b))."""

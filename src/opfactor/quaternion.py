@@ -30,7 +30,7 @@ from operator import add, sub
 
 from .base import Value
 from .errors import MixedAlgebras, NotAUnit
-from .formatting import is_sum, join_terms
+from .formatting import is_sum, join_terms, term
 from .ratfunc import RationalFunction
 
 # e_u * e_v = sign * e_w as (w, sign), for the units e = 1, i, j, k
@@ -148,13 +148,10 @@ class Quaternion(Value):
             if comp.is_zero():
                 continue
             sign, mag = comp.split_sign()
-            if unit and mag.is_one():
-                terms.append((sign, unit))
-                continue
             text = str(mag)
             # a positive scalar sum reassociates fine when appended bare;
             # under a minus or before a unit it keeps its parentheses
             if is_sum(text) and (unit or sign < 0):
                 text = "(%s)" % text
-            terms.append((sign, "%s*%s" % (text, unit) if unit else text))
+            terms.append((sign, term(text, unit, 1)))
         return join_terms(terms)

@@ -1,12 +1,27 @@
-"""The exact printed text of every parenthesis rule, and `is_sum` itself.
+"""The exact printed text of every parenthesis rule, `is_sum` and `term`
+themselves, and one digest that pins the printed text of random values.
 
 Each case parses a text and prints the result, so the expected text is
 also one the parser reads back.
 """
 
+import hashlib
+import random
+from fractions import Fraction
+
 import pytest
 
-from opfactor import formatting, get_algebra, parse_element, parse_operator
+from opfactor import (
+    GroupRingC5Element,
+    Operator,
+    Quaternion,
+    formatting,
+    get_algebra,
+    parse_element,
+    parse_operator,
+)
+
+from helpers import C5, DIFF1, QUAT, QX, rand_element, rand_operator
 
 OPERATOR_CASES = [
     # constant term: a negative sum keeps its group
@@ -79,3 +94,81 @@ def test_is_sum():
     assert not is_sum("-(x + 1)")
     assert not is_sum("-x^2") and not is_sum("-3/2*x")
     assert not is_sum("1/x") and not is_sum("0")
+
+
+@pytest.mark.parametrize("coeff, base, e, text", [
+    # power 0: the coefficient alone, whatever it is
+    ("3/2", "x", 0, "3/2"),
+    ("1", "D", 0, "1"),
+    ("(x + 1)", "D", 0, "(x + 1)"),
+    # power 1: the base without an exponent
+    ("2", "r", 1, "2*r"),
+    ("(1/x)", "D", 1, "(1/x)*D"),
+    # above 1: base^e
+    ("2", "x", 2, "2*x^2"),
+    ("-x", "D", 12, "-x*D^12"),
+    # the coefficient "1" is dropped, at any power above 0
+    ("1", "x", 1, "x"),
+    ("1", "D", 7, "D^7"),
+    ("1", "i", 1, "i"),
+    # "1/2" and "11" are not the one
+    ("1/2", "x", 1, "1/2*x"),
+    ("11", "n", 3, "11*n^3"),
+    # an empty base (a quaternion's scalar part) leaves the coefficient
+    ("x + 1", "", 1, "x + 1"),
+    ("1", "", 1, "1"),
+])
+def test_term(coeff, base, e, text):
+    assert formatting.term(coeff, base, e) == text
+
+
+DIFF_HALF = get_algebra("diff", Fraction(-1, 2))
+PRINTED_ALGEBRAS = (QX, QUAT, DIFF1, DIFF_HALF, C5)
+BIG = 7**5200  # 4,395 digits: past the int-string limit, so int_text splits it
+
+# sha1 of every text of `printed_texts()`, one per line, recorded when the
+# four printers were first routed through `formatting.term`; the text may
+# change only on purpose, with a new digest
+PRINTED_DIGEST = "c09364ce1eec11ac82275d5c25c850de6019c5a4"
+
+
+def _big_values():
+    """Elements and operators with a coefficient of more than 4,300 digits."""
+    big = Fraction(BIG, 3)
+    for alg in (QX, DIFF_HALF):
+        v = alg.symbols()[alg.variable]
+        f = alg.from_fraction(big) * v * v - alg.from_fraction(-big) * alg.try_invert(v + alg.one())
+        yield f
+        yield Operator(alg, (f, -f, alg.one()))
+    q = Quaternion(*(QX.from_fraction(big * s) for s in (1, -1, 0, 2)))
+    yield q
+    yield Operator(QUAT, (q, QUAT.one()))
+    g = GroupRingC5Element((BIG, 0, -BIG, 1, -1))
+    yield g
+    yield Operator(C5, (-g, g, C5.one()))
+
+
+def printed_texts(seed=31, rounds=120):
+    """The printed text of random elements, their sums, products and
+    quotients, and random operators and their compositions, over every
+    algebra (with diff at c = 1 and c = -1/2), then of `_big_values`."""
+    rng = random.Random(seed)
+    for alg in PRINTED_ALGEBRAS:
+        for _ in range(rounds):
+            a, b = rand_element(rng, alg), rand_element(rng, alg)
+            values = [a, -a, a + b, a * b - b]
+            if alg is not C5 and not b.is_zero():
+                values.append(a * alg.try_invert(b))
+            s, t = rand_operator(rng, alg), rand_operator(rng, alg, monic=True)
+            values += [s, -s, s * t, t - s]
+            for v in values:
+                yield v.format() if isinstance(v, Operator) else alg.format_element(v)
+    for v in _big_values():
+        yield v.format() if isinstance(v, Operator) else str(v)
+
+
+def test_printed_texts_match_recorded_digest():
+    texts = list(printed_texts())
+    assert len(texts) > 4000
+    assert max(len(t) for t in texts) > 4300
+    assert hashlib.sha1("\n".join(texts).encode()).hexdigest() == PRINTED_DIGEST

@@ -1,4 +1,4 @@
-"""Differential tests of the qx and diff layers against sympy.
+"""Differential tests of the qx, diff, c5 and quat layers against sympy.
 
 Every expected value is computed by sympy alone (cancel, diff, subs, and
 an operator action written here), so a fault shared by opfactor's own
@@ -28,12 +28,15 @@ from opfactor import (
 from helpers import (
     C5,
     DIFF1,
+    QUAT,
     QX,
     factored_ratfuncs,
     rand_fraction,
     rand_poly,
+    rand_quaternion,
     rand_ratfunc,
     rand_unit,
+    ref_quat_mul,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -363,3 +366,85 @@ def test_c5_matrices_in_r_invert_exactly_when_the_determinant_is_a_unit():
         for i in range(size):
             for j in range(size):
                 assert inv.entry(i, j).coeffs == c5_coeffs(adj[i, j] * det_inv, x)
+
+
+# quaternions over Q(x): X*Phi = B is the real 4k x 4k system over Q(x)
+# whose block (j, l) is R(endo^l(f_j)), R(q) the matrix of X -> X*q on the
+# components (a, b, c, d) of X; endo is d/dx on each component, which
+# commutes with R.  The system is singular exactly when Phi has no inverse.
+
+
+def right_mul_matrix(q):
+    """R(q) for q = a + b*i + c*j + d*k: vec(X*q) = R(q)*vec(X)."""
+    a, b, c, d = q
+    return [[a, -b, -c, -d], [b, a, d, -c], [c, -d, a, b], [d, c, -b, a]]
+
+
+def quat_to_sympy(q):
+    return [to_sympy(comp) for comp in q.components]
+
+
+def test_right_mul_matrix_is_the_hamilton_product():
+    rng = random.Random(16)
+    for _ in range(6):
+        p, q = rand_quaternion(rng), rand_quaternion(rng)
+        rq = right_mul_matrix(quat_to_sympy(q))
+        vec = [sum(r * y for r, y in zip(row, quat_to_sympy(p))) for row in rq]
+        for got, want in zip(vec, quat_to_sympy(ref_quat_mul(p, q))):
+            assert sympy.cancel(got - want) == 0
+
+
+def quat_oracle_k(kernel):
+    """The coefficients x_0 .. x_(k-1) of K = D^k - sum x_l . D^l, each as
+    four components in sympy's QQ(x), from X*Phi = (f_1^(k), ..., f_k^(k));
+    None when the system is singular."""
+    x = sympy.Symbol("x")
+    field = sympy.QQ.frac_field(x)
+    k = len(kernel)
+    # derivs[j][l] = the l-th derivative of f_j, componentwise
+    derivs = []
+    for f in kernel:
+        comps = quat_to_sympy(f)
+        rows = [comps]
+        for _ in range(k):
+            rows.append([sympy.diff(e, x) for e in rows[-1]])
+        derivs.append(rows)
+    system, rhs = [], []
+    for j in range(k):
+        blocks = [right_mul_matrix(derivs[j][l]) for l in range(k)]
+        for r in range(4):
+            system.append([field.from_sympy(e) for l in range(k) for e in blocks[l][r]])
+            rhs.append([field.from_sympy(derivs[j][k][r])])
+    dm = sympy.polys.matrices.DomainMatrix
+    m = dm(system, (4 * k, 4 * k), field)
+    if m.rank() < 4 * k:
+        return None
+    sol = m.lu_solve(dm(rhs, (4 * k, 1), field)).to_Matrix()
+    return [[field.from_sympy(sol[4 * l + r]) for r in range(4)] for l in range(k)]
+
+
+QUAT_ORACLE_KERNELS = [
+    "x*k, x^3*i",  # the paper's example
+    "x, x*i",  # right-dependent: f_2 = f_1*i
+    "x^2*j + 1, (x^2*j + 1)*(1 + i)",  # right-dependent by 1 + i
+    "x + x^2*j, i*(x + x^2*j)",  # left-dependent only
+    "1/(x + 1) + x*j, x^2*k - i",  # a denominator
+    "x*i + j",
+    "1 + x*j - 2*x^2*k",
+    "1/x*i + k, x*j",
+]
+
+
+@pytest.mark.parametrize("text", QUAT_ORACLE_KERNELS)
+def test_quat_kernel_operator_matches_the_real_system(text):
+    kernel = [parse_element(t, QUAT) for t in text.split(",")]
+    expected = quat_oracle_k(kernel)
+    if expected is None:
+        with pytest.raises(NotInvertible):
+            KernelContext(QUAT, kernel)
+        return
+    ctx = KernelContext(QUAT, kernel)
+    field = sympy.QQ.frac_field(sympy.Symbol("x"))
+    assert len(ctx.K.coeffs) == len(kernel) + 1 and ctx.K.coeffs[-1] == QUAT.one()
+    for coeff, want in zip(ctx.K.coeffs, expected):
+        assert [field.from_sympy(e) for e in quat_to_sympy(-coeff)] == want
