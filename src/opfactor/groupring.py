@@ -115,5 +115,5 @@ class GroupRingC5Element(Value):
         return 1, self
 
     def __str__(self) -> str:
-        return join_terms((-1 if c < 0 else 1, term(int_text(abs(c)), "r", e))
-                          for e, c in enumerate(self.coeffs) if c)
+        return join_terms([(-1 if c < 0 else 1, term(int_text(abs(c)), "r", e))
+                           for e, c in enumerate(self.coeffs) if c])
