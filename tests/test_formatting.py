@@ -126,9 +126,9 @@ DIFF_HALF = get_algebra("diff", Fraction(-1, 2))
 PRINTED_ALGEBRAS = (QX, QUAT, DIFF1, DIFF_HALF, C5)
 BIG = 7**5200  # 4,395 digits: past the int-string limit, so int_text splits it
 
-# sha1 of every text of `printed_texts()`, one per line, recorded when the
-# four printers were first routed through `formatting.term`; the text may
-# change only on purpose, with a new digest
+# sha1 of every text of `printed_texts()`, one per line, recorded before the
+# four printers were routed through `formatting.term` and unchanged by it;
+# the text may change only on purpose, with a new digest
 PRINTED_DIGEST = "c09364ce1eec11ac82275d5c25c850de6019c5a4"
 
 
