@@ -5,10 +5,12 @@
 Run from the repository root.  Each run gets a fresh `git archive` export, so
 no run sees another's bytecode.  Seed S = first-seed + i runs `perfbench/run.py
 --workload all --seed S --seconds 25` on both commits, the parent first when S
-is odd.  Three seed-11 `--trace 1` runs per commit, interleaved, give the
+is odd.  Three seed-11 `--trace 1` rounds, one run per commit in each, give the
 per-layer metrics: each call count (unit calls/req), which must repeat exactly
-across the runs, and the median, min and max of every other metric.  A run that
-exits nonzero stops the script with its ref, its arguments and its stderr.
+across the runs, and the median, min and max of every other metric.  The parent
+goes first in the first and third round and HEAD in the second, as the timed
+pairs alternate, so a drift over the rounds does not read as a change of one
+side.  A run that exits nonzero stops the script with its ref, its arguments and its stderr.
 `src_lines` sums `git diff --numstat PARENT_REF HEAD -- src`.  The `change`
 field is `--note`, or HEAD's subject line when no note is given.  An end-to-end
 entry `meets_pair_rule` when the change wins at least nine tenths of the pairs
@@ -78,8 +80,8 @@ def main():
     workloads = [w["name"] for w in bench["workloads"]]
     # traced runs first: a call count that does not repeat fails the script early
     traced = {"parent": [], "change": []}
-    for _ in range(TRACED_RUNS):
-        for side in refs:
+    for i in range(TRACED_RUNS):
+        for side in ("parent", "change")[::-1 if i % 2 else 1]:
             traced[side].append(run(refs[side], "--seed", 11, "--trace", 1)["metrics"])
     layers = {}
     for m in bench["per_layer"]:
@@ -134,6 +136,8 @@ def main():
            "end_to_end": end_to_end,
            "traced": {"command": "python3 perfbench/run.py --workload all --seed 11 --trace 1",
                       "runs_per_side": TRACED_RUNS,
+                      "order": "one run per side in each round; parent first in even "
+                               "rounds (from 0), else HEAD",
                       "summary": "calls: the one repeated value; others: median, min, max",
                       "metrics": layers}}
     with open(args.out, "w") as f:

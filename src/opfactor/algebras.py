@@ -12,7 +12,8 @@ group ring is not.  In the group ring the endomorphism has order 4, and
 that order is declared so the operator layer can fold exponents.  Each
 algebra declares its element class, and builds from that class its
 from_fraction and the parser's symbols; zero and one come from
-from_fraction (see the base module).
+from_fraction (see the base module).  quat builds its components from
+the constants of one shared qx instance.
 
 Twist pairs, satisfying endo(f*g) = p*endo(g) + q*g:
 
@@ -28,6 +29,7 @@ from fractions import Fraction
 from .base import Algebra, TwistPair
 from .formatting import fraction_text
 from .groupring import GroupRingC5Element
+from .poly import Poly
 from .quaternion import Quaternion
 from .ratfunc import RationalFunction
 
@@ -41,10 +43,10 @@ class RationalFunctionAlgebra(Algebra):
     commutative = True
 
     def from_fraction(self, q):
-        return RationalFunction.constant(q, self.variable)
+        return RationalFunction._canonical(Poly.constant(q), Poly.one(), self.variable)
 
     def symbols(self):
-        return {self.variable: RationalFunction.variable(self.variable)}
+        return {self.variable: RationalFunction._canonical(Poly.variable(), Poly.one(), self.variable)}
 
 
 class _Derivation:
@@ -65,6 +67,9 @@ class DifferentialRationalAlgebra(_Derivation, RationalFunctionAlgebra):
     variable = "x"
 
 
+_QX = DifferentialRationalAlgebra()
+
+
 class QuaternionDifferentialAlgebra(_Derivation, Algebra):
     """Quaternions with rational function components, differentiated
     componentwise.  A noncommutative division ring."""
@@ -74,13 +79,13 @@ class QuaternionDifferentialAlgebra(_Derivation, Algebra):
     variable = "x"
 
     def from_fraction(self, q):
-        z = RationalFunction.zero(self.variable)
-        return Quaternion._trusted(RationalFunction.constant(q, self.variable), z, z, z)
+        z = _QX.zero()
+        return Quaternion._trusted(_QX.from_fraction(q), z, z, z)
 
     def symbols(self):
-        z, o = RationalFunction.zero(self.variable), RationalFunction.one(self.variable)
+        z, o = _QX.zero(), _QX.one()
         return {
-            self.variable: Quaternion._trusted(RationalFunction.variable(self.variable), z, z, z),
+            self.variable: Quaternion._trusted(_QX.symbols()[self.variable], z, z, z),
             "i": Quaternion._trusted(z, o, z, z),
             "j": Quaternion._trusted(z, z, o, z),
             "k": Quaternion._trusted(z, z, z, o),

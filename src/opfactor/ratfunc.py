@@ -38,8 +38,11 @@ reaches it without recomputing it, the way Fraction does for integers
     neither b'/g nor a, so p does not divide the numerator: the form is
     canonical after that one gcd.
 
-All of these, and the zero, one, constant and variable constructors,
-build their result through `_canonical`, which trusts its input.
+All of these, and the algebras' constants, build their result through
+`_canonical`, which trusts its input.  `_cancelled` is the one pair
+reduction, a division of both by their monic gcd when it is not 1: in the
+public constructor, the equal-denominator sum, both cross-cancels of a
+product and the derivative.
 
 Numerator and denominator are `Poly` values, a rational content times a
 primitive integer polynomial, so every product, gcd and exact division
@@ -49,21 +52,25 @@ Each value carries its variable name.  Mixing two variables in one
 operation raises MixedAlgebras; this is what keeps elements of the x-world
 and the n-world apart at the lowest level.  Sums, differences and
 products test the operand's type and variable inline and leave a failure
-to `_same_world`, which raises TypeError for anything but a rational
-function.  A rational number enters only as `RationalFunction.constant`.
+to `_refuse`, which raises TypeError for anything but a rational function
+and MixedAlgebras otherwise.  A rational number enters through an
+algebra's `from_fraction`; this class has no constant constructors.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from typing import Union
 
 from .base import Value
 from .errors import MixedAlgebras, NotAUnit
 from .formatting import is_sum
 from .poly import Poly, integer_cleared
 
-Scalar = Union[int, Fraction]
+
+def _cancelled(p: Poly, q: Poly):
+    """p and q divided by their monic gcd, when that gcd is not 1."""
+    g = Poly.gcd(p, q)
+    if len(g.prim) > 1:
+        return p // g, q // g
+    return p, q
 
 
 class RationalFunction(Value):
@@ -77,9 +84,7 @@ class RationalFunction(Value):
         if num.is_zero():
             num, den = Poly.zero(), Poly.one()
         else:
-            g = Poly.gcd(num, den)
-            if len(g.prim) > 1:
-                num, den = num // g, den // g
+            num, den = _cancelled(num, den)
             lead = den.leading
             if lead != 1:
                 num = num * Poly.constant(1 / lead)
@@ -98,50 +103,27 @@ class RationalFunction(Value):
         r.var = var
         return r
 
-    # constructors
-
-    @classmethod
-    def zero(cls, var: str) -> "RationalFunction":
-        return cls._canonical(Poly.zero(), Poly.one(), var)
-
-    @classmethod
-    def one(cls, var: str) -> "RationalFunction":
-        return cls._canonical(Poly.one(), Poly.one(), var)
-
-    @classmethod
-    def constant(cls, c: Scalar, var: str) -> "RationalFunction":
-        return cls._canonical(Poly.constant(c), Poly.one(), var)
-
-    @classmethod
-    def variable(cls, var: str) -> "RationalFunction":
-        return cls._canonical(Poly.variable(), Poly.one(), var)
-
     # structure
 
     def is_zero(self) -> bool:
         return not self.num.prim
 
-    def is_one(self) -> bool:
-        return self.num == Poly.one() and self.den == Poly.one()
-
     def __repr__(self) -> str:
         return "RationalFunction(%r, %r, %r)" % (self.num, self.den, self.var)
 
-    def _same_world(self, other) -> "RationalFunction":
+    def _refuse(self, other):
+        """Raise for an operand that failed the inline type-and-variable test."""
         if not isinstance(other, RationalFunction):
             raise TypeError("expected a rational function, got %r" % (other,))
-        if other.var != self.var:
-            raise MixedAlgebras(
-                "cannot combine rational functions in %r and %r"
-                % (self.var, other.var)
-            )
-        return other
+        raise MixedAlgebras(
+            "cannot combine rational functions in %r and %r" % (self.var, other.var)
+        )
 
     # arithmetic
 
     def __add__(self, other) -> "RationalFunction":
         if not (isinstance(other, RationalFunction) and other.var == self.var):
-            other = self._same_world(other)
+            self._refuse(other)
         a, b, c, d = self.num, self.den, other.num, other.den
         if not a.prim:
             return other
@@ -152,10 +134,8 @@ class RationalFunction(Value):
             if len(b.prim) == 1:  # both are 1
                 return RationalFunction._canonical(num, b, self.var)
             if not num.prim:
-                return RationalFunction.zero(self.var)
-            h = Poly.gcd(num, b)
-            if len(h.prim) > 1:
-                num, b = num // h, b // h
+                return RationalFunction._canonical(num, Poly.one(), self.var)
+            num, b = _cancelled(num, b)
             return RationalFunction._canonical(num, b, self.var)
         g = Poly.gcd(b, d)
         if len(g.prim) == 1:
@@ -175,27 +155,23 @@ class RationalFunction(Value):
 
     def __sub__(self, other) -> "RationalFunction":
         if not (isinstance(other, RationalFunction) and other.var == self.var):
-            other = self._same_world(other)
+            self._refuse(other)
         if not other.num.prim:
             return self
         return self + (-other)
 
     def __mul__(self, other) -> "RationalFunction":
         if not (isinstance(other, RationalFunction) and other.var == self.var):
-            other = self._same_world(other)
+            self._refuse(other)
         a, b, c, d = self.num, self.den, other.num, other.den
         if not a.prim:
             return self
         if not c.prim:
             return other
         if len(d.prim) > 1:
-            g = Poly.gcd(a, d)
-            if len(g.prim) > 1:
-                a, d = a // g, d // g
+            a, d = _cancelled(a, d)
         if len(b.prim) > 1:
-            g = Poly.gcd(c, b)
-            if len(g.prim) > 1:
-                c, b = c // g, b // g
+            c, b = _cancelled(c, b)
             d = b * d
         return RationalFunction._canonical(a * c, d, self.var)
 
@@ -215,9 +191,7 @@ class RationalFunction(Value):
                 self.num.derivative(), self.den, self.var
             )
         a, b = self.num, self.den
-        db = b.derivative()
-        g = Poly.gcd(b, db)
-        b_g, db_g = (b // g, db // g) if len(g.prim) > 1 else (b, db)
+        b_g, db_g = _cancelled(b, b.derivative())
         return RationalFunction._canonical(
             a.derivative() * b_g - a * db_g, b * b_g, self.var
         )

@@ -26,6 +26,9 @@ C5 = get_algebra("c5")
 
 ALL_ALGEBRAS = (QX, QUAT, DIFF1, C5)
 
+# the rational function algebra of each variable, for its constants
+RATFUNC_ALGEBRA = {"x": QX, "n": DIFF1}
+
 _DENOMS = ((1,), (0, 1), (1, 1))  # 1, x, x + 1
 
 
@@ -51,7 +54,7 @@ def rand_ratfunc(rng, var, max_deg=2, nonzero=False):
 def rand_quaternion(rng, nonzero=False):
     comps = [rand_ratfunc(rng, "x", max_deg=1) for _ in range(4)]
     if nonzero and all(c.is_zero() for c in comps):
-        comps[rng.randrange(4)] = RationalFunction.one("x")
+        comps[rng.randrange(4)] = QX.one()
     return Quaternion(*comps)
 
 
@@ -324,7 +327,7 @@ UNIT_PRODUCTS = (
 def ref_quat_mul(p, q):
     """p * q as the dense sum over all 16 products of units, zero
     components included, independent of the sparse Quaternion.__mul__."""
-    out = [RationalFunction.zero(p.var)] * 4
+    out = [RATFUNC_ALGEBRA[p.var].zero()] * 4
     for m, x in enumerate(p.components):
         for n, y in enumerate(q.components):
             unit, sign = UNIT_PRODUCTS[m][n]

@@ -17,7 +17,6 @@ from opfactor import (
     NCMatrix,
     NotInKernel,
     Operator,
-    RationalFunction,
     get_algebra,
     parse_element,
     parse_operator,
@@ -105,7 +104,7 @@ def test_criterion_2_quaternion_factorization(capsys):
 
 def test_criterion_3_difference_reproduction(capsys):
     with reporting(3, capsys):
-        n = RationalFunction.variable("n")
+        n = DIFF1.symbols()["n"]
         for c in (Fraction(0), Fraction(1), Fraction(-2)):
             algebra = get_algebra("diff", c=c)
             ctx = KernelContext(
@@ -252,7 +251,7 @@ def _adjugate_inverse(rows):
             minor = [
                 row[:r] + row[r + 1 :] for idx, row in enumerate(rows) if idx != c
             ]
-            cof = det(minor) if minor else RationalFunction.one(d.var)
+            cof = det(minor) if minor else DIFF1.one()
             if (r + c) % 2:
                 cof = -cof
             entry_row.append(cof * d.inverse())

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from opfactor import SELECTORS, Algebra, DifferenceAlgebra, MixedAlgebras, NotAUnit, Poly, get_algebra
+from opfactor import (
+    SELECTORS, Algebra, DifferenceAlgebra, MixedAlgebras, NotAUnit, Poly, RationalFunction, get_algebra,
+)
+from opfactor import algebras
 
 from helpers import (
     ALL_ALGEBRAS, C5, DIFF1, QUAT, QX, CountingQX, elements, rand_element, rand_unit,
@@ -177,6 +180,7 @@ def test_selectors_name_their_algebras_in_cli_order():
     assert SELECTORS == ("qx", "quat", "diff", "c5")
     assert [get_algebra(s).name for s in SELECTORS] == list(SELECTORS)
     assert get_algebra("diff", Fraction(-1, 2)).c == Fraction(-1, 2)
+    assert repr(get_algebra("diff", Fraction(-1, 2))) == "<algebra diff(c=-1/2)>"
 
 
 @pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
@@ -198,6 +202,30 @@ def test_constants_are_built_once_from_from_fraction(algebra):
     assert algebra.one() is algebra.one()
     assert algebra.zero() == algebra.from_fraction(Fraction(0))
     assert algebra.one() == algebra.from_fraction(Fraction(1))
+
+
+def test_constants_never_run_the_public_ratfunc_constructor(monkeypatch):
+    """The rational function algebras build their constants and symbols
+    through the trusted constructor, and quat takes its components from
+    the one shared qx instance, so no constant reaches
+    RationalFunction.__init__."""
+    calls = []
+    init = RationalFunction.__init__
+
+    def spy(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(RationalFunction, "__init__", spy)
+    for selector, c in [("qx", 1), ("diff", 1), ("diff", Fraction(-1, 2)), ("quat", 1)]:
+        algebra = get_algebra(selector, Fraction(c))  # diff builds its c here
+        algebra.from_fraction(Fraction(-3, 4)), algebra.zero(), algebra.one(), algebra.symbols()
+    assert calls == []
+    RationalFunction(Poly.one(), Poly.one(), "x")  # the spy sees the public constructor
+    assert len(calls) == 1
+    scalar, *imaginary = QUAT.zero().components
+    assert scalar == algebras._QX.zero()
+    assert all(comp is algebras._QX.zero() for comp in imaginary)
 
 
 def test_check_needs_a_declared_element_class():

@@ -26,7 +26,6 @@ from opfactor import (
     NCMatrix,
     Operator,
     Quaternion,
-    RationalFunction,
     VerificationFailed,
     get_algebra,
     parse_element,
@@ -136,7 +135,7 @@ def test_quaternion_misprint_is_not_in_kernel():
 
 
 def _diff_expected_k(algebra, c):
-    n, q = RationalFunction.variable("n"), algebra.from_fraction
+    n, q = algebra.symbols()["n"], algebra.from_fraction
     mid = -(q(2) * (q(c) * n + q(c) + n + q(2)) * (n + q(1)).inverse())
     const_num = q((c + 1) ** 2) * n * n + q(c * c + 4 * c + 3) * n + q(2)
     const = const_num * (n * n + n).inverse()
@@ -144,7 +143,7 @@ def _diff_expected_k(algebra, c):
 
 
 def _diff_expected_inverse(algebra, c):
-    n, q = RationalFunction.variable("n"), algebra.from_fraction
+    n, q = algebra.symbols()["n"], algebra.from_fraction
     inv_det = (n * n + n).inverse()
     return (
         (q(c + 1) * n * n + q(2) * n + q(1)) * inv_det,
@@ -159,7 +158,7 @@ def test_difference_showcase(c):
     algebra = get_algebra("diff", c=c)
     ctx = ctx_diff(algebra)
 
-    n, q = RationalFunction.variable("n"), algebra.from_fraction
+    n, q = algebra.symbols()["n"], algebra.from_fraction
     assert ctx.phi.entry(0, 0) == n
     assert ctx.phi.entry(0, 1) == n * n
     assert ctx.phi.entry(1, 0) == q(c + 1) * n + q(1)
@@ -234,6 +233,8 @@ def test_dhat_family_unit_expansion(make):
         for j, h in enumerate(hats):
             want = alg.one() if j == i else alg.zero()
             assert h == want
+    with pytest.raises(ValueError, match="^negative index$"):
+        ctx.dhat(-1)
 
 
 @pytest.mark.parametrize("make", [ctx_qx, ctx_quat, ctx_diff, ctx_c5])

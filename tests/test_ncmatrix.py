@@ -11,7 +11,6 @@ from opfactor import (
     MixedAlgebras,
     NCMatrix,
     NotInvertible,
-    RationalFunction,
     ShapeMismatch,
     VerificationFailed,
     parse_element,
@@ -39,8 +38,13 @@ def quat_unit(name):
 def test_shape_validation():
     with pytest.raises(ShapeMismatch):
         NCMatrix(QX, 2, 2, (QX.one(),) * 3)
+    with pytest.raises(ShapeMismatch, match="^negative dimensions$"):
+        NCMatrix(QX, -1, 0, ())
+    with pytest.raises(ShapeMismatch, match="^ragged rows$"):
+        NCMatrix.from_rows(QX, [[QX.one()], [QX.one(), QX.zero()]])
     with pytest.raises(MixedAlgebras):
         NCMatrix(QX, 1, 1, (QUAT.one(),))
+    assert repr(NCMatrix(QX, 0, 0, ())) == "NCMatrix()"
 
 
 def test_product_preserves_factor_order():
@@ -119,7 +123,7 @@ def test_pivot_search_below_diagonal():
     _certify(m, m.inverse())
 
 
-def _adjugate_inverse(entries, n):
+def _adjugate_inverse(entries, n, algebra):
     """Classical adjugate formula, valid over the commutative field Q(n)."""
 
     def det(rows):
@@ -145,7 +149,7 @@ def _adjugate_inverse(entries, n):
             minor = [
                 row[:c] + row[c + 1 :] for idx, row in enumerate(rows) if idx != r
             ]
-            cofactor = det(minor) if minor else RationalFunction.one(d.var)
+            cofactor = det(minor) if minor else algebra.one()
             cof.append(-cofactor if (r + c) % 2 else cofactor)
     # adjugate is the transposed cofactor matrix
     inv = [cof[c * n + r] * d.inverse() for r in range(n) for c in range(n)]
@@ -159,7 +163,7 @@ def test_inverse_matches_adjugate_oracle(size):
         done = 0
         while done < 25:
             entries = [rand_ratfunc(rng, algebra.variable) for _ in range(size * size)]
-            expected = _adjugate_inverse(entries, size)
+            expected = _adjugate_inverse(entries, size, algebra)
             mat = NCMatrix(algebra, size, size, tuple(entries))
             if expected is None:
                 with pytest.raises(NotInvertible):

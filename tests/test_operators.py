@@ -32,6 +32,8 @@ def test_normal_form_strips_trailing_zeros():
     assert Operator.zero(QX).degree == float("-inf")
     assert Operator.identity(QX).degree == 0
     assert Operator.d(QX).degree == 1
+    with pytest.raises(ValueError, match="^negative power$"):
+        Operator.d(QX, -1)
 
 
 def test_constructor_takes_an_iterator():

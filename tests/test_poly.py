@@ -20,6 +20,7 @@ def test_normal_form_strips_trailing_zeros():
     assert Poly().is_zero()
     assert Poly([0]).degree == -1
     assert Poly([5]).degree == 0
+    assert Poly([5]).coeff(1) == Poly([5]).coeff(-1) == 0
 
 
 def test_basic_arithmetic():

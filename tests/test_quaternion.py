@@ -7,15 +7,24 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from opfactor import MixedAlgebras, NotAUnit, Quaternion, RationalFunction
+from opfactor import MixedAlgebras, NotAUnit, Poly, Quaternion, RationalFunction
 
-from helpers import QUAT, quaternions, ratfuncs, ref_quat_inverse, ref_quat_mul
+from helpers import (
+    DIFF1,
+    QUAT,
+    QX,
+    RATFUNC_ALGEBRA,
+    quaternions,
+    ratfuncs,
+    ref_quat_inverse,
+    ref_quat_mul,
+)
 
 
 def quat(var, a=0, b=0, c=0, d=0):
     """a + b*i + c*j + d*k with rational constant components, through the
     public constructor."""
-    return Quaternion(*(RationalFunction.constant(v, var) for v in (a, b, c, d)))
+    return Quaternion(*map(RATFUNC_ALGEBRA[var].from_fraction, (a, b, c, d)))
 
 
 def scalar(value):
@@ -64,7 +73,7 @@ def test_ring_axioms(p, q, r):
 @given(quaternions())
 def test_norm_is_scalar(q):
     n = q * q.conjugate()
-    zero = RationalFunction.zero("x")
+    zero = QX.zero()
     assert n.b == zero and n.c == zero and n.d == zero
     assert n == q.conjugate() * q
 
@@ -81,8 +90,8 @@ def test_inverse_two_sided(q):
 
 
 def test_inverse_of_x_times_k():
-    x = RationalFunction.variable("x")
-    zero = RationalFunction.zero("x")
+    x = QX.symbols()["x"]
+    zero = QX.zero()
     q = Quaternion(zero, zero, zero, x)
     inv = q.inverse()
     # (x k)^-1 = -(1/x) k
@@ -95,8 +104,8 @@ def test_derivative_product_rule(p, q):
 
 
 def test_display():
-    x = RationalFunction.variable("x")
-    zero = RationalFunction.zero("x")
+    x = QX.symbols()["x"]
+    zero = QX.zero()
     assert str(Quaternion(zero, x * x, zero, zero)) == "x^2*i"
     assert str(Quaternion(x, -x, zero, zero)) == "x - x*i"
     assert str(Quaternion(zero, zero, zero, zero)) == "0"
@@ -108,7 +117,7 @@ def test_foreign_operands_raise_type_error():
     with pytest.raises(TypeError):
         QUAT.one() + 1
     with pytest.raises(TypeError):
-        QUAT.one() - RationalFunction.one("x")
+        QUAT.one() - QX.one()
     with pytest.raises(TypeError):
         QUAT.one() * 2
 
@@ -120,14 +129,14 @@ def test_mixed_variables_raise(combine):
 
 
 def test_public_constructor_refuses_mixed_variables():
-    one, zero = RationalFunction.one("x"), RationalFunction.zero("n")
+    one, zero = QX.one(), DIFF1.zero()
     with pytest.raises(MixedAlgebras):
         Quaternion(one, zero, zero, zero)
 
 
 @pytest.mark.parametrize("bad", [0, 1, 2, 3], ids=["a", "b", "c", "d"])
 def test_public_constructor_refuses_components_that_are_not_rational_functions(bad):
-    comps = [RationalFunction.one("x")] * 4
+    comps = [QX.one()] * 4
     comps[bad] = 7
     with pytest.raises(TypeError) as info:
         Quaternion(*comps)
@@ -149,7 +158,7 @@ def test_mixed_variables_raise_with_a_zero_operand(combine):
 def quaternions_with_zeros(var="x"):
     """Quaternions whose components are each zero at random, all four at
     times."""
-    comp = st.one_of(st.just(RationalFunction.zero(var)), ratfuncs(var, 1))
+    comp = st.one_of(st.just(RATFUNC_ALGEBRA[var].zero()), ratfuncs(var, 1))
     return st.builds(Quaternion, comp, comp, comp, comp)
 
 
@@ -187,9 +196,9 @@ def test_results_pass_the_public_constructor(var, data):
 @pytest.mark.parametrize("u", range(4))
 @pytest.mark.parametrize("v", range(4))
 def test_one_component_by_one_makes_one_component_product(u, v, monkeypatch):
-    x = RationalFunction.variable("x")
-    zero = RationalFunction.zero("x")
-    f, g = x, x * x * x * RationalFunction.constant(-2, "x")  # x and -2x^3
+    x = QX.symbols()["x"]
+    zero = QX.zero()
+    f, g = x, x * x * x * QX.from_fraction(-2)  # x and -2x^3
     left = Quaternion(*(f if w == u else zero for w in range(4)))
     right = Quaternion(*(g if w == v else zero for w in range(4)))
     expected = ref_quat_mul(left, right)
@@ -232,7 +241,7 @@ def test_product_checks_the_variables_first(left, right, monkeypatch):
 @given(st.data())
 def test_inverse_of_a_scalar_matches_conj_over_norm(var, data):
     a = data.draw(ratfuncs(var).filter(lambda r: not r.is_zero()))
-    z = RationalFunction.zero(var)
+    z = RATFUNC_ALGEBRA[var].zero()
     q = Quaternion(a, z, z, z)
     inv = q.inverse()
     assert inv == ref_quat_inverse(q) == Quaternion(a.inverse(), z, z, z)
@@ -250,14 +259,17 @@ def test_zero_scalar_has_no_inverse(var):
 def test_constants_equal_their_checked_construction(var):
     """The algebra builds its constants and symbols unchecked; each equals
     the public constructor's value."""
-    z, o = RationalFunction.zero(var), RationalFunction.one(var)
-    c = RationalFunction.constant(Fraction(-3, 4), var)
+
+    def checked(num):
+        return RationalFunction(num, Poly.one(), var)
+
+    z, o, c = (checked(Poly.constant(q)) for q in (0, 1, Fraction(-3, 4)))
     symbols = QUAT.symbols()
     built = [
         (QUAT.zero(), Quaternion(z, z, z, z)),
         (QUAT.one(), Quaternion(o, z, z, z)),
         (QUAT.from_fraction(Fraction(-3, 4)), Quaternion(c, z, z, z)),
-        (symbols[var], Quaternion(RationalFunction.variable(var), z, z, z)),
+        (symbols[var], Quaternion(checked(Poly.variable()), z, z, z)),
         (symbols["i"], Quaternion(z, o, z, z)),
         (symbols["j"], Quaternion(z, z, o, z)),
         (symbols["k"], Quaternion(z, z, z, o)),

@@ -41,10 +41,12 @@ RF_X = (
     "Poly((Fraction(1, 1),)), 'x')"
 )
 
-# the reprs the frozen dataclasses printed; MixedAlgebras messages carry them
+# the reprs the frozen dataclasses printed, and the matrix text of NCMatrix;
+# MixedAlgebras messages carry them
 REPRS = {
     "Quaternion": "Quaternion(a=%s, b=%s, c=%s, d=%s)" % (RF_ZERO, RF_ONE, RF_ZERO, RF_ZERO),
     "GroupRingC5Element": "GroupRingC5Element(coeffs=(1, 2, 0, 0, -1))",
+    "NCMatrix": "NCMatrix([x, 1]; [0, x])",
     "TwistPair": "TwistPair(p=%s, q=%s)" % (RF_X, RF_ONE),
 }
 
