@@ -11,13 +11,19 @@ workload, in `gen.WORKLOADS` order, through `perfbench/worker.serve`, which
 this script imports and does not change.
 
 A first, untimed pass gives each side's answers; their sha1 over the
-concatenated answer texts is printed per side.  Then each round times one
-pass per workload on both sides, in alternating order, by `process_time`.
-Per workload the script prints the change/parent ratio of the median times,
-the first and third quartile of the per-round change/parent ratios (their
-spread), and the number of rounds in which the change took less time, and
-under it the base of that ratio: each side's median and quartiles in ms per
-request.  Exits 1 when the two digests differ.
+concatenated answer texts is printed per side.  The same pass counts the
+opcodes each side runs per request of each workload, by a `sys.settrace`
+hook that turns on `f_trace_opcodes` in every frame, and prints them next
+to the sha1: unlike a time, the count is the same from run to run.  The
+tracing makes this pass about 6.5 s per side slower than an untraced one
+(6.9 s against 0.6 s under Python 3.11 on a 2-core Intel Xeon).  Then
+each round times one pass per workload on both sides, in alternating
+order, by `process_time`.  Per workload the script prints the
+change/parent ratio of the median times, the first and third quartile of
+the per-round change/parent ratios (their spread), and the number of
+rounds in which the change took less time, and under it the base of that
+ratio: each side's median and quartiles in ms per request.  Exits 1 when
+the two digests differ.
 """
 
 import argparse
@@ -62,6 +68,27 @@ def requests(workload):
             for forms in gen.generate(workload, seed, BASE_REQUESTS, FORMS) for r in forms]
 
 
+def counted(api, algebra, wires):
+    """The answers to `wires` and the opcodes run per request to give them."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+        elif event == "opcode":
+            count += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        answers = [worker.serve(api, algebra, wire) for wire in wires]
+    finally:
+        sys.settrace(None)
+    return answers, count / len(wires)
+
+
 def timed(api, algebra, wires):
     t0 = process_time()
     for wire in wires:
@@ -92,10 +119,13 @@ def main():
                 for side, api in apis.items()}
     digests = {}
     for side, api in apis.items():
-        answers = "".join(worker.serve(api, algebras[side][wl], wire)
-                          for wl in gen.WORKLOADS for wire in wires[wl])
-        digests[side] = hashlib.sha1(answers.encode()).hexdigest()
-        print("%-6s sha1 %s" % (side, digests[side]))
+        answers, opcodes = [], []
+        for wl in gen.WORKLOADS:
+            texts, per_request = counted(api, algebras[side][wl], wires[wl])
+            answers += texts
+            opcodes.append("%s %.1f" % (wl, per_request))
+        digests[side] = hashlib.sha1("".join(answers).encode()).hexdigest()
+        print("%-6s sha1 %s; opcodes/request %s" % (side, digests[side], ", ".join(opcodes)))
     times = {wl: {"parent": [], "change": []} for wl in gen.WORKLOADS}
     for r in range(args.rounds):
         for side in ("parent", "change")[::1 if r % 2 == 0 else -1]:

@@ -80,15 +80,15 @@ class QuaternionDifferentialAlgebra(_Derivation, Algebra):
 
     def from_fraction(self, q):
         z = _QX.zero()
-        return Quaternion._trusted(_QX.from_fraction(q), z, z, z)
+        return Quaternion._trusted((_QX.from_fraction(q), z, z, z))
 
     def symbols(self):
         z, o = _QX.zero(), _QX.one()
         return {
-            self.variable: Quaternion._trusted(_QX.symbols()[self.variable], z, z, z),
-            "i": Quaternion._trusted(z, o, z, z),
-            "j": Quaternion._trusted(z, z, o, z),
-            "k": Quaternion._trusted(z, z, z, o),
+            self.variable: Quaternion._trusted((_QX.symbols()[self.variable], z, z, z)),
+            "i": Quaternion._trusted((z, o, z, z)),
+            "j": Quaternion._trusted((z, z, o, z)),
+            "k": Quaternion._trusted((z, z, z, o)),
         }
 
 

@@ -45,10 +45,10 @@ type and equal slots, in the order `__slots__` names them.  Operator keeps
 its own, which folds exponents by `endo_order`.  `TwistPair`, a plain
 pair, is a NamedTuple.
 
-Every element prints, by `str`, as plain text in the grammar the parser
-reads, and `split_sign` folds an overall minus out of it.  Where one text
-is embedded in another, the formatting module's one rule places the
-parentheses.
+Every element and every Operator prints by `str` alone, as plain text in
+the grammar the parser reads; an element's `split_sign` folds an overall
+minus out of it.  Where one text is embedded in another, the formatting
+module's one rule places the parentheses.
 
 An algebra may declare `endo_order = n` when endo^n is the identity map
 AND the corresponding operator identity holds, in which case operator

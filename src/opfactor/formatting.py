@@ -9,6 +9,8 @@ parentheses from the text alone, by one rule:
   * it is negative when it starts with `-`.
 `term` writes every term c*b^e of every printer; "1" is the only text of
 the one in every algebra, so a coefficient is dropped by its text alone.
+`int_poly` is the one writer of an integer polynomial, for the group ring
+and for the integer numerator and denominator of a rational function.
 """
 
 from __future__ import annotations
@@ -59,6 +61,13 @@ def join_terms(terms) -> str:
         else:
             out.append((" - " if sign < 0 else " + ") + body)
     return "".join(out) if out else "0"
+
+
+def int_poly(pairs, base: str) -> str:
+    """The text of the sum of c*base^e over the (e, c) pairs of ints, in
+    their order; a zero c is skipped, and no term left prints as "0"."""
+    return join_terms([(-1 if c < 0 else 1, term(int_text(abs(c)), base, e))
+                       for e, c in pairs if c])
 
 
 def is_sum(text: str) -> bool:

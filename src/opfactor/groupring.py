@@ -33,7 +33,7 @@ from typing import Tuple
 
 from .base import Value
 from .errors import NotAUnit
-from .formatting import int_text, join_terms, term
+from .formatting import int_poly
 
 
 class GroupRingC5Element(Value):
@@ -115,5 +115,4 @@ class GroupRingC5Element(Value):
         return 1, self
 
     def __str__(self) -> str:
-        return join_terms([(-1 if c < 0 else 1, term(int_text(abs(c)), "r", e))
-                           for e, c in enumerate(self.coeffs) if c])
+        return int_poly(enumerate(self.coeffs), "r")

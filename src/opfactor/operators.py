@@ -27,7 +27,7 @@ the only representation quotient in play; no other identification between
 powers is assumed.
 
 Operator is a value class in the package's one slotted idiom (see the base
-module), immutable by convention.
+module), immutable by convention; it prints by `str` alone.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ class Operator:
 
     # display
 
-    def format(self) -> str:
+    def __str__(self) -> str:
         terms = []
         for d in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[d]
@@ -227,8 +227,5 @@ class Operator:
             terms.append((sign, term("(%s)" % text if wrap else text, "D", d)))
         return join_terms(terms)
 
-    def __str__(self) -> str:
-        return self.format()
-
     def __repr__(self) -> str:
-        return "Operator(%s: %s)" % (self.algebra.describe(), self.format())
+        return "Operator(%s: %s)" % (self.algebra.describe(), str(self))

@@ -12,8 +12,8 @@ The value is (cnum/cden) * prim.  Zero is the empty tuple with content
 such form: the primitive part is fixed up to sign, and the sign goes to
 the content.  So the representation is canonical and equality is field
 equality.  `coeffs`, `leading` and `coeff` give the rational coefficients
-as Fractions; `coeffs` is derived on demand.  `fmt(var)` gives the text
-in variable `var`.
+as Fractions; `coeffs` is derived on demand.  A Poly has no text of its
+own: a rational function prints its integer form (see the ratfunc module).
 
 Arithmetic runs on the integer tuples (Knuth, TAOCP vol. 2, 4.6.1):
   * Gauss's lemma: a product of primitive polynomials is primitive, and
@@ -79,7 +79,6 @@ from math import gcd, lcm
 from typing import Iterable, Union
 
 from .base import Value
-from .formatting import int_text, join_terms, term
 
 Scalar = Union[int, Fraction]
 
@@ -280,21 +279,6 @@ class Poly(Value):
                 out[j] += out[j + 1]
         return _new(tuple(out), self.cnum, self.cden)
 
-    # display
-
-    def fmt(self, var: str) -> str:
-        n, d = self.cnum, self.cden
-        terms = []
-        for e in range(len(self.prim) - 1, -1, -1):
-            c = n * self.prim[e]
-            if not c:
-                continue
-            g = gcd(c, d)
-            num, den = abs(c) // g, d // g
-            mag = int_text(num) + ("" if den == 1 else "/" + int_text(den))
-            terms.append((-1 if c < 0 else 1, term(mag, var, e)))
-        return join_terms(terms)
-
 
 def _new(prim: tuple, n: int, d: int) -> Poly:
     """The trusted constructor: the fields already meet the invariants."""
@@ -426,14 +410,3 @@ def _prs_gcd(a: tuple, b: tuple) -> Poly:
 
 _ZERO = _new((), 0, 1)
 _ONE = _new((1,), 1, 1)
-
-
-def integer_cleared(num: Poly, den: Poly):
-    """Rescale num/den by one positive rational so both have integer
-    coefficients with no common integer content.  The value of the quotient
-    is unchanged; this exists purely for display.  With both primitive
-    parts fixed, the contents become the integers u, v with
-    u/v == content(num)/content(den) and gcd(u, v) == 1."""
-    u, v = num.cnum * den.cden, den.cnum * num.cden
-    g = gcd(u, v)
-    return _new(num.prim, u // g, 1), _new(den.prim, v // g, 1)

@@ -3,11 +3,12 @@
 A value is a + b*i + c*j + d*k with the Hamilton table
     i*i = j*j = k*k = -1,  i*j = k,  j*k = i,  k*i = j,
 and the reversed products negated.  Quaternion is a value class in the
-package's one slotted idiom (see the base module), immutable by convention.
-Components are rational functions in one shared variable: the public
-constructor raises TypeError on any other component and MixedAlgebras on
-mixed variables.  Arithmetic between two quaternions refuses mixed
-variables too, then builds its result through `_trusted` with no check.
+package's one slotted idiom (see the base module), immutable by convention;
+its one slot, `components`, is the tuple (a, b, c, d) of rational
+functions in one shared variable: the public constructor raises
+TypeError on any other component and MixedAlgebras on mixed variables.
+Arithmetic between two quaternions refuses mixed variables too, then
+builds its result through `_trusted` with no check.
 
 A product checks the variables first, even when an operand is zero,
 then sums l_u * r_v over the nonzero components only, with the unit
@@ -26,7 +27,7 @@ canonical value.
 
 from __future__ import annotations
 
-from operator import add, sub
+from operator import add, neg, sub
 
 from .base import Value
 from .errors import MixedAlgebras, NotAUnit
@@ -43,7 +44,7 @@ _UNIT_PRODUCTS = (
 
 
 class Quaternion(Value):
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("components",)
 
     def __init__(self, a, b, c, d):
         for name, comp in zip("abcd", (a, b, c, d)):
@@ -55,28 +56,23 @@ class Quaternion(Value):
         vars_ = {comp.var for comp in (a, b, c, d)}
         if len(vars_) != 1:
             raise MixedAlgebras("quaternion components use different variables")
-        self.a, self.b, self.c, self.d = a, b, c, d
+        self.components = (a, b, c, d)
 
     @classmethod
-    def _trusted(cls, a, b, c, d) -> "Quaternion":
-        """The trusted constructor: the components share one variable."""
+    def _trusted(cls, components) -> "Quaternion":
+        """The trusted constructor: a tuple of four components in one variable."""
         q = object.__new__(cls)
-        q.a, q.b, q.c, q.d = a, b, c, d
+        q.components = components
         return q
 
     @property
-    def components(self):
-        return (self.a, self.b, self.c, self.d)
-
-    @property
     def var(self) -> str:
-        return self.a.var
+        return self.components[0].var
 
     # structure
 
     def is_zero(self) -> bool:
-        a, b, c, d = self.components
-        return a.is_zero() and b.is_zero() and c.is_zero() and d.is_zero()
+        return all(map(RationalFunction.is_zero, self.components))
 
     def __repr__(self) -> str:
         return "Quaternion(a=%r, b=%r, c=%r, d=%r)" % self.components
@@ -86,15 +82,15 @@ class Quaternion(Value):
     def __add__(self, other) -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return Quaternion._trusted(*map(add, self.components, other.components))
+        return Quaternion._trusted(tuple(map(add, self.components, other.components)))
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion._trusted(-self.a, -self.b, -self.c, -self.d)
+        return Quaternion._trusted(tuple(map(neg, self.components)))
 
     def __sub__(self, other) -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return Quaternion._trusted(*map(sub, self.components, other.components))
+        return Quaternion._trusted(tuple(map(sub, self.components, other.components)))
 
     def __mul__(self, other) -> "Quaternion":
         if not isinstance(other, Quaternion):
@@ -116,10 +112,11 @@ class Quaternion(Value):
                 w, sign = _UNIT_PRODUCTS[u][v]
                 t = x * y if sign > 0 else -(x * y)
                 out[w] = t if out[w] is zero else out[w] + t
-        return Quaternion._trusted(*out)
+        return Quaternion._trusted(tuple(out))
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion._trusted(self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self.components
+        return Quaternion._trusted((a, -b, -c, -d))
 
     def inverse(self) -> "Quaternion":
         """Two-sided inverse conj(q) / (a^2 + b^2 + c^2 + d^2), or 1/a of a scalar."""
@@ -127,18 +124,18 @@ class Quaternion(Value):
         if b.is_zero() and c.is_zero() and d.is_zero():
             if a.is_zero():
                 raise NotAUnit("zero quaternion has no inverse")
-            return Quaternion._trusted(a.inverse(), b, c, d)
+            return Quaternion._trusted((a.inverse(), b, c, d))
         s = (a * a + b * b + c * c + d * d).inverse()
-        return Quaternion._trusted(a * s, -b * s, -c * s, -d * s)
+        return Quaternion._trusted((a * s, -b * s, -c * s, -d * s))
 
     def derivative(self) -> "Quaternion":
-        return Quaternion._trusted(*(comp.derivative() for comp in self.components))
+        return Quaternion._trusted(tuple(map(RationalFunction.derivative, self.components)))
 
     # display
 
     def split_sign(self):
         nonzero = [comp for comp in self.components if not comp.is_zero()]
-        if nonzero and all(comp.num.leading < 0 for comp in nonzero):
+        if nonzero and all(comp.num.cnum < 0 for comp in nonzero):
             return -1, -self
         return 1, self
 

@@ -55,14 +55,22 @@ products test the operand's type and variable inline and leave a failure
 to `_refuse`, which raises TypeError for anything but a rational function
 and MixedAlgebras otherwise.  A rational number enters through an
 algebra's `from_fraction`; this class has no constant constructors.
+
+A value prints as u*num.prim/(v*den.prim) through `formatting.int_poly`,
+with u/v = content(num)/content(den) in lowest terms (den.cnum is 1).  By
+term counts, a numerator of two or more terms is wrapped before a slash,
+and a denominator stays bare only as a constant or x^e, its one primitive
+tuple with a single nonzero coefficient.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 from .base import Value
 from .errors import MixedAlgebras, NotAUnit
-from .formatting import is_sum
-from .poly import Poly, integer_cleared
+from .formatting import int_poly
+from .poly import Poly
 
 
 def _cancelled(p: Poly, q: Poly):
@@ -205,20 +213,22 @@ class RationalFunction(Value):
     # display
 
     def split_sign(self):
-        """Fold out an overall minus when the numerator leads negative."""
-        if self.num.leading < 0:
+        """Fold out an overall minus when the numerator's content is negative."""
+        if self.num.cnum < 0:
             return -1, -self
         return 1, self
 
     def __str__(self) -> str:
-        n, d = integer_cleared(self.num, self.den)
-        ntext = n.fmt(self.var)
-        if d == Poly.one():
-            return ntext
-        if is_sum(ntext):
-            ntext = "(%s)" % ntext
-        dtext = d.fmt(self.var)
-        # only a constant or a monic power x^e stays bare after the slash
-        if d.degree > 0 and (d.leading != 1 or sum(1 for c in d.prim if c) > 1):
+        num, den = self.num.prim, self.den.prim
+        u, v = self.num.cnum * self.den.cden, self.num.cden
+        g = gcd(u, v)
+        u, v = u // g, v // g
+        text = int_poly([(e, u * c) for e, c in enumerate(num)][::-1], self.var)
+        if v == 1 and len(den) == 1:
+            return text
+        if len(num) - num.count(0) > 1:
+            text = "(%s)" % text
+        dtext = int_poly([(e, v * c) for e, c in enumerate(den)][::-1], self.var)
+        if len(den) > 1 and (v != 1 or den.count(0) < len(den) - 1):
             dtext = "(%s)" % dtext
-        return "%s/%s" % (ntext, dtext)
+        return "%s/%s" % (text, dtext)

@@ -349,8 +349,9 @@ def ref_c5_mul(a, b):
 def ref_quat_inverse(q):
     """conj(q) / (a^2 + b^2 + c^2 + d^2) for every q, scalars included,
     with the norm taken through ref_quat_mul."""
-    conj = Quaternion(q.a, -q.b, -q.c, -q.d)
-    s = ref_quat_mul(q, conj).a.inverse()
+    a, b, c, d = q.components
+    conj = Quaternion(a, -b, -c, -d)
+    s = ref_quat_mul(q, conj).components[0].inverse()
     return Quaternion(*(comp * s for comp in conj.components))
 
 

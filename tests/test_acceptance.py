@@ -345,5 +345,5 @@ def test_criterion_7_cli_contract(capsys):
         for algebra in ALL_ALGEBRAS:
             for _ in range(per_algebra):
                 op = rand_operator(rng, algebra, 4)
-                back = parse_operator(op.format(), algebra)
+                back = parse_operator(str(op), algebra)
                 assert back.coeffs == op.coeffs

@@ -95,9 +95,9 @@ def test_quaternion_showcase_matrix_inverse():
 
 def test_quaternion_showcase_kernel_operator():
     ctx = ctx_quat()
-    assert ctx.K.format() == "D^2 - (3/x)*D + 3/x^2"
-    assert ctx.P[0].format() == "(1/2*k)*D - 3/(2*x)*k"
-    assert ctx.P[1].format() == "-(1/(2*x^2)*i)*D + 1/(2*x^3)*i"
+    assert str(ctx.K) == "D^2 - (3/x)*D + 3/x^2"
+    assert str(ctx.P[0]) == "(1/2*k)*D - 3/(2*x)*k"
+    assert str(ctx.P[1]) == "-(1/(2*x^2)*i)*D + 1/(2*x^3)*i"
     for f in ctx.f:
         assert ctx.K.apply(f) == QUAT.zero()
 
@@ -114,7 +114,7 @@ def test_quaternion_factorization():
     ctx = ctx_quat()
     big = parse_operator(CORRECTED_L, QUAT)
     q = ctx.factorize(big)
-    assert q.format() == "x^3*j*D + x^2*i"
+    assert str(q) == "x^3*j*D + x^2*i"
     assert q.compose(ctx.K) == big
 
     div_q, rem = right_divide_monic(big, ctx.K)
@@ -176,21 +176,21 @@ def test_difference_showcase(c):
 def test_difference_display_at_c_one():
     ctx = ctx_diff()
     assert (
-        ctx.K.format()
+        str(ctx.K)
         == "D^2 - ((4*n + 6)/(n + 1))*D + (4*n^2 + 8*n + 2)/(n^2 + n)"
     )
 
 
 def test_c5_showcase():
     ctx = ctx_c5()
-    assert ctx.K.format() == "D - r^2"
+    assert str(ctx.K) == "D - r^2"
     rho = C5.symbols()["r"]
     big = parse_operator("r*D^3 - 1", C5)
     hats = ctx.hat_coefficients(big)
     r2 = rho * rho
     assert hats == [C5.zero(), r2 * rho, r2 * r2, rho]
     q = ctx.factorize(big)
-    assert q.format() == "r*D^2 + r^4*D + r^3"
+    assert str(q) == "r*D^2 + r^4*D + r^3"
     assert q.compose(ctx.K) == big
     assert Operator.d(C5, 4) == Operator.identity(C5)
 

@@ -1,5 +1,6 @@
-"""The exact printed text of every parenthesis rule, `is_sum` and `term`
-themselves, and one digest that pins the printed text of random values.
+"""The exact printed text of every parenthesis rule, `is_sum`, `term` and
+`int_poly` themselves, and one digest that pins the printed text of random
+values.
 
 Each case parses a text and prints the result, so the expected text is
 also one the parser reads back.
@@ -73,7 +74,7 @@ ELEMENT_CASES = [
 def test_operator_text(algebra, text, printed):
     A = get_algebra(algebra)
     op = parse_operator(text, A)
-    assert op.format() == printed
+    assert str(op) == printed
     assert parse_operator(printed, A) == op
 
 
@@ -122,6 +123,14 @@ def test_term(coeff, base, e, text):
     assert formatting.term(coeff, base, e) == text
 
 
+def test_int_poly():
+    int_poly = formatting.int_poly
+    # the pairs' order is the text's order, and zero coefficients are skipped
+    assert int_poly([(2, 3), (1, 0), (0, -1)], "x") == "3*x^2 - 1"
+    assert int_poly(enumerate((-1, 1, 0, 0, -12)), "r") == "-1 + r - 12*r^4"
+    assert int_poly([(3, 0), (0, 0)], "n") == "0"
+
+
 DIFF_HALF = get_algebra("diff", Fraction(-1, 2))
 PRINTED_ALGEBRAS = (QX, QUAT, DIFF1, DIFF_HALF, C5)
 BIG = 7**5200  # 4,395 digits: past the int-string limit, so int_text splits it
@@ -162,9 +171,9 @@ def printed_texts(seed=31, rounds=120):
             s, t = rand_operator(rng, alg), rand_operator(rng, alg, monic=True)
             values += [s, -s, s * t, t - s]
             for v in values:
-                yield v.format() if isinstance(v, Operator) else alg.format_element(v)
+                yield str(v) if isinstance(v, Operator) else alg.format_element(v)
     for v in _big_values():
-        yield v.format() if isinstance(v, Operator) else str(v)
+        yield str(v)
 
 
 def test_printed_texts_match_recorded_digest():

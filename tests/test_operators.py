@@ -169,11 +169,11 @@ def test_apply_identity_and_d():
 
 
 def test_format_round_examples():
-    assert Operator.d(QX, 2).format() == "D^2"
-    assert Operator.zero(C5).format() == "0"
+    assert str(Operator.d(QX, 2)) == "D^2"
+    assert str(Operator.zero(C5)) == "0"
     x = QX.symbols()["x"]
     op = Operator.d(QX, 2) - Operator.d(QX).scale_left(x)
-    assert op.format() == "D^2 - x*D"
+    assert str(op) == "D^2 - x*D"
 
 
 @pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)

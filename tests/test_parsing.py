@@ -398,7 +398,7 @@ def test_print_parse_round_trip(algebra):
     rng = random.Random(1000)
     for _ in range(60):
         op = rand_operator(rng, algebra, 4)
-        text = op.format()
+        text = str(op)
         back = parse_operator(text, algebra)
         assert back.coeffs == op.coeffs, text
 

@@ -8,7 +8,6 @@ from hypothesis import assume, example, given
 
 import opfactor.poly as poly_module
 from opfactor import Poly
-from opfactor.formatting import is_sum
 from opfactor.poly import _heuristic_gcd, _prs_gcd, _pseudo_divide
 
 from helpers import RefPoly, factored_polys, polys, ref_poly_compose, small_fractions
@@ -81,15 +80,6 @@ def test_compose_and_shift():
     assert p.shifted() == Poly([1, 2, 1])
     assert ref_poly_compose(p, Poly([0, 2])) == Poly([0, 0, 4])
     assert ref_poly_compose(Poly([1, 1]), Poly()) == Poly([1])
-
-
-def test_format():
-    assert Poly([1, 2, 1]).fmt("n") == "n^2 + 2*n + 1"
-    assert Poly([0, -1]).fmt("x") == "-x"
-    assert Poly([Fraction(3, 2)]).fmt("x") == "3/2"
-    assert Poly().fmt("x") == "0"
-    f = Poly([0, 0, 2]).fmt("x")
-    assert f == "2*x^2" and not is_sum(f)
 
 
 def assert_stored_canonically(p):

@@ -74,7 +74,7 @@ def test_ring_axioms(p, q, r):
 def test_norm_is_scalar(q):
     n = q * q.conjugate()
     zero = QX.zero()
-    assert n.b == zero and n.c == zero and n.d == zero
+    assert n.components[1:] == (zero, zero, zero)
     assert n == q.conjugate() * q
 
 
