@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given
 
 import opfactor.poly as poly_module
-from opfactor import Poly
+from opfactor import Poly, RationalFunction
+from opfactor.formatting import is_sum
 from opfactor.poly import _heuristic_gcd, _prs_gcd, _pseudo_divide
 
 from helpers import RefPoly, factored_polys, polys, ref_poly_compose, small_fractions
@@ -80,6 +81,19 @@ def test_compose_and_shift():
     assert p.shifted() == Poly([1, 2, 1])
     assert ref_poly_compose(p, Poly([0, 2])) == Poly([0, 0, 4])
     assert ref_poly_compose(Poly([1, 1]), Poly()) == Poly([1])
+
+
+def test_format():
+    # a polynomial prints as a rational function over 1, which is not printed
+    def fmt(p, var):
+        return str(RationalFunction(p, Poly.one(), var))
+
+    assert fmt(Poly([1, 2, 1]), "n") == "n^2 + 2*n + 1"
+    assert fmt(Poly([0, -1]), "x") == "-x"
+    assert fmt(Poly([Fraction(3, 2)]), "x") == "3/2"
+    assert fmt(Poly(), "x") == "0"
+    f = fmt(Poly([0, 0, 2]), "x")
+    assert f == "2*x^2" and not is_sum(f)
 
 
 def assert_stored_canonically(p):
