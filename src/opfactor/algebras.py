@@ -79,16 +79,16 @@ class QuaternionDifferentialAlgebra(_Derivation, Algebra):
     variable = "x"
 
     def from_fraction(self, q):
-        z = _QX.zero()
-        return Quaternion._trusted((_QX.from_fraction(q), z, z, z))
+        terms = ((0, _QX.from_fraction(q)),) if q else ()
+        return Quaternion._trusted(terms, _QX.zero())
 
     def symbols(self):
         z, o = _QX.zero(), _QX.one()
         return {
-            self.variable: Quaternion._trusted((_QX.symbols()[self.variable], z, z, z)),
-            "i": Quaternion._trusted((z, o, z, z)),
-            "j": Quaternion._trusted((z, z, o, z)),
-            "k": Quaternion._trusted((z, z, z, o)),
+            self.variable: Quaternion._trusted(((0, _QX.symbols()[self.variable]),), z),
+            "i": Quaternion._trusted(((1, o),), z),
+            "j": Quaternion._trusted(((2, o),), z),
+            "k": Quaternion._trusted(((3, o),), z),
         }
 
 

@@ -18,8 +18,8 @@ zero left factor needs none.  Right division's certificate runs the same
 sum over the shifted divisors it built.  Each operation skips the zero
 coefficients it would multiply by or add, which changes no result.  An
 accumulator slot takes its first term as it is, rather than adding it to
-the algebra's zero, and scaling by a keeps a itself where a coefficient is
-the algebra's one.
+the algebra's zero, and both `scale_left` and `compose` take a itself for
+a product a*c where the coefficient c is the algebra's one.
 
 Equality is equality of normal forms, except that an algebra declaring
 endo_order = n first folds every exponent e >= n down to e mod n.  That is
@@ -180,13 +180,13 @@ class Operator:
             shifted = [other]
             for _ in self.coeffs[1:]:
                 shifted.append(shifted[-1]._advanced())
-        zero = alg.zero()
+        zero, one = alg.zero(), alg.one()
         acc = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for a, s in zip(self.coeffs, shifted):
             if not a.is_zero():
                 for t, c in enumerate(s.coeffs):
                     if not c.is_zero():
-                        x = a * c
+                        x = a if c is one else a * c
                         acc[t] = x if acc[t] is zero else acc[t] + x
         return Operator._trusted(alg, acc)
 

@@ -3,35 +3,48 @@
 A value is a + b*i + c*j + d*k with the Hamilton table
     i*i = j*j = k*k = -1,  i*j = k,  j*k = i,  k*i = j,
 and the reversed products negated.  Quaternion is a value class in the
-package's one slotted idiom (see the base module), immutable by convention;
-its one slot, `components`, is the tuple (a, b, c, d) of rational
-functions in one shared variable: the public constructor raises
-TypeError on any other component and MixedAlgebras on mixed variables.
-Arithmetic between two quaternions refuses mixed variables too, then
-builds its result through `_trusted` with no check.
+package's one slotted idiom (see the base module), immutable by convention.
 
-A product checks the variables first, even when an operand is zero,
-then sums l_u * r_v over the nonzero components only, with the unit
-table e_u * e_v = +-e_w; a slot that no product reaches holds a zero
-component of an operand.  Most products in a request are of one nonzero
-component by one.
+A value stores only its nonzero components.  Most quaternions of a
+factorization have one nonzero component, a few two, so a dense four-tuple
+would send mostly zeros through rational function arithmetic.  The two
+slots are:
+  * `terms`, a tuple of (unit, component) pairs, unit 0, 1, 2, 3 for
+    1, i, j, k: the nonzero components only, in increasing unit order, so
+    equal values have equal slots;
+  * `zero`, the zero rational function of the variable, which `var` reads;
+    a value with no terms still knows its variable.
+`components`, the four-tuple (a, b, c, d), is derived from the two.  The
+public constructor takes the four components and raises TypeError on any
+that is not a rational function and MixedAlgebras on mixed variables.
+Arithmetic refuses mixed variables too, then builds its result through
+`_trusted(terms, zero)` with no check, passing on its left operand's zero.
+
+Every operation loops over the terms alone.  A sum merges the two term
+tuples and drops a unit whose components cancel; a difference is the sum
+with the negation.  A product checks the variables first, even when an
+operand is zero, then sums l_u * r_v over the pairs of terms through the
+unit table e_u * e_v = +-e_w, dropping a unit whose sum cancels.
+Negation and conjugation cannot make a component zero; the derivative
+drops each component that it makes zero.
 
 Every nonzero value is a unit: the squared norm a^2 + b^2 + c^2 + d^2 is
 a rational function that only vanishes when all four components do, so
 conj(q) / norm inverts q from both sides.  The inverse computes that norm
-directly from the four components, which is the scalar part of
-q * conj(q) without the rest of the product.  A scalar a, which the
-parser makes for `/`, is inverted as 1/a in the scalar slot, the same
-canonical value.
+directly from the terms, which is the scalar part of q * conj(q) without
+the rest of the product.  A scalar a, which the parser makes for `/`, is
+inverted as 1/a in the scalar slot, the same canonical value.
 """
 
 from __future__ import annotations
 
-from operator import add, neg, sub
+from functools import reduce
+from operator import add
 
 from .base import Value
 from .errors import MixedAlgebras, NotAUnit
 from .formatting import is_sum, join_terms, term
+from .poly import Poly
 from .ratfunc import RationalFunction
 
 # e_u * e_v = sign * e_w as (w, sign), for the units e = 1, i, j, k
@@ -42,113 +55,148 @@ _UNIT_PRODUCTS = (
     ((3, 1), (2, 1), (1, -1), (0, -1)),
 )
 
+_UNIT_NAMES = ("", "i", "j", "k")
+
 
 class Quaternion(Value):
-    __slots__ = ("components",)
+    __slots__ = ("terms", "zero")
 
     def __init__(self, a, b, c, d):
-        for name, comp in zip("abcd", (a, b, c, d)):
+        comps = (a, b, c, d)
+        for name, comp in zip("abcd", comps):
             if not isinstance(comp, RationalFunction):
                 raise TypeError(
                     "quaternion component %s must be a RationalFunction, not %r"
                     % (name, comp)
                 )
-        vars_ = {comp.var for comp in (a, b, c, d)}
+        vars_ = {comp.var for comp in comps}
         if len(vars_) != 1:
             raise MixedAlgebras("quaternion components use different variables")
-        self.components = (a, b, c, d)
+        self.terms = tuple((u, comp) for u, comp in enumerate(comps) if not comp.is_zero())
+        self.zero = RationalFunction._canonical(Poly.zero(), Poly.one(), a.var)
 
     @classmethod
-    def _trusted(cls, components) -> "Quaternion":
-        """The trusted constructor: a tuple of four components in one variable."""
+    def _trusted(cls, terms, zero) -> "Quaternion":
+        """The trusted constructor: the nonzero (unit, component) pairs in
+        increasing unit order, and the zero of their variable."""
         q = object.__new__(cls)
-        q.components = components
+        q.terms = terms
+        q.zero = zero
         return q
 
     @property
     def var(self) -> str:
-        return self.components[0].var
+        return self.zero.var
+
+    @property
+    def components(self) -> tuple:
+        """The four components (a, b, c, d), the zero where no term is."""
+        out = [self.zero] * 4
+        for u, comp in self.terms:
+            out[u] = comp
+        return tuple(out)
 
     # structure
 
     def is_zero(self) -> bool:
-        return all(map(RationalFunction.is_zero, self.components))
+        return not self.terms
 
     def __repr__(self) -> str:
         return "Quaternion(a=%r, b=%r, c=%r, d=%r)" % self.components
+
+    def _refuse(self, other):
+        """Raise for an operand in another variable."""
+        raise MixedAlgebras(
+            "cannot combine quaternions in %r and %r" % (self.var, other.var)
+        )
 
     # arithmetic
 
     def __add__(self, other) -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return Quaternion._trusted(tuple(map(add, self.components, other.components)))
+        zero = self.zero
+        if other.zero.var != zero.var:
+            self._refuse(other)
+        out = dict(self.terms)
+        for v, y in other.terms:
+            x = out.get(v)
+            if x is None:
+                out[v] = y
+            else:
+                s = x + y
+                if s.num.prim:
+                    out[v] = s
+                else:
+                    del out[v]
+        return Quaternion._trusted(tuple(sorted(out.items())), zero)
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion._trusted(tuple(map(neg, self.components)))
+        return Quaternion._trusted(tuple([(u, -x) for u, x in self.terms]), self.zero)
 
     def __sub__(self, other) -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return Quaternion._trusted(tuple(map(sub, self.components, other.components)))
+        return self + (-other)
 
     def __mul__(self, other) -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
-        left, right = self.components, other.components
-        if left[0].var != right[0].var:
-            raise MixedAlgebras(
-                "cannot combine quaternions in %r and %r" % (left[0].var, right[0].var)
-            )
-        # a zero component of an operand fills the slots no product reaches;
-        # with none, all 16 products are taken and every slot is reached
-        zero = next((comp for comp in left + right if not comp.num.prim), None)
-        out = [zero] * 4
-        right_terms = [(v, y) for v, y in enumerate(right) if y.num.prim]
-        for u, x in enumerate(left):
-            if not x.num.prim:
-                continue
-            for v, y in right_terms:
-                w, sign = _UNIT_PRODUCTS[u][v]
+        zero = self.zero
+        if other.zero.var != zero.var:
+            self._refuse(other)
+        right = other.terms
+        out = {}
+        for u, x in self.terms:
+            row = _UNIT_PRODUCTS[u]
+            for v, y in right:
+                w, sign = row[v]
                 t = x * y if sign > 0 else -(x * y)
-                out[w] = t if out[w] is zero else out[w] + t
-        return Quaternion._trusted(tuple(out))
+                s = out.get(w)
+                out[w] = t if s is None else s + t
+        return Quaternion._trusted(
+            tuple(sorted([(w, c) for w, c in out.items() if c.num.prim])), zero
+        )
 
     def conjugate(self) -> "Quaternion":
-        a, b, c, d = self.components
-        return Quaternion._trusted((a, -b, -c, -d))
+        return Quaternion._trusted(
+            tuple([(u, -x if u else x) for u, x in self.terms]), self.zero
+        )
 
     def inverse(self) -> "Quaternion":
         """Two-sided inverse conj(q) / (a^2 + b^2 + c^2 + d^2), or 1/a of a scalar."""
-        a, b, c, d = self.components
-        if b.is_zero() and c.is_zero() and d.is_zero():
-            if a.is_zero():
-                raise NotAUnit("zero quaternion has no inverse")
-            return Quaternion._trusted((a.inverse(), b, c, d))
-        s = (a * a + b * b + c * c + d * d).inverse()
-        return Quaternion._trusted((a * s, -b * s, -c * s, -d * s))
+        terms = self.terms
+        if not terms:
+            raise NotAUnit("zero quaternion has no inverse")
+        if terms[-1][0] == 0:  # the scalar unit is the only one
+            return Quaternion._trusted(((0, terms[0][1].inverse()),), self.zero)
+        s = reduce(add, [x * x for _, x in terms]).inverse()
+        return Quaternion._trusted(
+            tuple([(u, -(x * s) if u else x * s) for u, x in terms]), self.zero
+        )
 
     def derivative(self) -> "Quaternion":
-        return Quaternion._trusted(tuple(map(RationalFunction.derivative, self.components)))
+        return Quaternion._trusted(
+            tuple([(u, dx) for u, x in self.terms if (dx := x.derivative()).num.prim]),
+            self.zero,
+        )
 
     # display
 
     def split_sign(self):
-        nonzero = [comp for comp in self.components if not comp.is_zero()]
-        if nonzero and all(comp.num.cnum < 0 for comp in nonzero):
+        terms = self.terms
+        if terms and all(x.num.cnum < 0 for _, x in terms):
             return -1, -self
         return 1, self
 
     def __str__(self) -> str:
-        terms = []
-        for comp, unit in zip(self.components, ("", "i", "j", "k")):
-            if comp.is_zero():
-                continue
+        out = []
+        for u, comp in self.terms:
             sign, mag = comp.split_sign()
             text = str(mag)
             # a positive scalar sum reassociates fine when appended bare;
             # under a minus or before a unit it keeps its parentheses
-            if is_sum(text) and (unit or sign < 0):
+            if is_sum(text) and (u or sign < 0):
                 text = "(%s)" % text
-            terms.append((sign, term(text, unit, 1)))
-        return join_terms(terms)
+            out.append((sign, term(text, _UNIT_NAMES[u], 1)))
+        return join_terms(out)

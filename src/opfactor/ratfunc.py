@@ -42,7 +42,11 @@ All of these, and the algebras' constants, build their result through
 `_canonical`, which trusts its input.  `_cancelled` is the one pair
 reduction, a division of both by their monic gcd when it is not 1: in the
 public constructor, the equal-denominator sum, both cross-cancels of a
-product and the derivative.
+product and the derivative.  It first tests for the commonest coprime
+pair, q = c*x^m against p with p(0) != 0 (x is the one prime factor of
+q and does not divide p), and returns that pair with no gcd.  The test
+reads q's constant coefficient first, so a q with q(0) != 0 pays one
+index.
 
 Numerator and denominator are `Poly` values, a rational content times a
 primitive integer polynomial, so every product, gcd and exact division
@@ -75,6 +79,10 @@ from .poly import Poly
 
 def _cancelled(p: Poly, q: Poly):
     """p and q divided by their monic gcd, when that gcd is not 1."""
+    # q = x^m and p(0) != 0 are coprime, since x is the one prime of q;
+    # the cheapest test first, so another q pays one index
+    if q.prim[0] == 0 and p.prim[0] and q.prim.count(0) == len(q.prim) - 1:
+        return p, q
     g = Poly.gcd(p, q)
     if len(g.prim) > 1:
         return p // g, q // g

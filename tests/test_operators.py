@@ -249,3 +249,23 @@ def test_compose_advances_the_right_factor_once_per_power():
     assert bound == 26
     assert algebra.twists <= bound
     assert product.coeffs == ref_compose(a, b).coeffs
+
+
+def test_compose_takes_the_left_coefficient_where_the_right_one_is_one(monkeypatch):
+    x, i = QUAT.symbols()["x"], QUAT.symbols()["i"]
+    a = Operator(QUAT, (x, i))  # x + i*D
+    d = Operator.d(QUAT)  # its coefficient of D is QUAT.one() itself
+    expected = ref_compose(a, d)
+    calls = []
+    mul = type(x).__mul__
+
+    def counted(p, q):
+        calls.append((p, q))
+        return mul(p, q)
+
+    monkeypatch.setattr(type(x), "__mul__", counted)
+    product = a.compose(d)
+    assert calls == []
+    monkeypatch.undo()
+    assert product.coeffs == expected.coeffs
+    assert product.coeffs[1] is x and product.coeffs[2] is i  # x*D + i*D^2

@@ -191,6 +191,91 @@ def test_results_pass_the_public_constructor(var, data):
         assert type(r) is Quaternion
         assert Quaternion(*r.components) == r and r.var == var
         assert r.is_zero() == all(comp.is_zero() for comp in r.components)
+        assert_sparse(r, var)
+
+
+def assert_sparse(q, var):
+    """The stored form: units strictly increase, no stored component is
+    zero, and `zero` is the zero of the variable."""
+    units = [u for u, _ in q.terms]
+    assert units == sorted(set(units)) and set(units) <= {0, 1, 2, 3}
+    assert all(type(comp) is RationalFunction and not comp.is_zero() for _, comp in q.terms)
+    assert all(comp.var == var for _, comp in q.terms)
+    assert q.zero.is_zero() and q.zero.var == var and q.zero == RATFUNC_ALGEBRA[var].zero()
+
+
+def spy(monkeypatch, name):
+    """The calls of RationalFunction.<name> from here on, as argument tuples."""
+    calls = []
+    method = getattr(RationalFunction, name)
+
+    def counted(*args):
+        calls.append(args)
+        return method(*args)
+
+    monkeypatch.setattr(RationalFunction, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("var", ["x", "n"])
+def test_a_sum_of_disjoint_units_adds_no_component(var, monkeypatch):
+    x = RATFUNC_ALGEBRA[var].symbols()[var]
+    z = RATFUNC_ALGEBRA[var].zero()
+    left, right = Quaternion(x, z, x * x, z), Quaternion(z, -x, z, x)
+    expected = Quaternion(x, -x, x * x, x)
+    calls = spy(monkeypatch, "__add__")
+    total = left + right
+    assert calls == []
+    monkeypatch.undo()
+    assert total == expected == right + left
+    assert [u for u, _ in total.terms] == [0, 1, 2, 3]
+
+
+def test_derivative_differentiates_each_nonzero_component_once(monkeypatch):
+    x = QX.symbols()["x"]
+    z = QX.zero()
+    q = Quaternion(z, x * x, z, QX.from_fraction(Fraction(5)))  # x^2*i + 5*k
+    calls = spy(monkeypatch, "derivative")
+    d = q.derivative()
+    assert sorted(map(str, (c for (c,) in calls))) == ["5", "x^2"]
+    monkeypatch.undo()
+    # the constant's derivative is zero, so only i is left
+    assert d == Quaternion(z, x * QX.from_fraction(Fraction(2)), z, z)
+    assert [u for u, _ in d.terms] == [1]
+    assert QUAT.from_fraction(Fraction(7)).derivative().terms == ()
+
+
+@pytest.mark.parametrize("var", ["x", "n"])
+def test_a_product_with_a_zero_operand_multiplies_no_component(var, monkeypatch):
+    x = RATFUNC_ALGEBRA[var].symbols()[var]
+    z = RATFUNC_ALGEBRA[var].zero()
+    zero, q = quat(var), Quaternion(x, x, z, x * x)
+    calls = spy(monkeypatch, "__mul__")
+    products = [zero * q, q * zero, zero * zero]
+    assert calls == []
+    monkeypatch.undo()
+    for p in products:
+        assert p.is_zero() and p == zero and p.terms == ()
+        assert_sparse(p, var)
+
+
+def test_equal_values_from_the_constructor_and_from_arithmetic_are_one_value():
+    x = QX.symbols()["x"]
+    z = QX.zero()
+    symbols = QUAT.symbols()
+    i, j, k, qx = symbols["i"], symbols["j"], symbols["k"], symbols["x"]
+    built = [
+        Quaternion(z, x, z, x),  # x*i + x*k
+        qx * i + qx * k,
+        i * qx + k * qx + j - j,
+        (qx * i + qx * j + qx * k) - qx * j,
+        -(-(k * qx) - i * qx),
+        (qx * (i + k)).conjugate().conjugate(),
+        (qx * i + k * qx) * QUAT.one(),
+    ]
+    assert all(value == built[0] for value in built)
+    assert len(set(built)) == 1
+    assert len({QUAT.zero(), i - i, qx - qx, qx * QUAT.zero(), Quaternion(z, z, z, z)}) == 1
 
 
 @pytest.mark.parametrize("u", range(4))

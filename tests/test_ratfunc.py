@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 from hypothesis import assume, example, given
 
 from opfactor import MixedAlgebras, NotAUnit, Poly, RationalFunction
+from opfactor.ratfunc import _cancelled
 
 from helpers import (
     DIFF1,
@@ -314,3 +315,47 @@ def test_subtracting_zero_returns_the_left_operand(a):
     assert a - QX.zero() is a
     with pytest.raises(MixedAlgebras):  # the variable is checked first
         a - DIFF1.zero()
+
+
+# the coprimality pretest of the one pair reduction: x^m and a p with
+# p(0) != 0 share no factor, so no gcd is taken
+
+def test_a_product_by_a_power_of_x_over_p_with_p0_nonzero_runs_no_gcd(monkeypatch):
+    p, c = rf([3, 1]), rf([2], [0, 0, 1])  # (x + 3)/1 and 2/x^2
+    shared = rf([0, 1, 1])  # x(x + 1), zero at 0
+    calls = []
+    gcd = Poly.gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(Poly, "gcd", staticmethod(counted))
+    product = p * c
+    assert calls == []
+    cancelled = shared * c  # x(x + 1) against x^2 needs its gcd, x
+    assert calls == [(shared.num, c.den)]
+    monkeypatch.undo()
+    assert product == rf([6, 2], [0, 0, 1])
+    assert cancelled == rf([2, 2], [0, 1])
+    assert_canonical(product)
+    assert_canonical(cancelled)
+
+
+x_powers = st.builds(
+    lambda c, m: Poly([0] * m + [c]),
+    small_fractions.filter(bool),
+    st.integers(1, 3),
+)
+
+
+@example(Poly([0, 1, 1]), Poly([0, 0, 1]))  # x(x + 1) against x^2: p(0) = 0
+@example(Poly([0, 0, 2]), Poly([0, 0, 0, 3]))  # 2x^2 against 3x^3
+@example(Poly([1, 1]), Poly([0, 0, 1]))  # x + 1 against x^2: coprime
+@given(
+    st.builds(lambda f, m: f * Poly([0] * m + [1]), polys(2).filter(bool), st.integers(0, 2)),
+    st.one_of(x_powers, polys(2).filter(bool)),
+)
+def test_cancelled_matches_the_full_gcd_reduction(p, q):
+    g = Poly.gcd(p, q)
+    assert _cancelled(p, q) == (p // g, q // g)
