@@ -63,8 +63,8 @@ class KernelContext:
     K(f_j) = endo^k(f_j) - X(f_j) = 0.  Phi^-1 and the duals P, its
     rows, are solved on first use and kept, so factoring never computes
     them; their certificate Phi^-1 . Phi = I is P_i(f_j) = delta_ij.
-    Over qx, diff and c5 the one elimination of Phi serves K, P and
-    every interpolation; over quat each solve eliminates afresh.
+    Over qx and diff the one elimination of Phi serves K, P and every
+    interpolation; over quat and c5 each solve eliminates afresh.
     NotInvertible propagates from the construction when the elements
     are not independent enough, and VerificationFailed when a solve
     fails its certificate.

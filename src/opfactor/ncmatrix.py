@@ -31,12 +31,16 @@ row (n*adj)/(m*det) of X.  Its certificate is the Poly identity
 is adj*A' = det*I, row by row.
 
 Over any other algebra that declares itself commutative (c5) a matrix is
-invertible exactly when its determinant is a unit.  The solver reads the
-inverse C off the characteristic polynomial once (Cayley-Hamilton, with
-Berkowitz's division-free recursion for the polynomial), and when det A
-is not a unit, NotInvertible names it.  Unit pivots would not do: the
-group ring has zero divisors, and [[2, 3], [3, 5]] is invertible with no
-unit entry to pivot on.  Each X is B*C, certified by the product X*A = B.
+invertible exactly when its determinant is a unit.  Each solve reads the
+characteristic polynomial det(tI - A) = t^n + c_1 t^(n-1) + ... + c_n
+(Berkowitz's division-free recursion), and when det A = (-1)^n c_n is
+not a unit, NotInvertible names it.  Unit pivots would not do: the group
+ring has zero divisors, and [[2, 3], [3, 5]] is invertible with no unit
+entry to pivot on.  Otherwise Cayley-Hamilton gives
+X = B*A^-1 = -c_n^-1 (B*A^(n-1) + c_1 B*A^(n-2) + ... + c_(n-1) B),
+summed by Horner from B, so each product has as many rows as B and
+A^-1 is formed only as the X of B = I; X is certified by the product
+X*A = B.
 
 The remaining algebras (quat) run Gauss-Jordan elimination with column
 operations only, right multiplications by elementary matrices, on the
@@ -145,21 +149,15 @@ class NCMatrix(Value):
 
     def left_solver(self) -> Callable[["NCMatrix"], "NCMatrix"]:
         """The function taking B to the certified X with X*self == B, as
-        the module docstring says.  Over a commutative algebra the
-        elimination runs here, once, and raises NotInvertible; otherwise
-        it runs, and raises, in each solve."""
+        the module docstring says.  Over Q(v) the elimination runs here,
+        once, and raises NotInvertible when left_solver() is called;
+        over the other algebras it runs, and raises, in each solve."""
         if self.rows != self.cols:
             raise ShapeMismatch("only square matrices can be inverted")
         if isinstance(self.algebra, RationalFunctionAlgebra):
             return self._fraction_free_solver()
         if self.algebra.commutative:
-            inverse = self._cayley_hamilton()
-
-            def solve(b: "NCMatrix") -> "NCMatrix":
-                self._check_right_side(b)
-                return _certified(b * inverse, self, b)
-
-            return solve
+            return self._cayley_hamilton_solve
         return self._column_solve
 
     def _check_right_side(self, b: "NCMatrix") -> None:
@@ -234,11 +232,11 @@ class NCMatrix(Value):
         x = NCMatrix(alg, b.rows, n, (x_cols[j][n + i] for i in range(b.rows) for j in range(n)))
         return _certified(x, self, b)
 
-    def _cayley_hamilton(self) -> "NCMatrix":
-        """The uncertified inverse over a commutative algebra.  With
-        det(tI - A) = t^n + c_1 t^(n-1) + ... + c_n, Cayley-Hamilton gives
-        A^-1 = -c_n^-1 (A^(n-1) + c_1 A^(n-2) + ... + c_(n-1) I); when
-        det A = (-1)^n c_n is not a unit, NotInvertible names it."""
+    def _cayley_hamilton_solve(self, b: "NCMatrix") -> "NCMatrix":
+        """The certified X with X*self == b over a commutative algebra, by
+        Horner on b over the characteristic polynomial; NotInvertible
+        names det A when it is not a unit."""
+        self._check_right_side(b)
         alg = self.algebra
         n = self.rows
         coeffs = self._charpoly()
@@ -247,15 +245,11 @@ class NCMatrix(Value):
         except NotAUnit:
             det = -coeffs[n] if n % 2 else coeffs[n]
             raise NotInvertible("determinant %s is not a unit" % alg.format_element(det)) from None
-        acc = None  # Horner, adding c_i on the diagonal; its first I*A is A
+        acc = b  # B*A^i + c_1 B*A^(i-1) + ... + c_i B after step i
         for c in coeffs[1:n]:
-            power = self if acc is None else acc * self
-            acc = NCMatrix(alg, n, n, tuple(
-                e + c if idx % (n + 1) == 0 else e for idx, e in enumerate(power.entries)
-            ))
-        if acc is None:  # n < 2, where the bracket is I
-            acc = NCMatrix.identity(alg, n)
-        return NCMatrix(alg, n, n, tuple(scale * e for e in acc.entries))
+            acc = NCMatrix(alg, b.rows, n,
+                           (p + c * e for p, e in zip((acc * self).entries, b.entries)))
+        return _certified(NCMatrix(alg, b.rows, n, (scale * e for e in acc.entries)), self, b)
 
     def _charpoly(self) -> list:
         """[1, c_1, ..., c_n], the coefficients of det(tI - A) from the top,

@@ -202,19 +202,44 @@ def test_c5_nonunit_determinant_is_named():
         rank_one.inverse()
 
 
+def _c5_elementary_product(rng, size):
+    """A product of elementary matrices with group-ring entries: its
+    determinant is 1."""
+    m = NCMatrix.identity(C5, size)
+    for _ in range(2 * size):
+        i, j = rng.sample(range(size), 2)
+        entries = list(NCMatrix.identity(C5, size).entries)
+        entries[i * size + j] = rand_c5(rng)
+        m = m * NCMatrix(C5, size, size, tuple(entries))
+    return m
+
+
 @pytest.mark.parametrize("size", [2, 3, 4])
 def test_c5_products_of_elementary_matrices_invert(size):
-    # a product of elementary matrices with group-ring entries has
-    # determinant 1, so it must invert, whether or not a unit pivot exists
+    # determinant 1, so each must invert, whether or not a unit pivot exists
     rng = random.Random(900 + size)
     for _ in range(6):
-        m = NCMatrix.identity(C5, size)
-        for _ in range(2 * size):
-            i, j = rng.sample(range(size), 2)
-            entries = list(NCMatrix.identity(C5, size).entries)
-            entries[i * size + j] = rand_c5(rng)
-            m = m * NCMatrix(C5, size, size, tuple(entries))
+        m = _c5_elementary_product(rng, size)
         _certify(m, m.inverse())
+
+
+def test_c5_thin_solve_forms_no_square_product(monkeypatch):
+    # Horner runs on B, so a one-row B makes only one-row products: two
+    # Horner steps for a 3x3 A and the certificate X*A
+    rng = random.Random(910)
+    m = _c5_elementary_product(rng, 3)
+    rhs = NCMatrix(C5, 1, 3, tuple(rand_c5(rng) for _ in range(3)))
+    left_rows, multiply = [], NCMatrix.__mul__
+
+    def spy(left, right):
+        left_rows.append(left.rows)
+        return multiply(left, right)
+
+    monkeypatch.setattr(NCMatrix, "__mul__", spy)
+    x = m.left_solver()(rhs)
+    monkeypatch.undo()
+    assert left_rows == [1, 1, 1]
+    assert x * m == rhs
 
 
 def _quat_elementary_product(rng, size):
@@ -309,12 +334,12 @@ def test_empty_matrix_inverts_to_itself(algebra):
 @pytest.mark.parametrize(
     "algebra, routine",
     [(QX, "_fraction_free_solver"), (DIFF1, "_fraction_free_solver"),
-     (QUAT, "_column_solve"), (C5, "_cayley_hamilton")],
+     (QUAT, "_column_solve"), (C5, "_cayley_hamilton_solve")],
     ids=lambda v: getattr(v, "name", v),
 )
 def test_each_algebra_runs_one_inversion_routine(monkeypatch, algebra, routine):
     # one algorithm per algebra, for invertible and singular matrices alike
-    routines = ("_fraction_free_solver", "_column_solve", "_cayley_hamilton")
+    routines = ("_fraction_free_solver", "_column_solve", "_cayley_hamilton_solve")
     calls = []
     for name in routines:
         def spy(self, *args, _name=name, _run=getattr(NCMatrix, name)):
@@ -364,9 +389,9 @@ def test_certificate_products(monkeypatch, algebra, solve_rows, products,
                               left_certificates, polynomial_checks):
     # over Q(v) the one certificate of each row b of B is (n*adj)*A' ==
     # det*n with Poly products; the other algebras certify with the one
-    # NCMatrix product X*A == B, after c5's B*C (Horner starts from A, so
-    # a 2x2 C takes no product); A*X is never multiplied out.  solve_rows
-    # 0 is the inverse, B = I.
+    # NCMatrix product X*A == B, after c5's one Horner product B*A for a
+    # 2x2 A; A*X is never multiplied out.  solve_rows 0 is the inverse,
+    # B = I.
     m = _upper_unitriangular(algebra)
     one, s = algebra.one(), list(algebra.symbols().values())[-1]
     rhs = NCMatrix.from_rows(algebra, [[s, one]]) if solve_rows else None

@@ -326,12 +326,14 @@ def c5_coeffs(expr, x):
 
 
 def test_c5_matrices_in_r_invert_exactly_when_the_determinant_is_a_unit():
-    rng = random.Random(15)
+    # each matrix also solves a right side B of 1-3 rows, drawn from a
+    # second generator so that the matrices stay those of seed 15
+    rng, rhs_rng = random.Random(15), random.Random("c5 right sides")
     x = sympy.Symbol("x")
     cyclotomic = x**4 + x**3 + x**2 + x + 1
 
-    def entry():
-        return GroupRingC5Element(tuple(rng.choice((-1, 0, 0, 1, 2)) for _ in range(5)))
+    def entry(source=rng):
+        return GroupRingC5Element(tuple(source.choice((-1, 0, 0, 1, 2)) for _ in range(5)))
 
     seen = {True: 0, False: 0}
     while min(seen.values()) < 8:
@@ -354,18 +356,28 @@ def test_c5_matrices_in_r_invert_exactly_when_the_determinant_is_a_unit():
         if seen[unit] >= 8:
             continue
         seen[unit] += 1
+        rhs_rows = rhs_rng.randint(1, 3)
+        rhs = NCMatrix(C5, rhs_rows, size, tuple(entry(rhs_rng) for _ in range(rhs_rows * size)))
         if not unit:
             with pytest.raises(NotInvertible) as info:
                 m.inverse()
             found = re.fullmatch(r"determinant (.+) is not a unit", str(info.value))
             assert found, info.value
             assert parse_element(found.group(1), C5).coeffs == c5_coeffs(det, x)
+            with pytest.raises(NotInvertible) as solved:
+                m.left_solver()(rhs)
+            assert str(solved.value) == str(info.value)
             continue
         inv, det_inv = m.inverse(), sympy.invert(det, x**5 - 1, x)
         adj = expr.adjugate()
         for i in range(size):
             for j in range(size):
                 assert inv.entry(i, j).coeffs == c5_coeffs(adj[i, j] * det_inv, x)
+        b_adj = sympy.Matrix(rhs_rows, size, [c5_to_sympy(e, x) for e in rhs.entries]) * adj
+        solved = m.left_solver()(rhs)
+        for i in range(rhs_rows):
+            for j in range(size):
+                assert solved.entry(i, j).coeffs == c5_coeffs(b_adj[i, j] * det_inv, x)
 
 
 # quaternions over Q(x): X*Phi = B is the real 4k x 4k system over Q(x)
@@ -394,33 +406,47 @@ def test_right_mul_matrix_is_the_hamilton_product():
             assert sympy.cancel(got - want) == 0
 
 
-def quat_oracle_k(kernel):
-    """The coefficients x_0 .. x_(k-1) of K = D^k - sum x_l . D^l, each as
-    four components in sympy's QQ(x), from X*Phi = (f_1^(k), ..., f_k^(k));
-    None when the system is singular."""
+def quat_derivatives(kernel):
+    """derivs[j][l], the components of the l-th derivative of f_j, for
+    l = 0 .. k."""
     x = sympy.Symbol("x")
-    field = sympy.QQ.frac_field(x)
-    k = len(kernel)
-    # derivs[j][l] = the l-th derivative of f_j, componentwise
     derivs = []
     for f in kernel:
-        comps = quat_to_sympy(f)
-        rows = [comps]
-        for _ in range(k):
+        rows = [quat_to_sympy(f)]
+        for _ in range(len(kernel)):
             rows.append([sympy.diff(e, x) for e in rows[-1]])
         derivs.append(rows)
-    system, rhs = [], []
+    return derivs
+
+
+def quat_oracle_solve(derivs, sides):
+    """For each side (t_1 .. t_k), each t_j four sympy components, the
+    coefficients x_0 .. x_(k-1) with sum_l x_l . f_j^(l) = t_j, each as
+    four components in sympy's QQ(x), from one LU of the real system;
+    None when the system is singular."""
+    field = sympy.QQ.frac_field(sympy.Symbol("x"))
+    k = len(derivs)
+    system = []
     for j in range(k):
         blocks = [right_mul_matrix(derivs[j][l]) for l in range(k)]
         for r in range(4):
             system.append([field.from_sympy(e) for l in range(k) for e in blocks[l][r]])
-            rhs.append([field.from_sympy(derivs[j][k][r])])
+    rhs = [[field.from_sympy(side[j][r]) for side in sides] for j in range(k) for r in range(4)]
     dm = sympy.polys.matrices.DomainMatrix
     m = dm(system, (4 * k, 4 * k), field)
     if m.rank() < 4 * k:
         return None
-    sol = m.lu_solve(dm(rhs, (4 * k, 1), field)).to_Matrix()
-    return [[field.from_sympy(sol[4 * l + r]) for r in range(4)] for l in range(k)]
+    sol = m.lu_solve(dm(rhs, (4 * k, len(sides)), field)).to_Matrix()
+    return [[[field.from_sympy(sol[4 * l + r, s]) for r in range(4)] for l in range(k)]
+            for s in range(len(sides))]
+
+
+def quat_oracle_k(kernel):
+    """The coefficients x_0 .. x_(k-1) of K = D^k - sum x_l . D^l from
+    X*Phi = (f_1^(k), ..., f_k^(k)); None when the system is singular."""
+    derivs = quat_derivatives(kernel)
+    solved = quat_oracle_solve(derivs, [[rows[-1] for rows in derivs]])
+    return solved and solved[0]
 
 
 QUAT_ORACLE_KERNELS = [
@@ -448,3 +474,20 @@ def test_quat_kernel_operator_matches_the_real_system(text):
     assert len(ctx.K.coeffs) == len(kernel) + 1 and ctx.K.coeffs[-1] == QUAT.one()
     for coeff, want in zip(ctx.K.coeffs, expected):
         assert [field.from_sympy(e) for e in quat_to_sympy(-coeff)] == want
+
+
+@pytest.mark.parametrize("text", QUAT_ORACLE_KERNELS)
+def test_quat_duals_match_the_real_system(text):
+    # row i of Phi^-1 solves X*Phi = e_i; all k sides go through one LU
+    kernel = [parse_element(t, QUAT) for t in text.split(",")]
+    k = len(kernel)
+    one = [1, 0, 0, 0]
+    sides = [[one if j == i else [0] * 4 for j in range(k)] for i in range(k)]
+    expected = quat_oracle_solve(quat_derivatives(kernel), sides)
+    if expected is None:
+        return  # refused by test_quat_kernel_operator_matches_the_real_system
+    phi_inv = KernelContext(QUAT, kernel).phi_inv
+    field = sympy.QQ.frac_field(sympy.Symbol("x"))
+    for i, row in enumerate(expected):
+        for l, want in enumerate(row):
+            assert [field.from_sympy(e) for e in quat_to_sympy(phi_inv.entry(i, l))] == want
