@@ -11,6 +11,11 @@ across the runs, and the median, min and max of every other metric.  The parent
 goes first in the first and third round and HEAD in the second, as the timed
 pairs alternate, so a drift over the rounds does not read as a change of one
 side.  A run that exits nonzero stops the script with its ref, its arguments and its stderr.
+`opcodes` holds `<workload>.opcodes_per_request` of both sides, counted on
+one more export per commit as `scripts/interleave.py` counts them (its `load`,
+`requests` and `counted`: both forms of 60 seed-11 and 60 seed-12 requests,
+in process); a count moves by up to 0.1 per request with the order in which
+the two sides are loaded, so two counts within 0.1 read as equal.
 `src_lines` sums `git diff --numstat PARENT_REF HEAD -- src`.  The `change`
 field is `--note`, or HEAD's subject line when no note is given.  An end-to-end
 entry `meets_pair_rule` when the change wins at least nine tenths of the pairs
@@ -25,6 +30,9 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
+
+import interleave
 
 TRACED_RUNS = 3
 
@@ -40,6 +48,18 @@ def run(ref, *args):
                  % (ref, " ".join(map(str, args)), done.returncode, done.stderr))
     print(ref, *args, file=sys.stderr)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def opcodes(ref, workloads):
+    """Opcodes per request of each workload on a fresh export of ref."""
+    with tempfile.TemporaryDirectory() as tree:
+        subprocess.run("git archive %s | tar -x -C %s" % (ref, tree), shell=True, check=True)
+        api = interleave.load(str(Path(tree) / "src"))
+        counts = {}
+        for wl in workloads:
+            algebra = api.get_algebra(interleave.ALGEBRA[wl])
+            counts[wl] = round(interleave.counted(api, algebra, interleave.requests(wl))[1], 1)
+    return counts
 
 
 def src_lines(ref):
@@ -101,6 +121,7 @@ def main():
                 else:
                     entry[side] = spread(values)
             layers.setdefault(wl, {})[m["name"]] = entry
+    counts = {side: opcodes(ref, workloads) for side, ref in refs.items()}
     results = {"parent": [], "change": []}
     for seed in seeds:
         for side in ("parent", "change")[::1 if seed % 2 else -1]:
@@ -134,6 +155,11 @@ def main():
            "attempted": {s: sum(r["attempted"] for r in results[s]) for s in refs},
            "failed": {s: sum(r["failed"] for r in results[s]) for s in refs},
            "end_to_end": end_to_end,
+           "opcodes": {"command": "scripts/interleave.py's counted() over its requests(), "
+                                  "one export per side, parent loaded first",
+                       "equal_within": 0.1,
+                       "metrics": {wl + ".opcodes_per_request": {s: counts[s][wl] for s in refs}
+                                   for wl in workloads}},
            "traced": {"command": "python3 perfbench/run.py --workload all --seed 11 --trace 1",
                       "runs_per_side": TRACED_RUNS,
                       "order": "one run per side in each round; parent first in even "

@@ -24,24 +24,47 @@ SYMBOL is a single letter owned by the algebra: `x` (and `i j k` for the
 quaternions), `n` for the difference algebra, `r` for the group ring.
 `D` denotes the endomorphism and is only legal when parsing operators.
 
-A value is an element of the algebra until a `D` appears.  An operator
-is a sum of powers of `D`, each followed by left multiplication by an
-element, so text without `D` denotes an element, and the twist rewrite
-is needed only where a `D` stands left of a coefficient.  Elements add,
-multiply and take powers (by squaring) in the ring; `D^n` is built
-directly; an element times an operator scales each coefficient; only an
-operator times an operator or an element composes.  An element becomes a
-degree zero operator where it meets an operator in `+` or `-`, and when
-operator parsing ends.  `a / b` is `a` times the inverse of `b`, and is
-rejected when `b` has positive degree or its coefficient is not a unit.
-Element parsing runs the same evaluator with `D` disabled, so its value
-is never an operator.
+A value is a dict of monomials {(d, u, e): c}, the sum of the terms
+c * v^e * u * D^d: v is the algebra's variable (`x`, `n` or `r`), u the
+quaternion unit 0-3 for 1, i, j, k (0 in the other algebras), e an
+exponent that may be negative (taken mod 5 on the group ring), and c a
+nonzero int, or a Fraction once a division by a constant other than +-1
+has made one.  An operator is a sum of powers of `D`, each after left
+multiplication by an element, so a dict is the normal form of what it
+denotes.  A constant, `i`, `j` and `k` included, commutes with `D` in all
+four algebras, since its twist has q = 0.  So the values stay dicts
+through
+  * `+`, `-` and unary minus, which merge them;
+  * `*` where one side is a single monomial and no `D` stands left of a
+    non-constant, with the unit table for the quaternions;
+  * `/` by a single monomial unit without `D`: c * v^e * u, or +-r^e on
+    the group ring;
+  * `^` of a single monomial with no `D` left of a non-constant.
+Any other operation promotes its dicts to values of the algebra: an
+element, or an Operator where a `D` is in the dict.  These are a product
+of two sums, a division by a sum, by zero, by a non-unit or by `D`, a
+`D` left of `x`, `n` or `r`, and a power of a sum.  From there on the
+algebra computes: elements add, multiply and take powers (by squaring)
+in the ring; an element times an operator scales each coefficient; only
+an operator times an operator or an element composes; an element
+becomes a degree zero operator where it meets an operator in `+` or
+`-`.  `a / b` is `a` times the inverse of `b`, and is rejected when `b`
+has positive degree or its coefficient is not a unit.  Promotion
+changes no value, message or position: a dict only skips the element
+arithmetic whose result it already holds.
+
+At the end of a parse each coefficient of a dict is built once, in
+canonical form: the terms of one unit are a numerator over v^m, m the
+size of the most negative exponent, whose constant term is then
+nonzero, so numerator and denominator are coprime; a group ring
+coefficient is its five ints; a coefficient 1 is the algebra's shared
+`one()` and a missing one its `zero()`.  Element parsing runs the same
+evaluator with `D` disabled, so its value is never an operator.
 
 The text is read by one scan that refuses a stray character and one
 that lists the tokens as plain strings.  A token's position is found
-only when a ParseError is raised, by scanning the text again.  Each
-distinct literal text is built once per parse, and each distinct
-divisor text inverted once; nothing is kept from one parse to the next.
+only when a ParseError is raised, by scanning the text again.  Nothing
+is kept from one parse to the next.
 
 Printing lives with the value types; this module adds the JSON form of
 operators: {"algebra": <selector>, "coeffs": [<element text>, ...]},
@@ -54,13 +77,18 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 from typing import Optional
 
 from .algebras import get_algebra
 from .base import Algebra
 from .errors import NotAUnit, ParseError
 from .formatting import fraction_text
+from .groupring import GroupRingC5Element
 from .operators import Operator
+from .poly import Poly, _new, _reduced
+from .quaternion import _UNIT_PRODUCTS, Quaternion
+from .ratfunc import RationalFunction
 
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z]|[\^*/+()-]|\S")
 
@@ -86,14 +114,67 @@ MAX_EXPONENT = 4300
 _RATIONAL = re.compile(r"\s*[-+]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
                        r"(?:[eE][-+]?0*(?P<exp>[0-9]+))?)\s*", re.ASCII)
 
+_ONE_POLY = Poly.one()
+
+
+def _ratfunc(algebra: Algebra, terms) -> RationalFunction:
+    """The sum of c*v^e over (unit, e, c) terms of distinct exponents,
+    as a numerator over v^m, m the size of the least exponent when it is
+    negative.  The numerator's constant coefficient is then nonzero, so
+    the two are coprime and the form is canonical as built."""
+    if len(terms) == 1:
+        _, e, c = terms[0]
+        m = -e if e < 0 else 0
+        num = _new((0,) * (e + m) + (1,), c.numerator, c.denominator)
+    else:
+        low = min([e for _, e, _ in terms])
+        m = -low if low < 0 else 0
+        den = lcm(*[c.denominator for _, _, c in terms])
+        cs = [0] * (max([e for _, e, _ in terms]) + m + 1)
+        for _, e, c in terms:
+            cs[e + m] = c.numerator * (den // c.denominator)
+        num = _reduced(cs, 1, den)
+    den = _new((0,) * m + (1,), 1, 1) if m else _ONE_POLY
+    return RationalFunction._canonical(num, den, algebra.variable)
+
+
+def _quaternion(algebra: Algebra, terms) -> Quaternion:
+    units = {}
+    for t in terms:
+        units.setdefault(t[0], []).append(t)
+    return Quaternion._trusted(
+        tuple([(u, _ratfunc(algebra, units[u])) for u in sorted(units)]),
+        algebra.zero().zero,
+    )
+
+
+def _group_ring(algebra: Algebra, terms) -> GroupRingC5Element:
+    cs = [0] * 5
+    for _, e, c in terms:
+        cs[e] = c
+    return GroupRingC5Element._trusted(tuple(cs))
+
+
+# per algebra: the monomial key (power of D, unit, exponent) of each
+# symbol, the builder of a coefficient from its (unit, exponent,
+# coefficient) terms, and the period of the exponents (the group ring's
+# r has order 5), 0 for none
+_FORMS = {
+    "qx": ({"x": (0, 0, 1)}, _ratfunc, 0),
+    "quat": ({"x": (0, 0, 1), "i": (0, 1, 0), "j": (0, 2, 0), "k": (0, 3, 0)}, _quaternion, 0),
+    "diff": ({"n": (0, 0, 1)}, _ratfunc, 0),
+    "c5": ({"r": (0, 0, 1)}, _group_ring, 5),
+}
+
 
 class _Parser:
     def __init__(self, text: str, algebra: Algebra, allow_d: bool):
         # a character outside the token classes is refused at once, unless
         # it is a letter: that one is a SYMBOL, refused by the rule reading it
-        for m in _STRAY.finditer(text):
-            if not m.group().isalpha():
-                raise ParseError("unexpected character %r" % m.group(), m.start() + 1)
+        if _STRAY.search(text):
+            for m in _STRAY.finditer(text):
+                if not m.group().isalpha():
+                    raise ParseError("unexpected character %r" % m.group(), m.start() + 1)
         self.text = text
         self.algebra = algebra
         self.allow_d = allow_d
@@ -101,10 +182,7 @@ class _Parser:
         self.tokens = _TOKEN.findall(text) + [""]
         self.pos = 0  # index of the current token
         self.depth = 0  # open parentheses around the current token
-        self.symbols = algebra.symbols()
-        # each literal text and each divisor text is built once per parse
-        self.literals = {}
-        self.inverses = {}
+        self.keys, self.build, self.period = _FORMS[algebra.name]
 
     def _error(self, message: str, index: int) -> ParseError:
         """A ParseError at token `index`: the start of that token's match,
@@ -112,13 +190,77 @@ class _Parser:
         m = next(islice(_TOKEN.finditer(self.text), index, None), None)
         return ParseError(message, m.start() + 1 if m else len(self.text) + 1)
 
+    # values: a dict of monomials, or an element or Operator once promoted
+
     def _lift(self, value) -> Operator:
         if isinstance(value, Operator):
             return value
         return Operator._trusted(self.algebra, (value,))
 
-    # grammar: each rule returns its value, an element until a D appears,
-    # and the degree bound of its text
+    def _coefficient(self, terms):
+        """The element of a dict's (unit, exponent, coefficient) terms at
+        one power of D; a 1 is the algebra's shared one()."""
+        if len(terms) == 1 and terms[0] == (0, 0, 1):
+            return self.algebra.one()
+        return self.build(self.algebra, terms)
+
+    def _operator(self, value) -> Operator:
+        """The Operator of a value, a dict built one coefficient per power."""
+        if type(value) is not dict:
+            return self._lift(value)
+        powers = {}
+        for (d, u, e), c in value.items():
+            powers.setdefault(d, []).append((u, e, c))
+        out = [self.algebra.zero()] * (max(powers) + 1 if powers else 0)
+        for d, terms in powers.items():
+            out[d] = self._coefficient(terms)
+        return Operator._trusted(self.algebra, out)
+
+    def _promoted(self, value):
+        """An element or Operator for a dict: an Operator when D is in it."""
+        if type(value) is not dict:
+            return value
+        if not value:
+            return self.algebra.zero()
+        terms = [(u, e, c) for (d, u, e), c in value.items() if not d]
+        if len(terms) < len(value):
+            return self._operator(value)
+        return self._coefficient(terms)
+
+    def _product(self, a: dict, b: dict):
+        """a * b, when one side is at most one monomial and no D stands left
+        of a non-constant; else None.  Each product of the one monomial with
+        a term of the other side has its own key (units multiply as a
+        group), so nothing merges."""
+        if len(a) > 1 and len(b) > 1:
+            return None
+        period = self.period
+        out = {}
+        for (d1, u1, e1), c1 in a.items():
+            for (d2, u2, e2), c2 in b.items():
+                if d1 and e2:
+                    return None
+                w, sign = _UNIT_PRODUCTS[u1][u2]
+                e = (e1 + e2) % period if period else e1 + e2
+                out[d1 + d2, w, e] = c1 * c2 if sign > 0 else -(c1 * c2)
+        return out
+
+    def _inverse(self, value: dict):
+        """The inverse of a dict that is one monomial unit, c*v^e*u with
+        no D (on the group ring c = +-1), as a dict; else None."""
+        if len(value) != 1:
+            return None
+        ((d, u, e), c), = value.items()
+        period = self.period
+        if d or (period and c != 1 and c != -1):
+            return None
+        if c != 1 and c != -1:
+            c = Fraction(1) / c
+        # the units i, j, k are their own negative inverses
+        return {(0, u, -e % period if period else -e): -c if u else c}
+
+    # grammar: each rule returns its value, a dict until promoted, and the
+    # degree bound of its text
 
     def parse(self):
         if len(self.tokens) == 1:
@@ -140,9 +282,20 @@ class _Parser:
                 return value, bound
             self.pos += 1
             rhs, rhs_bound = self._term()
-            if isinstance(value, Operator) or isinstance(rhs, Operator):
-                value, rhs = self._lift(value), self._lift(rhs)
-            value = value + rhs if op == "+" else value - rhs
+            if type(value) is dict and type(rhs) is dict:
+                # each dict belongs to one value, so the sum merges in place
+                get = value.get
+                for key, c in rhs.items():
+                    s = get(key, 0) + c if op == "+" else get(key, 0) - c
+                    if s:
+                        value[key] = s
+                    else:
+                        del value[key]
+            else:
+                value, rhs = self._promoted(value), self._promoted(rhs)
+                if isinstance(value, Operator) or isinstance(rhs, Operator):
+                    value, rhs = self._lift(value), self._lift(rhs)
+                value = value + rhs if op == "+" else value - rhs
             bound = max(bound, rhs_bound)
 
     def _term(self):
@@ -157,36 +310,38 @@ class _Parser:
             rhs, rhs_bound = self._factor()
             bound = self._capped(bound + rhs_bound, at)
             if op == "/":
-                rhs = self._inverse(rhs, at)
+                inverse = self._inverse(rhs) if type(rhs) is dict else None
+                rhs = inverse if inverse is not None else self._divisor(rhs, at)
             value = self._times(value, rhs)
 
     def _times(self, value, rhs):
+        if type(value) is dict and type(rhs) is dict:
+            product = self._product(value, rhs)
+            if product is not None:
+                return product
+        value, rhs = self._promoted(value), self._promoted(rhs)
         if isinstance(value, Operator):
             return value.compose(self._lift(rhs))
         if isinstance(rhs, Operator):
             return rhs.scale_left(value)
         return value * rhs
 
-    def _inverse(self, rhs, at: int):
+    def _divisor(self, rhs, at: int):
         """The inverse of the divisor that follows the `/` at token `at`,
-        taken once per divisor text."""
-        key = tuple(self.tokens[at + 1:self.pos])
-        inverse = self.inverses.get(key)
-        if inverse is not None:
-            return inverse
+        through the algebra."""
+        rhs = self._promoted(rhs)
         if isinstance(rhs, Operator):
             if len(rhs.coeffs) > 1:
                 raise self._error("cannot divide by an operator of positive degree", at)
             rhs = rhs.coeff(0)
         try:
-            inverse = self.inverses[key] = self.algebra.try_invert(rhs)
+            return self.algebra.try_invert(rhs)
         except NotAUnit:
             raise self._error(
                 "division by %s, which is not a unit here"
                 % self.algebra.format_element(rhs),
                 at,
             ) from None
-        return inverse
 
     def _capped(self, bound: int, index: int) -> int:
         if bound > MAX_DEGREE:
@@ -211,25 +366,41 @@ class _Parser:
             self.pos += 1
             n = self._integer(text, index)
             bound = self._capped(max(bound, 1) * n, index)
-            if tokens[atom] == "D":
-                value = Operator.d(self.algebra, n)
-            elif isinstance(value, Operator):
-                out = value if n else Operator.identity(self.algebra)
-                for _ in range(n - 1):
-                    # powers of one operator commute; with value on the left
-                    # each step advances the power so far only deg(value) times
-                    out = value.compose(out)
-                value = out
-            else:
-                out = None
-                while n:  # square and multiply, from the base itself
-                    if n & 1:
-                        out = value if out is None else out * value
-                    n >>= 1
-                    if n:
-                        value = value * value
-                value = self.algebra.one() if out is None else out
-        return (-value if (atom - start) % 2 else value), bound
+            value = self._power(value, n)
+        if (atom - start) % 2:
+            value = {k: -c for k, c in value.items()} if type(value) is dict else -value
+        return value, bound
+
+    def _power(self, value, n: int):
+        if type(value) is dict:
+            if not n:
+                return {(0, 0, 0): 1}
+            if n == 1 or not value:
+                return value
+            if len(value) == 1:
+                ((d, u, e), c), = value.items()
+                if not (d and e):  # no D left of a non-constant
+                    period = self.period
+                    # u^n for a unit u of i, j, k: u, -1, -u, 1 as n % 4 is 1, 2, 3, 0
+                    c = -c ** n if u and n % 4 > 1 else c ** n
+                    e = e * n % period if period else e * n
+                    return {(d * n, u if n % 2 else 0, e): c}
+            value = self._promoted(value)
+        if isinstance(value, Operator):
+            out = value if n else Operator.identity(self.algebra)
+            for _ in range(n - 1):
+                # powers of one operator commute; with value on the left
+                # each step advances the power so far only deg(value) times
+                out = value.compose(out)
+            return out
+        out = None
+        while n:  # square and multiply, from the base itself
+            if n & 1:
+                out = value if out is None else out * value
+            n >>= 1
+            if n:
+                value = value * value
+        return self.algebra.one() if out is None else out
 
     def _integer(self, text: str, index: int) -> int:
         try:
@@ -242,15 +413,11 @@ class _Parser:
         text = self.tokens[index]
         self.pos = index + 1
         if text.isdecimal():
-            value = self.literals.get(text)
-            if value is None:
-                value = self.literals[text] = self.algebra.from_fraction(
-                    Fraction(self._integer(text, index))
-                )
-            return value, 0
-        elem = self.symbols.get(text)
-        if elem is not None:
-            return elem, 1
+            c = self._integer(text, index)
+            return ({(0, 0, 0): c} if c else {}), 0
+        key = self.keys.get(text)
+        if key is not None:
+            return {key: 1}, 1
         if text == "(":
             if self.depth == MAX_NESTING:
                 raise self._error(
@@ -270,7 +437,7 @@ class _Parser:
                 raise self._error(
                     "D is an operator, not an element of the algebra", index
                 )
-            return Operator.d(self.algebra), 1
+            return {(1, 0, 0): 1}, 1
         if text.isalpha():
             raise self._error(
                 "symbol %r is not defined in algebra %r"
@@ -284,12 +451,13 @@ class _Parser:
 
 def parse_operator(text: str, algebra: Algebra) -> Operator:
     parser = _Parser(text, algebra, allow_d=True)
-    return parser._lift(parser.parse())
+    return parser._operator(parser.parse())
 
 
 def parse_element(text: str, algebra: Algebra):
-    # without D no value is ever lifted to an operator
-    return _Parser(text, algebra, allow_d=False).parse()
+    # without D no value is ever an operator
+    parser = _Parser(text, algebra, allow_d=False)
+    return parser._promoted(parser.parse())
 
 
 def parse_fraction(text) -> Fraction:

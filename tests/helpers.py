@@ -279,6 +279,183 @@ def render(tree):
     return "%s %s %s" % (operand(tree[1]), kind, operand(tree[2]))
 
 
+# binding strength of each tree kind in the grammar; a negation binds
+# looser than `^` but tighter than `*` and `/`, and may stand right of them
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4,
+               "int": 5, "sym": 5, "D": 5}
+
+
+def render_tight(tree):
+    """Expression text for a tree with only the parentheses the grammar
+    needs: a left operand of equal precedence stays bare, so `a/b*c` is
+    ((a/b)*c), and a power's base is an atom or a parenthesized group."""
+    kind = tree[0]
+    if kind in ("int", "sym", "D"):
+        return str(tree[-1])
+    if kind == "^":
+        base = tree[1]
+        text = render_tight(base)
+        if base[0] not in ("int", "sym", "D"):
+            text = "(%s)" % text
+        return "%s^%d" % (text, tree[2])
+    if kind == "neg":
+        inner = tree[2]
+        text = render_tight(inner)
+        if _PRECEDENCE[inner[0]] < _PRECEDENCE["neg"]:
+            text = "(%s)" % text
+        return "-" * tree[1] + text
+    rank = _PRECEDENCE[kind]
+    left, right = render_tight(tree[1]), render_tight(tree[2])
+    if _PRECEDENCE[tree[1][0]] < rank:
+        left = "(%s)" % left
+    if _PRECEDENCE[tree[2][0]] <= rank:
+        right = "(%s)" % right
+    return "%s %s %s" % (left, kind, right)
+
+
+# normal-form operator trees: sum over m of (coefficient) * D^m, each
+# coefficient a sum of c * v^e / v^m * unit monomials, the shape of every
+# benchmark operator, with promotion triggers spliced in: shapes whose
+# value is not a sum of such monomials, or whose division is refused
+
+class RandomDraws:
+    """Draws from a random.Random, for seeded bulk loops."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def integer(self, lo, hi):
+        return self.rng.randint(lo, hi)
+
+    def pick(self, seq):
+        return self.rng.choice(seq)
+
+
+class DataDraws:
+    """The same draws from a hypothesis `st.data()` object."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def integer(self, lo, hi):
+        return self.data.draw(st.integers(lo, hi))
+
+    def pick(self, seq):
+        return self.data.draw(st.sampled_from(seq))
+
+
+def variable_name(algebra):
+    """The symbol of an algebra's variable: `r` on the group ring."""
+    return "r" if algebra.name == "c5" else algebra.variable
+
+
+def _power(base, e):
+    return base if e == 1 else ("^", base, e)
+
+
+def _monomial(draws, algebra):
+    """c * v^e / v^m * unit, with any of its parts left out."""
+    v = ("sym", variable_name(algebra))
+    out = None
+    if draws.integer(0, 3):
+        out = ("int", draws.integer(0, 6))
+        if draws.integer(0, 3) == 0:
+            out = ("neg", 1, out)
+    if draws.integer(0, 1):
+        p = _power(v, draws.integer(1, 3))
+        out = p if out is None else ("*", out, p)
+    if draws.integer(0, 2) == 0:
+        # a division by a constant: a fraction, or by a unit on c5 (the
+        # triggers divide by 2 there)
+        d = ("int", draws.integer(1, 3) if algebra.name != "c5" else 1)
+        if draws.integer(0, 3) == 0:
+            d = ("neg", 1, d)
+        out = ("/", ("int", 1) if out is None else out, d)
+    if draws.integer(0, 1):
+        out = ("/", ("int", 1) if out is None else out, _power(v, draws.integer(1, 3)))
+    if algebra.name == "quat" and draws.integer(0, 2):
+        u = ("sym", draws.pick("ijk"))
+        out = u if out is None else ("*", out, u)
+    if out is None:
+        out = v
+    return ("neg", draws.integer(1, 2), out) if draws.integer(0, 3) == 0 else out
+
+
+def _sum(draws, parts):
+    out = parts[0]
+    for p in parts[1:]:
+        out = (draws.pick("+-"), out, p)
+    return out
+
+
+def _trigger(draws, algebra):
+    """A shape the monomial sums do not cover."""
+    v = ("sym", variable_name(algebra))
+    one, two, zero, d = ("int", 1), ("int", 2), ("int", 0), ("D",)
+    shapes = [
+        ("*", ("+", v, one), ("-", v, two)),  # a product of two sums
+        ("/", one, ("+", v, one)),  # division by a sum
+        ("/", v, zero),  # a zero divisor
+        ("/", v, ("-", d, d)),
+        ("/", v, ("*", zero, d)),
+        ("/", v, d),  # an operator divisor
+        ("/", ("*", two, d), two),
+        ("*", d, v),  # D left of the variable
+        ("*", ("^", d, 2), ("*", v, two)),
+        ("/", d, ("*", two, v)),
+        ("^", ("*", v, d), 2),
+        ("^", ("+", v, one), 2),  # a power of a sum
+        ("^", ("+", v, d), 2),
+        ("^", zero, 0),
+        ("^", ("-", d, d), 0),
+        ("^", ("*", ("int", 3), v), 3),  # a power of one monomial
+        ("^", d, 0),
+        ("*", d, ("int", 3)),  # D right of a constant
+        ("*", ("*", ("int", 0), v), ("+", v, one)),
+        ("/", ("^", v, 7), ("^", v, 3)),
+    ]
+    if algebra.name == "quat":
+        shapes += [("^", ("sym", "i"), 3), ("^", ("*", v, ("sym", "i")), 2),
+                   ("*", d, ("sym", "j")), ("/", ("sym", "k"), ("+", ("sym", "i"), one))]
+    if algebra.name == "c5":
+        shapes += [("/", v, two), ("/", one, ("+", one, v)),
+                   ("/", ("*", ("int", 3), v), ("neg", 1, ("^", v, 4)))]
+    return draws.pick(shapes)
+
+
+def _coefficient(draws, algebra, triggers):
+    """A sum of one to three monomials, or such a sum in parentheses
+    times one more monomial, with a trigger spliced in when `triggers`."""
+    parts = [_monomial(draws, algebra) for _ in range(draws.integer(1, 3))]
+    if triggers and draws.integer(0, 5) == 0:
+        parts[draws.integer(0, len(parts) - 1)] = _trigger(draws, algebra)
+    out = _sum(draws, parts)
+    if len(parts) > 1 and draws.integer(0, 2) == 0:
+        out = (draws.pick("*/"), out, _monomial(draws, algebra))
+    return out
+
+
+def normal_form_trees(draws, algebra, triggers=True):
+    """sum of (coefficient) * D^m over one to four distinct powers
+    m <= 3, in any order, a bare D^m or a bare coefficient now and then."""
+    d = ("D",)
+    powers = []
+    for _ in range(draws.integer(1, 4)):
+        m = draws.integer(0, 3)
+        if m not in powers:
+            powers.append(m)
+    terms = []
+    for m in powers:
+        coeff = _coefficient(draws, algebra, triggers)
+        if m == 0:
+            terms.append(coeff)
+        elif draws.integer(0, 4) == 0:
+            terms.append(_power(d, m))
+        else:
+            terms.append(("*", coeff, _power(d, m)))
+    return _sum(draws, terms)
+
+
 def ref_evaluate(tree, algebra):
     """The value of a tree computed in the operator domain throughout: an
     atom is Operator.scalar (D is Operator.d), * composes, / composes with

@@ -491,3 +491,38 @@ def test_quat_duals_match_the_real_system(text):
     for i, row in enumerate(expected):
         for l, want in enumerate(row):
             assert [field.from_sympy(e) for e in quat_to_sympy(phi_inv.entry(i, l))] == want
+
+
+# QUAT_ORACLE_KERNELS whose Phi the real system finds singular
+QUAT_DEPENDENT = {"x, x*i", "x^2*j + 1, (x^2*j + 1)*(1 + i)"}
+
+
+def quat_apply_sympy(op, g):
+    """sum_l a_l . g^(l) for g four elements of sympy's QQ(x), each
+    product vec(a_l * g^(l)) = R(g^(l)) * vec(a_l) through the real
+    matrix."""
+    field = sympy.QQ.frac_field(sympy.Symbol("x"))
+    total = [field.zero] * 4
+    for l, a in enumerate(op.coeffs):
+        if l:
+            g = [e.diff(field.gens[0]) for e in g]
+        rg, av = right_mul_matrix(g), [field.from_sympy(e) for e in quat_to_sympy(a)]
+        for r in range(4):
+            total[r] += sum((rg[r][s] * av[s] for s in range(4)), field.zero)
+    return total
+
+
+@pytest.mark.parametrize("text", [t for t in QUAT_ORACLE_KERNELS if t not in QUAT_DEPENDENT])
+def test_quat_factorize_acts_as_q_times_k_on_the_real_system(text):
+    rng = random.Random(17)
+    field = sympy.QQ.frac_field(sympy.Symbol("x"))
+    ctx = KernelContext(QUAT, [parse_element(t, QUAT) for t in text.split(",")])
+    for _ in range(2):
+        factor = Operator(QUAT, [rand_quaternion(rng) for _ in range(rng.randint(1, 3))])
+        op = factor.compose(ctx.K)
+        quotient = ctx.factorize(op)
+        # op = Q . K as actions on random quaternion functions, in sympy
+        for _ in range(2):
+            g = [field.from_sympy(e) for e in quat_to_sympy(rand_quaternion(rng))]
+            want = quat_apply_sympy(quotient, quat_apply_sympy(ctx.K, g))
+            assert quat_apply_sympy(op, g) == want, text

@@ -13,15 +13,19 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from opfactor import (
+    GroupRingC5Element,
     NotAUnit,
     Operator,
     ParseError,
+    Quaternion,
+    RationalFunction,
     get_algebra,
     operator_from_json,
     operator_to_json,
     parse_element,
     parse_operator,
 )
+from opfactor.base import Value
 from opfactor.parsing import parse_fraction
 
 from helpers import (
@@ -33,8 +37,13 @@ from helpers import (
     degree_bound,
     expr_trees,
     rand_operator,
+    DataDraws,
+    RandomDraws,
+    normal_form_trees,
     ref_evaluate,
     render,
+    render_tight,
+    variable_name,
 )
 
 
@@ -306,6 +315,94 @@ def test_parser_matches_the_operator_domain_reference(algebra, data):
         assert parse_element(text, algebra) == want.coeff(0), text
 
 
+def _check_against_reference(tree, algebra):
+    """parse_operator(text) has the reference's coefficients, and
+    parse_element the constant one where the text has no D; both refuse
+    the text where the reference does."""
+    text = render_tight(tree)
+    try:
+        want = ref_evaluate(tree, algebra)
+    except (ValueError, NotAUnit):
+        with pytest.raises(ParseError):
+            parse_operator(text, algebra)
+        return
+    assert parse_operator(text, algebra).coeffs == want.coeffs, text
+    if "D" not in text:
+        assert parse_element(text, algebra) == want.coeff(0), text
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
+@given(data=st.data())
+def test_normal_form_texts_match_the_operator_domain_reference(algebra, data):
+    _check_against_reference(normal_form_trees(DataDraws(data), algebra), algebra)
+
+
+_V, _ZERO, _D = ("sym", "v"), ("int", 0), ("D",)
+
+# (tree, the algebras whose symbols it uses); "v" stands for the variable
+EDGE_TREES = [
+    (("^", _ZERO, 0), ALL_ALGEBRAS),
+    (("^", ("-", _D, _D), 0), ALL_ALGEBRAS),
+    (("/", _V, _ZERO), ALL_ALGEBRAS),
+    (("/", _V, ("*", _ZERO, _D)), ALL_ALGEBRAS),
+    (("^", ("sym", "i"), 3), (QUAT,)),
+    (("^", ("*", _V, ("sym", "i")), 2), (QUAT,)),
+    (("/", _V, ("int", 2)), ALL_ALGEBRAS),
+    (("/", ("^", _V, 7), ("^", _V, 3)), ALL_ALGEBRAS),
+]
+
+
+def _with_variable(tree, algebra):
+    if tree == _V:
+        return ("sym", variable_name(algebra))
+    if isinstance(tree, tuple):
+        return tuple(_with_variable(t, algebra) for t in tree)
+    return tree
+
+
+@pytest.mark.parametrize("tree, algebra", [(t, a) for t, algebras in EDGE_TREES for a in algebras],
+                         ids=lambda v: render_tight(v) if isinstance(v, tuple) else v.name)
+def test_normal_form_edge_cases_match_the_operator_domain_reference(tree, algebra):
+    _check_against_reference(_with_variable(tree, algebra), algebra)
+
+
+def _structure(value):
+    """A value's slots, recursively, as plain tuples whose repr shows each
+    int and Fraction as it is stored."""
+    if isinstance(value, Value):
+        return (type(value).__name__,) + tuple(_structure(getattr(value, s))
+                                               for s in type(value).__slots__)
+    if isinstance(value, tuple):
+        return tuple(_structure(v) for v in value)
+    return value
+
+
+# sha1 over 2,000 seeded normal-form texts per algebra of each outcome:
+# the stored form of every coefficient, or the ParseError's position and
+# message; recorded while every `*`, `/`, `+` and `^` of the text still
+# ran through the algebra's element arithmetic
+NORMAL_FORM_DIGESTS = {
+    "qx": "acb2d67ab1617e281b7ca65051f356de00f174b1",
+    "quat": "fdbcf8064c9b206dd15e50218eb2450a23fa679b",
+    "diff": "db206f014e19b1c0a7ccf37ba29e18fcaf5c1e28",
+    "c5": "f15bfa517ca68a9f7a05c45c37aa014d10681db0",
+}
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
+def test_normal_form_texts_match_recorded_digests(algebra):
+    draws = RandomDraws(random.Random("normal form " + algebra.name))
+    outcomes = []
+    for _ in range(2000):
+        text = render_tight(normal_form_trees(draws, algebra))
+        try:
+            outcomes.append(repr(_structure(parse_operator(text, algebra).coeffs)))
+        except ParseError as e:
+            outcomes.append("%d %s" % (e.position, e.message))
+    digest = hashlib.sha1("\n".join(outcomes).encode()).hexdigest()
+    assert digest == NORMAL_FORM_DIGESTS[algebra.name]
+
+
 # the tokens of rendered and spliced text: digit runs, else one character
 _TOKEN_STARTS = re.compile(r"[0-9]+|\S")
 # a message that quotes the token found where the error points
@@ -346,37 +443,50 @@ def test_error_positions_point_at_a_token_under_any_spacing(algebra, data):
                 (spliced, str(e))
 
 
-class CountingQuat(type(QUAT)):
-    """The quaternion algebra that records its from_fraction and
-    try_invert calls."""
+def _spied(monkeypatch, algebras):
+    """The list each element product, and each from_fraction and
+    try_invert call of the algebras, is appended to, with its operands."""
+    calls = []
+    for cls in (Quaternion, GroupRingC5Element, RationalFunction):
+        def product(a, b, name=cls.__name__ + ".__mul__", mul=cls.__mul__):
+            calls.append((name, str(a), str(b)))
+            return mul(a, b)
+        monkeypatch.setattr(cls, "__mul__", product)
+    for algebra in algebras:
+        algebra.one()  # the algebra builds its 0 and 1 once, on first use
+        for name in ("from_fraction", "try_invert"):
+            def call(f, name=name, method=getattr(algebra, name)):
+                calls.append((name, str(f)))
+                return method(f)
+            monkeypatch.setattr(algebra, name, call)
+    return calls
 
-    def __init__(self):
-        super().__init__()
-        self.calls = []
 
-    def from_fraction(self, q):
-        self.calls.append(("from_fraction", q))
-        return super().from_fraction(q)
+SPIED_PARSES = [
+    # a sum of monomials times powers of D: no element arithmetic at all
+    ("quat", "x^3*j*D^3 + (x^2*i - 3*x^2*j)*D^2 + (-3*x*i + 6*x*j)*D + 3*i - 6*j", []),
+    ("quat", "(2/x + 2*i)*D + 2/x - 2*j/x + 3/x^2 - (2*x - 6)/x*k", []),
+    ("c5", "(-3 + r^2 + 2*r^3)*D^4 + (3*r - 3*r^2 - r^3 - r^4)*D^3 + (3 - r - r^2)*D^2"
+           " + (1 - 2*r - r^2 + 3*r^4)*D + (-3*r + 2*r^3 + r^4)/-r^2", []),
+    # a division by a sum, and a D left of x: the algebra computes
+    ("qx", "1/(x+1)", [("try_invert", "x + 1"),
+                       ("RationalFunction.__mul__", "1", "1/(x + 1)")]),
+    ("qx", "D*x", [("RationalFunction.__mul__", "1", "1"),
+                   ("RationalFunction.__mul__", "1", "x")]),
+]
 
-    def try_invert(self, f):
-        self.calls.append(("try_invert", f))
-        return super().try_invert(f)
 
-
-def test_each_literal_and_divisor_is_built_once_per_parse():
-    algebra = CountingQuat()
-    x = algebra.symbols()["x"]
-    text = "(2/x + 2*i)*D + 2/x - 2*j/x + 3/x^2"
-    expected = [("from_fraction", 2), ("try_invert", x),
-                ("from_fraction", 3), ("try_invert", x * x)]
-    algebra.one()  # the algebra builds its 0 and 1 once, on first use
-    algebra.calls = []
-    first = parse_operator(text, algebra)
-    assert algebra.calls == expected
-    # nothing is kept from one parse to the next
-    algebra.calls = []
-    assert parse_operator(text, algebra) == first
-    assert algebra.calls == expected
+def test_normal_form_text_runs_no_element_arithmetic(monkeypatch):
+    algebras = {name: get_algebra(name) for name in ("qx", "quat", "c5")}
+    calls = _spied(monkeypatch, algebras.values())
+    for name, text, expected in SPIED_PARSES:
+        calls.clear()
+        first = parse_operator(text, algebras[name])
+        assert calls == expected, text
+        # nothing is kept from one parse to the next
+        calls.clear()
+        assert parse_operator(text, algebras[name]) == first
+        assert calls == expected, text
 
 
 def test_d_not_an_element():
