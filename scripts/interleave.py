@@ -14,7 +14,11 @@ A first, untimed pass gives each side's answers; their sha1 over the
 concatenated answer texts is printed per side.  The same pass counts the
 opcodes each side runs per request of each workload, by a `sys.settrace`
 hook that turns on `f_trace_opcodes` in every frame, and prints them next
-to the sha1: unlike a time, the count is the same from run to run.  The
+to the sha1: unlike a time, the count is the same from run to run.  Under
+them it prints each workload's count split by stage: kernel parse,
+`KernelContext`, operator parse, `factorize` or `P`, printing, and other,
+each opcode counted toward the outermost opfactor API call on the stack
+(`entry_points`), with its share of the request.  The
 tracing makes this pass about 6.5 s per side slower than an untraced one
 (6.9 s against 0.6 s under Python 3.11 on a 2-core Intel Xeon).  Then
 each round times one pass per workload on both sides, in alternating
@@ -68,17 +72,42 @@ def requests(workload):
             for forms in gen.generate(workload, seed, BASE_REQUESTS, FORMS) for r in forms]
 
 
+STAGES = ("kernel parse", "KernelContext", "operator parse", "factorize or P", "printing",
+          "other")
+
+
+def entry_points(api):
+    """The stage that each opfactor API function `worker.serve` calls
+    starts, by its code object."""
+    ctx = api.KernelContext
+    return {api.parse_element.__code__: "kernel parse",
+            ctx.__init__.__code__: "KernelContext",
+            api.parse_operator.__code__: "operator parse",
+            ctx.factorize.__code__: "factorize or P",
+            ctx.P.func.__code__: "factorize or P",
+            api.operator_to_json.__code__: "printing"}
+
+
 def counted(api, algebra, wires):
-    """The answers to `wires` and the opcodes run per request to give them."""
-    count = 0
+    """The answers to `wires`, the opcodes run per request to give them,
+    and those opcodes per request by stage: each opcode counts toward the
+    outermost API entry point on the stack, or toward "other" (the
+    worker's own code and `json`) when there is none."""
+    entries = entry_points(api)
+    split = dict.fromkeys(STAGES, 0)
+    outer, stage = None, "other"
 
     def trace(frame, event, arg):
-        nonlocal count
-        if event == "call":
+        nonlocal outer, stage
+        if event == "opcode":
+            split[stage] += 1
+        elif event == "call":
             frame.f_trace_lines = False
             frame.f_trace_opcodes = True
-        elif event == "opcode":
-            count += 1
+            if outer is None and frame.f_code in entries:
+                outer, stage = frame, entries[frame.f_code]
+        elif event == "return" and frame is outer:
+            outer, stage = None, "other"
         return trace
 
     sys.settrace(trace)
@@ -86,7 +115,8 @@ def counted(api, algebra, wires):
         answers = [worker.serve(api, algebra, wire) for wire in wires]
     finally:
         sys.settrace(None)
-    return answers, count / len(wires)
+    n = len(wires)
+    return answers, sum(split.values()) / n, {s: c / n for s, c in split.items()}
 
 
 def timed(api, algebra, wires):
@@ -119,13 +149,16 @@ def main():
                 for side, api in apis.items()}
     digests = {}
     for side, api in apis.items():
-        answers, opcodes = [], []
+        answers, opcodes, splits = [], [], []
         for wl in gen.WORKLOADS:
-            texts, per_request = counted(api, algebras[side][wl], wires[wl])
+            texts, per_request, split = counted(api, algebras[side][wl], wires[wl])
             answers += texts
             opcodes.append("%s %.1f" % (wl, per_request))
+            splits.append("  %-12s " % wl + ", ".join(
+                "%s %.1f (%.1f%%)" % (s, c, 100 * c / per_request) for s, c in split.items()))
         digests[side] = hashlib.sha1("".join(answers).encode()).hexdigest()
         print("%-6s sha1 %s; opcodes/request %s" % (side, digests[side], ", ".join(opcodes)))
+        print("\n".join(splits))
     times = {wl: {"parent": [], "change": []} for wl in gen.WORKLOADS}
     for r in range(args.rounds):
         for side in ("parent", "change")[::1 if r % 2 == 0 else -1]:

@@ -9,6 +9,11 @@ written out as straight-line code, since a loop over the 25 exponent pairs
 costs more in the interpreter than the products themselves.  Sums,
 differences and negatives map one operator over the five coefficients.
 
+The automorphism r -> r^m for m prime to 5 permutes the five
+coefficients: `scale_exponents` is one `operator.itemgetter` gather from a
+table built at import for m = 1..4, so the endomorphism, its twist and
+the inverse below run no loop.
+
 Inversion takes the norm over the automorphisms r -> r^m: with
 y = s2(x)*s3(x)*s4(x), where sm is r -> r^m, the product x*y is fixed by
 all of them, so x*y = a + b*s with s = r + r^2 + r^3 + r^4.  Its values
@@ -91,10 +96,7 @@ class GroupRingC5Element(Value):
 
     def scale_exponents(self, m: int) -> "GroupRingC5Element":
         """Apply the group automorphism r -> r^m (for m prime to 5)."""
-        out = [0] * 5
-        for e, c in enumerate(self.coeffs):
-            out[(e * m) % 5] += c
-        return self._trusted(tuple(out))
+        return self._trusted(_SCALED[m % 5](self.coeffs))
 
     def inverse(self) -> "GroupRingC5Element":
         y = self.scale_exponents(2) * self.scale_exponents(3) * self.scale_exponents(4)
@@ -116,3 +118,11 @@ class GroupRingC5Element(Value):
 
     def __str__(self) -> str:
         return int_poly(enumerate(self.coeffs), "r")
+
+
+# r -> r^m sends the coefficient of r^e to r^(e*m), so the coefficient of
+# r^f comes from r^(f/m), f/m taken mod 5; one gather per m prime to 5
+_SCALED = {
+    m: operator.itemgetter(*[f * pow(m, -1, 5) % 5 for f in range(5)])
+    for m in range(1, 5)
+}

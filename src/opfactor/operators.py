@@ -186,7 +186,7 @@ class Operator:
             if not a.is_zero():
                 for t, c in enumerate(s.coeffs):
                     if not c.is_zero():
-                        x = a if c is one else a * c
+                        x = c if a is one else a if c is one else a * c
                         acc[t] = x if acc[t] is zero else acc[t] + x
         return Operator._trusted(alg, acc)
 

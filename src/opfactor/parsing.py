@@ -24,19 +24,24 @@ SYMBOL is a single letter owned by the algebra: `x` (and `i j k` for the
 quaternions), `n` for the difference algebra, `r` for the group ring.
 `D` denotes the endomorphism and is only legal when parsing operators.
 
-A value is a dict of monomials {(d, u, e): c}, the sum of the terms
-c * v^e * u * D^d: v is the algebra's variable (`x`, `n` or `r`), u the
-quaternion unit 0-3 for 1, i, j, k (0 in the other algebras), e an
-exponent that may be negative (taken mod 5 on the group ring), and c a
-nonzero int, or a Fraction once a division by a constant other than +-1
-has made one.  An operator is a sum of powers of `D`, each after left
-multiplication by an element, so a dict is the normal form of what it
-denotes.  A constant, `i`, `j` and `k` included, commutes with `D` in all
-four algebras, since its twist has q = 0.  So the values stay dicts
-through
+A value is a sum of monomials c * v^e * u * D^d: v is the algebra's
+variable (`x`, `n` or `r`), u the quaternion unit 0-3 for 1, i, j, k (0
+in the other algebras), e an exponent that may be negative (taken mod 5
+on the group ring), and c an int, or a Fraction once a division by a
+constant other than +-1 has made one.  Inside a term a value is one
+monomial, the tuple (d, u, e, c), c = 0 for zero: a plain factor (an
+INTEGER, a SYMBOL or `D`, its power and its signs) is read straight into
+one, and `*` and `/` combine two in local variables.  A dict {(d, u, e):
+c} of nonzero c starts only where `+` or `-` merges a term, where a
+parenthesized sum is met, or where a monomial meets a dict.  An operator
+is a sum of powers of `D`, each after left multiplication by an element,
+so a dict is the normal form of what it denotes.  A constant, `i`, `j`
+and `k` included, commutes with `D` in all four algebras, since its
+twist has q = 0.  So the values stay monomials or dicts through
   * `+`, `-` and unary minus, which merge them;
   * `*` where one side is a single monomial and no `D` stands left of a
-    non-constant, with the unit table for the quaternions;
+    non-constant, with the unit table for the quaternions; a zero factor
+    makes the product zero;
   * `/` by a single monomial unit without `D`: c * v^e * u, or +-r^e on
     the group ring;
   * `^` of a single monomial with no `D` left of a non-constant.
@@ -155,15 +160,19 @@ def _group_ring(algebra: Algebra, terms) -> GroupRingC5Element:
     return GroupRingC5Element._trusted(tuple(cs))
 
 
-# per algebra: the monomial key (power of D, unit, exponent) of each
-# symbol, the builder of a coefficient from its (unit, exponent,
-# coefficient) terms, and the period of the exponents (the group ring's
-# r has order 5), 0 for none
+# per algebra: the monomial (power of D, unit, exponent, coefficient) of
+# each symbol, without and with `D`, the builder of a coefficient from its
+# (unit, exponent, coefficient) terms, and the period of the exponents
+# (the group ring's r has order 5), 0 for none
 _FORMS = {
-    "qx": ({"x": (0, 0, 1)}, _ratfunc, 0),
-    "quat": ({"x": (0, 0, 1), "i": (0, 1, 0), "j": (0, 2, 0), "k": (0, 3, 0)}, _quaternion, 0),
-    "diff": ({"n": (0, 0, 1)}, _ratfunc, 0),
-    "c5": ({"r": (0, 0, 1)}, _group_ring, 5),
+    name: (keys, dict(keys, D=(1, 0, 0, 1)), build, period)
+    for name, keys, build, period in (
+        ("qx", {"x": (0, 0, 1, 1)}, _ratfunc, 0),
+        ("quat", {"x": (0, 0, 1, 1), "i": (0, 1, 0, 1), "j": (0, 2, 0, 1),
+                  "k": (0, 3, 0, 1)}, _quaternion, 0),
+        ("diff", {"n": (0, 0, 1, 1)}, _ratfunc, 0),
+        ("c5", {"r": (0, 0, 1, 1)}, _group_ring, 5),
+    )
 }
 
 
@@ -177,12 +186,12 @@ class _Parser:
                     raise ParseError("unexpected character %r" % m.group(), m.start() + 1)
         self.text = text
         self.algebra = algebra
-        self.allow_d = allow_d
         # an empty token ends the list; positions are found on error only
         self.tokens = _TOKEN.findall(text) + [""]
         self.pos = 0  # index of the current token
         self.depth = 0  # open parentheses around the current token
-        self.keys, self.build, self.period = _FORMS[algebra.name]
+        keys, d_keys, self.build, self.period = _FORMS[algebra.name]
+        self.keys = d_keys if allow_d else keys
 
     def _error(self, message: str, index: int) -> ParseError:
         """A ParseError at token `index`: the start of that token's match,
@@ -190,7 +199,8 @@ class _Parser:
         m = next(islice(_TOKEN.finditer(self.text), index, None), None)
         return ParseError(message, m.start() + 1 if m else len(self.text) + 1)
 
-    # values: a dict of monomials, or an element or Operator once promoted
+    # values: a monomial tuple (d, u, e, c), a dict of monomials, or an
+    # element or Operator once promoted
 
     def _lift(self, value) -> Operator:
         if isinstance(value, Operator):
@@ -206,6 +216,8 @@ class _Parser:
 
     def _operator(self, value) -> Operator:
         """The Operator of a value, a dict built one coefficient per power."""
+        if type(value) is tuple:
+            value = _dict(value)
         if type(value) is not dict:
             return self._lift(value)
         powers = {}
@@ -217,7 +229,10 @@ class _Parser:
         return Operator._trusted(self.algebra, out)
 
     def _promoted(self, value):
-        """An element or Operator for a dict: an Operator when D is in it."""
+        """An element or Operator for a monomial or a dict: an Operator
+        when D is in it."""
+        if type(value) is tuple:
+            value = _dict(value)
         if type(value) is not dict:
             return value
         if not value:
@@ -227,40 +242,32 @@ class _Parser:
             return self._operator(value)
         return self._coefficient(terms)
 
-    def _product(self, a: dict, b: dict):
-        """a * b, when one side is at most one monomial and no D stands left
-        of a non-constant; else None.  Each product of the one monomial with
-        a term of the other side has its own key (units multiply as a
-        group), so nothing merges."""
-        if len(a) > 1 and len(b) > 1:
-            return None
-        period = self.period
+    def _product(self, a, b):
+        """a * b for a monomial tuple and a dict, in either order, when no D
+        stands left of a non-constant; else None.  Each product of the
+        monomial with a term of the dict has its own key (units multiply
+        as a group), so nothing merges."""
+        left = type(a) is tuple
+        (d, u, e, c), terms = (a, b) if left else (b, a)
         out = {}
-        for (d1, u1, e1), c1 in a.items():
-            for (d2, u2, e2), c2 in b.items():
-                if d1 and e2:
+        if not c:
+            return out
+        period = self.period
+        for (dt, ut, et), ct in terms.items():
+            if left:
+                if d and et:
                     return None
-                w, sign = _UNIT_PRODUCTS[u1][u2]
-                e = (e1 + e2) % period if period else e1 + e2
-                out[d1 + d2, w, e] = c1 * c2 if sign > 0 else -(c1 * c2)
+                w, sign = _UNIT_PRODUCTS[u][ut]
+            else:
+                if dt and e:
+                    return None
+                w, sign = _UNIT_PRODUCTS[ut][u]
+            out[d + dt, w, (e + et) % period if period else e + et] = (
+                c * ct if sign > 0 else -(c * ct))
         return out
 
-    def _inverse(self, value: dict):
-        """The inverse of a dict that is one monomial unit, c*v^e*u with
-        no D (on the group ring c = +-1), as a dict; else None."""
-        if len(value) != 1:
-            return None
-        ((d, u, e), c), = value.items()
-        period = self.period
-        if d or (period and c != 1 and c != -1):
-            return None
-        if c != 1 and c != -1:
-            c = Fraction(1) / c
-        # the units i, j, k are their own negative inverses
-        return {(0, u, -e % period if period else -e): -c if u else c}
-
-    # grammar: each rule returns its value, a dict until promoted, and the
-    # degree bound of its text
+    # grammar: each rule returns its value, a monomial or dict until
+    # promoted, and the degree bound of its text
 
     def parse(self):
         if len(self.tokens) == 1:
@@ -282,25 +289,32 @@ class _Parser:
                 return value, bound
             self.pos += 1
             rhs, rhs_bound = self._term()
-            if type(value) is dict and type(rhs) is dict:
+            if type(value) is tuple:
+                value = _dict(value)
+            if type(value) is dict and (type(rhs) is tuple or type(rhs) is dict):
                 # each dict belongs to one value, so the sum merges in place
                 get = value.get
-                for key, c in rhs.items():
+                for key, c in (rhs.items() if type(rhs) is dict else ((rhs[:3], rhs[3]),)):
                     s = get(key, 0) + c if op == "+" else get(key, 0) - c
                     if s:
                         value[key] = s
                     else:
-                        del value[key]
+                        value.pop(key, None)
             else:
                 value, rhs = self._promoted(value), self._promoted(rhs)
                 if isinstance(value, Operator) or isinstance(rhs, Operator):
                     value, rhs = self._lift(value), self._lift(rhs)
                 value = value + rhs if op == "+" else value - rhs
-            bound = max(bound, rhs_bound)
+            if rhs_bound > bound:
+                bound = rhs_bound
 
     def _term(self):
+        """factor (('*' | '/') factor)*, a product of two monomials and a
+        division by a monomial unit without D (+-r^e on the group ring)
+        taken in place; the units i, j, k are their own negative inverses."""
         value, bound = self._factor()
         tokens = self.tokens
+        period = self.period
         while True:
             at = self.pos
             op = tokens[at]
@@ -308,14 +322,37 @@ class _Parser:
                 return value, bound
             self.pos = at + 1
             rhs, rhs_bound = self._factor()
-            bound = self._capped(bound + rhs_bound, at)
-            if op == "/":
-                inverse = self._inverse(rhs) if type(rhs) is dict else None
-                rhs = inverse if inverse is not None else self._divisor(rhs, at)
+            bound += rhs_bound
+            if bound > MAX_DEGREE:
+                raise self._over(bound, at)
+            if type(rhs) is tuple:
+                d, u, e, c = rhs
+                if op == "/":
+                    if d or not c or period and c != 1 and c != -1:
+                        value = self._times(value, self._divisor(rhs, at))
+                        continue
+                    if c != 1 and c != -1:
+                        c = Fraction(1) / c
+                    if u:
+                        c = -c
+                    e = -e % period if period else -e
+                    rhs = d, u, e, c
+                if type(value) is tuple:
+                    d1, u1, e1, c1 = value
+                    if not (c and c1):
+                        value = 0, 0, 0, 0
+                        continue
+                    if not (d1 and e):  # no D left of a non-constant
+                        u, sign = _UNIT_PRODUCTS[u1][u]
+                        value = (d1 + d, u, (e1 + e) % period if period else e1 + e,
+                                 c1 * c if sign > 0 else -(c1 * c))
+                        continue
+            elif op == "/":
+                rhs = self._divisor(rhs, at)
             value = self._times(value, rhs)
 
     def _times(self, value, rhs):
-        if type(value) is dict and type(rhs) is dict:
+        if {type(value), type(rhs)} == _MIXED:
             product = self._product(value, rhs)
             if product is not None:
                 return product
@@ -343,49 +380,68 @@ class _Parser:
                 at,
             ) from None
 
-    def _capped(self, bound: int, index: int) -> int:
-        if bound > MAX_DEGREE:
-            raise self._error(
-                "degree bound %d exceeds %d" % (bound, MAX_DEGREE), index
-            )
-        return bound
+    def _over(self, bound: int, index: int) -> ParseError:
+        return self._error("degree bound %d exceeds %d" % (bound, MAX_DEGREE), index)
 
     def _factor(self):
-        """'-'* power, with power := atom ('^' INTEGER)? read in this rule."""
+        """'-'* power, with power := atom ('^' INTEGER)? read in this rule.
+        A plain factor, an INTEGER, a SYMBOL or `D`, is read here as a
+        monomial tuple, and so is its power where no D stands left of a
+        non-constant."""
         tokens = self.tokens
-        start = self.pos
-        while tokens[self.pos] == "-":  # a loop: one frame per sign overflows
-            self.pos += 1
-        atom = self.pos
-        value, bound = self._atom()
-        if tokens[self.pos] == "^":
-            index = self.pos = self.pos + 1
-            text = tokens[index]
+        start = pos = self.pos
+        while tokens[pos] == "-":  # a loop: one frame per sign overflows
+            pos += 1
+        atom = pos
+        text = tokens[pos]
+        value = self.keys.get(text)
+        if value is not None:
+            pos, bound = pos + 1, 1
+        elif text.isdecimal():
+            value, bound = (0, 0, 0, self._integer(text, pos)), 0
+            pos += 1
+        else:
+            self.pos = pos
+            value, bound = self._atom()
+            pos = self.pos
+        if tokens[pos] == "^":
+            pos += 1
+            text = tokens[pos]
             if not text.isdecimal():
-                raise self._error("expected a nonnegative integer exponent", index)
-            self.pos += 1
-            n = self._integer(text, index)
-            bound = self._capped(max(bound, 1) * n, index)
-            value = self._power(value, n)
+                raise self._error("expected a nonnegative integer exponent", pos)
+            n = self._integer(text, pos)
+            bound = (bound or 1) * n
+            if bound > MAX_DEGREE:
+                raise self._over(bound, pos)
+            if type(value) is not tuple or n > 1 and value[0] and value[2]:
+                value = self._power(value, n)
+            else:
+                d, u, e, c = value
+                period = self.period
+                # u^n for a unit u of i, j, k: u, -1, -u, 1 as n % 4 is 1, 2, 3, 0
+                value = (d * n, u if n % 2 else 0, e * n % period if period else e * n,
+                         -c ** n if u and n % 4 > 1 else c ** n)
+            pos += 1
+        self.pos = pos
         if (atom - start) % 2:
-            value = {k: -c for k, c in value.items()} if type(value) is dict else -value
+            if type(value) is tuple:
+                d, u, e, c = value
+                value = d, u, e, -c
+            elif type(value) is dict:
+                value = {k: -c for k, c in value.items()}
+            else:
+                value = -value
         return value, bound
 
     def _power(self, value, n: int):
+        """value^n through the algebra, for a value other than a monomial
+        that _factor takes in place."""
         if type(value) is dict:
             if not n:
-                return {(0, 0, 0): 1}
+                return 0, 0, 0, 1
             if n == 1 or not value:
                 return value
-            if len(value) == 1:
-                ((d, u, e), c), = value.items()
-                if not (d and e):  # no D left of a non-constant
-                    period = self.period
-                    # u^n for a unit u of i, j, k: u, -1, -u, 1 as n % 4 is 1, 2, 3, 0
-                    c = -c ** n if u and n % 4 > 1 else c ** n
-                    e = e * n % period if period else e * n
-                    return {(d * n, u if n % 2 else 0, e): c}
-            value = self._promoted(value)
+        value = self._promoted(value)
         if isinstance(value, Operator):
             out = value if n else Operator.identity(self.algebra)
             for _ in range(n - 1):
@@ -409,15 +465,11 @@ class _Parser:
             raise self._error("integer literal too long", index) from None
 
     def _atom(self):
+        """'(' expr ')', or the error for a token no factor starts with;
+        a plain factor is read by _factor."""
         index = self.pos
         text = self.tokens[index]
         self.pos = index + 1
-        if text.isdecimal():
-            c = self._integer(text, index)
-            return ({(0, 0, 0): c} if c else {}), 0
-        key = self.keys.get(text)
-        if key is not None:
-            return {key: 1}, 1
         if text == "(":
             if self.depth == MAX_NESTING:
                 raise self._error(
@@ -433,11 +485,7 @@ class _Parser:
         if text == ")":
             raise self._error("unmatched ')'", index)
         if text == "D":
-            if not self.allow_d:
-                raise self._error(
-                    "D is an operator, not an element of the algebra", index
-                )
-            return {(1, 0, 0): 1}, 1
+            raise self._error("D is an operator, not an element of the algebra", index)
         if text.isalpha():
             raise self._error(
                 "symbol %r is not defined in algebra %r"
@@ -447,6 +495,15 @@ class _Parser:
         if not text:
             raise self._error("unexpected end of input", index)
         raise self._error("unexpected token %r" % text, index)
+
+
+_MIXED = {tuple, dict}
+
+
+def _dict(term: tuple) -> dict:
+    """The dict of a monomial tuple (d, u, e, c): {} for c = 0."""
+    d, u, e, c = term
+    return {(d, u, e): c} if c else {}
 
 
 def parse_operator(text: str, algebra: Algebra) -> Operator:

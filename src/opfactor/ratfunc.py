@@ -18,7 +18,10 @@ reaches it without recomputing it, the way Fraction does for integers
     only with b.  With b = 1 that is the sum; a zero a + c returns 0/1
     at once; otherwise h = gcd(a + c, b) gives ((a + c)/h)/(b/h).  Since
     the form is unique, a sum that cancels always takes this branch.
-  * a/b + c/d with b != d: g = gcd(b, d); when g = 1 the sum
+  * a/x^m + c/x^n with m < n: (a*x^(n-m) + c)/x^n, the numerator a
+    shift of a's tuple plus c, is canonical as built, since c(0) != 0
+    and x is the one prime of x^n.  Either order; m = 0 included.
+  * a/b + c/d with b != d otherwise: g = gcd(b, d); when g = 1 the sum
     (a*d + c*b)/(b*d) is already canonical, since a prime factor of b
     divides neither a nor d.  Otherwise t = a*(d/g) + c*(b/g), which is
     not zero, can share a factor only with g, so with h = gcd(t, g) the
@@ -42,11 +45,10 @@ All of these, and the algebras' constants, build their result through
 `_canonical`, which trusts its input.  `_cancelled` is the one pair
 reduction, a division of both by their monic gcd when it is not 1: in the
 public constructor, the equal-denominator sum, both cross-cancels of a
-product and the derivative.  It first tests for the commonest coprime
-pair, q = c*x^m against p with p(0) != 0 (x is the one prime factor of
-q and does not divide p), and returns that pair with no gcd.  The test
-reads q's constant coefficient first, so a q with q(0) != 0 pays one
-index.
+product and the derivative.  Against q = c*x^m, a constant included, the
+gcd is x^min(m, v), v the index of p's first nonzero coefficient (x is
+the one prime factor of q), so the reduction slices x^min(m, v) off both
+tuples with no gcd and no division; any other q takes `Poly.gcd`.
 
 Numerator and denominator are `Poly` values, a rational content times a
 primitive integer polynomial, so every product, gcd and exact division
@@ -74,14 +76,21 @@ from math import gcd
 from .base import Value
 from .errors import MixedAlgebras, NotAUnit
 from .formatting import int_poly
-from .poly import Poly
+from .poly import Poly, _new
 
 
 def _cancelled(p: Poly, q: Poly):
-    """p and q divided by their monic gcd, when that gcd is not 1."""
-    # q = x^m and p(0) != 0 are coprime, since x is the one prime of q;
-    # the cheapest test first, so another q pays one index
-    if q.prim[0] == 0 and p.prim[0] and q.prim.count(0) == len(q.prim) - 1:
+    """p and q divided by their monic gcd, when that gcd is not 1; p is
+    not zero."""
+    b = q.prim
+    m = len(b) - 1
+    if b.count(0) == m:  # q = c*x^m, so the gcd is x^min(m, v(p))
+        a = p.prim
+        v = 0
+        while v < m and not a[v]:
+            v += 1
+        if v:
+            return _new(a[v:], p.cnum, p.cden), _new(b[v:], q.cnum, q.cden)
         return p, q
     g = Poly.gcd(p, q)
     if len(g.prim) > 1:
@@ -153,6 +162,14 @@ class RationalFunction(Value):
                 return RationalFunction._canonical(num, Poly.one(), self.var)
             num, b = _cancelled(num, b)
             return RationalFunction._canonical(num, b, self.var)
+        m, n = len(b.prim) - 1, len(d.prim) - 1
+        if b.prim.count(0) == m and d.prim.count(0) == n:
+            # a/x^m + c/x^n with m < n is (a*x^(n-m) + c)/x^n, canonical
+            # since c(0) != 0
+            if m > n:
+                a, c, d, m, n = c, a, b, n, m
+            num = _new((0,) * (n - m) + a.prim, a.cnum, a.cden) + c
+            return RationalFunction._canonical(num, d, self.var)
         g = Poly.gcd(b, d)
         if len(g.prim) == 1:
             return RationalFunction._canonical(

@@ -353,8 +353,31 @@ def _power(base, e):
     return base if e == 1 else ("^", base, e)
 
 
-def _monomial(draws, algebra):
-    """c * v^e / v^m * unit, with any of its parts left out."""
+def _plain_factor(draws, algebra):
+    """'-'* (INTEGER | SYMBOL | D) ('^' INTEGER)?, with repeated minus
+    signs, `^0` and `^1`, and 0 among the integers."""
+    atoms = [("int", draws.integer(0, 3)), ("sym", variable_name(algebra)), ("D",)]
+    if algebra.name == "quat":
+        atoms.append(("sym", draws.pick("ijk")))
+    out = draws.pick(atoms)
+    if draws.integer(0, 1):
+        out = ("^", out, draws.integer(0, 2))
+    signs = draws.integer(0, 3)
+    return ("neg", signs, out) if signs else out
+
+
+def _wide_divisor(draws, algebra):
+    """0, D, a sum, or a non-unit constant on c5."""
+    shapes = [("int", 0), ("D",), ("+", ("sym", variable_name(algebra)), ("int", 1))]
+    if algebra.name == "c5":
+        shapes.append(("int", 2))
+    return draws.pick(shapes)
+
+
+def _monomial(draws, algebra, wide=False):
+    """c * v^e / v^m * unit, with any of its parts left out; when `wide`,
+    now and then times a plain factor or over a divisor the monomial
+    rules refuse."""
     v = ("sym", variable_name(algebra))
     out = None
     if draws.integer(0, 3):
@@ -378,6 +401,10 @@ def _monomial(draws, algebra):
         out = u if out is None else ("*", out, u)
     if out is None:
         out = v
+    if wide and draws.integer(0, 2) == 0:
+        out = ("*", out, _plain_factor(draws, algebra))
+    if wide and draws.integer(0, 5) == 0:
+        out = ("/", out, _wide_divisor(draws, algebra))
     return ("neg", draws.integer(1, 2), out) if draws.integer(0, 3) == 0 else out
 
 
@@ -423,21 +450,23 @@ def _trigger(draws, algebra):
     return draws.pick(shapes)
 
 
-def _coefficient(draws, algebra, triggers):
+def _coefficient(draws, algebra, triggers, wide):
     """A sum of one to three monomials, or such a sum in parentheses
     times one more monomial, with a trigger spliced in when `triggers`."""
-    parts = [_monomial(draws, algebra) for _ in range(draws.integer(1, 3))]
+    parts = [_monomial(draws, algebra, wide) for _ in range(draws.integer(1, 3))]
     if triggers and draws.integer(0, 5) == 0:
         parts[draws.integer(0, len(parts) - 1)] = _trigger(draws, algebra)
     out = _sum(draws, parts)
     if len(parts) > 1 and draws.integer(0, 2) == 0:
-        out = (draws.pick("*/"), out, _monomial(draws, algebra))
+        out = (draws.pick("*/"), out, _monomial(draws, algebra, wide))
     return out
 
 
-def normal_form_trees(draws, algebra, triggers=True):
+def normal_form_trees(draws, algebra, triggers=True, wide=False):
     """sum of (coefficient) * D^m over one to four distinct powers
-    m <= 3, in any order, a bare D^m or a bare coefficient now and then."""
+    m <= 3, in any order, a bare D^m or a bare coefficient now and then.
+    `wide` widens the monomials (see _monomial); without it the draws are
+    those the recorded digests of these trees were taken over."""
     d = ("D",)
     powers = []
     for _ in range(draws.integer(1, 4)):
@@ -446,7 +475,7 @@ def normal_form_trees(draws, algebra, triggers=True):
             powers.append(m)
     terms = []
     for m in powers:
-        coeff = _coefficient(draws, algebra, triggers)
+        coeff = _coefficient(draws, algebra, triggers, wide)
         if m == 0:
             terms.append(coeff)
         elif draws.integer(0, 4) == 0:

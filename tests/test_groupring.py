@@ -83,6 +83,25 @@ def test_exponent_squaring_is_a_ring_map(a, b):
     assert (a + b).scale_exponents(2) == a.scale_exponents(2) + b.scale_exponents(2)
 
 
+@given(c5_elements())
+def test_exponent_scaling_matches_the_loop_definition(a):
+    for m in range(1, 5):
+        out = [0] * 5
+        for e, c in enumerate(a.coeffs):
+            out[e * m % 5] += c
+        assert a.scale_exponents(m).coeffs == tuple(out)
+
+
+def test_inverse_round_trips_on_units():
+    u = elem(-1, -1, 0, 1)
+    for k, e, sign in itertools.product(range(4), range(5), (1, -1)):
+        g = c5_power(e) if sign > 0 else -c5_power(e)
+        for _ in range(k):
+            g = g * u
+        assert g * g.inverse() == ONE
+        assert g.inverse().inverse() == g
+
+
 def test_trivial_units():
     for e in range(5):
         g = GroupRingC5Element(tuple(1 if i == e else 0 for i in range(5)))

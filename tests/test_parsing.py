@@ -337,6 +337,12 @@ def test_normal_form_texts_match_the_operator_domain_reference(algebra, data):
     _check_against_reference(normal_form_trees(DataDraws(data), algebra), algebra)
 
 
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
+@given(data=st.data())
+def test_plain_factor_texts_match_the_operator_domain_reference(algebra, data):
+    _check_against_reference(normal_form_trees(DataDraws(data), algebra, wide=True), algebra)
+
+
 _V, _ZERO, _D = ("sym", "v"), ("int", 0), ("D",)
 
 # (tree, the algebras whose symbols it uses); "v" stands for the variable
@@ -349,6 +355,14 @@ EDGE_TREES = [
     (("^", ("*", _V, ("sym", "i")), 2), (QUAT,)),
     (("/", _V, ("int", 2)), ALL_ALGEBRAS),
     (("/", ("^", _V, 7), ("^", _V, 3)), ALL_ALGEBRAS),
+    # where monomial tuples meet dicts, errors and promoted values
+    (("*", ("*", ("int", 2), ("+", _V, ("int", 1))), _V), ALL_ALGEBRAS),
+    (("/", ("*", ("+", _V, ("int", 1)), ("^", _V, 2)), _V), ALL_ALGEBRAS),
+    (("*", ("neg", 1, ("^", ("neg", 1, _V), 3)), ("sym", "i")), (QUAT,)),
+    (("*", ("*", _D, _V), _D), ALL_ALGEBRAS),
+    (("*", ("/", _V, _ZERO), _D), ALL_ALGEBRAS),
+    (("/", ("/", ("^", _V, 7), ("^", _V, 3)), ("int", 2)), ALL_ALGEBRAS),
+    (("*", ("neg", 2, ("^", _V, 2)), ("^", _D, 0)), ALL_ALGEBRAS),
 ]
 
 
@@ -468,11 +482,11 @@ SPIED_PARSES = [
     ("quat", "(2/x + 2*i)*D + 2/x - 2*j/x + 3/x^2 - (2*x - 6)/x*k", []),
     ("c5", "(-3 + r^2 + 2*r^3)*D^4 + (3*r - 3*r^2 - r^3 - r^4)*D^3 + (3 - r - r^2)*D^2"
            " + (1 - 2*r - r^2 + 3*r^4)*D + (-3*r + 2*r^3 + r^4)/-r^2", []),
-    # a division by a sum, and a D left of x: the algebra computes
+    # a division by a sum, and a D left of x: the algebra computes, but
+    # compose multiplies by no coefficient that is the shared one
     ("qx", "1/(x+1)", [("try_invert", "x + 1"),
                        ("RationalFunction.__mul__", "1", "1/(x + 1)")]),
-    ("qx", "D*x", [("RationalFunction.__mul__", "1", "1"),
-                   ("RationalFunction.__mul__", "1", "x")]),
+    ("qx", "D*x", []),
 ]
 
 
