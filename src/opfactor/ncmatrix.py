@@ -6,8 +6,9 @@ sum_l A[i][l] * B[l][j], never the reverse.
 A square matrix A has one certified left solve.  `A.left_solver()`
 returns a function taking each B with as many columns as A to the X with
 X*A = B, and `A.inverse()` is that solve with B = I.  Each algebra runs
-one elimination, which fails only where A has no inverse and which proves
-A invertible when it succeeds: a nonzero determinant over Q(v), a unit
+one elimination (over Q(v), up to 3x3, a cofactor expansion first), which
+fails only where A has no inverse and which proves A invertible when it
+succeeds: a nonzero determinant over Q(v), a unit
 determinant over a commutative ring, a unit pivot in every column
 otherwise.  Each X then carries one certificate, X*A = B, and with A
 invertible that gives X = B*A^-1; for B = I a two-sided inverse.  A*X
@@ -16,17 +17,23 @@ elimination, and only when A is singular; a certificate that fails is an
 engine fault and raises VerificationFailed.
 
 Over the fraction fields Q(v) (qx, diff, the RationalFunctionAlgebra
-type) the elimination runs once per solver, on polynomials.  Column j is
+type) the adjugate is built once per solver, on polynomials.  Column j is
 scaled by the lcm L_j of its denominators, A' = A*diag(L) over Q[v], and
-fraction-free Gauss-Jordan on [A' | I] (Bareiss, Math. Comp. 22, 1968)
-pivots on the first nonzero entry at or below the diagonal, divides each
-update exactly by the previous pivot and ends at [det*I | adj] with det
-nonzero.  By Sylvester's identity each entry scanned for a pivot is a
-nonzero multiple (column scales times the previous pivot) of the one
-Gauss-Jordan over Q(v) scans, so both stop at the same column, where A is
-singular.  Since A^-1 = diag(L)*adj/det, a row b of B, written as
-polynomial numerators n = m*b*diag(L) over one denominator m, has the
-row (n*adj)/(m*det) of X.  Its certificate is the Poly identity
+`_adjugate` returns adj and det with adj*A' = det*I and det nonzero.  For
+1 <= n <= 3 adj is the transposed matrix of cofactors: [[d, -b], [-c, a]]
+for A' = [[a, b], [c, d]], the nine 2x2 minors for n = 3, with det
+expanded along the first row from three of them.  For n = 0, for n >= 4 and for every
+singular A' (det = 0) it comes from fraction-free Gauss-Jordan on [A' | I]
+(Bareiss, Math. Comp. 22, 1968), which pivots on the first nonzero entry
+at or below the diagonal, divides each update exactly by the previous
+pivot and ends at [det*I | adj] with det nonzero.  By Sylvester's identity
+each entry scanned for a pivot is a nonzero multiple (column scales times
+the previous pivot) of the one Gauss-Jordan over Q(v) scans, so both stop
+at the same column, where A is singular, and the elimination names that
+column.  The two adjugates differ at most by a sign, which det shares.
+Since A^-1 = diag(L)*adj/det, a row b of B, written as polynomial
+numerators n = m*b*diag(L) over one denominator m, has the row
+(n*adj)/(m*det) of X.  Its certificate is the Poly identity
 (n*adj)*A' = det*n, which is X*A = b times m*det*diag(L); for B = I it
 is adj*A' = det*I, row by row.
 
@@ -149,9 +156,11 @@ class NCMatrix(Value):
 
     def left_solver(self) -> Callable[["NCMatrix"], "NCMatrix"]:
         """The function taking B to the certified X with X*self == B, as
-        the module docstring says.  Over Q(v) the elimination runs here,
-        once, and raises NotInvertible when left_solver() is called;
-        over the other algebras it runs, and raises, in each solve."""
+        the module docstring says.  Over Q(v) the adjugate is built here,
+        once, from cofactors for n <= 3 and by Bareiss elimination
+        otherwise and for every singular matrix, and NotInvertible is
+        raised when left_solver() is called; over the other algebras the
+        elimination runs, and raises, in each solve."""
         if self.rows != self.cols:
             raise ShapeMismatch("only square matrices can be inverted")
         if isinstance(self.algebra, RationalFunctionAlgebra):
@@ -170,13 +179,13 @@ class NCMatrix(Value):
             )
 
     def _fraction_free_solver(self) -> Callable[["NCMatrix"], "NCMatrix"]:
-        """The elimination over Q(v), once, and the certified solve that
+        """The adjugate over Q(v), once, and the certified solve that
         reuses it, as the module docstring says."""
         n = self.rows
         var, zero = self.algebra.variable, Poly.zero()
         columns = [_cleared(self.entries[j::n]) for j in range(n)]
         scales, cleared = [c[0] for c in columns], [c[1] for c in columns]
-        adj, det = _fraction_free_gauss_jordan(list(zip(*cleared)))
+        adj, det = _adjugate(list(zip(*cleared)))
         adj_cols = list(zip(*adj))
 
         def solve(b: "NCMatrix") -> "NCMatrix":
@@ -281,6 +290,31 @@ class NCMatrix(Value):
             for i in range(self.rows)
         ]
         return "NCMatrix(%s)" % "; ".join(rows)
+
+
+def _adjugate(a: list):
+    """(adj, det) with adj*a == det*I and det nonzero: the cofactors for
+    1 <= n <= 3, with det expanded along the first row; fraction-free
+    Gauss-Jordan for n = 0, for n >= 4 and for every singular a, so that
+    NotInvertible comes only from the elimination."""
+    n = len(a)
+    if n == 1:
+        if a[0][0]:
+            return [[Poly.one()]], a[0][0]
+    elif n == 2:
+        (p, q), (r, s) = a
+        det = p * s - q * r
+        if det:
+            return [[s, -q], [-r, p]], det
+    elif n == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
+        adj = [[b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, a1 * b2 - a2 * b1],
+               [b2 * c0 - b0 * c2, a0 * c2 - a2 * c0, a2 * b0 - a0 * b2],
+               [b0 * c1 - b1 * c0, a1 * c0 - a0 * c1, a0 * b1 - a1 * b0]]
+        det = a0 * adj[0][0] + a1 * adj[1][0] + a2 * adj[2][0]
+        if det:
+            return adj, det
+    return _fraction_free_gauss_jordan(a)
 
 
 def _fraction_free_gauss_jordan(a: list):

@@ -8,9 +8,13 @@ With those three, the representation of a value is unique, so equality is
 componentwise and needs no cross multiplication.
 
 The public constructor takes a numerator and a denominator, both `Poly`,
-and the variable, and reaches that form with one gcd.  Arithmetic
-reaches it without recomputing it, the way Fraction does for integers
-(Henrici; Knuth, TAOCP vol. 2, 4.5.1):
+and the variable, and reaches that form with one gcd.  It makes the
+denominator monic with ints alone: for the leading coefficient
+cnum*prim[-1]/cden of the denominator, the numerator's content is
+multiplied by cden/(cnum*prim[-1]) and reduced by one integer gcd, and
+the denominator becomes prim/prim[-1].  Arithmetic reaches the form
+without recomputing it, the way Fraction does for integers (Henrici;
+Knuth, TAOCP vol. 2, 4.5.1):
 
   * a zero operand is returned as it is by a sum or a product.
   * a/b + c/d over one denominator: both are monic, so equal primitive
@@ -110,9 +114,13 @@ class RationalFunction(Value):
             num, den = Poly.zero(), Poly.one()
         else:
             num, den = _cancelled(num, den)
-            lead = den.leading
-            if lead != 1:
-                num = num * Poly.constant(1 / lead)
+            lead = den.cnum * den.prim[-1]
+            if lead != den.cden:  # den's leading coefficient is not 1
+                n, d = num.cnum * den.cden, num.cden * lead
+                if d < 0:
+                    n, d = -n, -d
+                g = gcd(n, d)
+                num = _new(num.prim, n // g, d // g)
                 den = den.monic()
         self.num = num
         self.den = den

@@ -577,13 +577,13 @@ def test_one_fraction_free_elimination_per_context(monkeypatch, make):
     from opfactor import ncmatrix
 
     runs = []
-    eliminate = ncmatrix._fraction_free_gauss_jordan
+    adjugate = ncmatrix._adjugate
 
     def spy(a):
         runs.append(a)
-        return eliminate(a)
+        return adjugate(a)
 
-    monkeypatch.setattr(ncmatrix, "_fraction_free_gauss_jordan", spy)
+    monkeypatch.setattr(ncmatrix, "_adjugate", spy)
     ctx = make()
     assert len(runs) == 1 and "P" not in vars(ctx)
     duals = ctx.P

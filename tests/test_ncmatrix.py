@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opfactor import ncmatrix
+from opfactor.ncmatrix import _dot
+from opfactor.poly import Poly
 from opfactor import (
     MixedAlgebras,
     NCMatrix,
@@ -420,29 +422,108 @@ def test_certificate_products(monkeypatch, algebra, solve_rows, products,
         _certify(m, x)
 
 
-@pytest.mark.parametrize("algebra, fraction", [(QX, "1/x"), (DIFF1, "1/(n + 1)")],
-                         ids=["qx", "diff"])
-def test_fraction_free_certificate_catches_a_wrong_adjugate(monkeypatch, algebra, fraction):
-    eliminate = ncmatrix._fraction_free_gauss_jordan
+def _identity_with_corner(algebra, size, corner):
+    """The size x size identity with `corner` in row 1, column 2."""
+    one, zero = algebra.one(), algebra.zero()
+    return NCMatrix.from_rows(algebra, [
+        [corner if (i, j) == (0, 1) else one if i == j else zero for j in range(size)]
+        for i in range(size)])
+
+
+@pytest.mark.parametrize(
+    "algebra, fraction, size",
+    [(QX, "1/x", 2), (DIFF1, "1/(n + 1)", 2), (QX, "1/x", 4), (DIFF1, "1/(n + 1)", 4)],
+    ids=["qx", "diff", "qx-4x4", "diff-4x4"])
+def test_fraction_free_certificate_catches_a_wrong_adjugate(monkeypatch, algebra, fraction,
+                                                            size):
+    # a 2x2 adjugate comes from cofactors, a 4x4 one from Bareiss
+    adjugate, eliminate = ncmatrix._adjugate, ncmatrix._fraction_free_gauss_jordan
+    eliminations = []
 
     def corrupted(a):
-        adj, det = eliminate(a)
+        adj, det = adjugate(a)
         adj[0][1] = adj[0][1] + det
         return adj, det
 
-    monkeypatch.setattr(ncmatrix, "_fraction_free_gauss_jordan", corrupted)
+    def counted(a):
+        eliminations.append(len(a))
+        return eliminate(a)
+
+    monkeypatch.setattr(ncmatrix, "_adjugate", corrupted)
+    monkeypatch.setattr(ncmatrix, "_fraction_free_gauss_jordan", counted)
     one, zero = algebra.one(), algebra.zero()
-    # [[1, s], [0, 1]] has no denominator, so its solve leaves B as it is;
-    # with a fraction in column 2 the solve first scales B by diag(L)
-    with_denominator = NCMatrix.from_rows(
-        algebra, [[one, parse_element(fraction, algebra)], [zero, one]])
-    for m in (_upper_unitriangular(algebra), with_denominator):
+    # with a symbol in the corner A has no denominator, so its solve leaves
+    # B as it is; with a fraction there the solve first scales B by diag(L)
+    s = list(algebra.symbols().values())[-1]
+    for corner in (s, parse_element(fraction, algebra)):
+        m = _identity_with_corner(algebra, size, corner)
         with pytest.raises(VerificationFailed, match=r"^left solve X\*A = B does not hold$"):
             m.inverse()
         # the corrupted row of adj reaches a solve through a nonzero first entry
-        rhs = NCMatrix.from_rows(algebra, [[one, zero]])
+        rhs = NCMatrix.from_rows(algebra, [[one] + [zero] * (size - 1)])
         with pytest.raises(VerificationFailed, match=r"^left solve X\*A = B does not hold$"):
             m.left_solver()(rhs)
+    assert eliminations == ([] if size <= 3 else [size] * 4)
+
+
+def test_adjugate_eliminates_for_empty_large_and_singular_matrices(monkeypatch):
+    eliminate = ncmatrix._fraction_free_gauss_jordan
+    eliminations = []
+
+    def counted(a):
+        eliminations.append(len(a))
+        return eliminate(a)
+
+    monkeypatch.setattr(ncmatrix, "_fraction_free_gauss_jordan", counted)
+    x, one, zero = Poly.variable(), Poly.one(), Poly.zero()
+    for n in range(5):
+        a = [[x + one if i == j else x if j == i + 1 else zero for j in range(n)]
+             for i in range(n)]
+        adj, det = ncmatrix._adjugate(a)
+        assert [[_dot(zero, row, col) for col in zip(*a)] for row in adj] == [
+            [det if i == j else zero for j in range(n)] for i in range(n)]
+    assert eliminations == [0, 4]
+    with pytest.raises(NotInvertible, match="^no unit pivot available in column 2$"):
+        ncmatrix._adjugate([[x, x * x], [one, x]])
+    assert eliminations == [0, 4, 2]
+
+
+@pytest.mark.parametrize("algebra", [QX, DIFF1], ids=lambda a: a.name)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cofactor_solves_match_the_bareiss_reference(algebra, data):
+    # singular draws: a zero first column, or a column that is a
+    # combination of the earlier ones (of none, a zero column)
+    size = data.draw(st.integers(1, 3))
+    kind = data.draw(st.sampled_from(["any", "zero first column", "dependent column"]))
+
+    def draw():
+        return data.draw(elements(algebra))
+
+    columns = [[draw() for _ in range(size)] for _ in range(size)]
+    if kind == "zero first column":
+        columns[0] = [algebra.zero()] * size
+    elif kind == "dependent column":
+        j = data.draw(st.integers(0, size - 1))
+        scales = [draw() for _ in range(j)]
+        columns[j] = [_dot(algebra.zero(), scales, [c[i] for c in columns[:j]])
+                      for i in range(size)]
+    m = NCMatrix(algebra, size, size, (c[i] for i in range(size) for c in columns))
+    rhs = NCMatrix.from_rows(algebra, [[draw() for _ in range(size)]])
+
+    def solves():
+        try:
+            solve = m.left_solver()
+        except NotInvertible as e:
+            return str(e)
+        return solve(NCMatrix.identity(algebra, size)), solve(rhs)
+
+    got = solves()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ncmatrix, "_adjugate", ncmatrix._fraction_free_gauss_jordan)
+        assert solves() == got
+    if kind != "any":
+        assert got.startswith("no unit pivot available in column ")
 
 
 def test_column_solve_certificate_catches_a_wrong_pivot_inverse():

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opfactor import (
     GroupRingC5Element,
@@ -30,6 +31,7 @@ from helpers import (
     DIFF1,
     QUAT,
     QX,
+    factored_polys,
     factored_ratfuncs,
     rand_fraction,
     rand_poly,
@@ -44,16 +46,16 @@ sympy = pytest.importorskip("sympy")
 DIFF_HALF = type(DIFF1)(Fraction(-1, 2))
 
 
+def poly_to_sympy(p, v):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * v**i for i, c in enumerate(p.coeffs)),
+        sympy.Integer(0),
+    )
+
+
 def to_sympy(r):
     v = sympy.Symbol(r.var)
-
-    def poly(p):
-        return sum(
-            (sympy.Rational(c.numerator, c.denominator) * v**i for i, c in enumerate(p.coeffs)),
-            sympy.Integer(0),
-        )
-
-    return poly(r.num) / poly(r.den)
+    return poly_to_sympy(r.num, v) / poly_to_sympy(r.den, v)
 
 
 def _fractions(expr, v):
@@ -99,6 +101,31 @@ def test_derivative_and_shift_match_sympy(p, q):
     x, n = sympy.symbols("x n")
     assert_matches(p.derivative(), sympy.diff(to_sympy(p), x))
     assert_matches(q.shifted(), to_sympy(q).subs(n, n + 1))
+
+
+# denominator leads: negative, or positive and not 1, with rational contents
+LEADS = st.sampled_from([Fraction(-1), Fraction(-3), Fraction(-2, 3), Fraction(2),
+                         Fraction(5, 7), Fraction(1, 4)])
+
+
+@settings(max_examples=60)
+@given(factored_polys(allow_zero=True), factored_polys(), LEADS)
+def test_constructor_normalizes_a_non_monic_denominator_with_ints(num, den, lead):
+    den = den * Poly([lead / den.leading])
+    assert den.leading == lead
+    calls = []
+    constant = Poly.constant
+
+    def counted(c):
+        calls.append(c)
+        return constant(c)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Poly, "constant", staticmethod(counted))
+        r = RationalFunction(num, den, "x")
+    assert calls == []
+    x = sympy.Symbol("x")
+    assert_matches(r, poly_to_sympy(num, x) / poly_to_sympy(den, x))
 
 
 # operators
