@@ -6,9 +6,9 @@ sum_l A[i][l] * B[l][j], never the reverse.
 A square matrix A has one certified left solve.  `A.left_solver()`
 returns a function taking each B with as many columns as A to the X with
 X*A = B, and `A.inverse()` is that solve with B = I.  Each algebra runs
-one elimination (over Q(v), up to 3x3, a cofactor expansion first), which
-fails only where A has no inverse and which proves A invertible when it
-succeeds: a nonzero determinant over Q(v), a unit
+one elimination (over Q(v), at 2x2 and 3x3, a cofactor expansion
+first), which fails only where A has no inverse and which proves A
+invertible when it succeeds: a nonzero determinant over Q(v), a unit
 determinant over a commutative ring, a unit pivot in every column
 otherwise.  Each X then carries one certificate, X*A = B, and with A
 invertible that gives X = B*A^-1; for B = I a two-sided inverse.  A*X
@@ -20,10 +20,11 @@ Over the fraction fields Q(v) (qx, diff, the RationalFunctionAlgebra
 type) the adjugate is built once per solver, on polynomials.  Column j is
 scaled by the lcm L_j of its denominators, A' = A*diag(L) over Q[v], and
 `_adjugate` returns adj and det with adj*A' = det*I and det nonzero.  For
-1 <= n <= 3 adj is the transposed matrix of cofactors: [[d, -b], [-c, a]]
+n = 2 and 3 adj is the transposed matrix of cofactors: [[d, -b], [-c, a]]
 for A' = [[a, b], [c, d]], the nine 2x2 minors for n = 3, with det
-expanded along the first row from three of them.  For n = 0, for n >= 4 and for every
-singular A' (det = 0) it comes from fraction-free Gauss-Jordan on [A' | I]
+expanded along the first row from three of them.  For n <= 1, for n >= 4
+and for every singular A' (det = 0) it comes from fraction-free
+Gauss-Jordan on [A' | I]
 (Bareiss, Math. Comp. 22, 1968), which pivots on the first nonzero entry
 at or below the diagonal, divides each update exactly by the previous
 pivot and ends at [det*I | adj] with det nonzero.  By Sylvester's identity
@@ -157,7 +158,7 @@ class NCMatrix(Value):
     def left_solver(self) -> Callable[["NCMatrix"], "NCMatrix"]:
         """The function taking B to the certified X with X*self == B, as
         the module docstring says.  Over Q(v) the adjugate is built here,
-        once, from cofactors for n <= 3 and by Bareiss elimination
+        once, from cofactors for n = 2 and 3 and by Bareiss elimination
         otherwise and for every singular matrix, and NotInvertible is
         raised when left_solver() is called; over the other algebras the
         elimination runs, and raises, in each solve."""
@@ -294,14 +295,11 @@ class NCMatrix(Value):
 
 def _adjugate(a: list):
     """(adj, det) with adj*a == det*I and det nonzero: the cofactors for
-    1 <= n <= 3, with det expanded along the first row; fraction-free
-    Gauss-Jordan for n = 0, for n >= 4 and for every singular a, so that
+    n = 2 and 3, with det expanded along the first row; fraction-free
+    Gauss-Jordan for n <= 1, for n >= 4 and for every singular a, so that
     NotInvertible comes only from the elimination."""
     n = len(a)
-    if n == 1:
-        if a[0][0]:
-            return [[Poly.one()]], a[0][0]
-    elif n == 2:
+    if n == 2:
         (p, q), (r, s) = a
         det = p * s - q * r
         if det:
