@@ -9,7 +9,8 @@ this interface:
 
   * the constants zero() and one(), built once per algebra, on first use,
     from from_fraction and then shared (the arithmetic is the elements'
-    own),
+    own); likewise, on first use, an empty memo of solved kernels that
+    KernelContext fills (see the factorization module),
   * the endomorphism itself,
   * a twist: for every f a pair (p, q) with
 
@@ -140,6 +141,12 @@ class Algebra(ABC):
 
     def one(self):
         return self._constants[1]
+
+    @cached_property
+    def _kernel_memo(self) -> dict:
+        """The solved kernels of this instance, built on first use and
+        filled by KernelContext (see the factorization module)."""
+        return {}
 
     @abstractmethod
     def from_fraction(self, q: Fraction):

@@ -27,7 +27,8 @@ L = Q . K + R and deg R < k, the high hat coefficients are the
 coefficients of Q and the low ones are the values h_(i-1) = R(f_i) =
 L(f_i).  So an operator annihilates all the f_i exactly when the
 remainder vanishes, and then L = Q . K.  One division routine,
-right_divide_monic, computes all of this.
+right_divide_monic, computes all of this; a context calls its body,
+`_divide`, with K's shifted divisors, which it keeps.
 
 Neither K nor an interpolation needs Phi^-1.  The row X of coefficients
 with X . Phi = (t_1 .. t_k) is the operator sending each f_i to t_i, so
@@ -40,6 +41,16 @@ Each result carries one exact certificate: X . Phi = B for each solve
 Q . K + R == L for each division.  A failed identity raises
 VerificationFailed, naming it, rather than returning a wrong answer; only
 an elimination that finds Phi singular raises NotInvertible.
+
+K depends on the algebra and the f_i alone, so each algebra instance
+keeps a memo of solved kernels (`Algebra._kernel_memo`), at most
+MEMO_SIZE of them, the oldest evicted first.  An entry holds Phi, its
+left solve, the images endo^k(f_i), K and the shifted divisors
+[K, endo . K, ...], which every division through a context of those
+elements reads and grows.  It is stored only once K's solve certificate
+has passed, so a kernel that raises is never stored.  A second context
+for equal elements on the same algebra object takes the entry and solves
+nothing; every division it makes is still certified.
 """
 
 from __future__ import annotations
@@ -51,6 +62,9 @@ from .base import Algebra
 from .errors import NotInKernel, NotIntertwinable, NotMonicizable, VerificationFailed
 from .ncmatrix import NCMatrix
 from .operators import Operator
+
+# the most solved kernels one algebra instance keeps
+MEMO_SIZE = 16
 
 
 class KernelContext:
@@ -74,18 +88,35 @@ class KernelContext:
     division; whether an operator kills the kernel is read off the
     remainder.  That reading rests on Phi being invertible, which the
     elimination proves.
+
+    The construction first checks each element, then looks the tuple up
+    in the algebra's memo (see the module docstring).  On a hit it takes
+    Phi, the solve, the images, K and the shifted divisors of the first
+    context built for equal elements, whose solve certificate has
+    passed; on a miss it builds them as above and stores them.  The
+    divisions and dhat share the shifted divisors [K, endo . K, ...],
+    so K is twisted once per power per kernel.  Phi^-1 and P are kept
+    per context.
     """
 
     def __init__(self, algebra: Algebra, elements: Sequence):
         elements = tuple(elements)
         if not elements:
             raise ValueError("at least one kernel element is required")
+        for f in elements:
+            algebra.check(f)
         self.algebra = algebra
         self.f = elements
         k = len(elements)
         self.k = k
 
-        # iterated images rows[l][i] = endo^l(f_i), l = 0 .. k; endo checks f_i
+        memo = algebra._kernel_memo
+        key = hash(elements)
+        entry = memo.get(key)
+        if entry is not None and entry[0] == elements:
+            _, self.phi, self._solve, self.f_image, self.K, self._shifted = entry
+            return
+        # iterated images rows[l][i] = endo^l(f_i), l = 0 .. k
         rows = [list(elements)]
         for _ in range(k):
             rows.append([algebra.endo(v) for v in rows[-1]])
@@ -93,6 +124,10 @@ class KernelContext:
         self._solve = self.phi.left_solver()
         self.f_image = tuple(rows[k])
         self.K = Operator.d(algebra, k) - self.interpolate(self.f_image)
+        self._shifted = [self.K]
+        if entry is None and len(memo) >= MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = (elements, self.phi, self._solve, self.f_image, self.K, self._shifted)
 
     @cached_property
     def phi_inv(self) -> NCMatrix:
@@ -112,7 +147,7 @@ class KernelContext:
             raise ValueError("negative index")
         if i < self.k:
             return self.P[i]
-        return Operator.d(self.algebra, i - self.k).compose(self.K)
+        return _grown(self._shifted, i - self.k + 1)[i - self.k]
 
     def interpolate(self, targets: Sequence) -> Operator:
         """The degree < k operator sum(t_i . P_i), which sends f_i to t_i:
@@ -133,7 +168,7 @@ class KernelContext:
         coefficient is op's nonzero leading one, so the list ends at
         index max(deg op, k - 1) with no padding.
         """
-        quotient, rest = right_divide_monic(op, self.K)
+        quotient, rest = _divide(op, self._shifted)
         return [rest.apply(f) for f in self.f] + list(quotient.coeffs)
 
     def leading_coefficients_by_apply(self, op: Operator) -> Tuple:
@@ -147,7 +182,7 @@ class KernelContext:
         every kernel element, that is when the certified division by K
         leaves no remainder R.  Returns Q; otherwise the nonzero values
         R(f_i) = op(f_i) are the offenders."""
-        quotient, rest = right_divide_monic(op, self.K)
+        quotient, rest = _divide(op, self._shifted)
         if rest.is_zero():
             return quotient
         raise NotInKernel(self._offenders(rest), self.algebra)
@@ -204,10 +239,25 @@ def right_divide_monic(op: Operator, divisor: Operator) -> Tuple[Operator, Opera
     alg = op._same_algebra(divisor)
     if divisor.is_zero() or divisor.coeffs[-1] != alg.one():
         raise NotMonicizable("divisor %s is not monic" % divisor)
-    d = len(divisor.coeffs) - 1
-    shifted = [divisor]
-    while len(shifted) < len(op.coeffs) - d:
+    return _divide(op, [divisor])
+
+
+def _grown(shifted: List[Operator], n: int) -> List[Operator]:
+    """shifted = [divisor, endo . divisor, ...], extended in place to at
+    least n entries by one twist advance each."""
+    while len(shifted) < n:
         shifted.append(shifted[-1]._advanced())
+    return shifted
+
+
+def _divide(op: Operator, shifted: List[Operator]) -> Tuple[Operator, Operator]:
+    """right_divide_monic for a divisor known to be monic, shifted[0],
+    whose shifted copies `shifted` holds; the list is grown in place, so
+    a caller that keeps it twists each power once."""
+    divisor = shifted[0]
+    alg = op._same_algebra(divisor)
+    d = len(divisor.coeffs) - 1
+    _grown(shifted, len(op.coeffs) - d)
     rest = list(op.coeffs)
     quotient = [alg.zero()] * max(len(op.coeffs) - d, 0)
     for j in reversed(range(len(quotient))):

@@ -174,7 +174,8 @@ class Operator:
         """Normal form of self . other (apply other first): the sum of
         a_i . (endo^i . other), advancing other once per power of self.
         A caller that already holds shifted = [other, endo . other, ...],
-        one entry per coefficient of self, passes it to skip the advances."""
+        at least one entry per coefficient of self, passes it to skip the
+        advances."""
         alg = self._same_algebra(other)
         if shifted is None:
             shifted = [other]

@@ -9,10 +9,11 @@ componentwise and needs no cross multiplication.
 
 The public constructor takes a numerator and a denominator, both `Poly`,
 and the variable, and reaches that form with one gcd.  It makes the
-denominator monic with ints alone: for the leading coefficient
-cnum*prim[-1]/cden of the denominator, the numerator's content is
-multiplied by cden/(cnum*prim[-1]) and reduced by one integer gcd, and
-the denominator becomes prim/prim[-1].  Arithmetic reaches the form
+denominator monic with ints alone (`_over_monic`, which the inverse
+shares): for the leading coefficient cnum*prim[-1]/cden of the
+denominator, the numerator's content is multiplied by
+cden/(cnum*prim[-1]) and reduced by one integer gcd, and the
+denominator becomes prim/prim[-1].  Arithmetic reaches the form
 without recomputing it, the way Fraction does for integers (Henrici;
 Knuth, TAOCP vol. 2, 4.5.1):
 
@@ -102,6 +103,20 @@ def _cancelled(p: Poly, q: Poly):
     return p, q
 
 
+def _over_monic(p: Poly, q: Poly):
+    """p/q with q made monic by ints alone: for q's leading coefficient
+    cnum*prim[-1]/cden, p's content is multiplied by cden/(cnum*prim[-1])
+    and reduced by one integer gcd; p is not zero."""
+    lead = q.cnum * q.prim[-1]
+    if lead == q.cden:  # q's leading coefficient is 1
+        return p, q
+    n, d = p.cnum * q.cden, p.cden * lead
+    if d < 0:
+        n, d = -n, -d
+    g = gcd(n, d)
+    return _new(p.prim, n // g, d // g), q.monic()
+
+
 class RationalFunction(Value):
     __slots__ = ("num", "den", "var")
 
@@ -113,15 +128,7 @@ class RationalFunction(Value):
         if num.is_zero():
             num, den = Poly.zero(), Poly.one()
         else:
-            num, den = _cancelled(num, den)
-            lead = den.cnum * den.prim[-1]
-            if lead != den.cden:  # den's leading coefficient is not 1
-                n, d = num.cnum * den.cden, num.cden * lead
-                if d < 0:
-                    n, d = -n, -d
-                g = gcd(n, d)
-                num = _new(num.prim, n // g, d // g)
-                den = den.monic()
+            num, den = _over_monic(*_cancelled(num, den))
         self.num = num
         self.den = den
         self.var = var
@@ -219,10 +226,7 @@ class RationalFunction(Value):
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
             raise NotAUnit("zero has no inverse")
-        lead = self.num.leading
-        return RationalFunction._canonical(
-            self.den * Poly.constant(1 / lead), self.num.monic(), self.var
-        )
+        return RationalFunction._canonical(*_over_monic(self.den, self.num), self.var)
 
     # the two endomorphism building blocks used by the built-in algebras
 

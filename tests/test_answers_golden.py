@@ -5,8 +5,12 @@ perfbench/gen.py and served through perfbench/worker.serve (text in,
 JSON text out: K with Q or P, or the rejection and its offenders), are
 hashed and compared with the digests recorded below.  A change that is
 meant to alter an answer must say so and record new digests; any other
-difference is a regression.  The generator needs sympy, so the test skips
-without it.  Nothing under perfbench/ is changed by it.
+difference is a regression.  Each stream is served twice: once through one
+algebra object, as perfbench serves it, so repeated kernels hit the
+algebra's kernel memo, and once with a fresh algebra per request, so every
+kernel is solved cold; both must give the recorded digests.  The
+generator needs sympy, so the test skips without it.  Nothing under
+perfbench/ is changed by it.
 """
 
 import hashlib
@@ -57,11 +61,14 @@ GOLDEN = {
 }
 
 
-def answers_digest(workload, seed):
+def answers_digest(workload, seed, cold=False):
+    """The digest of the stream's answers, served through one algebra
+    object, or with cold=True through a fresh one per request."""
     algebra = api.get_algebra(ALGEBRA[workload])
     stream = gen.generate(workload, seed, COUNT, variants=2)
     answers = [
-        worker.serve(api, algebra, req.wire) for forms in stream for req in forms
+        worker.serve(api, api.get_algebra(ALGEBRA[workload]) if cold else algebra, req.wire)
+        for forms in stream for req in forms
     ]
     return hashlib.sha1("\n".join(answers).encode()).hexdigest()
 
@@ -70,3 +77,9 @@ def answers_digest(workload, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_answers_match_recorded_digests(workload, seed):
     assert answers_digest(workload, seed) == GOLDEN[workload][seed]
+
+
+@pytest.mark.parametrize("workload", sorted(ALGEBRA))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cold_memo_answers_match_recorded_digests(workload, seed):
+    assert answers_digest(workload, seed, cold=True) == GOLDEN[workload][seed]

@@ -50,13 +50,15 @@ from helpers import (
 )
 
 
-def ctx_qx():
-    return KernelContext(QX, [parse_element("x", QX), parse_element("x^2", QX)])
-
-
-def ctx_quat():
+def ctx_qx(algebra=QX):
     return KernelContext(
-        QUAT, [parse_element("x*k", QUAT), parse_element("x^3*i", QUAT)]
+        algebra, [parse_element("x", algebra), parse_element("x^2", algebra)]
+    )
+
+
+def ctx_quat(algebra=QUAT):
+    return KernelContext(
+        algebra, [parse_element("x*k", algebra), parse_element("x^3*i", algebra)]
     )
 
 
@@ -66,8 +68,16 @@ def ctx_diff(algebra=DIFF1):
     )
 
 
-def ctx_c5():
-    return KernelContext(C5, [parse_element("r^2", C5)])
+def ctx_c5(algebra=C5):
+    return KernelContext(algebra, [parse_element("r^2", algebra)])
+
+
+# each context maker with the selector of its algebra, for fresh instances
+MAKERS = pytest.mark.parametrize(
+    "make, selector",
+    [(ctx_qx, "qx"), (ctx_quat, "quat"), (ctx_diff, "diff"), (ctx_c5, "c5")],
+    ids=["qx", "quat", "diff", "c5"],
+)
 
 
 def test_trivial_contexts():
@@ -235,6 +245,16 @@ def test_dhat_family_unit_expansion(make):
             assert h == want
     with pytest.raises(ValueError, match="^negative index$"):
         ctx.dhat(-1)
+
+
+@MAKERS
+def test_dhat_reads_the_shifted_kernel_operator(make, selector):
+    # dhat(i) for i >= k reads endo^(i-k) . K off the shifted divisors the
+    # divisions share, in the normal form the composition gives
+    ctx = make(get_algebra(selector))
+    for i in (ctx.k + 3, ctx.k, ctx.k + 5, ctx.k + 1):
+        old = Operator.d(ctx.algebra, i - ctx.k).compose(ctx.K)
+        assert ctx.dhat(i).coeffs == old.coeffs
 
 
 @pytest.mark.parametrize("make", [ctx_qx, ctx_quat, ctx_diff, ctx_c5])
@@ -572,8 +592,9 @@ def test_quat_factor_builds_neither_the_inverse_nor_the_duals(monkeypatch):
     assert "P" in vars(ctx) and "phi_inv" in vars(ctx) and inverses == []
 
 
-@pytest.mark.parametrize("make", [ctx_qx, ctx_diff], ids=["qx", "diff"])
-def test_one_fraction_free_elimination_per_context(monkeypatch, make):
+@pytest.mark.parametrize("make, selector", [(ctx_qx, "qx"), (ctx_diff, "diff")],
+                         ids=["qx", "diff"])
+def test_one_fraction_free_elimination_per_context(monkeypatch, make, selector):
     from opfactor import ncmatrix
 
     runs = []
@@ -584,7 +605,8 @@ def test_one_fraction_free_elimination_per_context(monkeypatch, make):
         return adjugate(a)
 
     monkeypatch.setattr(ncmatrix, "_adjugate", spy)
-    ctx = make()
+    # a fresh algebra, whose kernel memo is empty
+    ctx = make(get_algebra(selector))
     assert len(runs) == 1 and "P" not in vars(ctx)
     duals = ctx.P
     targets = [ctx.f[1], ctx.f[0]]
@@ -594,6 +616,129 @@ def test_one_fraction_free_elimination_per_context(monkeypatch, make):
         ctx.algebra.one(), ctx.algebra.zero(), ctx.algebra.zero(), ctx.algebra.one()]
     assert [swap.apply(f) for f in ctx.f] == targets
     assert ctx.phi_inv * ctx.phi == NCMatrix.identity(ctx.algebra, 2)
+
+
+# the kernel memo
+
+
+def _calls(monkeypatch, owner, name):
+    """Spy on owner.name: the list of the first arguments of its calls."""
+    seen = []
+    real = getattr(owner, name)
+
+    def spy(first, *args, **kwargs):
+        seen.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return seen
+
+
+@MAKERS
+def test_a_repeated_kernel_is_solved_once(monkeypatch, make, selector):
+    from opfactor import ncmatrix
+
+    algebra = get_algebra(selector)
+    first = make(algebra)
+    endos = _calls(monkeypatch, type(algebra), "endo")
+    adjugates = _calls(monkeypatch, ncmatrix, "_adjugate")
+    second = make(algebra)
+    assert endos == [] and adjugates == []
+    assert second.K is first.K and second.f == first.f
+    quotient = Operator.d(algebra).scale_left(second.f[0]) + Operator.identity(algebra)
+    assert second.factorize(quotient.compose(second.K)) == quotient
+
+
+def test_kernel_memos_are_per_algebra_instance(monkeypatch):
+    first = ctx_diff(get_algebra("diff"))
+    endos = _calls(monkeypatch, type(first.algebra), "endo")
+    fresh = ctx_diff(get_algebra("diff"))
+    assert endos and fresh.K == first.K and fresh.K is not first.K
+    endos.clear()
+    half = ctx_diff(get_algebra("diff", Fraction(1, 2)))
+    assert endos and str(half.K) != str(first.K)
+    assert all(half.K.apply(f).is_zero() for f in half.f)
+    memos = [ctx.algebra._kernel_memo for ctx in (first, fresh, half)]
+    assert [[entry[4] for entry in memo.values()] for memo in memos] == [
+        [first.K], [fresh.K], [half.K]]
+
+
+def test_a_failed_kernel_is_never_stored():
+    algebra = get_algebra("qx")
+    x = parse_element("x", algebra)
+    for _ in range(2):
+        with pytest.raises(NotInvertible):
+            KernelContext(algebra, [x, x + x])
+    assert algebra._kernel_memo == {}
+    wrong = WrongInverseQuat()
+    elements = [parse_element(t, wrong) for t in ("1", "x^2")]
+    for _ in range(2):
+        with pytest.raises(VerificationFailed):
+            KernelContext(wrong, elements)
+    assert wrong._kernel_memo == {}
+
+
+def test_a_foreign_kernel_element_is_refused_as_before():
+    algebra = get_algebra("diff")
+    n = parse_element("n", algebra)
+    KernelContext(algebra, [n])
+    x = parse_element("x", QX)
+    x_text = ("RationalFunction(Poly((Fraction(0, 1), Fraction(1, 1))), "
+              "Poly((Fraction(1, 1),)), 'x')")
+    # an element of another algebra, and one that cannot be hashed
+    for elements, shown in (([n, x], x_text), ([x], x_text), ([n, [1, 2]], "[1, 2]")):
+        with pytest.raises(MixedAlgebras) as info:
+            KernelContext(algebra, elements)
+        assert str(info.value) == "%s is not an element of algebra 'diff(c=1)'" % shown
+    assert len(algebra._kernel_memo) == 1
+
+
+def test_the_kernel_memo_keeps_at_most_its_bound(monkeypatch):
+    from opfactor.factorization import MEMO_SIZE
+
+    algebra = get_algebra("qx")
+    x = parse_element("x", algebra)
+    powers = [x]
+    while len(powers) < MEMO_SIZE + 4:
+        powers.append(powers[-1] * x)
+    memo = algebra._kernel_memo
+    for count, f in enumerate(powers, 1):
+        KernelContext(algebra, [f])
+        assert len(memo) == min(count, MEMO_SIZE)
+    assert [entry[0] for entry in memo.values()] == [(f,) for f in powers[-MEMO_SIZE:]]
+    # the oldest went first, so it is solved again
+    endos = _calls(monkeypatch, type(algebra), "endo")
+    KernelContext(algebra, [powers[0]])
+    assert endos and len(memo) == MEMO_SIZE
+
+
+def test_a_colliding_memo_entry_is_recomputed_and_replaced():
+    algebra = get_algebra("qx")
+    planted = KernelContext(algebra, [parse_element("x^3", algebra)])
+    elements = (parse_element("x", algebra), parse_element("x^2", algebra))
+    memo = algebra._kernel_memo
+    memo[hash(elements)] = memo.pop(hash(planted.f))
+    ctx = KernelContext(algebra, elements)
+    assert ctx.K == ctx_qx(get_algebra("qx")).K
+    assert list(memo) == [hash(elements)]
+    assert memo[hash(elements)][0] == elements and memo[hash(elements)][4] is ctx.K
+
+
+def test_divisions_through_one_context_twist_k_once_per_power(monkeypatch):
+    algebra = get_algebra("qx")
+    ctx = ctx_qx(algebra)
+    quotients = [dense_qx_operator(algebra, d) for d in (2, 4, 3)]
+    products = [q.compose(ctx.K) for q in quotients]
+    advanced = _calls(monkeypatch, Operator, "_advanced")
+    # a quotient of degree d needs endo^j . K for j <= d
+    for quotient, product, twists in zip(quotients, products, (2, 4, 4)):
+        assert ctx.factorize(product) == quotient
+        assert len(advanced) == twists
+    again = ctx_qx(algebra)
+    assert again.hat_coefficients(products[1])[ctx.k:] == list(quotients[1].coeffs)
+    assert ctx.dhat(ctx.k + 4) is ctx.dhat(ctx.k + 4)
+    assert len(advanced) == 4
+    assert all(a is b for a, b in zip(advanced, ctx._shifted))
 
 
 def test_right_division_rejects_bad_divisors():
