@@ -736,8 +736,10 @@ def test_divisions_through_one_context_twist_k_once_per_power(monkeypatch):
         assert len(advanced) == twists
     again = ctx_qx(algebra)
     assert again.hat_coefficients(products[1])[ctx.k:] == list(quotients[1].coeffs)
-    assert ctx.dhat(ctx.k + 4) is ctx.dhat(ctx.k + 4)
     assert len(advanced) == 4
+    # dhat reads and grows the same shifted divisors
+    assert ctx.dhat(ctx.k + 6) is again.dhat(ctx.k + 6)
+    assert len(advanced) == 6
     assert all(a is b for a, b in zip(advanced, ctx._shifted))
 
 

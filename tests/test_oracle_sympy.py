@@ -75,6 +75,8 @@ def assert_matches(r, expr):
         den = sympy.Integer(1)
     assert r.num.coeffs == _fractions(num, v)
     assert r.den.coeffs == _fractions(den, v)
+    # the stored form is the canonical one: cden > 0, lowest terms
+    assert (r.num, r.den) == (Poly(list(r.num.coeffs)), Poly(list(r.den.coeffs)))
 
 
 # rational function arithmetic
