@@ -47,8 +47,10 @@ keeps a memo of solved kernels (`Algebra._kernel_memo`), at most
 MEMO_SIZE of them, the oldest evicted first.  An entry holds Phi, its
 left solve, the images endo^k(f_i), K and the shifted divisors
 [K, endo . K, ...], which every division through a context of those
-elements reads and grows.  It is stored only once K's solve certificate
-has passed, so a kernel that raises is never stored.  A second context
+elements reads and grows: an entry keeps one shifted divisor per power
+its divisions have used, up to the degree of the largest quotient.  It
+is stored only once K's solve certificate has passed, so a kernel that
+raises is never stored.  A second context
 for equal elements on the same algebra object takes the entry and solves
 nothing; every division it makes is still certified.
 """
@@ -94,9 +96,10 @@ class KernelContext:
     Phi, the solve, the images, K and the shifted divisors of the first
     context built for equal elements, whose solve certificate has
     passed; on a miss it builds them as above and stores them.  The
-    divisions and dhat share the shifted divisors [K, endo . K, ...],
-    so K is twisted once per power per kernel.  Phi^-1 and P are kept
-    per context.
+    divisions share the shifted divisors [K, endo . K, ...] and grow
+    them, so K is twisted once per power per kernel; dhat reads them and
+    twists any higher power on a copy.  Phi^-1 and P are kept per
+    context.
     """
 
     def __init__(self, algebra: Algebra, elements: Sequence):
@@ -147,7 +150,12 @@ class KernelContext:
             raise ValueError("negative index")
         if i < self.k:
             return self.P[i]
-        return _grown(self._shifted, i - self.k + 1)[i - self.k]
+        j, shifted = i - self.k, self._shifted
+        if j >= len(shifted):
+            # powers beyond those the divisions used are twisted on a copy,
+            # so only divisions grow the memoized list
+            shifted = _grown(list(shifted), j + 1)
+        return shifted[j]
 
     def interpolate(self, targets: Sequence) -> Operator:
         """The degree < k operator sum(t_i . P_i), which sends f_i to t_i:

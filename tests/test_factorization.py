@@ -507,6 +507,8 @@ def _factor_under_spy(monkeypatch, method, algebra, kernel, quotient):
     """Parse and factor quotient . K under the spy; the zero operands seen."""
     expected = parse_operator(quotient, algebra)
     ctx = KernelContext(algebra, [parse_element(t, algebra) for t in kernel])
+    # a cold context: the division twists K under the spy
+    assert ctx._shifted == [ctx.K]
     text = str(expected.compose(ctx.K))
     seen = _zero_operands(monkeypatch, method)
     assert ctx.factorize(parse_operator(text, algebra)) == expected
@@ -581,6 +583,7 @@ def test_quat_factor_builds_neither_the_inverse_nor_the_duals(monkeypatch):
         return invert(self)
 
     monkeypatch.setattr(NCMatrix, "inverse", spy)
+    assert QUAT._kernel_memo == {}  # so the construction runs
     ctx = ctx_quat()
     quotient = parse_operator("D + x*j", QUAT)
     assert ctx.factorize(quotient.compose(ctx.K)) == quotient
@@ -737,10 +740,26 @@ def test_divisions_through_one_context_twist_k_once_per_power(monkeypatch):
     again = ctx_qx(algebra)
     assert again.hat_coefficients(products[1])[ctx.k:] == list(quotients[1].coeffs)
     assert len(advanced) == 4
-    # dhat reads and grows the same shifted divisors
-    assert ctx.dhat(ctx.k + 6) is again.dhat(ctx.k + 6)
-    assert len(advanced) == 6
+    assert again._shifted is ctx._shifted
     assert all(a is b for a, b in zip(advanced, ctx._shifted))
+    # dhat reads the shifted divisors the divisions made
+    assert ctx.dhat(ctx.k + 4) is again.dhat(ctx.k + 4) is ctx._shifted[4]
+    assert len(advanced) == 4
+
+
+def test_the_memo_keeps_one_shifted_divisor_per_power_divided():
+    algebra = get_algebra("qx")
+    ctx = ctx_qx(algebra)
+    assert len(ctx._shifted) == 1
+    for degree in (3, 1, 5, 2):
+        ctx.factorize(dense_qx_operator(algebra, degree).compose(ctx.K))
+    # up to endo^5 . K, for the largest quotient's degree 5
+    assert len(ctx._shifted) == 6
+    # a higher dhat is twisted on a copy and leaves the entry as it was
+    high = ctx.dhat(ctx.k + 9)
+    assert high.coeffs == Operator.d(algebra, 9).compose(ctx.K).coeffs
+    assert len(ctx._shifted) == 6
+    assert algebra._kernel_memo[hash(ctx.f)][5] is ctx._shifted
 
 
 def test_right_division_rejects_bad_divisors():
