@@ -16,9 +16,11 @@ opcodes each side runs per request of each workload, by a `sys.settrace`
 hook that turns on `f_trace_opcodes` in every frame, and prints them next
 to the sha1: unlike a time, the count is the same from run to run.  Under
 them it prints each workload's count split by stage: kernel parse,
-`KernelContext`, operator parse, `factorize` or `P`, printing, and other,
-each opcode counted toward the outermost opfactor API call on the stack
-(`entry_points`), with its share of the request.  The
+`KernelContext`, operator parse, `factorize` or `P`, printing K (a
+request's first `operator_to_json`, since `worker.serve` prints K first),
+printing Q or P (every later one), and other, each opcode counted toward
+the outermost opfactor API call on the stack (`entry_points`), with its
+share of the request.  The
 tracing makes this pass about 6.5 s per side slower than an untraced one
 (6.9 s against 0.6 s under Python 3.11 on a 2-core Intel Xeon).  Then
 each round times one pass per workload on both sides, in alternating
@@ -72,13 +74,14 @@ def requests(workload):
             for forms in gen.generate(workload, seed, BASE_REQUESTS, FORMS) for r in forms]
 
 
-STAGES = ("kernel parse", "KernelContext", "operator parse", "factorize or P", "printing",
-          "other")
+STAGES = ("kernel parse", "KernelContext", "operator parse", "factorize or P", "printing K",
+          "printing Q or P", "other")
 
 
 def entry_points(api):
     """The stage that each opfactor API function `worker.serve` calls
-    starts, by its code object."""
+    starts, by its code object; "printing" is K's or Q's and P's, as
+    `counted` tells them apart."""
     ctx = api.KernelContext
     return {api.parse_element.__code__: "kernel parse",
             ctx.__init__.__code__: "KernelContext",
@@ -92,20 +95,26 @@ def counted(api, algebra, wires):
     """The answers to `wires`, the opcodes run per request to give them,
     and those opcodes per request by stage: each opcode counts toward the
     outermost API entry point on the stack, or toward "other" (the
-    worker's own code and `json`) when there is none."""
-    entries = entry_points(api)
+    worker's own code and `json`) when there is none.  A request's first
+    printing is K's, every later one Q's or P's."""
+    entries, serve = entry_points(api), worker.serve.__code__
     split = dict.fromkeys(STAGES, 0)
-    outer, stage = None, "other"
+    outer, stage, printed_k = None, "other", False
 
     def trace(frame, event, arg):
-        nonlocal outer, stage
+        nonlocal outer, stage, printed_k
         if event == "opcode":
             split[stage] += 1
         elif event == "call":
             frame.f_trace_lines = False
             frame.f_trace_opcodes = True
-            if outer is None and frame.f_code in entries:
+            if frame.f_code is serve:  # a new request
+                printed_k = False
+            elif outer is None and frame.f_code in entries:
                 outer, stage = frame, entries[frame.f_code]
+                if stage == "printing":
+                    stage = "printing Q or P" if printed_k else "printing K"
+                    printed_k = True
         elif event == "return" and frame is outer:
             outer, stage = None, "other"
         return trace

@@ -40,10 +40,12 @@ Every value class of the package has one shape: `__slots__` and a public
 trusted constructor (`_new`, `_canonical`, `_trusted`) that assigns the
 slots directly and checks nothing.  Values are immutable by convention: no
 slot is assigned after construction, and every operation returns a new
-value.  All but Operator derive from `Value`, which gives them equality
-and hashing from their slots: two values are equal when they have the same
-type and equal slots, in the order `__slots__` names them.  Operator keeps
-its own, which folds exponents by `endo_order`.  `TwistPair`, a plain
+value; the one exception is Operator's cache of its coefficient texts,
+which is no part of the value.  All but Operator derive from `Value`,
+which gives them equality and hashing from their slots: two values are
+equal when they have the same type and equal slots, in the order
+`__slots__` names them.  Operator keeps its own, which folds exponents by
+`endo_order` and ignores the texts.  `TwistPair`, a plain
 pair, is a NamedTuple.
 
 Every element and every Operator prints by `str` alone, as plain text in

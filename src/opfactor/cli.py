@@ -42,7 +42,13 @@ from .errors import (
 )
 from .factorization import KernelContext
 from .operators import Operator
-from .parsing import algebra_tag, parse_element, parse_fraction, parse_operator
+from .parsing import (
+    algebra_tag,
+    operator_to_json,
+    parse_element,
+    parse_fraction,
+    parse_operator,
+)
 
 EX_OK = 0
 EX_USAGE = 64
@@ -108,7 +114,7 @@ def _split_elements(text: str, algebra: Algebra):
 
 
 def _op_json(op: Operator) -> dict:
-    return {"coeffs": [op.algebra.format_element(c) for c in op.coeffs]}
+    return {"coeffs": operator_to_json(op)["coeffs"]}
 
 
 def _kernel_context(algebra: Algebra, args):

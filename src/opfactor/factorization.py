@@ -37,22 +37,28 @@ Phi^-1 is that solve with the identity for targets, and the P_i are
 built from it only when first asked for.
 
 Each result carries one exact certificate: X . Phi = B for each solve
-(K(f_j) = 0 for K, P_i(f_j) = delta_ij for the duals), and
-Q . K + R == L for each division.  A failed identity raises
+(K(f_j) = 0 for K, P_i(f_j) = delta_ij for the duals), and L = Q . K + R
+for each division, with Q . K composed afresh and R added in, compared
+with L coefficient by coefficient and without the endo_order fold of
+operator equality, so a quotient whose coefficient sits a multiple of
+endo_order powers too high fails it.  A failed identity raises
 VerificationFailed, naming it, rather than returning a wrong answer; only
 an elimination that finds Phi singular raises NotInvertible.
 
 K depends on the algebra and the f_i alone, so each algebra instance
 keeps a memo of solved kernels (`Algebra._kernel_memo`), at most
 MEMO_SIZE of them, the oldest evicted first.  An entry holds Phi, its
-left solve, the images endo^k(f_i), K and the shifted divisors
+left solve, the images endo^k(f_i), K, the shifted divisors
 [K, endo . K, ...], which every division through a context of those
-elements reads and grows: an entry keeps one shifted divisor per power
-its divisions have used, up to the degree of the largest quotient.  It
-is stored only once K's solve certificate has passed, so a kernel that
-raises is never stored.  A second context
-for equal elements on the same algebra object takes the entry and solves
-nothing; every division it makes is still certified.
+elements reads and grows, and Phi^-1 with the duals P once a context has
+solved them: an entry keeps one shifted divisor per power its divisions
+have used, up to the degree of the largest quotient.  It is stored only
+once K's solve certificate has passed, so a kernel that raises is never
+stored, and Phi^-1 joins it only once its own certificate has passed.  A
+second context for equal elements on the same algebra object takes the
+entry and solves nothing; every division it makes is still certified.
+Since the operators K and P_i are the entry's own objects, the texts
+`parsing.operator_to_json` keeps on them are rendered once per entry.
 """
 
 from __future__ import annotations
@@ -98,8 +104,8 @@ class KernelContext:
     passed; on a miss it builds them as above and stores them.  The
     divisions share the shifted divisors [K, endo . K, ...] and grow
     them, so K is twisted once per power per kernel; dhat reads them and
-    twists any higher power on a copy.  Phi^-1 and P are kept per
-    context.
+    twists any higher power on a copy.  Phi^-1 and P are solved by the
+    first context that reads them and kept with the entry for the rest.
     """
 
     def __init__(self, algebra: Algebra, elements: Sequence):
@@ -117,7 +123,8 @@ class KernelContext:
         key = hash(elements)
         entry = memo.get(key)
         if entry is not None and entry[0] == elements:
-            _, self.phi, self._solve, self.f_image, self.K, self._shifted = entry
+            (_, self.phi, self._solve, self.f_image, self.K, self._shifted,
+             self._inverse) = entry
             return
         # iterated images rows[l][i] = endo^l(f_i), l = 0 .. k
         rows = [list(elements)]
@@ -128,20 +135,32 @@ class KernelContext:
         self.f_image = tuple(rows[k])
         self.K = Operator.d(algebra, k) - self.interpolate(self.f_image)
         self._shifted = [self.K]
+        self._inverse = []
         if entry is None and len(memo) >= MEMO_SIZE:
             del memo[next(iter(memo))]
-        memo[key] = (elements, self.phi, self._solve, self.f_image, self.K, self._shifted)
+        memo[key] = (elements, self.phi, self._solve, self.f_image, self.K, self._shifted,
+                     self._inverse)
 
     @cached_property
     def phi_inv(self) -> NCMatrix:
-        """The certified two-sided inverse of Phi, solved on first use."""
-        return self._solve(NCMatrix.identity(self.algebra, self.k))
+        """The certified two-sided inverse of Phi, solved on first use.
+        The memo entry keeps it for every context of these elements once
+        its certificate has passed; a solve that raises stores nothing."""
+        inverse = self._inverse
+        if not inverse:
+            inverse.append(self._solve(NCMatrix.identity(self.algebra, self.k)))
+        return inverse[0]
 
     @cached_property
     def P(self) -> Tuple[Operator, ...]:
-        """The dual operators, the rows of Phi^-1, built on first use."""
-        return tuple(Operator._trusted(self.algebra, row)
-                     for row in map(self.phi_inv.row, range(self.k)))
+        """The dual operators, the rows of Phi^-1, built on first use and
+        kept with it in the memo entry."""
+        inverse = self._inverse
+        if len(inverse) < 2:
+            inv = self.phi_inv
+            inverse.append(tuple(Operator._trusted(self.algebra, row)
+                                 for row in map(inv.row, range(self.k))))
+        return inverse[1]
 
     # the second spanning family
 
@@ -241,8 +260,9 @@ def right_divide_monic(op: Operator, divisor: Operator) -> Tuple[Operator, Opera
     divisor endo^j . divisor, built once by one twist advance, is monic
     of degree j + d.  From the top, step j takes the remainder's
     coefficient of endo^(j+d) as Q_j and subtracts Q_j . (endo^j . divisor)
-    below it, skipping zeros.  The certificate Q . divisor + R == op is
-    Operator.compose handed those shifted divisors, so it twists nothing.
+    below it, skipping zeros.  The certificate composes Q . divisor with
+    Operator.compose handed those shifted divisors, so it twists nothing,
+    adds R into the low slots and compares the coefficients with op's.
     """
     alg = op._same_algebra(divisor)
     if divisor.is_zero() or divisor.coeffs[-1] != alg.one():
@@ -277,6 +297,22 @@ def _divide(op: Operator, shifted: List[Operator]) -> Tuple[Operator, Operator]:
                     rest[t] = rest[t] - top * c
     q_op = Operator._trusted(alg, quotient)
     r_op = Operator._trusted(alg, rest[:d])
-    if q_op.compose(divisor, shifted=shifted) + r_op != op:
-        raise VerificationFailed("right division does not recompose")
+    _certify_division(op, q_op, r_op, shifted)
     return q_op, r_op
+
+
+def _certify_division(op: Operator, q_op: Operator, r_op: Operator,
+                      shifted: List[Operator]) -> None:
+    """Raise VerificationFailed unless Q . divisor + R has op's
+    coefficients, compared one by one with no exponent folding.  The
+    product is composed afresh over the shifted divisors; R's nonzero
+    coefficients go into its low slots, or make the whole list when Q is
+    zero (deg op below the divisor's degree)."""
+    cs = list(q_op.compose(shifted[0], shifted=shifted).coeffs)
+    for t, r in enumerate(r_op.coeffs):
+        if t == len(cs):
+            cs.append(r)
+        elif not r.is_zero():
+            cs[t] = r if cs[t].is_zero() else cs[t] + r
+    if tuple(cs) != op.coeffs:
+        raise VerificationFailed("right division does not recompose")

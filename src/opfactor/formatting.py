@@ -1,16 +1,20 @@
 """Small shared pieces for rendering elements back into expression text.
 
 Every element printer returns plain text in the grammar the parser reads.
-A caller that embeds one text in a larger expression decides on
-parentheses from the text alone, by one rule:
+The operator printer, which embeds any element's text in a larger
+expression, decides on parentheses from the text alone, by one rule:
   * it is a sum when `is_sum` finds ` + ` or ` - ` outside its
     parenthesised groups;
   * it is a quotient when it contains `/`;
   * it is negative when it starts with `-`.
+The quaternion printer, which embeds rational functions only, reads the
+same answer off a component's structure instead of rescanning its text
+(see the quaternion module).
 `term` writes every term c*b^e of every printer; "1" is the only text of
 the one in every algebra, so a coefficient is dropped by its text alone.
 `int_poly` is the one writer of an integer polynomial, for the group ring
-and for the integer numerator and denominator of a rational function.
+and for the integer numerator and denominator of a rational function; it
+writes each sign and term in one pass over its pairs.
 """
 
 from __future__ import annotations
@@ -65,9 +69,19 @@ def join_terms(terms) -> str:
 
 def int_poly(pairs, base: str) -> str:
     """The text of the sum of c*base^e over the (e, c) pairs of ints, in
-    their order; a zero c is skipped, and no term left prints as "0"."""
-    return join_terms([(-1 if c < 0 else 1, term(int_text(abs(c)), base, e))
-                       for e, c in pairs if c])
+    their order; a zero c is skipped, and no term left prints as "0".
+    One pass writes each sign and then the term of |c|, as join_terms
+    would join them."""
+    out = []
+    for e, c in pairs:
+        if c:
+            if c < 0:
+                out.append(" - " if out else "-")
+                c = -c
+            elif out:
+                out.append(" + ")
+            out.append(term(int_text(c), base, e))
+    return "".join(out) if out else "0"
 
 
 def is_sum(text: str) -> bool:

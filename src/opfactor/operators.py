@@ -27,7 +27,14 @@ the only representation quotient in play; no other identification between
 powers is assumed.
 
 Operator is a value class in the package's one slotted idiom (see the base
-module), immutable by convention; it prints by `str` alone.
+module), immutable by convention; it prints by `str` alone.  One slot,
+`_texts`, is a cache rather than a part of the value: None until the first
+`parsing.operator_to_json` of the object renders the text of each
+coefficient and keeps the tuple there, which every later call reads.
+Since the coefficients never change, the texts never go stale; equality
+and hashing read the coefficients alone and ignore the slot.  So an
+operator that many requests share, such as a memoized kernel operator K,
+is printed once.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .formatting import is_sum, join_terms, term
 
 
 class Operator:
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "coeffs", "_texts")
 
     def __init__(self, algebra: Algebra, coeffs=()):
         coeffs = tuple(coeffs)
@@ -48,6 +55,7 @@ class Operator:
             algebra.check(c)
         self.algebra = algebra
         self.coeffs = Operator._trusted(algebra, coeffs).coeffs
+        self._texts = None
 
     @classmethod
     def _trusted(cls, algebra: Algebra, coeffs) -> "Operator":
@@ -59,6 +67,7 @@ class Operator:
         op = object.__new__(cls)
         op.algebra = algebra
         op.coeffs = tuple(cs)
+        op._texts = None
         return op
 
     # constructors

@@ -546,8 +546,16 @@ def algebra_tag(algebra: Algebra) -> dict:
 
 
 def operator_to_json(op: Operator) -> dict:
+    """The JSON form of op: its algebra's tag and "coeffs", the text of
+    each coefficient, lowest power first.  The first call for an object
+    renders the texts and keeps them on it (see the operators module), so
+    later calls only copy them; each call returns a new dict and list."""
     data = algebra_tag(op.algebra)
-    data["coeffs"] = [op.algebra.format_element(c) for c in op.coeffs]
+    texts = op._texts
+    if texts is None:
+        fmt = op.algebra.format_element
+        texts = op._texts = tuple([fmt(c) for c in op.coeffs])
+    data["coeffs"] = list(texts)
     return data
 
 

@@ -34,6 +34,15 @@ conj(q) / norm inverts q from both sides.  The inverse computes that norm
 directly from the terms, which is the scalar part of q * conj(q) without
 the rest of the product.  A scalar a, which the parser makes for `/`, is
 inverted as 1/a in the scalar slot, the same canonical value.
+
+A value prints as its terms in unit order, each as a sign and the text of
+its component's magnitude, which `RationalFunction._text` writes with the
+sign folded into the numerator, so no component is negated to print it.
+Whether that text is a sum, and so is grouped before a unit or under a
+minus, is read off the component rather than its text: its numerator has
+an integral content over the denominator 1 and two or more terms (see the
+ratfunc module).  A numerator such as (8*x - 3)/3, with a rational
+content, prints as a quotient and stays bare.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from operator import add
 
 from .base import Value
 from .errors import MixedAlgebras, NotAUnit
-from .formatting import is_sum, join_terms, term
+from .formatting import join_terms, term
 from .poly import Poly
 from .ratfunc import RationalFunction
 
@@ -192,11 +201,15 @@ class Quaternion(Value):
     def __str__(self) -> str:
         out = []
         for u, comp in self.terms:
-            sign, mag = comp.split_sign()
-            text = str(mag)
-            # a positive scalar sum reassociates fine when appended bare;
+            num = comp.num
+            sign = -1 if num.cnum < 0 else 1
+            text = comp._text(sign)
+            # the text is a sum when it is the numerator alone (an integral
+            # content over the denominator 1) with two or more terms; a
+            # positive scalar sum reassociates fine when appended bare, and
             # under a minus or before a unit it keeps its parentheses
-            if is_sum(text) and (u or sign < 0):
+            if ((u or sign < 0) and num.cden == 1 and len(comp.den.prim) == 1
+                    and len(num.prim) - num.prim.count(0) > 1):
                 text = "(%s)" % text
             out.append((sign, term(text, _UNIT_NAMES[u], 1)))
         return join_terms(out)

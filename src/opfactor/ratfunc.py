@@ -68,10 +68,14 @@ and MixedAlgebras otherwise.  A rational number enters through an
 algebra's `from_fraction`; this class has no constant constructors.
 
 A value prints as u*num.prim/(v*den.prim) through `formatting.int_poly`,
-with u/v = content(num)/content(den) in lowest terms (den.cnum is 1).  By
-term counts, a numerator of two or more terms is wrapped before a slash,
-and a denominator stays bare only as a constant or x^e, its one primitive
-tuple with a single nonzero coefficient.
+with u/v = content(num)/content(den) in lowest terms (den.cnum is 1),
+both tuples written from the top.  By term counts, a numerator of two or
+more terms is wrapped before a slash, and a denominator stays bare only
+as a constant or x^e, its one primitive tuple with a single nonzero
+coefficient.  So the text is a sum exactly when it is the numerator
+alone, u an integer over the denominator 1, with two or more terms.
+`_text(-1)` prints the negation, with -u for u, and builds no negated
+copy; the quaternion printer writes a negative component's magnitude so.
 """
 
 from __future__ import annotations
@@ -255,17 +259,21 @@ class RationalFunction(Value):
             return -1, -self
         return 1, self
 
-    def __str__(self) -> str:
-        num, den = self.num.prim, self.den.prim
-        u, v = self.num.cnum * self.den.cden, self.num.cden
+    def _text(self, sign: int = 1) -> str:
+        """The text of sign*self, sign 1 or -1, with no negated copy; str
+        is sign 1."""
+        num, den, var = self.num.prim, self.den.prim, self.var
+        u, v = sign * self.num.cnum * self.den.cden, self.num.cden
         g = gcd(u, v)
         u, v = u // g, v // g
-        text = int_poly([(e, u * c) for e, c in enumerate(num)][::-1], self.var)
+        text = int_poly([(e, u * num[e]) for e in range(len(num) - 1, -1, -1)], var)
         if v == 1 and len(den) == 1:
             return text
         if len(num) - num.count(0) > 1:
             text = "(%s)" % text
-        dtext = int_poly([(e, v * c) for e, c in enumerate(den)][::-1], self.var)
+        dtext = int_poly([(e, v * den[e]) for e in range(len(den) - 1, -1, -1)], var)
         if len(den) > 1 and (v != 1 or den.count(0) < len(den) - 1):
             dtext = "(%s)" % dtext
         return "%s/%s" % (text, dtext)
+
+    __str__ = _text

@@ -476,6 +476,28 @@ def test_right_division_catches_a_wrong_inverse():
         right_divide_monic(parse_operator("D^2", algebra), divisor)
 
 
+def test_the_division_certificate_compares_coefficients_without_the_fold():
+    from opfactor.factorization import _certify_division, _grown
+
+    # c5 declares endo_order 4, so operator equality folds D^4 onto D^0:
+    # a quotient whose constant coefficient moved up to D^4 recomposes to
+    # an operator equal to L, yet it is another Q and prints as one
+    ctx = ctx_c5()
+    quotient = parse_operator("r*D^2 + r^4*D + r^3", C5)
+    moved = parse_operator("r^3*D^4 + r*D^2 + r^4*D", C5)
+    op, zero = quotient.compose(ctx.K), Operator.zero(C5)
+    assert moved.compose(ctx.K) == op and str(moved) != str(quotient)
+    shifted = _grown([ctx.K], 5)
+    _certify_division(op, quotient, zero, shifted)
+    with pytest.raises(VerificationFailed, match="^right division does not recompose$"):
+        _certify_division(op, moved, zero, shifted)
+    # with Q = 0 the remainder is the whole operator
+    low = parse_operator("r^2 + 1", C5)
+    _certify_division(low, zero, low, shifted)
+    with pytest.raises(VerificationFailed, match="^right division does not recompose$"):
+        _certify_division(low, zero, parse_operator("r^2", C5), shifted)
+
+
 def test_right_division_twists_each_shifted_divisor_once():
     algebra = CountingQX()
     op = dense_qx_operator(algebra, 9)
@@ -650,6 +672,36 @@ def test_a_repeated_kernel_is_solved_once(monkeypatch, make, selector):
     assert second.K is first.K and second.f == first.f
     quotient = Operator.d(algebra).scale_left(second.f[0]) + Operator.identity(algebra)
     assert second.factorize(quotient.compose(second.K)) == quotient
+
+
+@MAKERS
+def test_a_repeated_kernel_keeps_its_certified_inverse(make, selector):
+    algebra = get_algebra(selector)
+    first = make(algebra)
+    duals = first.P
+    second = make(algebra)
+
+    def solve(b):
+        raise AssertionError("solved again")
+
+    second._solve = solve
+    assert second.P is duals and second.phi_inv is first.phi_inv
+    assert [p.apply(f) for p in second.P for f in second.f] == [
+        algebra.one() if i == j else algebra.zero()
+        for i in range(second.k) for j in range(second.k)]
+    assert algebra._kernel_memo[hash(first.f)][6] == [first.phi_inv, duals]
+
+
+def test_a_failed_inverse_is_never_stored():
+    # 1 and x give K = D^2 exactly; the wrong pivot inverse fails the
+    # certificate of Phi^-1, in every context that reads the duals
+    algebra = WrongInverseQuat()
+    elements = [parse_element(t, algebra) for t in ("1", "x")]
+    for _ in range(2):
+        ctx = KernelContext(algebra, elements)
+        with pytest.raises(VerificationFailed, match=r"^left solve X\*A = B does not hold$"):
+            ctx.P
+        assert algebra._kernel_memo[hash(ctx.f)][6] == []
 
 
 def test_kernel_memos_are_per_algebra_instance(monkeypatch):

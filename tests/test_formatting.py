@@ -16,6 +16,7 @@ from opfactor import (
     GroupRingC5Element,
     Operator,
     Quaternion,
+    RationalFunction,
     formatting,
     get_algebra,
     parse_element,
@@ -64,6 +65,13 @@ ELEMENT_CASES = [
     ("quat", "1/x*j", "1/x*j"),
     ("quat", "(x+1)/x*k", "(x + 1)/x*k"),
     ("quat", "0", "0"),
+    # a numerator of two terms over 1 with a rational content prints as a
+    # quotient, not a sum, so no group is added before the unit; a negative
+    # component over a nonconstant denominator prints its magnitude
+    ("quat", "2*i + (8*x - 3)/3*j", "2*i + (8*x - 3)/3*j"),
+    ("quat", "-2 - (x - 4)/x*k", "-2 - (x - 4)/x*k"),
+    ("quat", "(3 - 8*x)/3 + (4 - x)/3*i", "-(8*x - 3)/3 - (x - 4)/3*i"),
+    ("quat", "-(2*x + 1) - (x^2 - 2)*j", "-(2*x + 1) - (x^2 - 2)*j"),
     # group ring
     ("c5", "-1 - r", "-1 - r"),
     ("c5", "2*r^4 - r", "-r + 2*r^4"),
@@ -84,6 +92,22 @@ def test_element_text(algebra, text, printed):
     f = parse_element(text, A)
     assert str(f) == printed == A.format_element(f)
     assert parse_element(printed, A) == f
+
+
+def test_a_component_prints_its_magnitude_without_a_negated_copy(monkeypatch):
+    rng = random.Random(32)
+    values = [rand_element(rng, QUAT) for _ in range(200)]
+    # each component with the text of its negation
+    parts = [(comp, str(-comp)) for q in values for _, comp in q.terms]
+    assert any(comp.num.cnum < 0 for comp, _ in parts)
+    negated = []
+    neg = RationalFunction.__neg__
+    monkeypatch.setattr(RationalFunction, "__neg__",
+                        lambda self: negated.append(self) or neg(self))
+    for q in values:
+        str(q)
+    assert negated == []
+    assert all(comp._text(-1) == text for comp, text in parts)
 
 
 def test_is_sum():

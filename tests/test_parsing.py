@@ -553,6 +553,44 @@ def test_json_without_explicit_algebra():
     assert operator_from_json(data) == Operator.d(QUAT) + Operator.identity(QUAT)
 
 
+def test_json_texts_are_rendered_once_and_copied_on_every_call(monkeypatch):
+    op = parse_operator("(x + 1)/x*k*D^2 - i*D + 2", QUAT)
+    rendered = []
+    fmt = type(QUAT).format_element
+    monkeypatch.setattr(type(QUAT), "format_element",
+                        lambda self, f: rendered.append(f) or fmt(self, f))
+    first = operator_to_json(op)
+    first["coeffs"].append("oops")
+    first["coeffs"][0] = "1"
+    second = operator_to_json(op)
+    assert second == operator_to_json(op) == {
+        "algebra": "quat", "coeffs": ["2", "-i", "(x + 1)/x*k"]}
+    assert rendered == list(op.coeffs)
+    # the kept texts are no part of the value
+    fresh = parse_operator("(x + 1)/x*k*D^2 - i*D + 2", QUAT)
+    assert fresh._texts is None and op._texts is not None
+    assert fresh == op and hash(fresh) == hash(op)
+
+
+def test_a_repeated_kernel_prints_k_once(monkeypatch):
+    from opfactor import KernelContext
+
+    # two requests for one kernel on one algebra, served as perfbench's
+    # worker serves them: parse, context, the JSON of K
+    algebra = get_algebra("quat")
+    rendered = []
+    fmt = type(algebra).format_element
+    monkeypatch.setattr(type(algebra), "format_element",
+                        lambda self, f: rendered.append(f) or fmt(self, f))
+    answers = []
+    for _ in range(2):
+        kernel = [parse_element(t, algebra) for t in ("x*k", "x^3*i")]
+        ctx = KernelContext(algebra, kernel)
+        answers.append(operator_to_json(ctx.K)["coeffs"])
+    assert rendered == list(ctx.K.coeffs)
+    assert answers[0] == answers[1] == [fmt(algebra, c) for c in ctx.K.coeffs]
+
+
 DIFF_HALF = get_algebra("diff", Fraction(-1, 2))
 
 
