@@ -14,7 +14,9 @@ side.  A run that exits nonzero stops the script with its ref, its arguments and
 `opcodes` holds `<workload>.opcodes_per_request` of both sides, counted on
 one more export per commit as `scripts/interleave.py` counts them (its `load`,
 `requests` and `counted`: both forms of 60 seed-11 and 60 seed-12 requests,
-in process); a count moves by up to 0.1 per request with the order in which
+in process, on a fresh algebra per workload, served in the order of
+`perfbench/worker.timed_rounds`: all first forms, then all second forms); a
+count moves by up to 0.1 per request with the order in which
 the two sides are loaded, so two counts within 0.1 read as equal.
 `src_lines` sums `git diff --numstat PARENT_REF HEAD -- src`.  The `change`
 field is `--note`, or HEAD's subject line when no note is given.  An end-to-end

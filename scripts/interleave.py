@@ -8,10 +8,14 @@ a temporary directory.  Its `opfactor` and the one under src/ are imported into
 this one process, `opfactor*` cleared from sys.modules between the two imports.
 Each side serves both forms of 60 seed-11 and 60 seed-12 base requests per
 workload, in `gen.WORKLOADS` order, through `perfbench/worker.serve`, which
-this script imports and does not change.
+this script imports and does not change.  A pass serves them in the order of
+`perfbench/worker.timed_rounds`: the first form of every base request, then
+the second form of every one, on a fresh algebra, so the algebra's memos see
+the repeats a benchmark run sees and no more.
 
 A first, untimed pass gives each side's answers; their sha1 over the
-concatenated answer texts is printed per side.  The same pass counts the
+concatenated answer texts, taken in base-request order (both forms of a base
+request together), is printed per side.  The same pass counts the
 opcodes each side runs per request of each workload, by a `sys.settrace`
 hook that turns on `f_trace_opcodes` in every frame, and prints them next
 to the sha1: unlike a time, the count is the same from run to run.  Under
@@ -69,9 +73,18 @@ def load(src):
 
 
 def requests(workload):
-    """The wire parts of both forms of every base request, seed by seed."""
-    return [r.wire for seed in SEEDS
-            for forms in gen.generate(workload, seed, BASE_REQUESTS, FORMS) for r in forms]
+    """The wire parts of every base request, seed by seed, in serving order:
+    all first forms, then all second forms."""
+    bases = [forms for seed in SEEDS
+             for forms in gen.generate(workload, seed, BASE_REQUESTS, FORMS)]
+    return [forms[f].wire for f in range(FORMS) for forms in bases]
+
+
+def base_order(answers):
+    """Answers in serving order, put back in base-request order: the forms
+    of each base request together."""
+    n = len(answers) // FORMS
+    return [answers[f * n + b] for b in range(n) for f in range(FORMS)]
 
 
 STAGES = ("kernel parse", "KernelContext", "operator parse", "factorize or P", "printing K",
@@ -92,7 +105,8 @@ def entry_points(api):
 
 
 def counted(api, algebra, wires):
-    """The answers to `wires`, the opcodes run per request to give them,
+    """The answers to `wires` in base-request order, the opcodes run per
+    request to give them,
     and those opcodes per request by stage: each opcode counts toward the
     outermost API entry point on the stack, or toward "other" (the
     worker's own code and `json`) when there is none.  A request's first
@@ -125,10 +139,13 @@ def counted(api, algebra, wires):
     finally:
         sys.settrace(None)
     n = len(wires)
-    return answers, sum(split.values()) / n, {s: c / n for s, c in split.items()}
+    return base_order(answers), sum(split.values()) / n, {s: c / n for s, c in split.items()}
 
 
-def timed(api, algebra, wires):
+def timed(api, selector, wires):
+    """CPU seconds to serve wires on a fresh algebra, built before the clock
+    starts."""
+    algebra = api.get_algebra(selector)
     t0 = process_time()
     for wire in wires:
         worker.serve(api, algebra, wire)
@@ -154,13 +171,11 @@ def main():
         subprocess.run("git archive %s | tar -x -C %s" % (args.parent, tree),
                        shell=True, check=True, cwd=ROOT)
         apis = {"parent": load(str(Path(tree) / "src")), "change": load(str(ROOT / "src"))}
-    algebras = {side: {wl: api.get_algebra(ALGEBRA[wl]) for wl in gen.WORKLOADS}
-                for side, api in apis.items()}
     digests = {}
     for side, api in apis.items():
         answers, opcodes, splits = [], [], []
         for wl in gen.WORKLOADS:
-            texts, per_request, split = counted(api, algebras[side][wl], wires[wl])
+            texts, per_request, split = counted(api, api.get_algebra(ALGEBRA[wl]), wires[wl])
             answers += texts
             opcodes.append("%s %.1f" % (wl, per_request))
             splits.append("  %-12s " % wl + ", ".join(
@@ -172,7 +187,7 @@ def main():
     for r in range(args.rounds):
         for side in ("parent", "change")[::1 if r % 2 == 0 else -1]:
             for wl in gen.WORKLOADS:
-                times[wl][side].append(timed(apis[side], algebras[side][wl], wires[wl]))
+                times[wl][side].append(timed(apis[side], ALGEBRA[wl], wires[wl]))
     for wl, t in times.items():
         ratio = statistics.median(t["change"]) / statistics.median(t["parent"])
         _, low, high = quartiles([c / p for p, c in zip(t["parent"], t["change"])])

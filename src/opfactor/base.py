@@ -9,8 +9,12 @@ this interface:
 
   * the constants zero() and one(), built once per algebra, on first use,
     from from_fraction and then shared (the arithmetic is the elements'
-    own); likewise, on first use, an empty memo of solved kernels that
-    KernelContext fills (see the factorization module),
+    own); likewise, on first use, two empty memos: `_kernel_memo`, the
+    solved kernels that KernelContext fills (see the factorization
+    module), and `_element_memo`, the value of each element text that
+    parse_element has read (see the parsing module).  Each keeps at most
+    MEMO_SIZE entries, and `remember` stores every entry of both,
+    evicting the oldest first,
   * the endomorphism itself,
   * a twist: for every f a pair (p, q) with
 
@@ -72,6 +76,17 @@ from operator import attrgetter
 from typing import Any, Dict, NamedTuple, Optional
 
 from .errors import MixedAlgebras
+
+# the most entries one memo of an algebra instance keeps
+MEMO_SIZE = 16
+
+
+def remember(memo: dict, key, value) -> None:
+    """Store value under key in one of an algebra's memos, first evicting
+    the oldest entry when a new key would pass MEMO_SIZE."""
+    if key not in memo and len(memo) >= MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
 
 
 class Value:
@@ -148,6 +163,12 @@ class Algebra(ABC):
     def _kernel_memo(self) -> dict:
         """The solved kernels of this instance, built on first use and
         filled by KernelContext (see the factorization module)."""
+        return {}
+
+    @cached_property
+    def _element_memo(self) -> dict:
+        """The element of each text parse_element has read on this
+        instance, built on first use (see the parsing module)."""
         return {}
 
     @abstractmethod

@@ -6,6 +6,8 @@ the whole family at once.  The CLI maps a subset of these onto exit codes.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 
 class AlgebraError(Exception):
     """Base class for all deliberate failures in this package."""
@@ -29,15 +31,23 @@ class NotInvertible(AlgebraError):
 
 class _Offenders(AlgebraError):
     """Names each surviving kernel element by its 1-based index and its
-    nonzero value; subclasses set the headline and the per-value label."""
+    nonzero value; subclasses set the headline and the per-value label.
+    The message formats the values on the first str() and keeps the text,
+    so a caller that reads only `offenders`, or re-raises the error as
+    another, formats nothing."""
 
     def __init__(self, offenders, algebra):
         self.offenders = tuple(offenders)
         self.algebra = algebra
-        parts = ", ".join(
-            self.label % (i, algebra.format_element(v)) for i, v in self.offenders
-        )
-        super().__init__(self.headline + parts)
+        super().__init__(self.offenders, algebra)
+
+    @cached_property
+    def _message(self) -> str:
+        fmt = self.algebra.format_element
+        return self.headline + ", ".join(self.label % (i, fmt(v)) for i, v in self.offenders)
+
+    def __str__(self) -> str:
+        return self._message
 
 
 class NotInKernel(_Offenders):

@@ -47,7 +47,8 @@ an elimination that finds Phi singular raises NotInvertible.
 
 K depends on the algebra and the f_i alone, so each algebra instance
 keeps a memo of solved kernels (`Algebra._kernel_memo`), at most
-MEMO_SIZE of them, the oldest evicted first.  An entry holds Phi, its
+MEMO_SIZE of them, the oldest evicted first by the helper the element
+memo shares (`base.remember`).  An entry holds Phi, its
 left solve, the images endo^k(f_i), K, the shifted divisors
 [K, endo . K, ...], which every division through a context of those
 elements reads and grows, and Phi^-1 with the duals P once a context has
@@ -66,13 +67,10 @@ from __future__ import annotations
 from functools import cached_property
 from typing import List, Sequence, Tuple
 
-from .base import Algebra
+from .base import MEMO_SIZE, Algebra, remember
 from .errors import NotInKernel, NotIntertwinable, NotMonicizable, VerificationFailed
 from .ncmatrix import NCMatrix
-from .operators import Operator
-
-# the most solved kernels one algebra instance keeps
-MEMO_SIZE = 16
+from .operators import Operator, _grown
 
 
 class KernelContext:
@@ -136,10 +134,8 @@ class KernelContext:
         self.K = Operator.d(algebra, k) - self.interpolate(self.f_image)
         self._shifted = [self.K]
         self._inverse = []
-        if entry is None and len(memo) >= MEMO_SIZE:
-            del memo[next(iter(memo))]
-        memo[key] = (elements, self.phi, self._solve, self.f_image, self.K, self._shifted,
-                     self._inverse)
+        remember(memo, key, (elements, self.phi, self._solve, self.f_image, self.K,
+                             self._shifted, self._inverse))
 
     @cached_property
     def phi_inv(self) -> NCMatrix:
@@ -268,14 +264,6 @@ def right_divide_monic(op: Operator, divisor: Operator) -> Tuple[Operator, Opera
     if divisor.is_zero() or divisor.coeffs[-1] != alg.one():
         raise NotMonicizable("divisor %s is not monic" % divisor)
     return _divide(op, [divisor])
-
-
-def _grown(shifted: List[Operator], n: int) -> List[Operator]:
-    """shifted = [divisor, endo . divisor, ...], extended in place to at
-    least n entries by one twist advance each."""
-    while len(shifted) < n:
-        shifted.append(shifted[-1]._advanced())
-    return shifted
 
 
 def _divide(op: Operator, shifted: List[Operator]) -> Tuple[Operator, Operator]:

@@ -14,12 +14,20 @@ right factor is pushed through the endomorphism one power at a time:
 so endo^i . L2 advances to endo^(i+1) . L2 by sending each c . endo^t to
 p_c . endo^(t+1) + q_c . endo^t, and L1 . L2 = sum a_i . (endo^i . L2).
 With n and m coefficients that is (n-1)m + (n-1)(n-2)/2 twists; a degree
-zero left factor needs none.  Right division's certificate runs the same
-sum over the shifted divisors it built.  Each operation skips the zero
-coefficients it would multiply by or add, which changes no result.  An
-accumulator slot takes its first term as it is, rather than adding it to
-the algebra's zero, and both `scale_left` and `compose` take a itself for
-a product a*c where the coefficient c is the algebra's one.
+zero left factor needs none.  A caller that keeps the shifted copies
+[L2, endo . L2, ...] hands the list to compose, which grows it in place to
+the length it needs: right division's certificate runs the same sum over
+the shifted divisors it built, and the parser raises an operator to a
+power as L^(m+1) = L^m . L with one list of the base's shifts (powers of
+one operator commute), so only the base is twisted, deg(L) times per
+power.
+Each operation skips the zero coefficients it would multiply by or add,
+which changes no result.  An accumulator slot takes its first term as it
+is, rather than adding it to the algebra's zero, and both `scale_left`
+and `compose` take a itself for a product a*c where the coefficient c is
+the algebra's one.  A difference merges slot by slot, subtracting the
+right operand's nonzero coefficients (from the algebra's zero where only
+it has the slot), so it builds no negated copy of either operand.
 
 Equality is equality of normal forms, except that an algebra declaring
 endo_order = n first folds every exponent e >= n down to e mod n.  That is
@@ -154,9 +162,18 @@ class Operator:
         return Operator._trusted(self.algebra, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other) -> "Operator":
+        """self - other, merged slot by slot with no negated copy of other:
+        a slot only other has is the algebra's zero minus its coefficient."""
         if not isinstance(other, Operator):
             return NotImplemented
-        return self + (-other)
+        alg = self._same_algebra(other)
+        out = list(self.coeffs)
+        if len(out) < len(other.coeffs):
+            out += [alg.zero()] * (len(other.coeffs) - len(out))
+        for i, c in enumerate(other.coeffs):
+            if not c.is_zero():
+                out[i] = out[i] - c
+        return Operator._trusted(alg, out)
 
     def scale_left(self, a) -> "Operator":
         """Left multiplication by a ring element: a . L."""
@@ -182,14 +199,11 @@ class Operator:
     def compose(self, other: "Operator", *, shifted=None) -> "Operator":
         """Normal form of self . other (apply other first): the sum of
         a_i . (endo^i . other), advancing other once per power of self.
-        A caller that already holds shifted = [other, endo . other, ...],
-        at least one entry per coefficient of self, passes it to skip the
-        advances."""
+        A caller that holds shifted = [other, endo . other, ...] passes it
+        to skip the advances it already made; the list is grown in place
+        to one entry per coefficient of self, so the caller keeps them."""
         alg = self._same_algebra(other)
-        if shifted is None:
-            shifted = [other]
-            for _ in self.coeffs[1:]:
-                shifted.append(shifted[-1]._advanced())
+        shifted = _grown([other] if shifted is None else shifted, len(self.coeffs))
         zero, one = alg.zero(), alg.one()
         acc = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for a, s in zip(self.coeffs, shifted):
@@ -239,3 +253,11 @@ class Operator:
 
     def __repr__(self) -> str:
         return "Operator(%s: %s)" % (self.algebra.describe(), str(self))
+
+
+def _grown(shifted: list, n: int) -> list:
+    """shifted = [op, endo . op, ...], extended in place to at least n
+    entries by one twist advance each."""
+    while len(shifted) < n:
+        shifted.append(shifted[-1]._advanced())
+    return shifted

@@ -68,8 +68,15 @@ evaluator with `D` disabled, so its value is never an operator.
 
 The text is read by one scan that refuses a stray character and one
 that lists the tokens as plain strings.  A token's position is found
-only when a ParseError is raised, by scanning the text again.  Nothing
-is kept from one parse to the next.
+only when a ParseError is raised, by scanning the text again.  An
+operator parse keeps nothing from one parse to the next.  An element
+parse is kept: each algebra instance has a memo of element texts
+(`Algebra._element_memo`), at most MEMO_SIZE of them, the oldest evicted
+first by the helper the kernel memo shares (`base.remember`).  A text
+read before on that instance returns the same immutable value with no
+parse, so a repeated kernel text gives KernelContext the very elements
+its memo holds; a text that raises stores nothing, and memos of two
+instances share nothing.
 
 Printing lives with the value types; this module adds the JSON form of
 operators: {"algebra": <selector>, "coeffs": [<element text>, ...]},
@@ -86,7 +93,7 @@ from math import lcm
 from typing import Optional
 
 from .algebras import get_algebra
-from .base import Algebra
+from .base import Algebra, remember
 from .errors import NotAUnit, ParseError
 from .formatting import fraction_text
 from .groupring import GroupRingC5Element
@@ -443,11 +450,14 @@ class _Parser:
                 return value
         value = self._promoted(value)
         if isinstance(value, Operator):
-            out = value if n else Operator.identity(self.algebra)
+            if not n:
+                return Operator.identity(self.algebra)
+            out, shifted = value, [value]
             for _ in range(n - 1):
-                # powers of one operator commute; with value on the left
-                # each step advances the power so far only deg(value) times
-                out = value.compose(out)
+                # powers of one operator commute, so value^(m+1) = value^m .
+                # value: only the base is twisted, and the shifted copies
+                # [value, endo . value, ...] grow by deg(value) per power
+                out = out.compose(value, shifted=shifted)
             return out
         out = None
         while n:  # square and multiply, from the base itself
@@ -512,9 +522,16 @@ def parse_operator(text: str, algebra: Algebra) -> Operator:
 
 
 def parse_element(text: str, algebra: Algebra):
-    # without D no value is ever an operator
-    parser = _Parser(text, algebra, allow_d=False)
-    return parser._promoted(parser.parse())
+    """The element a text names, read once per text on each algebra
+    instance and kept in its element memo (see the module docstring)."""
+    memo = algebra._element_memo
+    value = memo.get(text)
+    if value is None:
+        # without D no value is ever an operator
+        parser = _Parser(text, algebra, allow_d=False)
+        value = parser._promoted(parser.parse())
+        remember(memo, text, value)
+    return value
 
 
 def parse_fraction(text) -> Fraction:

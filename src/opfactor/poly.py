@@ -22,7 +22,10 @@ Arithmetic runs on the integer tuples (Knuth, TAOCP vol. 2, 4.6.1):
     content with one integer gcd.  Negation, scaling and `monic` change
     the content alone.
   * A sum puts both contents over one denominator, adds the integer
-    tuples and takes the content of the result out with one gcd.
+    tuples and takes the content of the result out with one gcd.  A
+    difference is the same sum with the subtrahend's content negated
+    (`_combine` takes that content apart from its tuple), so it builds no
+    negated copy.
   * Division is pseudo-division over Z, done lazily.  A step's quotient
     c/lc(b) is kept as an int; only when it is not integral are the
     running remainder and quotient multiplied by lc(b)/gcd(c, lc(b)),
@@ -160,9 +163,15 @@ class Poly(Value):
         return _new(self.prim, -self.cnum, self.cden)
 
     def __sub__(self, other) -> "Poly":
+        """self + (-other) with other's content negated in place of a
+        negated copy."""
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        if not other.prim:
+            return self
+        if not self.prim:
+            return _new(other.prim, -other.cnum, other.cden)
+        return _combine(self, -other.cnum, other)
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):

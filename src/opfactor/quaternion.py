@@ -21,10 +21,13 @@ Arithmetic refuses mixed variables too, then builds its result through
 `_trusted(terms, zero)` with no check, passing on its left operand's zero.
 
 Every operation loops over the terms alone.  A sum merges the two term
-tuples and drops a unit whose components cancel; a difference is the sum
-with the negation.  A product checks the variables first, even when an
-operand is zero, then sums l_u * r_v over the pairs of terms through the
-unit table e_u * e_v = +-e_w, dropping a unit whose sum cancels.
+tuples and drops a unit whose components cancel; a difference is the
+same merge with the sign -1, which subtracts the components of a shared
+unit and puts in 0 - y for a unit only the right operand has, so no
+operand is negated first.  A product checks the variables first, even
+when an operand is zero, then sums l_u * r_v over the pairs of terms
+through the unit table e_u * e_v = +-e_w, dropping a unit whose sum
+cancels.
 Negation and conjugation cannot make a component zero; the derivative
 drops each component that it makes zero.
 
@@ -121,7 +124,9 @@ class Quaternion(Value):
 
     # arithmetic
 
-    def __add__(self, other) -> "Quaternion":
+    def _sum(self, other, sign: int = 1) -> "Quaternion":
+        """self + sign*other, sign 1 or -1: `+` itself, and `-` with sign
+        -1."""
         if not isinstance(other, Quaternion):
             return NotImplemented
         zero = self.zero
@@ -131,22 +136,22 @@ class Quaternion(Value):
         for v, y in other.terms:
             x = out.get(v)
             if x is None:
-                out[v] = y
+                out[v] = y if sign > 0 else zero - y
             else:
-                s = x + y
+                s = x + y if sign > 0 else x - y
                 if s.num.prim:
                     out[v] = s
                 else:
                     del out[v]
         return Quaternion._trusted(tuple(sorted(out.items())), zero)
 
-    def __neg__(self) -> "Quaternion":
-        return Quaternion._trusted(tuple([(u, -x) for u, x in self.terms]), self.zero)
+    __add__ = _sum
 
     def __sub__(self, other) -> "Quaternion":
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
+
+    def __neg__(self) -> "Quaternion":
+        return Quaternion._trusted(tuple([(u, -x) for u, x in self.terms]), self.zero)
 
     def __mul__(self, other) -> "Quaternion":
         if not isinstance(other, Quaternion):

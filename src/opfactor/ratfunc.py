@@ -17,12 +17,20 @@ denominator becomes prim/prim[-1].  Arithmetic reaches the form
 without recomputing it, the way Fraction does for integers (Henrici;
 Knuth, TAOCP vol. 2, 4.5.1):
 
-  * a zero operand is returned as it is by a sum or a product.
+  * a sum and a difference are one body, `_sum` with a sign that
+    `__sub__` passes as -1: the sign goes to the content of c, the
+    numerator of the right operand, where c enters a Poly sum
+    (`poly._combine`, or Poly's `-`), so no operand is negated first.
+  * a zero operand is returned as it is by a sum or a product; 0 - c is
+    c with its content negated.
   * a/b + c/d over one denominator: both are monic, so equal primitive
     parts mean b = d, and the sum is (a + c)/b, which can share a factor
-    only with b.  With b = 1 that is the sum; a zero a + c returns 0/1
-    at once; otherwise h = gcd(a + c, b) gives ((a + c)/h)/(b/h).  Since
-    the form is unique, a sum that cancels always takes this branch.
+    only with b.  Since the form is unique, a + c is zero exactly when a
+    and -c have the same primitive part and content, and then the sum
+    is 0/1, the shared Poly zero over the shared one, before any tuple
+    arithmetic.  Otherwise, with b = 1 that is the sum, and h =
+    gcd(a + c, b) gives ((a + c)/h)/(b/h).  A sum that cancels always
+    takes this branch.
   * a/x^m + c/x^n with m < n: (a*x^(n-m) + c)/x^n, the numerator a
     shift of a's tuple plus c, is canonical as built, since c(0) != 0
     and x is the one prime of x^n.  Either order; m = 0 included.
@@ -85,7 +93,7 @@ from math import gcd
 from .base import Value
 from .errors import MixedAlgebras, NotAUnit
 from .formatting import int_poly
-from .poly import Poly, _new
+from .poly import Poly, _combine, _new
 
 
 def _cancelled(p: Poly, q: Poly):
@@ -165,52 +173,58 @@ class RationalFunction(Value):
 
     # arithmetic
 
-    def __add__(self, other) -> "RationalFunction":
+    def _sum(self, other, sign: int = 1) -> "RationalFunction":
+        """self + sign*other, sign 1 or -1: `+` itself, and `-` with sign
+        -1.  The sign goes to the content of other's numerator where it
+        enters a Poly sum, so a difference builds no negated copy."""
         if not (isinstance(other, RationalFunction) and other.var == self.var):
             self._refuse(other)
         a, b, c, d = self.num, self.den, other.num, other.den
-        if not a.prim:
-            return other
         if not c.prim:
             return self
+        if not a.prim:
+            if sign > 0:
+                return other
+            return RationalFunction._canonical(_new(c.prim, -c.cnum, c.cden), d, self.var)
+        cn = c.cnum if sign > 0 else -c.cnum
         if b.prim == d.prim:  # both monic, so b == d
-            num = a + c
+            if a.prim == c.prim and a.cden == c.cden and a.cnum == -cn:
+                # a + sign*c is zero exactly when the canonical forms match
+                return RationalFunction._canonical(Poly.zero(), Poly.one(), self.var)
+            num = _combine(a, cn, c)
             if len(b.prim) == 1:  # both are 1
                 return RationalFunction._canonical(num, b, self.var)
-            if not num.prim:
-                return RationalFunction._canonical(num, Poly.one(), self.var)
             num, b = _cancelled(num, b)
             return RationalFunction._canonical(num, b, self.var)
         m, n = len(b.prim) - 1, len(d.prim) - 1
         if b.prim.count(0) == m and d.prim.count(0) == n:
             # a/x^m + c/x^n with m < n is (a*x^(n-m) + c)/x^n, canonical
-            # since c(0) != 0
-            if m > n:
-                a, c, d, m, n = c, a, b, n, m
-            num = _new((0,) * (n - m) + a.prim, a.cnum, a.cden) + c
+            # since c(0) != 0; with m > n the shift goes to c instead
+            if m < n:
+                num = _combine(_new((0,) * (n - m) + a.prim, a.cnum, a.cden), cn, c)
+            else:
+                num = _combine(a, cn, _new((0,) * (m - n) + c.prim, c.cnum, c.cden))
+                d = b
             return RationalFunction._canonical(num, d, self.var)
         g = Poly.gcd(b, d)
         if len(g.prim) == 1:
-            return RationalFunction._canonical(
-                a * d + c * b, b * d, self.var
-            )
+            num = a * d + c * b if sign > 0 else a * d - c * b
+            return RationalFunction._canonical(num, b * d, self.var)
         # b != d, so the sum is not zero: a sum that cancels has b == d
         b_g, d_g = b // g, d // g
-        num = a * d_g + c * b_g
+        num = a * d_g + c * b_g if sign > 0 else a * d_g - c * b_g
         g = Poly.gcd(num, g)
         if len(g.prim) > 1:
             num, d = num // g, d // g
         return RationalFunction._canonical(num, b_g * d, self.var)
 
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction._canonical(-self.num, self.den, self.var)
+    __add__ = _sum
 
     def __sub__(self, other) -> "RationalFunction":
-        if not (isinstance(other, RationalFunction) and other.var == self.var):
-            self._refuse(other)
-        if not other.num.prim:
-            return self
-        return self + (-other)
+        return self._sum(other, -1)
+
+    def __neg__(self) -> "RationalFunction":
+        return RationalFunction._canonical(-self.num, self.den, self.var)
 
     def __mul__(self, other) -> "RationalFunction":
         if not (isinstance(other, RationalFunction) and other.var == self.var):

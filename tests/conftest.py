@@ -14,10 +14,11 @@ settings.load_profile("exact")
 
 
 @pytest.fixture(autouse=True)
-def cold_kernel_memos():
-    """Empty the kernel memos of the shared helper algebras before each
-    test, so that no test depends on the kernels an earlier one solved
-    and every spy sees a cold construction unless the test itself
-    repeats a kernel."""
+def cold_memos():
+    """Empty the kernel and element memos of the shared helper algebras
+    before each test, so that no test depends on the kernels an earlier
+    one solved or the texts it parsed, and every spy sees a cold
+    construction and a cold parse unless the test itself repeats them."""
     for algebra in ALL_ALGEBRAS:
         algebra._kernel_memo.clear()
+        algebra._element_memo.clear()

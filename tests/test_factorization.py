@@ -814,6 +814,27 @@ def test_the_memo_keeps_one_shifted_divisor_per_power_divided():
     assert algebra._kernel_memo[hash(ctx.f)][5] is ctx._shifted
 
 
+def test_a_rejection_formats_each_offender_once(monkeypatch):
+    algebra = get_algebra("quat")
+    ctx = KernelContext(algebra, [parse_element(t, algebra) for t in ("x*k", "x^3*i")])
+    formatted = _calls(monkeypatch, type(algebra), "format_element")
+    with pytest.raises(NotInKernel) as info:
+        ctx.factorize(parse_operator("D + j", algebra))
+    with pytest.raises(NotIntertwinable) as twisted:
+        ctx.intertwiner(parse_operator("D", algebra))
+    assert formatted == []
+    # a rejection served as perfbench/worker.py serves it formats the
+    # offenders itself, once each
+    served = [[i, algebra.format_element(v)] for i, v in info.value.offenders]
+    assert len(formatted) == len(served) == 2
+    # the message formats them on the first str() and keeps the text
+    message = str(info.value)
+    assert message == "operator does not annihilate the kernel: " + ", ".join(
+        "L(f_%d) = %s" % (i, text) for i, text in served)
+    assert str(info.value) is message and len(formatted) == 4
+    assert str(twisted.value).startswith("map does not preserve the kernel: K(R(f_1)) = ")
+
+
 def test_right_division_rejects_bad_divisors():
     with pytest.raises(NotMonicizable):
         right_divide_monic(Operator.d(QX), Operator.zero(QX))

@@ -40,6 +40,7 @@ from helpers import (
     DataDraws,
     RandomDraws,
     normal_form_trees,
+    operators,
     ref_evaluate,
     render,
     render_tight,
@@ -679,3 +680,109 @@ def test_json_missing_field_is_a_value_error(field):
 def test_json_that_is_not_an_object_is_a_value_error(data):
     with pytest.raises(ValueError, match=r"^operator JSON must be an object, not "):
         operator_from_json(data)
+
+
+# operator powers twist only the base
+
+
+def test_an_operator_power_advances_only_shifts_of_the_base(monkeypatch):
+    algebra = get_algebra("diff")
+    base = parse_operator("n + D", algebra)
+    k = 12
+    # endo^j . base for j < k - 1, and base^k composed from the left
+    shifts, expected = [base], base
+    for _ in range(k - 1):
+        shifts.append(shifts[-1]._advanced())
+        expected = base.compose(expected)
+    advanced = []
+    advance = Operator._advanced
+
+    def spy(op):
+        advanced.append(op)
+        return advance(op)
+
+    monkeypatch.setattr(Operator, "_advanced", spy)
+    power = parse_operator("(n+D)^%d" % k, algebra)
+    # one advance per power, each of a shift of the base, whose
+    # coefficients stay of degree 1, never of the power so far
+    assert advanced == shifts[:k - 1]
+    assert power.coeffs == expected.coeffs
+
+
+@pytest.mark.parametrize("algebra", ALL_ALGEBRAS, ids=lambda a: a.name)
+@given(data=st.data())
+def test_operator_powers_match_repeated_composition(algebra, data):
+    base, k = data.draw(operators(algebra, 2)), data.draw(st.integers(0, 4))
+    expected = Operator.identity(algebra)
+    for _ in range(k):
+        expected = base.compose(expected)
+    assert parse_operator("(%s)^%d" % (base, k), algebra).coeffs == expected.coeffs
+
+
+# the element memo
+
+
+def test_a_repeated_element_text_is_parsed_once_per_algebra(monkeypatch):
+    from opfactor import parsing
+
+    algebra = get_algebra("quat")
+    first = parse_element("x*k + 2/x", algebra)
+    parses = []
+    parse = parsing._Parser.parse
+
+    def spy(parser):
+        parses.append(parser.text)
+        return parse(parser)
+
+    monkeypatch.setattr(parsing._Parser, "parse", spy)
+    assert parse_element("x*k + 2/x", algebra) is first
+    assert parses == []
+    # another text of the same value, and the same text on another instance
+    assert parse_element("2/x + x*k", algebra) == first
+    fresh = parse_element("x*k + 2/x", get_algebra("quat"))
+    assert fresh == first and fresh is not first
+    assert parses == ["2/x + x*k", "x*k + 2/x"]
+    # operator texts are never kept
+    parse_operator("x*k", algebra)
+    parse_operator("x*k", algebra)
+    assert parses[2:] == ["x*k", "x*k"]
+
+
+def test_the_element_memo_keeps_at_most_its_bound():
+    from opfactor.factorization import MEMO_SIZE
+
+    algebra = get_algebra("qx")
+    memo = algebra._element_memo
+    texts = ["x^%d" % e for e in range(1, MEMO_SIZE + 5)]
+    values = []
+    for count, text in enumerate(texts, 1):
+        values.append(parse_element(text, algebra))
+        assert len(memo) == min(count, MEMO_SIZE)
+    # the oldest went first
+    assert list(memo) == texts[-MEMO_SIZE:]
+    assert [memo[t] for t in texts[-MEMO_SIZE:]] == values[-MEMO_SIZE:]
+    assert parse_element(texts[-1], algebra) is values[-1]
+    assert parse_element(texts[0], algebra) is not values[0]
+    assert list(memo) == texts[-MEMO_SIZE + 1:] + texts[:1]
+
+
+def test_a_text_that_raises_is_never_stored():
+    algebra = get_algebra("c5")
+    for text in ("r +", "x", "1/(1 + r)"):
+        for _ in range(2):
+            with pytest.raises((ParseError, NotAUnit) if "/" in text else ParseError):
+                parse_element(text, algebra)
+    assert algebra._element_memo == {}
+    parse_element("r", algebra)
+    assert list(algebra._element_memo) == ["r"]
+
+
+def test_a_repeated_kernel_text_reaches_the_kernel_memo_by_identity():
+    from opfactor import KernelContext
+
+    algebra = get_algebra("quat")
+    texts = ("x*k", "x^3*i")
+    first = KernelContext(algebra, [parse_element(t, algebra) for t in texts])
+    second = KernelContext(algebra, [parse_element(t, algebra) for t in texts])
+    assert all(a is b for a, b in zip(first.f, second.f))
+    assert second.K is first.K

@@ -8,18 +8,35 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import opfactor
 from opfactor import (
     GroupRingC5Element,
     MixedAlgebras,
     NCMatrix,
+    Operator,
     Poly,
+    Quaternion,
+    RationalFunction,
+    get_algebra,
     parse_element,
     parse_operator,
 )
 
-from helpers import C5, QUAT, QX
+from helpers import (
+    ALL_ALGEBRAS,
+    C5,
+    QUAT,
+    QX,
+    c5_elements,
+    factored_ratfuncs,
+    operators,
+    polys,
+    quaternions,
+    ratfuncs,
+)
 
 X = QX.symbols()["x"]
 
@@ -28,7 +45,8 @@ VALUES = {
     "Operator": lambda: parse_operator("x*D + 1", QX),
     "NCMatrix": lambda: NCMatrix.from_rows(QX, [[X, QX.one()], [QX.zero(), X]]),
     "Poly": lambda: Poly([1, Fraction(-1, 2), 3]),
-    "RationalFunction": lambda: parse_element("(x^2 + 1)/(2*x - 1)", QX),
+    # each on a fresh algebra: one instance returns its memoized value
+    "RationalFunction": lambda: parse_element("(x^2 + 1)/(2*x - 1)", get_algebra("qx")),
     "Quaternion": lambda: QUAT.symbols()["i"],
     "GroupRingC5Element": lambda: GroupRingC5Element((1, 2, 0, 0, -1)),
     "TwistPair": lambda: QX.twist(X),
@@ -99,3 +117,83 @@ def test_importing_the_cli_loads_no_dataclasses():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+
+
+# subtraction: one merge with the sign, no negated copy
+
+# pairs of operands of each class; the rational functions over powers of x
+# take the slice branches of the sum, the factored ones its gcd branches
+_OVER_X_POWERS = st.builds(lambda n, m: RationalFunction(n, Poly([0] * m + [1]), "x"),
+                           polys(2), st.integers(0, 3))
+SUBTRACTED = {
+    "Poly": st.tuples(polys(3), polys(3)),
+    "RationalFunction over x^m": st.tuples(_OVER_X_POWERS, _OVER_X_POWERS),
+    "RationalFunction": st.tuples(factored_ratfuncs("x"), factored_ratfuncs("x")),
+    "Quaternion": st.tuples(quaternions(), quaternions()),
+    "GroupRingC5Element": st.tuples(c5_elements(), c5_elements()),
+    "Operator": st.sampled_from(ALL_ALGEBRAS).flatmap(
+        lambda algebra: st.tuples(operators(algebra), operators(algebra))),
+}
+
+
+def _slots(value):
+    """What a value holds: an operator's coefficients, unfolded, or the
+    slots of any other value class."""
+    if isinstance(value, Operator):
+        return value.coeffs
+    return type(value)._slot_values(value)
+
+
+def _is_the_shared_zero(value, operand):
+    """value is zero, and is built from the shared zero where its class
+    has one; arithmetic may also return a zero operand as it is."""
+    if value is operand:
+        return value.is_zero()
+    if isinstance(value, Poly):
+        return value is Poly.zero()
+    if isinstance(value, RationalFunction):
+        return value.num is Poly.zero() and value.den is Poly.one()
+    if isinstance(value, Quaternion):
+        return value.terms == () and value.zero is operand.zero
+    return value.is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(SUBTRACTED))
+@given(data=st.data())
+def test_a_difference_has_the_slots_of_the_sum_with_the_negation(name, data):
+    a, b = data.draw(SUBTRACTED[name])
+    for x, y in ((a, b), (b, a), (a + b, b), (a, a)):
+        assert _slots(x - y) == _slots(x + (-y))
+    assert _is_the_shared_zero(a - a, a)
+    assert _is_the_shared_zero((a + b) - (a + b), a + b)
+
+
+def test_subtraction_negates_nothing(monkeypatch):
+    qx, quat, c5 = (get_algebra(name) for name in ("qx", "quat", "c5"))
+    pairs = [
+        (Poly([1, 2]), Poly([3, 0, -1])),
+        (Poly(), Poly([3, 0, -1])),
+        # one denominator, a power of x on each side, and the gcd branch
+        (parse_element("(x + 1)/(x - 1)", qx), parse_element("2/(x - 1)", qx)),
+        (parse_element("1/x", qx), parse_element("3/x^2 + x", qx)),
+        (parse_element("1/(x^2 - 1)", qx), parse_element("x/(x + 1)", qx)),
+        (qx.zero(), parse_element("x/(x + 1)", qx)),
+        # a unit only the right operand has, one both have, and cancellation
+        (parse_element("x*i + 2*j", quat), parse_element("x*i - k + 1/x", quat)),
+        (parse_element("x*i", quat), parse_element("x*i", quat)),
+        (parse_element("r + 2", c5), parse_element("r^3 - r", c5)),
+        (parse_operator("x*D + 1", qx), parse_operator("D^2 - x*D + 1", qx)),
+        (parse_operator("i*D", quat), parse_operator("(x + k)*D^2 + j", quat)),
+        (parse_operator("r", c5), parse_operator("r^2*D^2 - r", c5)),
+    ]
+    expected = [a + (-b) for a, b in pairs]
+    negated = []
+    for cls in (Poly, RationalFunction, Quaternion, GroupRingC5Element, Operator):
+        def spy(value, real=cls.__neg__):
+            negated.append(value)
+            return real(value)
+
+        monkeypatch.setattr(cls, "__neg__", spy)
+    differences = [a - b for a, b in pairs]
+    assert negated == []
+    assert [_slots(d) for d in differences] == [_slots(e) for e in expected]
