@@ -7,8 +7,8 @@ hashed and compared with the digests recorded below.  A change that is
 meant to alter an answer must say so and record new digests; any other
 difference is a regression.  Each stream is served twice: once through one
 algebra object, as perfbench serves it, so repeated kernels hit the
-algebra's kernel memo, and once with a fresh algebra per request, so every
-kernel is solved cold; both must give the recorded digests.  The
+algebra's element and kernel memos, and once with a fresh algebra per
+request, so every kernel text is parsed and every kernel solved cold; both must give the recorded digests.  The
 generator needs sympy, so the test skips without it.  Nothing under
 perfbench/ is changed by it.
 """
