@@ -18,13 +18,18 @@ in process, on a fresh algebra per workload, served in the order of
 `perfbench/worker.timed_rounds`: all first forms, then all second forms); a
 count moves by up to 0.1 per request with the order in which
 the two sides are loaded, so two counts within 0.1 read as equal.
-`src_lines` sums `git diff --numstat PARENT_REF HEAD -- src`.  The `change`
+`src_lines` sums `git diff --numstat PARENT_REF HEAD -- src` as `added` and
+`removed`, and as `code_added` and `code_removed` the same diff of code alone:
+each changed Python file of both commits with its docstrings, comments and
+blank lines dropped by `tokenize`, then compared line by line.  The `change`
 field is `--note`, or HEAD's subject line when no note is given.  An end-to-end
 entry `meets_pair_rule` when the change wins at least nine tenths of the pairs
 and its median beats the parent's by more than the parent's interquartile range.
 """
 
 import argparse
+import difflib
+import io
 import json
 import os
 import platform
@@ -32,6 +37,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 import interleave
@@ -64,13 +70,54 @@ def opcodes(ref, workloads):
     return counts
 
 
+def code_lines(source):
+    """The lines of a Python source that hold code, each cut before its
+    comment: blank lines, comments and docstrings (a statement of string
+    literals alone) are dropped, as tokenize reads them."""
+    lines = source.splitlines()
+    kept, comments, statement = set(), {}, []
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            comments[tok.start[0]] = tok.start[1]
+        elif tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+            if any(t.type != tokenize.STRING for t in statement):
+                kept.update(n for t in statement for n in range(t.start[0], t.end[0] + 1))
+            statement = []
+        elif tok.type not in (tokenize.NL, tokenize.INDENT, tokenize.DEDENT):
+            statement.append(tok)
+    return [lines[n - 1][:comments.get(n)].rstrip() for n in sorted(kept)]
+
+
+def code_diff(old, new):
+    """Code lines added and removed from source old to source new, by a
+    line diff of their `code_lines`."""
+    matcher = difflib.SequenceMatcher(None, code_lines(old), code_lines(new), autojunk=False)
+    added = removed = 0
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag != "equal":
+            removed += i2 - i1
+            added += j2 - j1
+    return added, removed
+
+
 def src_lines(ref):
-    """Lines added and removed under src/ from ref to HEAD."""
-    numstat = subprocess.run(["git", "diff", "--numstat", ref, "HEAD", "--", "src"],
-                             capture_output=True, text=True, check=True).stdout
+    """Lines added and removed under src/ from ref to HEAD: raw, as
+    `git diff --numstat` counts them, and of code alone, by `code_diff`
+    of each changed file (a file absent on one side is empty there)."""
+    def git(*args, check=True):
+        return subprocess.run(["git", *args], capture_output=True, text=True,
+                              check=check).stdout
+
+    numstat = git("diff", "--numstat", ref, "HEAD", "--", "src")
     counts = [line.split("\t")[:2] for line in numstat.splitlines()]
+    paths = git("diff", "--name-only", "--no-renames", ref, "HEAD", "--", "src").split()
+    code = [code_diff(git("show", "%s:%s" % (ref, path), check=False),
+                      git("show", "HEAD:" + path, check=False))
+            for path in paths if path.endswith(".py")]
     return {"added": sum(int(a) for a, _ in counts),
-            "removed": sum(int(r) for _, r in counts)}
+            "removed": sum(int(r) for _, r in counts),
+            "code_added": sum(a for a, _ in code),
+            "code_removed": sum(r for _, r in code)}
 
 
 def summary(runs):

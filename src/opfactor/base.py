@@ -53,9 +53,10 @@ equal when they have the same type and equal slots, in the order
 pair, is a NamedTuple.
 
 Every element and every Operator prints by `str` alone, as plain text in
-the grammar the parser reads; an element's `split_sign` folds an overall
-minus out of it.  Where one text is embedded in another, the formatting
-module's one rule places the parentheses.
+the grammar the parser reads.  Where one text is embedded in another, the
+parentheses come from the embedded element's private `_signed()`: its
+sign, the text of its magnitude, and whether that is a sum or a quotient
+(see the formatting module).
 
 An algebra may declare `endo_order = n` when endo^n is the identity map
 AND the corresponding operator identity holds, in which case operator

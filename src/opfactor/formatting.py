@@ -1,15 +1,12 @@
 """Small shared pieces for rendering elements back into expression text.
 
 Every element printer returns plain text in the grammar the parser reads.
-The operator printer, which embeds any element's text in a larger
-expression, decides on parentheses from the text alone, by one rule:
-  * it is a sum when `is_sum` finds ` + ` or ` - ` outside its
-    parenthesised groups;
-  * it is a quotient when it contains `/`;
-  * it is negative when it starts with `-`.
-The quaternion printer, which embeds rational functions only, reads the
-same answer off a component's structure instead of rescanning its text
-(see the quaternion module).
+A printer that embeds one element's text in a larger expression places
+parentheses from the element's structure, not by rescanning its text:
+each element class has a private `_signed()` that returns its sign, the
+text of its magnitude, and whether that text is a sum or a quotient, each
+read off its own fields.  The quaternion printer reads it off each
+component, the operator printer off each coefficient.
 `term` writes every term c*b^e of every printer; "1" is the only text of
 the one in every algebra, so a coefficient is dropped by its text alone.
 `int_poly` is the one writer of an integer polynomial, for the group ring
@@ -18,10 +15,6 @@ writes each sign and term in one pass over its pairs.
 """
 
 from __future__ import annotations
-
-import re
-
-_SUM_TOKENS = re.compile(r"[()]| [+-] ")
 
 
 def int_text(n: int) -> str:
@@ -82,17 +75,3 @@ def int_poly(pairs, base: str) -> str:
                 out.append(" + ")
             out.append(term(int_text(c), base, e))
     return "".join(out) if out else "0"
-
-
-def is_sum(text: str) -> bool:
-    """Whether ` + ` or ` - ` appears in `text` outside every group."""
-    depth = 0
-    for m in _SUM_TOKENS.finditer(text):
-        token = m.group()
-        if token == "(":
-            depth += 1
-        elif token == ")":
-            depth -= 1
-        elif not depth:
-            return True
-    return False

@@ -110,14 +110,17 @@ class GroupRingC5Element(Value):
 
     # display
 
-    def split_sign(self):
-        nonzero = [c for c in self.coeffs if c]
-        if nonzero and all(c < 0 for c in nonzero):
-            return -1, -self
-        return 1, self
-
     def __str__(self) -> str:
         return int_poly(enumerate(self.coeffs), "r")
+
+    def _signed(self):
+        """(sign, the text of sign*self, whether that text is a sum, False):
+        the sign is -1 when every nonzero coefficient is negative, and the
+        text is a sum with two or more nonzero coefficients."""
+        cs = self.coeffs
+        sign = -1 if max(cs) <= 0 and any(cs) else 1
+        text = int_poly([(e, sign * c) for e, c in enumerate(cs)], "r")
+        return sign, text, cs.count(0) < 4, False
 
 
 # r -> r^m sends the coefficient of r^e to r^(e*m), so the coefficient of

@@ -35,7 +35,11 @@ the only representation quotient in play; no other identification between
 powers is assumed.
 
 Operator is a value class in the package's one slotted idiom (see the base
-module), immutable by convention; it prints by `str` alone.  One slot,
+module), immutable by convention; it prints by `str` alone, as the sum of
+a_i*D^i from the top power down, each coefficient written as its sign and
+magnitude from its `_signed()`.  A coefficient of D^i, i > 0, is grouped
+when it is a sum or a quotient; the constant term when it is a negative
+sum, or when its magnitude starts with `-` after other terms.  One slot,
 `_texts`, is a cache rather than a part of the value: None until the first
 `parsing.operator_to_json` of the object renders the text of each
 coefficient and keeps the tuple there, which every later call reads.
@@ -51,7 +55,7 @@ from typing import Tuple
 
 from .base import Algebra
 from .errors import MixedAlgebras
-from .formatting import is_sum, join_terms, term
+from .formatting import join_terms, term
 
 
 class Operator:
@@ -242,12 +246,11 @@ class Operator:
             c = self.coeffs[d]
             if c.is_zero():
                 continue
-            sign, mag = c.split_sign()
-            text = str(mag)
+            sign, text, a_sum, quotient = c._signed()
             if d:
-                wrap = is_sum(text) or "/" in text or text.startswith("-")
+                wrap = a_sum or quotient
             else:
-                wrap = (sign < 0 and is_sum(text)) or (terms and text.startswith("-"))
+                wrap = (sign < 0 and a_sum) or (terms and text.startswith("-"))
             terms.append((sign, term("(%s)" % text if wrap else text, "D", d)))
         return join_terms(terms)
 

@@ -39,13 +39,13 @@ the rest of the product.  A scalar a, which the parser makes for `/`, is
 inverted as 1/a in the scalar slot, the same canonical value.
 
 A value prints as its terms in unit order, each as a sign and the text of
-its component's magnitude, which `RationalFunction._text` writes with the
-sign folded into the numerator, so no component is negated to print it.
+its component's magnitude, both from the component's `_signed()`, which
+folds the sign into the numerator, so no component is negated to print it.
 Whether that text is a sum, and so is grouped before a unit or under a
-minus, is read off the component rather than its text: its numerator has
-an integral content over the denominator 1 and two or more terms (see the
-ratfunc module).  A numerator such as (8*x - 3)/3, with a rational
-content, prints as a quotient and stays bare.
+minus, is the component's answer too (see the ratfunc module): a
+numerator such as (8*x - 3)/3, with a rational content, prints as a
+quotient and stays bare.  `_text(sign)` prints sign*q this way, and
+`_signed()` gives the operator printer the same facts of a whole value.
 """
 
 from __future__ import annotations
@@ -197,24 +197,32 @@ class Quaternion(Value):
 
     # display
 
-    def split_sign(self):
-        terms = self.terms
-        if terms and all(x.num.cnum < 0 for _, x in terms):
-            return -1, -self
-        return 1, self
-
-    def __str__(self) -> str:
+    def _text(self, sign: int = 1) -> str:
+        """The text of sign*self, sign 1 or -1, from the `_signed()` of
+        each component, with no negated copy; str is sign 1."""
         out = []
         for u, comp in self.terms:
-            num = comp.num
-            sign = -1 if num.cnum < 0 else 1
-            text = comp._text(sign)
-            # the text is a sum when it is the numerator alone (an integral
-            # content over the denominator 1) with two or more terms; a
-            # positive scalar sum reassociates fine when appended bare, and
-            # under a minus or before a unit it keeps its parentheses
-            if ((u or sign < 0) and num.cden == 1 and len(comp.den.prim) == 1
-                    and len(num.prim) - num.prim.count(0) > 1):
+            s, text, a_sum, _ = comp._signed()
+            # a sum is grouped before a unit and under a minus; a positive
+            # scalar sum reassociates fine when appended bare
+            if a_sum and (u or s != sign):
                 text = "(%s)" % text
-            out.append((sign, term(text, _UNIT_NAMES[u], 1)))
+            out.append((s * sign, term(text, _UNIT_NAMES[u], 1)))
         return join_terms(out)
+
+    __str__ = _text
+
+    def _signed(self):
+        """(sign, the text of sign*self, whether that text is a sum,
+        whether it is a quotient).  One term is what its component is,
+        except that a unit makes a sum a product; two or more are a sum,
+        negative when every component is."""
+        terms = self.terms
+        if len(terms) == 1:
+            u, comp = terms[0]
+            sign, text, a_sum, quotient = comp._signed()
+            if u:
+                text, a_sum = term("(%s)" % text if a_sum else text, _UNIT_NAMES[u], 1), False
+            return sign, text, a_sum, quotient
+        sign = -1 if terms and all(x.num.cnum < 0 for _, x in terms) else 1
+        return sign, self._text(sign), len(terms) > 1, False

@@ -80,10 +80,13 @@ with u/v = content(num)/content(den) in lowest terms (den.cnum is 1),
 both tuples written from the top.  By term counts, a numerator of two or
 more terms is wrapped before a slash, and a denominator stays bare only
 as a constant or x^e, its one primitive tuple with a single nonzero
-coefficient.  So the text is a sum exactly when it is the numerator
-alone, u an integer over the denominator 1, with two or more terms.
-`_text(-1)` prints the negation, with -u for u, and builds no negated
-copy; the quaternion printer writes a negative component's magnitude so.
+coefficient.  So the text is a quotient when the numerator's content has
+a denominator other than 1 or the denominator is not constant, and
+otherwise a sum exactly when the numerator has two or more terms.
+`_signed()` returns these two facts with the sign of the numerator's
+content and the text of the magnitude, which `_text(-1)` prints for a
+negative value, with -u for u and no negated copy; the quaternion and
+operator printers place their parentheses from it.
 """
 
 from __future__ import annotations
@@ -267,12 +270,6 @@ class RationalFunction(Value):
 
     # display
 
-    def split_sign(self):
-        """Fold out an overall minus when the numerator's content is negative."""
-        if self.num.cnum < 0:
-            return -1, -self
-        return 1, self
-
     def _text(self, sign: int = 1) -> str:
         """The text of sign*self, sign 1 or -1, with no negated copy; str
         is sign 1."""
@@ -291,3 +288,13 @@ class RationalFunction(Value):
         return "%s/%s" % (text, dtext)
 
     __str__ = _text
+
+    def _signed(self):
+        """(sign, the text of sign*self, whether that text is a sum,
+        whether it is a quotient), read off the fields: the sign is that of
+        the numerator's content, so the text is the magnitude."""
+        num = self.num
+        sign = -1 if num.cnum < 0 else 1
+        quotient = num.cden != 1 or len(self.den.prim) > 1
+        a_sum = not quotient and len(num.prim) - num.prim.count(0) > 1
+        return sign, self._text(sign), a_sum, quotient

@@ -1,6 +1,5 @@
-"""The exact printed text of every parenthesis rule, `is_sum`, `term` and
-`int_poly` themselves, and one digest that pins the printed text of random
-values.
+"""The exact printed text of every parenthesis rule, `term` and `int_poly`
+themselves, and one digest that pins the printed text of random values.
 
 Each case parses a text and prints the result, so the expected text is
 also one the parser reads back.
@@ -23,15 +22,18 @@ from opfactor import (
     parse_operator,
 )
 
-from helpers import C5, DIFF1, QUAT, QX, rand_element, rand_operator
+from helpers import ALL_ALGEBRAS, C5, DIFF1, QUAT, QX, rand_element, rand_operator
 
 OPERATOR_CASES = [
     # constant term: a negative sum keeps its group
     ("qx", "D - (x + 1)", "D - (x + 1)"),
     ("c5", "D^2 - 2*r*D - 1 - r", "D^2 - 2*r*D - (1 + r)"),
+    ("quat", "D - x - 1 - i", "D - (x + 1 + i)"),
+    ("c5", "-r*D - r - 1", "-r*D - (1 + r)"),
     # constant term: a magnitude starting with `-` is grouped after other terms
     ("quat", "D + (-x + i)", "D + (-x + i)"),
     ("quat", "-x + i", "-x + i"),
+    ("c5", "D - 1 + r", "D + (-1 + r)"),
     # D-term coefficient: a sum, a quotient, a negative start, and one
     ("qx", "(x + 1)*D", "(x + 1)*D"),
     ("qx", "-(x+1)*D", "-(x + 1)*D"),
@@ -39,6 +41,11 @@ OPERATOR_CASES = [
     ("qx", "(3/2)*D^2", "(3/2)*D^2"),
     ("quat", "(1/x*j)*D", "(1/x*j)*D"),
     ("quat", "(-x + i)*D", "(-x + i)*D"),
+    ("c5", "(r - 1)*D", "(-1 + r)*D"),
+    ("quat", "-(1 + i)*D", "-(1 + i)*D"),
+    ("quat", "(x - 1)/x*D + 2*x*i", "((x - 1)/x)*D + 2*x*i"),
+    # one unit times a sum is a product, so it stays bare before D
+    ("quat", "(-x - 1)*i*D", "-(x + 1)*i*D"),
     ("qx", "D^2 - D + 1", "D^2 - D + 1"),
     ("quat", "x*D - i*D", "(x - i)*D"),
     # group ring: an all-negative coefficient folds its sign out before *D
@@ -100,25 +107,21 @@ def test_a_component_prints_its_magnitude_without_a_negated_copy(monkeypatch):
     # each component with the text of its negation
     parts = [(comp, str(-comp)) for q in values for _, comp in q.terms]
     assert any(comp.num.cnum < 0 for comp, _ in parts)
+    # operators of every algebra, and one whose -3/x prints as a sign and
+    # a magnitude
+    rng = random.Random(5)
+    ops = [rand_operator(rng, alg) for alg in ALL_ALGEBRAS for _ in range(50)]
+    readme_k = parse_operator("D^2 - (3/x)*D + 3/x^2", QUAT)
+    ops.append(readme_k)
     negated = []
-    neg = RationalFunction.__neg__
-    monkeypatch.setattr(RationalFunction, "__neg__",
-                        lambda self: negated.append(self) or neg(self))
-    for q in values:
-        str(q)
+    for cls in (RationalFunction, Quaternion, GroupRingC5Element):
+        monkeypatch.setattr(cls, "__neg__",
+                            lambda self, neg=cls.__neg__: negated.append(self) or neg(self))
+    for v in values + ops:
+        str(v)
     assert negated == []
+    assert str(readme_k) == "D^2 - (3/x)*D + 3/x^2"
     assert all(comp._text(-1) == text for comp, text in parts)
-
-
-def test_is_sum():
-    is_sum = formatting.is_sum
-    assert is_sum("x + 1") and is_sum("-x - 1") and is_sum("(x + 1)/x - i")
-    assert is_sum("x + 1 + (x - 1)*i")
-    assert not is_sum("(x + 1)/(x - 1)")
-    assert not is_sum("((x + 1)/x*i + j)*D")
-    assert not is_sum("-(x + 1)")
-    assert not is_sum("-x^2") and not is_sum("-3/2*x")
-    assert not is_sum("1/x") and not is_sum("0")
 
 
 @pytest.mark.parametrize("coeff, base, e, text", [

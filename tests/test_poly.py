@@ -8,7 +8,6 @@ from hypothesis import assume, example, given
 
 import opfactor.poly as poly_module
 from opfactor import Poly, RationalFunction
-from opfactor.formatting import is_sum
 from opfactor.poly import _heuristic_gcd, _prs_gcd, _pseudo_divide
 
 from helpers import RefPoly, factored_polys, polys, ref_poly_compose, small_fractions
@@ -93,7 +92,7 @@ def test_format():
     assert fmt(Poly([Fraction(3, 2)]), "x") == "3/2"
     assert fmt(Poly(), "x") == "0"
     f = fmt(Poly([0, 0, 2]), "x")
-    assert f == "2*x^2" and not is_sum(f)
+    assert f == "2*x^2"
 
 
 def assert_stored_canonically(p):
