@@ -71,12 +71,14 @@ module), immutable by convention.
 from __future__ import annotations
 
 import operator
+from itertools import chain
+from math import factorial, lcm
 from typing import Callable, Sequence, Tuple
 
 from .algebras import RationalFunctionAlgebra
 from .base import Algebra, Value
 from .errors import MixedAlgebras, NotAUnit, NotInvertible, ShapeMismatch, VerificationFailed
-from .poly import Poly
+from .poly import Poly, _new, _packed, _reduced, _unpacked
 from .ratfunc import RationalFunction
 
 
@@ -181,25 +183,68 @@ class NCMatrix(Value):
 
     def _fraction_free_solver(self) -> Callable[["NCMatrix"], "NCMatrix"]:
         """The adjugate over Q(v), once, and the certified solve that
-        reuses it, as the module docstring says."""
+        reuses it, both on packed integers, as the module docstring
+        says."""
         n = self.rows
-        var, zero = self.algebra.variable, Poly.zero()
-        columns = [_cleared(self.entries[j::n]) for j in range(n)]
+        var = self.algebra.variable
+        columns = [_integral(self.entries[j::n]) for j in range(n)]
         scales, cleared = [c[0] for c in columns], [c[1] for c in columns]
-        adj, det = _adjugate(list(zip(*cleared)))
-        adj_cols = list(zip(*adj))
+        a = list(zip(*cleared))
+        # Leibniz bounds from the largest coefficient and length of A': an
+        # entry of adj is a sum of (n-1)! products of n - 1 entries, det
+        # one of n! products of n entries
+        alpha, size = _height([p for row in a for p in row])
+        r = max(n - 1, 0)
+        adj_len = r * (size - 1) + 1
+        adj_norm = factorial(r) * size ** max(n - 2, 0) * alpha ** r
+        a_norm = n * alpha  # bounds the norms of a column of A', summed
+        x_factor = n * adj_len * adj_norm * a_norm
+        s = _width(adj_norm * size * a_norm)
+        a_at = [[_value(p, s) for p in row] for row in a]
+        adj_at, det_at = _adjugate(a, s, a_at)
+        det = _unpacked_poly(det_at, s)
+        det_norm = len(det.prim) * _norm(det)
+        packs = {s: (list(zip(*a_at)), det_at)}
+        adj_packs = {s: list(zip(*adj_at))}
+        first = s
+
+        def at(s):
+            """A' by columns and det at 2^s, packed once per width."""
+            if s not in packs:
+                packs[s] = [[_value(p, s) for p in col] for col in cleared], _value(det, s)
+            return packs[s]
+
+        def adj_at(s):
+            """adj by columns at 2^s, packed once per width, through adj over
+            Z[v] unpacked from the first width."""
+            if s not in adj_packs:
+                adj_packs[s] = [[_value(_unpacked_poly(e, first), s) for e in col]
+                                for col in adj_packs[first]]
+            return adj_packs[s]
 
         def solve(b: "NCMatrix") -> "NCMatrix":
             self._check_right_side(b)
             out = []
             for i in range(b.rows):
                 lcd, nums = _cleared(b.row(i))
-                nums = [y * s for y, s in zip(nums, scales)]
-                sol = [_dot(zero, nums, col) for col in adj_cols]
-                if not _solves(sol, cleared, det, nums):
+                nums = [y * c for y, c in zip(nums, scales)]
+                # n = m*nums over Z[v]
+                m = lcm(*[y.cden for y in nums])
+                n_norm, n_len = _height(nums)
+                n_norm *= m
+                tail = det_norm * n_norm
+                s = _width(n_norm * (n_len + adj_len) * x_factor + tail)
+                ns = [y.cnum * (m // y.cden) * _packed(y.prim, s) for y in nums]
+                xs = [_unpacked(sum(map(operator.mul, ns, col)), s) for col in adj_at(s)]
+                # the certificate at the width that the unpacked x needs
+                x_norm = max([len(x) * max(max(x), -min(x)) for x in xs if x], default=0)
+                c = _width(x_norm * a_norm + tail)
+                if c != s:
+                    ns = [y.cnum * (m // y.cden) * _packed(y.prim, c) for y in nums]
+                if not _holds(xs, *at(c), ns, c):
                     raise VerificationFailed("left solve X*A = B does not hold")
                 den = lcd * det
-                out += (RationalFunction(x, den, var) for x in sol)
+                out += (RationalFunction(_reduced(x, 1, m), den, var) for x in xs)
             return NCMatrix(self.algebra, b.rows, n, out)
 
         return solve
@@ -293,26 +338,30 @@ class NCMatrix(Value):
         return "NCMatrix(%s)" % "; ".join(rows)
 
 
-def _adjugate(a: list):
-    """(adj, det) with adj*a == det*I and det nonzero: the cofactors for
-    n = 2 and 3, with det expanded along the first row; fraction-free
-    Gauss-Jordan for n <= 1, for n >= 4 and for every singular a, so that
-    NotInvertible comes only from the elimination."""
+def _adjugate(a: list, s: int, at: list):
+    """(adj, det) at 2^s, with adj*a == det*I and det nonzero, for a over
+    Z[v] given also by its values `at` at 2^s, where 2^(s-1) exceeds every
+    coefficient of a cofactor and of det: for n = 2 and 3 the cofactors,
+    with det expanded along the first row ([[d, -b], [-c, a]] for n = 2);
+    for n <= 1, for n >= 4 and for every singular a, fraction-free
+    Gauss-Jordan's, packed, so that NotInvertible comes only from the
+    elimination."""
     n = len(a)
     if n == 2:
-        (p, q), (r, s) = a
-        det = p * s - q * r
+        (p, q), (r, t) = at
+        det = p * t - q * r
         if det:
-            return [[s, -q], [-r, p]], det
+            return [[t, -q], [-r, p]], det
     elif n == 3:
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = at
         adj = [[b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, a1 * b2 - a2 * b1],
                [b2 * c0 - b0 * c2, a0 * c2 - a2 * c0, a2 * b0 - a0 * b2],
                [b0 * c1 - b1 * c0, a1 * c0 - a0 * c1, a0 * b1 - a1 * b0]]
         det = a0 * adj[0][0] + a1 * adj[1][0] + a2 * adj[2][0]
         if det:
             return adj, det
-    return _fraction_free_gauss_jordan(a)
+    adj, det = _fraction_free_gauss_jordan(a)
+    return [[_value(p, s) for p in row] for row in adj], _value(det, s)
 
 
 def _fraction_free_gauss_jordan(a: list):
@@ -355,7 +404,57 @@ def _cleared(entries) -> tuple:
     return lcd, [e.num * (lcd // e.den) for e in entries]
 
 
-def _solves(x: list, a_cols: list, det: Poly, nums: list) -> bool:
-    """x*a == det*nums, for a row x and a square a given by its columns,
-    by Poly products."""
-    return [_dot(Poly.zero(), x, col) for col in a_cols] == [det * y for y in nums]
+def _integral(entries) -> tuple:
+    """(L, [L*e for e in entries]) with every L*e in Z[v]: L is the monic
+    lcm of the denominators of rational functions times the lcm of the
+    denominators of the contents of the numerators over it."""
+    lcd, nums = _cleared(entries)
+    den = lcm(*[y.cden for y in nums])
+    if den == 1:
+        return lcd, nums
+    return (lcd * Poly.constant(den),
+            [_new(y.prim, y.cnum * (den // y.cden), 1) if y.prim else y for y in nums])
+
+
+def _height(polys: list) -> tuple:
+    """A bound on the moduli of the coefficients of Polys over Z[v], the
+    largest content numerator times the largest coefficient of a primitive
+    part, and their largest length; 0 and 0 for no nonzero Poly."""
+    prims = [p.prim for p in polys]
+    cs = list(chain.from_iterable(prims))
+    if not cs:
+        return 0, 0
+    return max([abs(p.cnum) for p in polys]) * max(max(cs), -min(cs)), max(map(len, prims))
+
+
+def _norm(p: Poly) -> int:
+    """The largest modulus of a coefficient of p over Z[v]."""
+    return abs(p.cnum) * max(map(abs, p.prim), default=0)
+
+
+def _width(bound: int) -> int:
+    """The least multiple s of 64 with bound < 2^(s-1)."""
+    return bound.bit_length() // 64 * 64 + 64
+
+
+def _value(p: Poly, s: int) -> int:
+    """p(2^s) for p over Z[v]."""
+    return p.cnum * _packed(p.prim, s)
+
+
+def _unpacked_poly(v: int, s: int) -> Poly:
+    """The Poly over Z[v] of the symmetric base-2^s digits of v."""
+    return _reduced(_unpacked(v, s), 1, 1)
+
+
+def _holds(xs: list, a_cols: list, det: int, ns: list, s: int) -> bool:
+    """x*A' == det*n over Z[v], for a row x given by its digit lists and
+    A' (by columns), det and n given at 2^s, by one integer identity per
+    column; the caller has chosen s so that 2^(s-1) exceeds every
+    coefficient of x*A' - det*n, and then that polynomial is zero exactly
+    when its value at 2^s is."""
+    vs = [_packed(x, s) for x in xs]
+    for col, y in zip(a_cols, ns):
+        if sum(map(operator.mul, vs, col)) != det * y:
+            return False
+    return True

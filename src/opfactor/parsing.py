@@ -227,13 +227,13 @@ class _Parser:
             value = _dict(value)
         if type(value) is not dict:
             return self._lift(value)
-        powers = {}
+        # one list per power of D up to the highest, max(value)[0]
+        powers = [[] for _ in range(max(value)[0] + 1)] if value else []
         for (d, u, e), c in value.items():
-            powers.setdefault(d, []).append((u, e, c))
-        out = [self.algebra.zero()] * (max(powers) + 1 if powers else 0)
-        for d, terms in powers.items():
-            out[d] = self._coefficient(terms)
-        return Operator._trusted(self.algebra, out)
+            powers[d].append((u, e, c))
+        zero = self.algebra.zero()
+        return Operator._trusted(self.algebra, [self._coefficient(terms) if terms else zero
+                                                for terms in powers])
 
     def _promoted(self, value):
         """An element or Operator for a monomial or a dict: an Operator

@@ -381,6 +381,30 @@ def _value_at(p: tuple, x: int) -> int:
     return v
 
 
+def _packed(cs, s: int) -> int:
+    """The integer cs(2^s) for integer coefficients cs, low degree first,
+    by Horner's rule with shifts."""
+    v = 0
+    for c in reversed(cs):
+        v = (v << s) + c
+    return v
+
+
+def _unpacked(v: int, s: int) -> list:
+    """The symmetric base-2^s digits of v, low first, each of modulus at
+    most 2^(s-1), with no trailing zero: the one list cs with
+    _packed(cs, s) == v and every |c| < 2^(s-1), when such a list exists."""
+    mask, half, base = (1 << s) - 1, 1 << (s - 1), 1 << s
+    out = []
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= base
+        out.append(d)
+        v = (v - d) >> s
+    return out
+
+
 def _heuristic_gcd(a: tuple, b: tuple):
     """GCDHEU, step 3 of the gcd, on primitive tuples with len(a) >=
     len(b) >= 2: the monic gcd, or None when the reconstructed candidate

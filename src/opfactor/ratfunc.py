@@ -84,9 +84,10 @@ coefficient.  So the text is a quotient when the numerator's content has
 a denominator other than 1 or the denominator is not constant, and
 otherwise a sum exactly when the numerator has two or more terms.
 `_signed()` returns these two facts with the sign of the numerator's
-content and the text of the magnitude, which `_text(-1)` prints for a
-negative value, with -u for u and no negated copy; the quaternion and
-operator printers place their parentheses from it.
+content and the text of the magnitude, with -u for u and no negated copy
+for a negative value, computing each fact once; the quaternion and
+operator printers place their parentheses from it, and `_text(sign)`,
+also `str`, is its text.
 """
 
 from __future__ import annotations
@@ -270,31 +271,30 @@ class RationalFunction(Value):
 
     # display
 
-    def _text(self, sign: int = 1) -> str:
-        """The text of sign*self, sign 1 or -1, with no negated copy; str
-        is sign 1."""
+    def _signed(self, sign: int = 0):
+        """(sign, the text of sign*self, whether that text is a sum,
+        whether it is a quotient), each fact computed once off the fields;
+        sign 0 takes the sign of the numerator's content, so that the text
+        is the magnitude."""
         num, den, var = self.num.prim, self.den.prim, self.var
+        if not sign:
+            sign = -1 if self.num.cnum < 0 else 1
         u, v = sign * self.num.cnum * self.den.cden, self.num.cden
         g = gcd(u, v)
         u, v = u // g, v // g
         text = int_poly([(e, u * num[e]) for e in range(len(num) - 1, -1, -1)], var)
+        a_sum = len(num) - num.count(0) > 1
         if v == 1 and len(den) == 1:
-            return text
-        if len(num) - num.count(0) > 1:
+            return sign, text, a_sum, False
+        if a_sum:
             text = "(%s)" % text
         dtext = int_poly([(e, v * den[e]) for e in range(len(den) - 1, -1, -1)], var)
         if len(den) > 1 and (v != 1 or den.count(0) < len(den) - 1):
             dtext = "(%s)" % dtext
-        return "%s/%s" % (text, dtext)
+        return sign, "%s/%s" % (text, dtext), False, True
+
+    def _text(self, sign: int = 1) -> str:
+        """The text of sign*self, sign 1 or -1; str is sign 1."""
+        return self._signed(sign)[1]
 
     __str__ = _text
-
-    def _signed(self):
-        """(sign, the text of sign*self, whether that text is a sum,
-        whether it is a quotient), read off the fields: the sign is that of
-        the numerator's content, so the text is the magnitude."""
-        num = self.num
-        sign = -1 if num.cnum < 0 else 1
-        quotient = num.cden != 1 or len(self.den.prim) > 1
-        a_sum = not quotient and len(num.prim) - num.prim.count(0) > 1
-        return sign, self._text(sign), a_sum, quotient

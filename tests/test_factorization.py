@@ -625,9 +625,9 @@ def test_one_fraction_free_elimination_per_context(monkeypatch, make, selector):
     runs = []
     adjugate = ncmatrix._adjugate
 
-    def spy(a):
+    def spy(a, *packed):
         runs.append(a)
-        return adjugate(a)
+        return adjugate(a, *packed)
 
     monkeypatch.setattr(ncmatrix, "_adjugate", spy)
     # a fresh algebra, whose kernel memo is empty

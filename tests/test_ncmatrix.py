@@ -389,37 +389,37 @@ def _upper_unitriangular(algebra):
 
 
 @pytest.mark.parametrize(
-    "algebra, solve_rows, products, left_certificates, polynomial_checks",
+    "algebra, solve_rows, products, left_certificates, integer_checks",
     [(QX, 0, 0, 0, 2), (DIFF1, 0, 0, 0, 2), (C5, 0, 2, 1, 0), (QUAT, 0, 1, 1, 0),
      (QX, 1, 0, 0, 1), (DIFF1, 1, 0, 0, 1), (C5, 1, 2, 1, 0), (QUAT, 1, 1, 1, 0)],
     ids=["qx", "diff", "c5", "quat", "qx-solve", "diff-solve", "c5-solve", "quat-solve"],
 )
 def test_certificate_products(monkeypatch, algebra, solve_rows, products,
-                              left_certificates, polynomial_checks):
-    # over Q(v) the one certificate of each row b of B is (n*adj)*A' ==
-    # det*n with Poly products; the other algebras certify with the one
-    # NCMatrix product X*A == B, after c5's one Horner product B*A for a
-    # 2x2 A; A*X is never multiplied out.  solve_rows 0 is the inverse,
-    # B = I.
+                              left_certificates, integer_checks):
+    # over Q(v) the one certificate of each row b of B is x*A' == det*n,
+    # one integer identity per column at 2^s; the other algebras certify
+    # with the one NCMatrix product X*A == B, after c5's one Horner
+    # product B*A for a 2x2 A; A*X is never multiplied out.  solve_rows 0
+    # is the inverse, B = I.
     m = _upper_unitriangular(algebra)
     one, s = algebra.one(), list(algebra.symbols().values())[-1]
     rhs = NCMatrix.from_rows(algebra, [[s, one]]) if solve_rows else None
     calls, checks = [], []
-    multiply, solves = NCMatrix.__mul__, ncmatrix._solves
+    multiply, holds = NCMatrix.__mul__, ncmatrix._holds
 
     def spy(left, right):
         calls.append((left, right))
         return multiply(left, right)
 
-    def polynomial_spy(*args):
+    def integer_spy(*args):
         checks.append(args)
-        return solves(*args)
+        return holds(*args)
 
     monkeypatch.setattr(NCMatrix, "__mul__", spy)
-    monkeypatch.setattr(ncmatrix, "_solves", polynomial_spy)
+    monkeypatch.setattr(ncmatrix, "_holds", integer_spy)
     x = m.left_solver()(rhs) if solve_rows else m.inverse()
     assert len(calls) == products
-    assert len(checks) == polynomial_checks
+    assert len(checks) == integer_checks
     assert calls.count((x, m)) == left_certificates  # X*A = B
     assert calls.count((m, x)) == 0  # A*X
     monkeypatch.undo()
@@ -439,8 +439,9 @@ def test_fraction_free_certificate_catches_a_wrong_adjugate(monkeypatch, algebra
     adjugate, eliminate = ncmatrix._adjugate, ncmatrix._fraction_free_gauss_jordan
     eliminations = []
 
-    def corrupted(a):
-        adj, det = adjugate(a)
+    def corrupted(a, s, at):
+        # the adjugate and det at 2^s, as _adjugate returns them
+        adj, det = adjugate(a, s, at)
         adj[0][1] = adj[0][1] + det
         return adj, det
 
@@ -478,13 +479,27 @@ def test_adjugate_eliminates_for_empty_large_and_singular_matrices(monkeypatch):
     for n in range(5):
         a = [[x + one if i == j else x if j == i + 1 else zero for j in range(n)]
              for i in range(n)]
-        adj, det = ncmatrix._adjugate(a)
+        adj, det = _unpacked_adjugate(a)
         assert [[_dot(zero, row, col) for col in zip(*a)] for row in adj] == [
             [det if i == j else zero for j in range(n)] for i in range(n)]
     assert eliminations == [0, 1, 4]
     with pytest.raises(NotInvertible, match="^no unit pivot available in column 2$"):
-        ncmatrix._adjugate([[x, x * x], [one, x]])
+        _unpacked_adjugate([[x, x * x], [one, x]])
     assert eliminations == [0, 1, 4, 2]
+
+
+def _unpacked_adjugate(a, s=64):
+    """`_adjugate` of a small matrix over Z[v] at 2^s, unpacked to Polys;
+    2^(s-1) exceeds every coefficient of its cofactors and det."""
+    adj, det = ncmatrix._adjugate(a, s, [[ncmatrix._value(p, s) for p in row] for row in a])
+    return ([[ncmatrix._unpacked_poly(e, s) for e in row] for row in adj],
+            ncmatrix._unpacked_poly(det, s))
+
+
+def _eliminated(a, s, at):
+    """`_adjugate` by fraction-free Gauss-Jordan alone, packed at 2^s."""
+    adj, det = ncmatrix._fraction_free_gauss_jordan(a)
+    return [[ncmatrix._value(p, s) for p in row] for row in adj], ncmatrix._value(det, s)
 
 
 @pytest.mark.parametrize("algebra", [QX, DIFF1], ids=lambda a: a.name)
@@ -519,7 +534,7 @@ def test_cofactor_solves_match_the_bareiss_reference(algebra, data):
 
     got = solves()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ncmatrix, "_adjugate", ncmatrix._fraction_free_gauss_jordan)
+        patch.setattr(ncmatrix, "_adjugate", _eliminated)
         assert solves() == got
     if kind != "any":
         assert got.startswith("no unit pivot available in column ")
