@@ -17,14 +17,24 @@ elimination, and only when A is singular; a certificate that fails is an
 engine fault and raises VerificationFailed.
 
 Over the fraction fields Q(v) (qx, diff, the RationalFunctionAlgebra
-type) the adjugate is built once per solver, on polynomials.  Column j is
-scaled by the lcm L_j of its denominators, A' = A*diag(L) over Q[v], and
-`_adjugate` returns adj and det with adj*A' = det*I and det nonzero.  For
-n = 2 and 3 adj is the transposed matrix of cofactors: [[d, -b], [-c, a]]
-for A' = [[a, b], [c, d]], the nine 2x2 minors for n = 3, with det
+type) the adjugate is built once per solver, and every product runs on
+packed integers: a polynomial p over Z with every coefficient below
+2^(s-1) in modulus is recovered exactly from the integer p(2^s) by its
+symmetric base-2^s digits (`poly._packed` and `poly._unpacked`, the
+argument the poly module gives for GCDHEU).  Column j is scaled by the
+lcm L_j of its denominators times the lcm of the denominators of the
+contents of its numerators, so A' = A*diag(L) is integral, over Z[v].
+The coefficients of A' are at most alpha in modulus and an entry has at
+most l terms; by Leibniz a cofactor is a sum of (n-1)! products of n - 1
+entries and det one of n! products of n entries, which bounds both.  The
+solver packs A' at the least width s, a multiple of 64, above that
+bound, and `_adjugate` returns adj and det at 2^s with adj*A' = det*I and
+det nonzero.  For n = 2 and 3 adj is the transposed matrix of cofactors,
+taken on the integers: [[d, -b], [-c, a]] for A' = [[a, b], [c, d]], so
+only det is a product, and the nine 2x2 minors for n = 3, with det
 expanded along the first row from three of them.  For n <= 1, for n >= 4
-and for every singular A' (det = 0) it comes from fraction-free
-Gauss-Jordan on [A' | I]
+and for every singular A' (det = 0 at 2^s, so det = 0) it comes from
+fraction-free Gauss-Jordan on [A' | I] over Z[v], packed
 (Bareiss, Math. Comp. 22, 1968), which pivots on the first nonzero entry
 at or below the diagonal, divides each update exactly by the previous
 pivot and ends at [det*I | adj] with det nonzero.  By Sylvester's identity
@@ -32,11 +42,19 @@ each entry scanned for a pivot is a nonzero multiple (column scales times
 the previous pivot) of the one Gauss-Jordan over Q(v) scans, so both stop
 at the same column, where A is singular, and the elimination names that
 column.  The two adjugates differ at most by a sign, which det shares.
-Since A^-1 = diag(L)*adj/det, a row b of B, written as polynomial
+Since A^-1 = diag(L)*adj/det, a row b of B, written as integral
 numerators n = m*b*diag(L) over one denominator m, has the row
-(n*adj)/(m*det) of X.  Its certificate is the Poly identity
-(n*adj)*A' = det*n, which is X*A = b times m*det*diag(L); for B = I it
-is adj*A' = det*I, row by row.
+x/(m*det), x = n*adj, of X.  The solve packs n at a width that a bound on
+the coefficients of x and of x*A' - det*n allows (from alpha, l and the
+coefficients of n), takes each x_i as one integer dot product of n and a
+column of adj, and unpacks it.  Its certificate is the polynomial identity
+x*A' = det*n, which is X*A = b times m*det*diag(L): from the unpacked x
+the solver bounds every coefficient of x*A'_j - det*n_j, picks the width s
+above that bound, and checks the integer identity sum_i x_i(2^s)*A'_ij(2^s)
+= det(2^s)*n_j(2^s) for each column j, which holds exactly when the
+polynomial identity does.  A wrong bound or a bad unpacking can only fail
+the certificate.  Each width's packed A', adj and det are kept for the
+rows that use it.
 
 Over any other algebra that declares itself commutative (c5) a matrix is
 invertible exactly when its determinant is a unit.  Each solve reads the
@@ -61,8 +79,8 @@ division ring a column has no pivot exactly when it lies in the right
 span of the columns before it, so the elimination fails at the first
 such column and finds X whenever A is invertible.
 
-_dot computes every sum of products, of entries or of Polys, starting
-from its first product.
+_dot computes every sum of products of entries, starting from its first
+product.
 
 NCMatrix is a value class in the package's one slotted idiom (see the base
 module), immutable by convention.

@@ -60,6 +60,14 @@ Arithmetic runs on the integer tuples (Knuth, TAOCP vol. 2, 4.6.1):
          xi >= 2 * min(|a|, |b|) + 2, so xi is never chosen smaller;
       4. when that check fails, the primitive PRS: Euclid on
          pseudo-remainders, each cut to its primitive part.
+  * `_packed(cs, s)` is the integer cs(2^s) of integer coefficients, by
+    Horner's rule with shifts, and `_unpacked(v, s)` reads back its
+    symmetric base-2^s digits, each of modulus at most 2^(s-1).  When
+    every coefficient of cs is below 2^(s-1) in modulus the digits are cs
+    exactly (step 3 above makes the same argument for xi), so a product
+    or a dot product of polynomials can run as one product of packed
+    integers (Kronecker substitution; Harvey, J. Symbolic Comput. 44,
+    2009).  The Q(v) solves of the ncmatrix module run this way.
   * The Taylor shift x -> x + 1 is an automorphism of Z[x], so it keeps
     the tuple primitive and the content as it is.  A derivative scales
     the tuple and takes the content out again.
