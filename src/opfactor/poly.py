@@ -399,9 +399,10 @@ def _packed(cs, s: int) -> int:
 
 
 def _unpacked(v: int, s: int) -> list:
-    """The symmetric base-2^s digits of v, low first, each of modulus at
-    most 2^(s-1), with no trailing zero: the one list cs with
-    _packed(cs, s) == v and every |c| < 2^(s-1), when such a list exists."""
+    """The symmetric base-2^s digits of v for s >= 2, low first, each of
+    modulus at most 2^(s-1), with no trailing zero: _packed of them is v,
+    and they are the one such list with every |c| < 2^(s-1) when that list
+    exists.  Each step takes |v| down, so the loop ends."""
     mask, half, base = (1 << s) - 1, 1 << (s - 1), 1 << s
     out = []
     while v:

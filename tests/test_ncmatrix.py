@@ -466,6 +466,28 @@ def test_fraction_free_certificate_catches_a_wrong_adjugate(monkeypatch, algebra
     assert eliminations == ([] if size <= 3 else [size] * 4)
 
 
+@pytest.mark.parametrize("algebra", [QX, DIFF1], ids=lambda a: a.name)
+def test_integer_certificate_refuses_a_doctored_solution_row(monkeypatch, algebra):
+    # a wrong digit, and a carry moved between two digits, which packs to
+    # the same integer at 2^s but is not the solution: the certificate
+    # takes the row as unpacked and refuses both
+    one, zero = algebra.one(), algebra.zero()
+    s = list(algebra.symbols().values())[-1]
+    m = NCMatrix.from_rows(algebra, [[s, one, zero], [one, s * s, s], [zero, s, one + s]])
+    solve = m.left_solver()
+    rhs = NCMatrix.from_rows(algebra, [[s, one, s * s]])
+    assert solve(rhs) * m == rhs
+    unpacked = ncmatrix._unpacked
+    for doctor in (lambda d, s: [d[0] + 1] + d[1:],
+                   lambda d, s: [d[0] + 2 ** s, d[1] - 1] + d[2:]):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ncmatrix, "_unpacked",
+                          lambda v, s, doctor=doctor: doctor(unpacked(v, s), s))
+            with pytest.raises(VerificationFailed,
+                               match=r"^left solve X\*A = B does not hold$"):
+                solve(rhs)
+
+
 def test_adjugate_eliminates_for_empty_large_and_singular_matrices(monkeypatch):
     eliminate = ncmatrix._fraction_free_gauss_jordan
     eliminations = []

@@ -38,6 +38,7 @@ from helpers import (
     rand_quaternion,
     rand_ratfunc,
     rand_unit,
+    ratfuncs,
     ref_quat_mul,
 )
 
@@ -308,6 +309,34 @@ def test_left_solve_matches_sympy(algebra):
                 mat.inverse()
             assert re.fullmatch(r"no unit pivot available in column \d+", str(solved.value))
             assert str(solved.value) == str(inverted.value)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS, ids=lambda a: a.describe())
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_packed_left_solves_match_domain_matrix(algebra, data):
+    # the solve on packed integers against sympy's B * A^-1 over QQ(v),
+    # n = 1-4; entries with rational contents and denominators, so the
+    # columns are cleared both ways, and the Phi of a kernel over diff
+    # with c = -1/2 has rational contents of its own
+    size = data.draw(st.integers(1, 4), label="n")
+    entries = ratfuncs(algebra.variable)
+    rows = [[data.draw(entries) for _ in range(size)] for _ in range(size)]
+    rhs_rows = [[data.draw(entries) for _ in range(size)]
+                for _ in range(data.draw(st.integers(1, 2)))]
+    mat = NCMatrix.from_rows(algebra, rows)
+    expr = sympy.Matrix([[to_sympy(e) for e in row] for row in rows])
+    domain = field_matrix(expr)
+    if not domain.det():
+        with pytest.raises(NotInvertible):
+            mat.left_solver()
+        return
+    x = mat.left_solver()(NCMatrix.from_rows(algebra, rhs_rows))
+    b = sympy.Matrix([[to_sympy(e) for e in row] for row in rhs_rows])
+    expected = b * domain.to_field().inv().to_Matrix()
+    for i in range(len(rhs_rows)):
+        for j in range(size):
+            assert_matches(x.entry(i, j), expected[i, j])
 
 
 # matrices over Z[C5] with integer entries: invertible exactly when the

@@ -398,3 +398,35 @@ def test_gcd_falls_back_to_the_prs_when_the_candidate_does_not_divide(prs_calls)
     assert _heuristic_gcd(a.prim, b.prim) is None
     assert Poly.gcd(a, b) is Poly.one()
     assert prs_calls == [(a.prim, b.prim)]
+
+
+# the packing pair: cs(2^s) and its symmetric base-2^s digits
+
+
+@pytest.mark.parametrize("s", [2, 3, 31, 64, 65])
+def test_packed_round_trip_at_the_edge_of_the_bound(s):
+    h = 2 ** (s - 1) - 1  # the largest modulus the bound allows
+    for cs in ([h], [-h], [h, -h, h], [-h, h, -h, h], [0, 0, h], [-h, 0, 0, -h], [h] * 7,
+               [1, -h, 0, h - 1, -1]):
+        v = poly_module._packed(cs, s)
+        assert v == sum(c * 2 ** (s * i) for i, c in enumerate(cs))
+        assert poly_module._unpacked(v, s) == cs
+    assert poly_module._packed([], s) == 0 and poly_module._unpacked(0, s) == []
+
+
+@given(st.integers(2, 80), st.data())
+def test_packed_round_trip_inside_the_bound(s, data):
+    h = 2 ** (s - 1) - 1
+    cs = data.draw(st.lists(st.integers(-h, h), max_size=8))
+    while cs and not cs[-1]:
+        cs.pop()
+    assert poly_module._unpacked(poly_module._packed(cs, s), s) == cs
+
+
+@given(st.integers(2, 80), st.integers(-(2 ** 300), 2 ** 300))
+def test_unpacked_digits_always_pack_back(s, v):
+    # any integer, bound or not: the digits are symmetric and exact
+    digits = poly_module._unpacked(v, s)
+    assert poly_module._packed(digits, s) == v
+    assert all(abs(d) <= 2 ** (s - 1) for d in digits)
+    assert not digits or digits[-1]
