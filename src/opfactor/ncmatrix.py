@@ -220,23 +220,24 @@ class NCMatrix(Value):
         s = _width(adj_norm * size * a_norm)
         a_at = [[_value(p, s) for p in row] for row in a]
         adj_at, det_at = _adjugate(a, s, a_at)
-        det = _unpacked_poly(det_at, s)
-        det_norm = len(det.prim) * _norm(det)
-        packs = {s: (list(zip(*a_at)), det_at)}
+        det = _reduced(_unpacked(det_at, s), 1, 1)
+        det_norm, det_len = _height([det])
+        det_norm *= det_len
+        a_packs = {s: (list(zip(*a_at)), det_at)}
         adj_packs = {s: list(zip(*adj_at))}
         first = s
 
-        def at(s):
+        def packed_a(s):
             """A' by columns and det at 2^s, packed once per width."""
-            if s not in packs:
-                packs[s] = [[_value(p, s) for p in col] for col in cleared], _value(det, s)
-            return packs[s]
+            if s not in a_packs:
+                a_packs[s] = [[_value(p, s) for p in col] for col in cleared], _value(det, s)
+            return a_packs[s]
 
-        def adj_at(s):
+        def packed_adj(s):
             """adj by columns at 2^s, packed once per width, through adj over
             Z[v] unpacked from the first width."""
             if s not in adj_packs:
-                adj_packs[s] = [[_value(_unpacked_poly(e, first), s) for e in col]
+                adj_packs[s] = [[_value(_reduced(_unpacked(e, first), 1, 1), s) for e in col]
                                 for col in adj_packs[first]]
             return adj_packs[s]
 
@@ -253,13 +254,13 @@ class NCMatrix(Value):
                 tail = det_norm * n_norm
                 s = _width(n_norm * (n_len + adj_len) * x_factor + tail)
                 ns = [y.cnum * (m // y.cden) * _packed(y.prim, s) for y in nums]
-                xs = [_unpacked(sum(map(operator.mul, ns, col)), s) for col in adj_at(s)]
+                xs = [_unpacked(sum(map(operator.mul, ns, col)), s) for col in packed_adj(s)]
                 # the certificate at the width that the unpacked x needs
                 x_norm = max([len(x) * max(max(x), -min(x)) for x in xs if x], default=0)
                 c = _width(x_norm * a_norm + tail)
                 if c != s:
                     ns = [y.cnum * (m // y.cden) * _packed(y.prim, c) for y in nums]
-                if not _holds(xs, *at(c), ns, c):
+                if not _holds(xs, *packed_a(c), ns, c):
                     raise VerificationFailed("left solve X*A = B does not hold")
                 den = lcd * det
                 out += (RationalFunction(_reduced(x, 1, m), den, var) for x in xs)
@@ -445,11 +446,6 @@ def _height(polys: list) -> tuple:
     return max([abs(p.cnum) for p in polys]) * max(max(cs), -min(cs)), max(map(len, prims))
 
 
-def _norm(p: Poly) -> int:
-    """The largest modulus of a coefficient of p over Z[v]."""
-    return abs(p.cnum) * max(map(abs, p.prim), default=0)
-
-
 def _width(bound: int) -> int:
     """The least multiple s of 64 with bound < 2^(s-1)."""
     return bound.bit_length() // 64 * 64 + 64
@@ -458,11 +454,6 @@ def _width(bound: int) -> int:
 def _value(p: Poly, s: int) -> int:
     """p(2^s) for p over Z[v]."""
     return p.cnum * _packed(p.prim, s)
-
-
-def _unpacked_poly(v: int, s: int) -> Poly:
-    """The Poly over Z[v] of the symmetric base-2^s digits of v."""
-    return _reduced(_unpacked(v, s), 1, 1)
 
 
 def _holds(xs: list, a_cols: list, det: int, ns: list, s: int) -> bool:

@@ -514,8 +514,10 @@ def _unpacked_adjugate(a, s=64):
     """`_adjugate` of a small matrix over Z[v] at 2^s, unpacked to Polys;
     2^(s-1) exceeds every coefficient of its cofactors and det."""
     adj, det = ncmatrix._adjugate(a, s, [[ncmatrix._value(p, s) for p in row] for row in a])
-    return ([[ncmatrix._unpacked_poly(e, s) for e in row] for row in adj],
-            ncmatrix._unpacked_poly(det, s))
+    def unpacked(v):
+        return ncmatrix._reduced(ncmatrix._unpacked(v, s), 1, 1)
+
+    return [[unpacked(e) for e in row] for row in adj], unpacked(det)
 
 
 def _eliminated(a, s, at):
