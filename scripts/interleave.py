@@ -32,8 +32,13 @@ order, by `process_time`.  Per workload the script prints the
 change/parent ratio of the median times, the first and third quartile of
 the per-round change/parent ratios (their spread), and the number of
 rounds in which the change took less time, and under it the base of that
-ratio: each side's median and quartiles in ms per request.  Exits 1 when
-the two digests differ.
+ratio: each side's median and quartiles in ms per request.  Each
+workload's requests are split by kernel length k: every k band is timed
+as its own pass on a fresh algebra (a repeated kernel has one k, so the
+memos see the same repeats), a workload's time is the sum of its bands,
+and a workload with more than one k gets the same lines per band; the
+counting pass also prints each band's opcodes per request, counted once
+more on the band alone.  Exits 1 when the two digests differ.
 """
 
 import argparse
@@ -142,6 +147,14 @@ def counted(api, algebra, wires):
     return base_order(answers), sum(split.values()) / n, {s: c / n for s, c in split.items()}
 
 
+def by_k(wires):
+    """The wires grouped by kernel length k, each group in serving order."""
+    groups = {}
+    for wire in wires:
+        groups.setdefault(len(wire["kernel"]), []).append(wire)
+    return dict(sorted(groups.items()))
+
+
 def timed(api, selector, wires):
     """CPU seconds to serve wires on a fresh algebra, built before the clock
     starts."""
@@ -180,25 +193,39 @@ def main():
             opcodes.append("%s %.1f" % (wl, per_request))
             splits.append("  %-12s " % wl + ", ".join(
                 "%s %.1f (%.1f%%)" % (s, c, 100 * c / per_request) for s, c in split.items()))
+            splits.append("  %-12s by k: " % wl + ", ".join(
+                "k = %d %.1f (%d requests)" % (k, counted(api, api.get_algebra(ALGEBRA[wl]), ws)[1],
+                                               len(ws)) for k, ws in by_k(wires[wl]).items()))
         digests[side] = hashlib.sha1("".join(answers).encode()).hexdigest()
         print("%-6s sha1 %s; opcodes/request %s" % (side, digests[side], ", ".join(opcodes)))
         print("\n".join(splits))
-    times = {wl: {"parent": [], "change": []} for wl in gen.WORKLOADS}
+    groups = {(wl, k): ws for wl in gen.WORKLOADS for k, ws in by_k(wires[wl]).items()}
+    times = {key: {"parent": [], "change": []} for key in groups}
     for r in range(args.rounds):
         for side in ("parent", "change")[::1 if r % 2 == 0 else -1]:
-            for wl in gen.WORKLOADS:
-                times[wl][side].append(timed(apis[side], ALGEBRA[wl], wires[wl]))
-    for wl, t in times.items():
-        ratio = statistics.median(t["change"]) / statistics.median(t["parent"])
-        _, low, high = quartiles([c / p for p, c in zip(t["parent"], t["change"])])
-        wins = sum(c < p for p, c in zip(t["parent"], t["change"]))
-        print("%-12s change/parent %.3f (per-round quartiles %.3f, %.3f), "
-              "change won %d of %d rounds" % (wl, ratio, low, high, wins, args.rounds))
-        n = len(wires[wl])
-        print(" " * 13 + "; ".join(
-            "%s %.4f ms/request (quartiles %.4f, %.4f)"
-            % (side, *quartiles([1000 * s / n for s in t[side]])) for side in ("parent", "change")))
+            for key, ws in groups.items():
+                times[key][side].append(timed(apis[side], ALGEBRA[key[0]], ws))
+    for wl in gen.WORKLOADS:  # a workload's pass is the sum of its k bands
+        keys = [key for key in groups if key[0] == wl]
+        report(wl, {side: [sum(ts) for ts in zip(*(times[key][side] for key in keys))]
+                    for side in ("parent", "change")}, len(wires[wl]), args.rounds)
+        for key in keys if len(keys) > 1 else ():
+            report(key, times[key], len(groups[key]), args.rounds)
     return 0 if digests["parent"] == digests["change"] else 1
+
+
+def report(key, t, n, rounds):
+    """Print the change/parent line of a workload, or of one of its k
+    bands, and under it the base of that ratio, for n requests."""
+    name = key if isinstance(key, str) else "%s k=%d" % key
+    ratio = statistics.median(t["change"]) / statistics.median(t["parent"])
+    _, low, high = quartiles([c / p for p, c in zip(t["parent"], t["change"])])
+    wins = sum(c < p for p, c in zip(t["parent"], t["change"]))
+    print("%-12s change/parent %.3f (per-round quartiles %.3f, %.3f), "
+          "change won %d of %d rounds" % (name, ratio, low, high, wins, rounds))
+    print(" " * 13 + "; ".join(
+        "%s %.4f ms/request (quartiles %.4f, %.4f)"
+        % (side, *quartiles([1000 * s / n for s in t[side]])) for side in ("parent", "change")))
 
 
 if __name__ == "__main__":
