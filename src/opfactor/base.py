@@ -10,11 +10,11 @@ this interface:
   * the constants zero() and one(), built once per algebra, on first use,
     from from_fraction and then shared (the arithmetic is the elements'
     own); likewise, on first use, two empty memos: `_kernel_memo`, the
-    solved kernels that KernelContext fills (see the factorization
-    module), and `_element_memo`, the value of each element text that
-    parse_element has read (see the parsing module).  Each keeps at most
-    MEMO_SIZE entries, and `remember` stores every entry of both,
-    evicting the oldest first,
+    one shared attribute dict of the KernelContexts of each solved
+    kernel (see the factorization module), and `_element_memo`, the
+    value of each element text that parse_element has read (see the
+    parsing module).  Each keeps at most MEMO_SIZE entries, and
+    `remember` stores every entry of both, evicting the oldest first,
   * the endomorphism itself,
   * a twist: for every f a pair (p, q) with
 
@@ -162,8 +162,9 @@ class Algebra(ABC):
 
     @cached_property
     def _kernel_memo(self) -> dict:
-        """The solved kernels of this instance, built on first use and
-        filled by KernelContext (see the factorization module)."""
+        """The solved kernels of this instance, built on first use: the
+        attribute dict that KernelContexts of equal elements share, keyed
+        by the hash of the element tuple (see the factorization module)."""
         return {}
 
     @cached_property

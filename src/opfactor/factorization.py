@@ -45,21 +45,25 @@ endo_order powers too high fails it.  A failed identity raises
 VerificationFailed, naming it, rather than returning a wrong answer; only
 an elimination that finds Phi singular raises NotInvertible.
 
-K depends on the algebra and the f_i alone, so each algebra instance
-keeps a memo of solved kernels (`Algebra._kernel_memo`), at most
-MEMO_SIZE of them, the oldest evicted first by the helper the element
-memo shares (`base.remember`).  An entry holds Phi, its
-left solve, the images endo^k(f_i), K, the shifted divisors
-[K, endo . K, ...], which every division through a context of those
-elements reads and grows, and Phi^-1 with the duals P once a context has
-solved them: an entry keeps one shifted divisor per power its divisions
-have used, up to the degree of the largest quotient.  It is stored only
+K, and with it Phi, its solve, Phi^-1 and the P_i, depends on the
+algebra and the f_i alone, so every context of equal elements on one
+algebra object is the same context, and they share one attribute dict.
+Each algebra instance keeps a memo of those dicts (`Algebra._kernel_memo`),
+keyed by the hash of the element tuple, at most MEMO_SIZE of them, the
+oldest evicted first by the helper the element memo shares
+(`base.remember`).  The memo holds nothing else.  A state holds the
+algebra, the elements f and their number k, Phi, its left solve, the
+images endo^k(f_i), K and the shifted divisors [K, endo . K, ...], which
+every division through a context of those elements reads and grows, one
+per power its divisions have used, up to the degree of the largest
+quotient; Phi^-1 and the duals P join it when any context first reads
+them, once the certificate of Phi^-1 has passed.  A state is stored only
 once K's solve certificate has passed, so a kernel that raises is never
-stored, and Phi^-1 joins it only once its own certificate has passed.  A
-second context for equal elements on the same algebra object takes the
-entry and solves nothing; every division it makes is still certified.
-Since the operators K and P_i are the entry's own objects, the texts
-`parsing.operator_to_json` keeps on them are rendered once per entry.
+stored.  A second context for equal elements on the
+same algebra object takes the state and solves nothing; every division
+it makes is still certified.  Since the operators K and P_i are the
+state's own objects, the texts `parsing.operator_to_json` keeps on them
+are rendered once per kernel.
 """
 
 from __future__ import annotations
@@ -96,14 +100,15 @@ class KernelContext:
     elimination proves.
 
     The construction first checks each element, then looks the tuple up
-    in the algebra's memo (see the module docstring).  On a hit it takes
-    Phi, the solve, the images, K and the shifted divisors of the first
-    context built for equal elements, whose solve certificate has
-    passed; on a miss it builds them as above and stores them.  The
+    in the algebra's memo (see the module docstring).  On a hit the
+    context takes as its attribute dict the state of the first context
+    built for equal elements, whose solve certificate has passed; on a
+    miss it builds its attributes as above and stores its own dict.  The
     divisions share the shifted divisors [K, endo . K, ...] and grow
     them, so K is twisted once per power per kernel; dhat reads them and
     twists any higher power on a copy.  Phi^-1 and P are solved by the
-    first context that reads them and kept with the entry for the rest.
+    first context that reads them, and every other context of the kernel
+    reads them from the shared state.
     """
 
     def __init__(self, algebra: Algebra, elements: Sequence):
@@ -112,18 +117,15 @@ class KernelContext:
             raise ValueError("at least one kernel element is required")
         for f in elements:
             algebra.check(f)
-        self.algebra = algebra
-        self.f = elements
-        k = len(elements)
-        self.k = k
-
         memo = algebra._kernel_memo
         key = hash(elements)
-        entry = memo.get(key)
-        if entry is not None and entry[0] == elements:
-            (_, self.phi, self._solve, self.f_image, self.K, self._shifted,
-             self._inverse) = entry
+        state = memo.get(key)
+        if state is not None and state["f"] == elements:
+            self.__dict__ = state
             return
+        self.algebra = algebra
+        self.f = elements
+        k = self.k = len(elements)
         # iterated images rows[l][i] = endo^l(f_i), l = 0 .. k
         rows = [list(elements)]
         for _ in range(k):
@@ -133,30 +135,20 @@ class KernelContext:
         self.f_image = tuple(rows[k])
         self.K = Operator.d(algebra, k) - self.interpolate(self.f_image)
         self._shifted = [self.K]
-        self._inverse = []
-        remember(memo, key, (elements, self.phi, self._solve, self.f_image, self.K,
-                             self._shifted, self._inverse))
+        remember(memo, key, self.__dict__)
 
     @cached_property
     def phi_inv(self) -> NCMatrix:
-        """The certified two-sided inverse of Phi, solved on first use.
-        The memo entry keeps it for every context of these elements once
-        its certificate has passed; a solve that raises stores nothing."""
-        inverse = self._inverse
-        if not inverse:
-            inverse.append(self._solve(NCMatrix.identity(self.algebra, self.k)))
-        return inverse[0]
+        """The certified two-sided inverse of Phi, solved on first use and
+        kept in the shared state; a solve that raises stores nothing."""
+        return self._solve(NCMatrix.identity(self.algebra, self.k))
 
     @cached_property
     def P(self) -> Tuple[Operator, ...]:
         """The dual operators, the rows of Phi^-1, built on first use and
-        kept with it in the memo entry."""
-        inverse = self._inverse
-        if len(inverse) < 2:
-            inv = self.phi_inv
-            inverse.append(tuple(Operator._trusted(self.algebra, row)
-                                 for row in map(inv.row, range(self.k))))
-        return inverse[1]
+        kept in the shared state."""
+        inv = self.phi_inv
+        return tuple(Operator._trusted(self.algebra, row) for row in map(inv.row, range(self.k)))
 
     # the second spanning family
 

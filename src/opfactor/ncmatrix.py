@@ -34,10 +34,11 @@ taken on the integers: [[d, -b], [-c, a]] for A' = [[a, b], [c, d]], so
 only det is a product, and the nine 2x2 minors for n = 3, with det
 expanded along the first row from three of them.  For n <= 1, for n >= 4
 and for every singular A' (det = 0 at 2^s, so det = 0) it comes from
-fraction-free Gauss-Jordan on [A' | I] over Z[v], packed
-(Bareiss, Math. Comp. 22, 1968), which pivots on the first nonzero entry
+fraction-free Gauss-Jordan on [A' | I] (Bareiss, Math. Comp. 22, 1968),
+which eliminates over Z[v], on Polys, pivots on the first nonzero entry
 at or below the diagonal, divides each update exactly by the previous
-pivot and ends at [det*I | adj] with det nonzero.  By Sylvester's identity
+pivot and ends at [det*I | adj] with det nonzero; only that result, adj
+and det, is packed at 2^s.  By Sylvester's identity
 each entry scanned for a pivot is a nonzero multiple (column scales times
 the previous pivot) of the one Gauss-Jordan over Q(v) scans, so both stop
 at the same column, where A is singular, and the elimination names that
@@ -237,7 +238,7 @@ class NCMatrix(Value):
             """adj by columns at 2^s, packed once per width, through adj over
             Z[v] unpacked from the first width."""
             if s not in adj_packs:
-                adj_packs[s] = [[_value(_reduced(_unpacked(e, first), 1, 1), s) for e in col]
+                adj_packs[s] = [[_packed(_unpacked(e, first), s) for e in col]
                                 for col in adj_packs[first]]
             return adj_packs[s]
 
@@ -363,7 +364,8 @@ def _adjugate(a: list, s: int, at: list):
     coefficient of a cofactor and of det: for n = 2 and 3 the cofactors,
     with det expanded along the first row ([[d, -b], [-c, a]] for n = 2);
     for n <= 1, for n >= 4 and for every singular a, fraction-free
-    Gauss-Jordan's, packed, so that NotInvertible comes only from the
+    Gauss-Jordan's, which eliminates over Poly in Z[v] and whose result
+    alone is packed at 2^s, so that NotInvertible comes only from the
     elimination."""
     n = len(a)
     if n == 2:

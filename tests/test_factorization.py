@@ -689,7 +689,24 @@ def test_a_repeated_kernel_keeps_its_certified_inverse(make, selector):
     assert [p.apply(f) for p in second.P for f in second.f] == [
         algebra.one() if i == j else algebra.zero()
         for i in range(second.k) for j in range(second.k)]
-    assert algebra._kernel_memo[hash(first.f)][6] == [first.phi_inv, duals]
+    state = algebra._kernel_memo[hash(first.f)]
+    assert [state["phi_inv"], state["P"]] == [first.phi_inv, duals]
+
+
+@MAKERS
+def test_a_later_context_shares_what_it_solves_with_an_earlier_one(monkeypatch, make,
+                                                                    selector):
+    algebra = get_algebra(selector)
+    first = make(algebra)
+    second = make(algebra)
+    assert "P" not in vars(first) and "phi_inv" not in vars(first)
+    duals = second.P
+    solves = _calls(monkeypatch, second, "_solve")
+    assert first.P is duals and first.phi_inv is second.phi_inv
+    assert solves == []
+    assert [p.apply(f) for p in first.P for f in first.f] == [
+        algebra.one() if i == j else algebra.zero()
+        for i in range(first.k) for j in range(first.k)]
 
 
 def test_a_failed_inverse_is_never_stored():
@@ -701,7 +718,8 @@ def test_a_failed_inverse_is_never_stored():
         ctx = KernelContext(algebra, elements)
         with pytest.raises(VerificationFailed, match=r"^left solve X\*A = B does not hold$"):
             ctx.P
-        assert algebra._kernel_memo[hash(ctx.f)][6] == []
+        state = algebra._kernel_memo[hash(ctx.f)]
+        assert "phi_inv" not in state and "P" not in state
 
 
 def test_kernel_memos_are_per_algebra_instance(monkeypatch):
@@ -714,7 +732,7 @@ def test_kernel_memos_are_per_algebra_instance(monkeypatch):
     assert endos and str(half.K) != str(first.K)
     assert all(half.K.apply(f).is_zero() for f in half.f)
     memos = [ctx.algebra._kernel_memo for ctx in (first, fresh, half)]
-    assert [[entry[4] for entry in memo.values()] for memo in memos] == [
+    assert [[state["K"] for state in memo.values()] for memo in memos] == [
         [first.K], [fresh.K], [half.K]]
 
 
@@ -760,7 +778,7 @@ def test_the_kernel_memo_keeps_at_most_its_bound(monkeypatch):
     for count, f in enumerate(powers, 1):
         KernelContext(algebra, [f])
         assert len(memo) == min(count, MEMO_SIZE)
-    assert [entry[0] for entry in memo.values()] == [(f,) for f in powers[-MEMO_SIZE:]]
+    assert [state["f"] for state in memo.values()] == [(f,) for f in powers[-MEMO_SIZE:]]
     # the oldest went first, so it is solved again
     endos = _calls(monkeypatch, type(algebra), "endo")
     KernelContext(algebra, [powers[0]])
@@ -776,7 +794,7 @@ def test_a_colliding_memo_entry_is_recomputed_and_replaced():
     ctx = KernelContext(algebra, elements)
     assert ctx.K == ctx_qx(get_algebra("qx")).K
     assert list(memo) == [hash(elements)]
-    assert memo[hash(elements)][0] == elements and memo[hash(elements)][4] is ctx.K
+    assert memo[hash(elements)]["f"] == elements and memo[hash(elements)]["K"] is ctx.K
 
 
 def test_divisions_through_one_context_twist_k_once_per_power(monkeypatch):
@@ -811,7 +829,7 @@ def test_the_memo_keeps_one_shifted_divisor_per_power_divided():
     high = ctx.dhat(ctx.k + 9)
     assert high.coeffs == Operator.d(algebra, 9).compose(ctx.K).coeffs
     assert len(ctx._shifted) == 6
-    assert algebra._kernel_memo[hash(ctx.f)][5] is ctx._shifted
+    assert algebra._kernel_memo[hash(ctx.f)]["_shifted"] is ctx._shifted
 
 
 def test_a_rejection_formats_each_offender_once(monkeypatch):

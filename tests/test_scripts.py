@@ -1,5 +1,6 @@
 """The code-line count of scripts/bench_pairs.py, which a BENCH file records
-as `src_lines.code_added` and `code_removed`."""
+as `src_lines.code_added` and `code_removed`, and the stage hooks of
+scripts/interleave.py."""
 
 import sys
 from pathlib import Path
@@ -40,3 +41,13 @@ def test_code_lines_added_and_removed():
     assert bench_pairs.code_diff(OLD, new) == (3, 1)
     assert bench_pairs.code_diff(new, OLD) == (1, 3)
     assert bench_pairs.code_diff("", OLD) == (3, 0)
+
+
+def test_interleave_resolves_every_stage_entry_point():
+    import interleave
+    import opfactor
+
+    entries = interleave.entry_points(opfactor)
+    assert sorted(code.co_name for code in entries) == [
+        "P", "__init__", "factorize", "operator_to_json", "parse_element", "parse_operator"]
+    assert set(entries.values()) == set(interleave.STAGES[:4]) | {"printing"}
