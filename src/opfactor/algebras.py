@@ -10,10 +10,12 @@ c5        group ring Z[C5]         the automorphism r -> r^2
 The first three are division rings (every nonzero element inverts), the
 group ring is not.  In the group ring the endomorphism has order 4, and
 that order is declared so the operator layer can fold exponents.  Each
-algebra declares its element class, and builds from that class its
-from_fraction and the parser's symbols; zero and one come from
-from_fraction (see the base module).  quat builds its components from
-the constants of one shared qx instance.
+algebra declares its element class, its atoms and the one builder of its
+elements from (unit, exponent, coefficient) terms, `_from_terms`: qx and
+diff a numerator over a power of the variable, quat one such function
+per unit, c5 its five integers.  The parser, from_fraction, symbols(),
+zero and one all build through it (see the base module).  quat builds
+its components with the builder and the zero of one shared qx instance.
 
 Twist pairs, satisfying endo(f*g) = p*endo(g) + q*g:
 
@@ -25,13 +27,16 @@ Twist pairs, satisfying endo(f*g) = p*endo(g) + q*g:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .base import Algebra, TwistPair
 from .formatting import fraction_text
 from .groupring import GroupRingC5Element
-from .poly import Poly
+from .poly import Poly, _new, _reduced
 from .quaternion import Quaternion
 from .ratfunc import RationalFunction
+
+_ONE_POLY = Poly.one()
 
 
 class RationalFunctionAlgebra(Algebra):
@@ -42,11 +47,27 @@ class RationalFunctionAlgebra(Algebra):
     element = RationalFunction
     commutative = True
 
-    def from_fraction(self, q):
-        return RationalFunction._canonical(Poly.constant(q), Poly.one(), self.variable)
-
-    def symbols(self):
-        return {self.variable: RationalFunction._canonical(Poly.variable(), Poly.one(), self.variable)}
+    def _from_terms(self, terms):
+        """The sum of c*v^e over (unit, e, c) terms of distinct exponents,
+        as a numerator over v^m, m the size of the least exponent when it is
+        negative.  The numerator's constant coefficient is then nonzero, so
+        the two are coprime and the form is canonical as built."""
+        if not terms:
+            return RationalFunction._canonical(Poly.zero(), _ONE_POLY, self.variable)
+        if len(terms) == 1:
+            _, e, c = terms[0]
+            m = -e if e < 0 else 0
+            num = _new((0,) * (e + m) + (1,), c.numerator, c.denominator)
+        else:
+            low = min([e for _, e, _ in terms])
+            m = -low if low < 0 else 0
+            den = lcm(*[c.denominator for _, _, c in terms])
+            cs = [0] * (max([e for _, e, _ in terms]) + m + 1)
+            for _, e, c in terms:
+                cs[e + m] = c.numerator * (den // c.denominator)
+            num = _reduced(cs, 1, den)
+        den = _new((0,) * m + (1,), 1, 1) if m else _ONE_POLY
+        return RationalFunction._canonical(num, den, self.variable)
 
 
 class _Derivation:
@@ -65,6 +86,7 @@ class DifferentialRationalAlgebra(_Derivation, RationalFunctionAlgebra):
 
     name = "qx"
     variable = "x"
+    atoms = {"x": (0, 0, 1, 1)}
 
 
 _QX = DifferentialRationalAlgebra()
@@ -77,19 +99,16 @@ class QuaternionDifferentialAlgebra(_Derivation, Algebra):
     name = "quat"
     element = Quaternion
     variable = "x"
+    atoms = {"x": (0, 0, 1, 1), "i": (0, 1, 0, 1), "j": (0, 2, 0, 1), "k": (0, 3, 0, 1)}
 
-    def from_fraction(self, q):
-        terms = ((0, _QX.from_fraction(q)),) if q else ()
-        return Quaternion._trusted(terms, _QX.zero())
-
-    def symbols(self):
-        z, o = _QX.zero(), _QX.one()
-        return {
-            self.variable: Quaternion._trusted(((0, _QX.symbols()[self.variable]),), z),
-            "i": Quaternion._trusted(((1, o),), z),
-            "j": Quaternion._trusted(((2, o),), z),
-            "k": Quaternion._trusted(((3, o),), z),
-        }
+    def _from_terms(self, terms):
+        units = {}
+        for t in terms:
+            units.setdefault(t[0], []).append(t)
+        return Quaternion._trusted(
+            tuple([(u, _QX._from_terms(units[u])) for u in sorted(units)]),
+            _QX.zero(),
+        )
 
 
 class DifferenceAlgebra(RationalFunctionAlgebra):
@@ -104,6 +123,7 @@ class DifferenceAlgebra(RationalFunctionAlgebra):
 
     name = "diff"
     variable = "n"
+    atoms = {"n": (0, 0, 1, 1)}
 
     def __init__(self, c: Fraction = Fraction(1)):
         self.c = Fraction(c)
@@ -132,6 +152,8 @@ class GroupRingC5Algebra(Algebra):
     element = GroupRingC5Element
     endo_order = 4
     commutative = True
+    atoms = {"r": (0, 0, 1, 1)}
+    period = 5  # r has order 5
 
     def from_fraction(self, q):
         q = Fraction(q)
@@ -139,7 +161,13 @@ class GroupRingC5Algebra(Algebra):
             raise ValueError(
                 "%s is not integral, the group ring contains only integers" % q
             )
-        return GroupRingC5Element((int(q), 0, 0, 0, 0))
+        return super().from_fraction(q)
+
+    def _from_terms(self, terms):
+        cs = [0] * 5
+        for _, e, c in terms:
+            cs[e] = c
+        return GroupRingC5Element._trusted(tuple(cs))
 
     def endo(self, f):
         self.check(f)
@@ -147,9 +175,6 @@ class GroupRingC5Algebra(Algebra):
 
     def twist(self, f):
         return TwistPair(self.endo(f), self.zero())
-
-    def symbols(self):
-        return {"r": GroupRingC5Element._trusted((0, 1, 0, 0, 0))}
 
 
 # in this order argparse lists the choices, as {qx,quat,diff,c5}

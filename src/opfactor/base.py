@@ -32,6 +32,17 @@ their `var`: None on the group ring, whose elements declare `var = None`.
 at its first check.  The one membership test, `check`, raises
 MixedAlgebras unless a value is an `element` whose `var` is `variable`.
 
+An algebra builds its own elements.  It declares `atoms`, the monomial
+(power of D, unit, exponent, coefficient) of each symbol of its texts;
+`period`, the order of its variable (5 on the group ring, whose r^5 = 1),
+0 for none; and `_from_terms(terms)`, the one builder of an element from
+its (unit, exponent, coefficient) terms, zero for none.  The parser reads
+all three (see the parsing module), and `from_fraction` (the one term
+q*v^0) and `symbols()` (each atom's term) are built through the builder
+here, once for every algebra; the group ring only refuses a q that is
+not integral.  The atoms of an operator text, with `D`, are built once
+per class.
+
 Values are checked where they enter:
 the public constructors, the parser, KernelContext, the arguments of
 scale_left, apply and interpolate, and the endo, try_invert and
@@ -123,6 +134,15 @@ class Algebra(ABC):
     variable: Optional[str] = None
     endo_order: Optional[int] = None
     commutative: bool = False
+    # the monomial (power of D, unit, exponent, coefficient) of each symbol
+    atoms: Dict[str, tuple] = {}
+    # the period of the exponents of the variable, 0 for none
+    period: int = 0
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the atoms of an operator text, `D` included, built once per class
+        cls._operator_atoms = dict(cls.atoms, D=(1, 0, 0, 1))
 
     # identity and membership
 
@@ -173,9 +193,12 @@ class Algebra(ABC):
         instance, built on first use (see the parsing module)."""
         return {}
 
-    @abstractmethod
-    def from_fraction(self, q: Fraction):
-        """Embed a rational scalar, when the algebra contains it."""
+    def from_fraction(self, q):
+        """Embed a rational scalar, anything Fraction takes, as the one
+        term q*v^0 of the builder (an int when q is integral)."""
+        q = Fraction(q)
+        c = q.numerator if q.denominator == 1 else q
+        return self._from_terms(((0, 0, c),) if c else ())
 
     # the endomorphism and its twist
 
@@ -194,8 +217,13 @@ class Algebra(ABC):
     # parsing and printing hooks
 
     @abstractmethod
+    def _from_terms(self, terms):
+        """The element sum of c*v^e*u over (u, e, c) terms, nonzero c of
+        distinct (u, e); zero for no terms."""
+
     def symbols(self) -> Dict[str, Any]:
         """Named atoms the expression grammar may use in this algebra."""
+        return {name: self._from_terms(((u, e, c),)) for name, (_, u, e, c) in self.atoms.items()}
 
     def format_element(self, f) -> str:
         self.check(f)

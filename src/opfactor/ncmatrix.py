@@ -80,8 +80,9 @@ division ring a column has no pivot exactly when it lies in the right
 span of the columns before it, so the elimination fails at the first
 such column and finds X whenever A is invertible.
 
-_dot computes every sum of products of entries, starting from its first
-product.
+_dot sums products of algebra entries, starting from its first product,
+for NCMatrix.__mul__ and _charpoly; the Q(v) solve sums its packed
+integers with sum(map(operator.mul, ...)).
 
 NCMatrix is a value class in the package's one slotted idiom (see the base
 module), immutable by convention.

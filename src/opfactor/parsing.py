@@ -23,6 +23,10 @@ or at the `*` or `/` that crosses it.
 SYMBOL is a single letter owned by the algebra: `x` (and `i j k` for the
 quaternions), `n` for the difference algebra, `r` for the group ring.
 `D` denotes the endomorphism and is only legal when parsing operators.
+The parser keeps no table of its own: it reads each symbol's monomial
+from the algebra's `atoms` (with `D`, its `_operator_atoms`), the period
+of the exponents from its `period` and builds coefficients with its
+`_from_terms` (see the base module), so a subclass parses as its base.
 
 A value is a sum of monomials c * v^e * u * D^d: v is the algebra's
 variable (`x`, `n` or `r`), u the quaternion unit 0-3 for 1, i, j, k (0
@@ -59,12 +63,13 @@ changes no value, message or position: a dict only skips the element
 arithmetic whose result it already holds.
 
 At the end of a parse each coefficient of a dict is built once, in
-canonical form: the terms of one unit are a numerator over v^m, m the
-size of the most negative exponent, whose constant term is then
-nonzero, so numerator and denominator are coprime; a group ring
-coefficient is its five ints; a coefficient 1 is the algebra's shared
-`one()` and a missing one its `zero()`.  Element parsing runs the same
-evaluator with `D` disabled, so its value is never an operator.
+canonical form, by the algebra's `_from_terms`: the terms of one unit
+are a numerator over v^m, m the size of the most negative exponent,
+whose constant term is then nonzero, so numerator and denominator are
+coprime; a group ring coefficient is its five ints; a coefficient 1 is
+the algebra's shared `one()` and a missing one its `zero()`.  Element
+parsing runs the same evaluator with `D` disabled, so its value is never
+an operator.
 
 The text is read by one scan that refuses a stray character and one
 that lists the tokens as plain strings.  A token's position is found
@@ -89,18 +94,14 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
-from math import lcm
 from typing import Optional
 
 from .algebras import get_algebra
 from .base import Algebra, remember
 from .errors import NotAUnit, ParseError
 from .formatting import fraction_text
-from .groupring import GroupRingC5Element
 from .operators import Operator
-from .poly import Poly, _new, _reduced
-from .quaternion import _UNIT_PRODUCTS, Quaternion
-from .ratfunc import RationalFunction
+from .quaternion import _UNIT_PRODUCTS
 
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z]|[\^*/+()-]|\S")
 
@@ -126,63 +127,6 @@ MAX_EXPONENT = 4300
 _RATIONAL = re.compile(r"\s*[-+]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
                        r"(?:[eE][-+]?0*(?P<exp>[0-9]+))?)\s*", re.ASCII)
 
-_ONE_POLY = Poly.one()
-
-
-def _ratfunc(algebra: Algebra, terms) -> RationalFunction:
-    """The sum of c*v^e over (unit, e, c) terms of distinct exponents,
-    as a numerator over v^m, m the size of the least exponent when it is
-    negative.  The numerator's constant coefficient is then nonzero, so
-    the two are coprime and the form is canonical as built."""
-    if len(terms) == 1:
-        _, e, c = terms[0]
-        m = -e if e < 0 else 0
-        num = _new((0,) * (e + m) + (1,), c.numerator, c.denominator)
-    else:
-        low = min([e for _, e, _ in terms])
-        m = -low if low < 0 else 0
-        den = lcm(*[c.denominator for _, _, c in terms])
-        cs = [0] * (max([e for _, e, _ in terms]) + m + 1)
-        for _, e, c in terms:
-            cs[e + m] = c.numerator * (den // c.denominator)
-        num = _reduced(cs, 1, den)
-    den = _new((0,) * m + (1,), 1, 1) if m else _ONE_POLY
-    return RationalFunction._canonical(num, den, algebra.variable)
-
-
-def _quaternion(algebra: Algebra, terms) -> Quaternion:
-    units = {}
-    for t in terms:
-        units.setdefault(t[0], []).append(t)
-    return Quaternion._trusted(
-        tuple([(u, _ratfunc(algebra, units[u])) for u in sorted(units)]),
-        algebra.zero().zero,
-    )
-
-
-def _group_ring(algebra: Algebra, terms) -> GroupRingC5Element:
-    cs = [0] * 5
-    for _, e, c in terms:
-        cs[e] = c
-    return GroupRingC5Element._trusted(tuple(cs))
-
-
-# per algebra: the monomial (power of D, unit, exponent, coefficient) of
-# each symbol, without and with `D`, the builder of a coefficient from its
-# (unit, exponent, coefficient) terms, and the period of the exponents
-# (the group ring's r has order 5), 0 for none
-_FORMS = {
-    name: (keys, dict(keys, D=(1, 0, 0, 1)), build, period)
-    for name, keys, build, period in (
-        ("qx", {"x": (0, 0, 1, 1)}, _ratfunc, 0),
-        ("quat", {"x": (0, 0, 1, 1), "i": (0, 1, 0, 1), "j": (0, 2, 0, 1),
-                  "k": (0, 3, 0, 1)}, _quaternion, 0),
-        ("diff", {"n": (0, 0, 1, 1)}, _ratfunc, 0),
-        ("c5", {"r": (0, 0, 1, 1)}, _group_ring, 5),
-    )
-}
-
-
 class _Parser:
     def __init__(self, text: str, algebra: Algebra, allow_d: bool):
         # a character outside the token classes is refused at once, unless
@@ -197,8 +141,8 @@ class _Parser:
         self.tokens = _TOKEN.findall(text) + [""]
         self.pos = 0  # index of the current token
         self.depth = 0  # open parentheses around the current token
-        keys, d_keys, self.build, self.period = _FORMS[algebra.name]
-        self.keys = d_keys if allow_d else keys
+        self.keys = algebra._operator_atoms if allow_d else algebra.atoms
+        self.period = algebra.period
 
     def _error(self, message: str, index: int) -> ParseError:
         """A ParseError at token `index`: the start of that token's match,
@@ -219,7 +163,7 @@ class _Parser:
         one power of D; a 1 is the algebra's shared one()."""
         if len(terms) == 1 and terms[0] == (0, 0, 1):
             return self.algebra.one()
-        return self.build(self.algebra, terms)
+        return self.algebra._from_terms(terms)
 
     def _operator(self, value) -> Operator:
         """The Operator of a value, a dict built one coefficient per power."""

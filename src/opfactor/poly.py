@@ -48,26 +48,27 @@ Arithmetic runs on the integer tuples (Knuth, TAOCP vol. 2, 4.6.1):
          irreducible;
       3. GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989;
          Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
-         ch. 7): evaluate both at xi = 2 * min(|a|, |b|) + 29 in the max
-         norm and take h = igcd(a(xi), b(xi)).  A root of a common
-         factor is a root of both, so its modulus is below
-         1 + min(|a|, |b|) <= xi / 2; a nonconstant common factor, whose
-         value at xi divides h, therefore exceeds xi / 2 there, and
-         2h <= xi proves the pair coprime.  Otherwise the primitive part
-         of h written in symmetric base-xi digits (each of modulus at most
-         xi / 2) is the gcd exactly when it divides both, which
-         pseudo-division checks.  Both arguments need
-         xi >= 2 * min(|a|, |b|) + 2, so xi is never chosen smaller;
+         ch. 7): evaluate both at xi = 2^t, the least power of two
+         >= 2 * min(|a|, |b|) + 29 in the max norm, by `_packed`, and
+         take h = igcd(a(xi), b(xi)).  A root of a common factor is a
+         root of both, so its modulus is below 1 + min(|a|, |b|) <=
+         xi / 2; a nonconstant common factor, whose value at xi divides
+         h, therefore exceeds xi / 2 there, and 2h <= xi proves the pair
+         coprime.  Otherwise the primitive part of h's symmetric base-xi
+         digits, read by `_unpacked` (each of modulus at most xi / 2),
+         is the gcd exactly when it divides both, which pseudo-division
+         checks.  Both arguments need only xi >= 2 * min(|a|, |b|) + 2;
       4. when that check fails, the primitive PRS: Euclid on
          pseudo-remainders, each cut to its primitive part.
   * `_packed(cs, s)` is the integer cs(2^s) of integer coefficients, by
     Horner's rule with shifts, and `_unpacked(v, s)` reads back its
     symmetric base-2^s digits, each of modulus at most 2^(s-1).  When
     every coefficient of cs is below 2^(s-1) in modulus the digits are cs
-    exactly (step 3 above makes the same argument for xi), so a product
-    or a dot product of polynomials can run as one product of packed
-    integers (Kronecker substitution; Harvey, J. Symbolic Comput. 44,
-    2009).  The Q(v) solves of the ncmatrix module run this way.
+    exactly, so a product or a dot product of polynomials can run as one
+    product of packed integers (Kronecker substitution; Harvey, J.
+    Symbolic Comput. 44, 2009).  The Q(v) solves of the ncmatrix module
+    run this way, and GCDHEU (step 3 above) evaluates and reads its
+    digits through the same pair at s = t.
   * The Taylor shift x -> x + 1 is an automorphism of Z[x], so it keeps
     the tuple primitive and the content as it is.  A derivative scales
     the tuple and takes the content out again.
@@ -381,14 +382,6 @@ def _pseudo_divide(a: tuple, b: tuple):
     return quot, rem, scale
 
 
-def _value_at(p: tuple, x: int) -> int:
-    """p(x) by Horner's rule."""
-    v = 0
-    for c in reversed(p):
-        v = v * x + c
-    return v
-
-
 def _packed(cs, s: int) -> int:
     """The integer cs(2^s) for integer coefficients cs, low degree first,
     by Horner's rule with shifts."""
@@ -418,18 +411,12 @@ def _heuristic_gcd(a: tuple, b: tuple):
     """GCDHEU, step 3 of the gcd, on primitive tuples with len(a) >=
     len(b) >= 2: the monic gcd, or None when the reconstructed candidate
     does not divide both."""
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
-    h = gcd(_value_at(a, xi), _value_at(b, xi))
-    if 2 * h <= xi:
+    # xi = 2^t, the least power of two >= 2 * min(|a|, |b|) + 29
+    t = (2 * min(max(map(abs, a)), max(map(abs, b))) + 28).bit_length()
+    h = gcd(_packed(a, t), _packed(b, t))
+    if h <= 1 << (t - 1):
         return _ONE
-    digits = []
-    while h:
-        d = h % xi
-        if 2 * d > xi:
-            d -= xi
-        digits.append(d)
-        h = (h - d) // xi
-    g = _reduced(digits, 1, 1).prim
+    g = _reduced(_unpacked(h, t), 1, 1).prim
     if (
         len(g) <= len(b)
         and not any(_pseudo_divide(a, g)[1])

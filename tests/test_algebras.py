@@ -7,9 +7,11 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from opfactor import (
-    SELECTORS, Algebra, DifferenceAlgebra, MixedAlgebras, NotAUnit, Poly, RationalFunction, get_algebra,
+    SELECTORS, Algebra, DifferenceAlgebra, DifferentialRationalAlgebra, GroupRingC5Algebra,
+    KernelContext, MixedAlgebras, NotAUnit, Poly, RationalFunction, get_algebra,
 )
 from opfactor import algebras
+from opfactor.parsing import parse_element, parse_operator
 
 from helpers import (
     ALL_ALGEBRAS, C5, DIFF1, QUAT, QX, CountingQX, elements, rand_element, rand_unit,
@@ -147,7 +149,7 @@ def test_element_arithmetic_rejects_other_algebras(left, right):
 
 def test_c5_scalars_must_be_integral():
     assert C5.from_fraction(Fraction(3)) == C5.one() * C5.from_fraction(Fraction(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^1/2 is not integral, the group ring contains only integers$"):
         C5.from_fraction(Fraction(1, 2))
 
 
@@ -235,3 +237,50 @@ def test_check_needs_a_declared_element_class():
     undeclared = types.SimpleNamespace(variable=None, describe=lambda: "undeclared")
     with pytest.raises(AttributeError, match="element"):
         Algebra.check(undeclared, C5.one())
+
+
+@pytest.mark.parametrize(
+    "algebra", ALL_ALGEBRAS + (DifferenceAlgebra(Fraction(-1, 2)),),
+    ids=["qx", "quat", "diff", "c5", "diff-c=-1/2"],
+)
+def test_the_parser_from_fraction_and_symbols_share_one_table(algebra):
+    """Each atom parses to its symbol, and each rational is the parse of
+    its text: both go through the algebra's one builder."""
+    symbols = algebra.symbols()
+    assert symbols.keys() == algebra.atoms.keys()
+    for name in algebra.atoms:
+        assert parse_element(name, algebra) == symbols[name]
+    for q in (Fraction(0), Fraction(1), Fraction(-3, 4), Fraction(5)):
+        if algebra is not C5 or q.denominator == 1:
+            assert algebra.from_fraction(q) == parse_element(str(q), algebra)
+
+
+def test_from_fraction_takes_what_fraction_takes():
+    assert QX.from_fraction(0.5) == QX.from_fraction(Fraction(1, 2))
+
+
+class _QX2(DifferentialRationalAlgebra):
+    name = "qx2"
+
+
+class _C52(GroupRingC5Algebra):
+    name = "c52"
+
+
+@pytest.mark.parametrize(
+    "sub, base, kernel, text",
+    [
+        (_QX2(), QX, ["x", "x^2"], "x^2*D^2 - 2*x*D + 2"),
+        (_C52(), C5, ["r^2"], "r*D^3 - 1"),
+    ],
+    ids=["qx", "c5"],
+)
+def test_a_subclass_with_its_own_name_parses_as_its_base(sub, base, kernel, text):
+    """The parser reads the algebra's own atoms, period and builder, so a
+    subclass that renames itself parses and builds kernels as its base."""
+    assert parse_element(kernel[-1], sub) == parse_element(kernel[-1], base)
+    assert parse_operator(text, sub).coeffs == parse_operator(text, base).coeffs
+    ctx = KernelContext(sub, [parse_element(t, sub) for t in kernel])
+    expected = KernelContext(base, [parse_element(t, base) for t in kernel])
+    assert ctx.K.algebra is sub
+    assert ctx.K.coeffs == expected.K.coeffs

@@ -392,9 +392,10 @@ def test_gcd_with_a_power_of_x(a, b, expected, prs_calls):
 
 
 def test_gcd_falls_back_to_the_prs_when_the_candidate_does_not_divide(prs_calls):
-    # xi = 2 * 7 + 29 = 43 and igcd(4 * 43 - 7, 10 * 43 - 1) = igcd(165, 429)
-    # = 33 > 43 / 2, which reads in base 43 as x - 10, a divisor of neither
-    a, b = Poly([-7, 4]), Poly([-1, 10])
+    # xi = 64, the least power of two >= 2 * 5 + 29, and igcd(64 - 11,
+    # 5 * 64 - 2) = igcd(53, 318) = 53 > 64 / 2, which reads in base 64 as
+    # x - 11, a divisor of x - 11 but not of 5x - 2
+    a, b = Poly([-11, 1]), Poly([-2, 5])
     assert _heuristic_gcd(a.prim, b.prim) is None
     assert Poly.gcd(a, b) is Poly.one()
     assert prs_calls == [(a.prim, b.prim)]
