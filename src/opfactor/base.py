@@ -37,11 +37,11 @@ An algebra builds its own elements.  It declares `atoms`, the monomial
 `period`, the order of its variable (5 on the group ring, whose r^5 = 1),
 0 for none; and `_from_terms(terms)`, the one builder of an element from
 its (unit, exponent, coefficient) terms, zero for none.  The parser reads
-all three (see the parsing module), and `from_fraction` (the one term
-q*v^0) and `symbols()` (each atom's term) are built through the builder
-here, once for every algebra; the group ring only refuses a q that is
-not integral.  The atoms of an operator text, with `D`, are built once
-per class.
+all three (see the parsing module).  `from_fraction` (the one term
+q*v^0) and `symbols()` (each atom's term) are defined here once, through
+the builder; the group ring adds only the refusal of a q that is not
+integral.  The atoms of an operator text, with `D`, are built once per
+class.
 
 Values are checked where they enter:
 the public constructors, the parser, KernelContext, the arguments of
